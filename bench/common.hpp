@@ -206,7 +206,7 @@ inline trace::ScenarioVersion scenario_version_from_flags(const util::CliFlags& 
 /// implementation generate_features will actually run.
 inline std::string generation_mode_from_flags(const util::CliFlags& flags) {
   if (scenario_version_from_flags(flags) == trace::ScenarioVersion::V2) return "v2-tiled";
-  return trace::batched_generation_enabled() ? "v1-batched" : "v1-reference";
+  return "v1-batched";
 }
 
 /// Copies the standard scenario flags into a timing record's config echo.

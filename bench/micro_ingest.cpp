@@ -1,10 +1,10 @@
 // Microbenchmark for the streaming ingest engine.
 //
 // Measures packet->feature pipeline throughput: the seed batch pipeline
-// (map-based ReferenceFlowTable, per-packet event drains) vs the streaming
-// engine (open-addressing flow table, adaptive scan/wheel expiry, zero-alloc
-// event consumption), verifying both produce bit-identical FeatureMatrix and
-// FlowTableStats.
+// (oracle::extract_features_seed from tests/oracle: map-based flow table,
+// per-packet event drains) vs the streaming engine (open-addressing flow
+// table, adaptive scan/wheel expiry, zero-alloc event consumption),
+// verifying both produce bit-identical FeatureMatrix and FlowTableStats.
 //
 // The headline (floor-gated) workload is a synthetic busy enterprise host:
 // hundreds of new flows per second from ephemeral source ports, so tens of
@@ -27,7 +27,7 @@
 #include <iostream>
 
 #include "bench/common.hpp"
-#include "net/flow_table_ref.hpp"
+#include "oracle/flow_table.hpp"
 #include "stats/sampling.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
@@ -187,7 +187,7 @@ Comparison compare(net::Ipv4Address monitored, std::span<const net::PacketRecord
   pipeline.horizon = packets.back().timestamp + 1;
   Comparison c;
   const auto reference = best_of(repeat, c.reference_ms, [&] {
-    return features::extract_features_reference(monitored, packets, pipeline);
+    return oracle::extract_features_seed(monitored, packets, pipeline);
   });
   auto streaming = best_of(repeat, c.streaming_ms, [&] {
     return features::extract_features(monitored, packets, pipeline);

@@ -1,13 +1,15 @@
 // Microbenchmark for the batched trace-synthesis pipeline (scenario_build).
 //
 // scenario_build — rendering every user's six feature series — dominates
-// the wall time of every figure binary. This bench A/Bs the preserved seed
-// per-(bin, app) path against the batched pipeline (precomputed diurnal/
-// episode rate tables, prepared Poisson rows, integer-threshold footprint
-// tables, SoA staging through the dispatched widen kernel) on the same
-// population, verifying the Scenario contents are BIT-identical via an
-// FNV-1a digest over the raw bin bytes. Exits nonzero when the digest
-// diverges or the speedup lands below --min-speedup.
+// the wall time of every figure binary. This bench A/Bs the seed
+// per-(bin, app) loop (oracle::generate_features_seed, tests/oracle)
+// against the batched pipeline (precomputed diurnal/episode rate tables,
+// prepared Poisson rows, integer-threshold footprint tables, SoA staging
+// through the dispatched widen kernel) on the same population, verifying
+// the per-user matrices and the end-to-end build_scenario output are
+// BIT-identical to the oracle via an FNV-1a digest over the raw bin bytes.
+// Exits nonzero when a digest diverges or the speedup lands below
+// --min-speedup.
 //
 // Speedup context for the default 350-user x 5-week scenario: both v1 paths
 // must consume the identical ~180M-draw engine stream serially per user
@@ -28,6 +30,7 @@
 #include <string>
 
 #include "bench/common.hpp"
+#include "oracle/generator.hpp"
 #include "sim/scenario.hpp"
 #include "stats/kernels.hpp"
 #include "trace/generator.hpp"
@@ -109,10 +112,12 @@ int main(int argc, char** argv) {
   const trace::TraceGenerator generator(config.generator);
 
   const auto render_all = [&](bool batched) {
-    trace::ScopedGenerationMode mode(batched);
     std::vector<features::FeatureMatrix> matrices;
     matrices.reserve(users.size());
-    for (const auto& u : users) matrices.push_back(generator.generate_features(u));
+    for (const auto& u : users) {
+      matrices.push_back(batched ? generator.generate_features(u)
+                                 : oracle::generate_features_seed(config.generator, u));
+    }
     return matrices;
   };
 
@@ -180,25 +185,18 @@ int main(int argc, char** argv) {
   }
 
   // --- (b) the headline: end-to-end scenario_build -------------------------
-  double build_reference_ms = 0.0, build_batched_ms = 0.0;
-  std::uint64_t build_reference_digest = 0, build_batched_digest = 0;
+  // Checked against the oracle digest from (a): build_scenario renders the
+  // same population user for user, on any thread count.
+  double build_batched_ms = 0.0;
+  std::uint64_t build_batched_digest = 0;
   {
-    trace::ScopedGenerationMode mode(false);
-    const auto start = Clock::now();
-    const auto scenario = sim::build_scenario(config);
-    build_reference_ms = ms_since(start);
-    build_reference_digest = digest_matrices(scenario.matrices);
-  }
-  {
-    trace::ScopedGenerationMode mode(true);
     const auto start = Clock::now();
     const auto scenario = sim::build_scenario(config);
     build_batched_ms = ms_since(start);
     build_batched_digest = digest_matrices(scenario.matrices);
   }
-  timings.record("scenario_build_reference", build_reference_ms);
   timings.record("scenario_build", build_batched_ms);
-  const bool build_digests_match = build_reference_digest == build_batched_digest;
+  const bool build_digests_match = build_batched_digest == reference_digest;
 
   double build_v2_ms = 0.0;
   {
@@ -215,7 +213,6 @@ int main(int argc, char** argv) {
   table.add_row({"per-user generation, seed path (ms)", util::fixed(reference_ms, 1)});
   table.add_row({"per-user generation, batched (ms)", util::fixed(batched_ms, 1)});
   table.add_row({"generation speedup", util::fixed(speedup, 2) + "x"});
-  table.add_row({"scenario_build, seed path (ms)", util::fixed(build_reference_ms, 1)});
   table.add_row({"scenario_build, batched (ms)", util::fixed(build_batched_ms, 1)});
   table.add_row({"batched == seed Scenario bytes",
                  digests_match && build_digests_match ? "yes" : "NO"});

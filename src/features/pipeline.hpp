@@ -127,11 +127,4 @@ class IngestSession final : public PacketSink {
                                               std::span<const net::PacketRecord> packets,
                                               const PipelineConfig& config = {});
 
-/// The seed batch pipeline (map-based ReferenceFlowTable, per-packet event
-/// drains). Kept as the differential-testing and benchmarking baseline; the
-/// streaming engine must stay byte-identical to this.
-[[nodiscard]] PipelineResult extract_features_reference(
-    net::Ipv4Address monitored, std::span<const net::PacketRecord> packets,
-    const PipelineConfig& config = {});
-
 }  // namespace monohids::features

@@ -11,7 +11,7 @@ namespace monohids::hids {
 
 double AttackModel::mean_fn(const stats::EmpiricalDistribution& g, double t) const {
   MONOHIDS_EXPECT(!sizes.empty(), "attack model has no sizes");
-  if (stats::kernels::batching_enabled() && !g.empty() && sizes.size() >= 8) {
+  if (!g.empty() && sizes.size() >= 8) {
     // One batched rank call for the whole sweep instead of one binary
     // search per size. The shifted queries t - b are the exact subtractions
     // the per-call path feeds to cdf, and ranks are exact integers, so the

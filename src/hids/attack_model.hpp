@@ -21,8 +21,9 @@ struct AttackModel {
 
   /// Mean false-negative rate of threshold `t` against this sweep, under
   /// benign behavior `g`: mean over sizes of P(g + b <= t). Internally
-  /// batches the per-size rank queries through stats::kernels (bit-identical
-  /// to the per-size loop; disable via kernels::set_batching_enabled).
+  /// batches the per-size rank queries through stats::kernels once the sweep
+  /// has 8 or more sizes (bit-identical to the per-size shifted_cdf loop,
+  /// which smaller sweeps run directly).
   [[nodiscard]] double mean_fn(const stats::EmpiricalDistribution& g, double t) const;
 
   /// Batched mean_fn over a whole ascending threshold sweep: out[j] =

@@ -6,14 +6,7 @@
 namespace monohids::hids {
 
 std::uint64_t ThresholdDetector::count_alarms(std::span<const double> bins) const noexcept {
-  if (stats::kernels::batching_enabled()) {
-    return stats::kernels::active().count_exceed(bins, threshold());
-  }
-  std::uint64_t count = 0;
-  for (double v : bins) {
-    if (alarms(v)) ++count;
-  }
-  return count;
+  return stats::kernels::active().count_exceed(bins, threshold());
 }
 
 double ThresholdDetector::alarm_rate(std::span<const double> bins) const noexcept {

@@ -17,9 +17,9 @@
 // is O(1) and a sweep visits only buckets that are actually due instead of
 // rescanning the whole table. Timeout and
 // flush End events are emitted in a deterministic (expiry deadline, tuple)
-// order that is independent of hash or insertion order; net::ReferenceFlowTable
-// (flow_table_ref.hpp) preserves the original std::unordered_map
-// implementation as the differential-testing baseline.
+// order that is independent of hash or insertion order, so the seed
+// std::unordered_map tracker, kept as a test oracle in tests/oracle, emits
+// byte-identical event streams.
 #pragma once
 
 #include <cstdint>

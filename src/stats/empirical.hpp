@@ -88,9 +88,9 @@ class EmpiricalDistribution {
 
   /// Cumulative rank table cum[k] = #samples <= k, present when the samples
   /// are small integer counts (stats::kernels::build_rank_table) and the
-  /// distribution was built with batching enabled; empty otherwise. Each
-  /// rank query against it is one O(1) load with the same exact integer
-  /// result as a binary search over the samples.
+  /// distribution owns them or is a view_of_sorted(..., true); empty
+  /// otherwise. Each rank query against it is one O(1) load with the same
+  /// exact integer result as a binary search over the samples.
   [[nodiscard]] std::span<const std::uint32_t> rank_table() const noexcept {
     return rank_table_ != nullptr ? std::span<const std::uint32_t>(*rank_table_)
                                   : std::span<const std::uint32_t>{};

@@ -12,7 +12,6 @@ namespace monohids::stats::kernels {
 namespace {
 
 std::atomic<const Ops*> g_active{nullptr};
-std::atomic<bool> g_batching{true};
 
 const Ops* best_available() noexcept {
   if (const Ops* neon = ops_for(Backend::Neon)) return neon;
@@ -101,12 +100,6 @@ bool force_backend(Backend backend) noexcept {
 }
 
 void reset_backend() noexcept { g_active.store(detect(), std::memory_order_release); }
-
-bool batching_enabled() noexcept { return g_batching.load(std::memory_order_relaxed); }
-
-void set_batching_enabled(bool enabled) noexcept {
-  g_batching.store(enabled, std::memory_order_relaxed);
-}
 
 namespace {
 

@@ -27,7 +27,8 @@
 // per-call path. Dispatched results are therefore bit-identical to the
 // scalar seed path on every back-end and at any thread count — which keeps
 // sim::AnalysisCache memoization keys valid (cached artifacts never depend
-// on the back-end that produced them).
+// on the back-end that produced them). The per-call seed loops themselves
+// are not part of the library: they live as test oracles in tests/oracle.
 #pragma once
 
 #include <bit>
@@ -130,29 +131,6 @@ bool force_backend(Backend backend) noexcept;
 
 /// Restores startup dispatch (CPU detection + MONOHIDS_SIMD).
 void reset_backend() noexcept;
-
-/// Global batching toggle. When disabled, every rewired consumer
-/// (EmpiricalDistribution batch queries, AttackModel::mean_fn, the
-/// optimizing heuristics, roc_curve, attacker curves, replay/joint loops,
-/// and the arena sort/merge fast paths) runs the original per-call seed
-/// code instead — the A side of the kernel benches and differential tests.
-/// Enabled by default.
-[[nodiscard]] bool batching_enabled() noexcept;
-void set_batching_enabled(bool enabled) noexcept;
-
-/// RAII batching toggle for benches/tests.
-class ScopedBatchMode {
- public:
-  explicit ScopedBatchMode(bool enabled) : previous_(batching_enabled()) {
-    set_batching_enabled(enabled);
-  }
-  ~ScopedBatchMode() { set_batching_enabled(previous_); }
-  ScopedBatchMode(const ScopedBatchMode&) = delete;
-  ScopedBatchMode& operator=(const ScopedBatchMode&) = delete;
-
- private:
-  bool previous_;
-};
 
 /// Arena-preparation fast path: sorts `samples` ascending with an O(n + K)
 /// counting sweep when every value is a small non-negative integer (traffic

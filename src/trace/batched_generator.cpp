@@ -22,9 +22,10 @@
 // Bit-identity contract: the engine draw sequence on the "bins" and
 // "episodes" streams is EXACTLY the seed path's — same draws, same order,
 // same arithmetic on each — so the resulting FeatureMatrix is bit-identical
-// to generate_features_reference for every profile, grid and horizon. The
-// randomized differential suite (tests/trace/test_generator_batched.cpp)
-// and bench/micro_scenario pin this.
+// to the seed loop (generate_features_seed in tests/oracle) for every
+// profile, grid and horizon. The randomized differential suite
+// (tests/trace/test_generator_batched.cpp) and bench/micro_scenario pin
+// this.
 #include <algorithm>
 #include <array>
 #include <cmath>

@@ -3,8 +3,8 @@
 // Episodes are rare bursty periods (a crawl, a large sync) during which all
 // of a user's session rates are multiplied by a sampled factor. The process
 // is stepped bin by bin with identical draws in every render path (bin-level
-// reference, bin-level batched, packet walk), so all paths share their
-// bursts draw for draw.
+// batched, packet walk, and the seed bin loop kept as a test oracle), so all
+// paths share their bursts draw for draw.
 //
 // Pinned semantics (tests/trace/test_episode_process.cpp holds these fixed
 // so the batched rate-table path can reproduce them exactly):

@@ -1,7 +1,6 @@
 #include "trace/generator.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -13,18 +12,6 @@
 namespace monohids::trace {
 
 using util::Timestamp;
-
-namespace {
-std::atomic<bool> g_batched_generation{true};
-}  // namespace
-
-bool batched_generation_enabled() noexcept {
-  return g_batched_generation.load(std::memory_order_relaxed);
-}
-
-void set_batched_generation_enabled(bool enabled) noexcept {
-  g_batched_generation.store(enabled, std::memory_order_relaxed);
-}
 
 TraceGenerator::TraceGenerator(GeneratorConfig config) : config_(config) {
   MONOHIDS_EXPECT(config_.weeks > 0, "generator horizon must cover at least one week");
@@ -57,76 +44,7 @@ DestinationPools TraceGenerator::make_pools(const UserProfile& user) const {
 
 features::FeatureMatrix TraceGenerator::generate_features(const UserProfile& user) const {
   if (config_.scenario_version == ScenarioVersion::V2) return generate_features_v2(user);
-  if (batched_generation_enabled()) return generate_features_batched(user);
-  return generate_features_reference(user);
-}
-
-features::FeatureMatrix TraceGenerator::generate_features_reference(
-    const UserProfile& user) const {
-  const util::BinGrid grid = config_.grid;
-  const util::Duration horizon = config_.horizon();
-  features::FeatureMatrix matrix;
-  for (auto& s : matrix.series) s = features::BinnedSeries(grid, horizon);
-
-  util::Xoshiro256 rng(util::derive_seed(user.seed, "bins", 0));
-  EpisodeProcess episodes(user, config_.episode_log_mu,
-                          util::derive_seed(user.seed, "episodes", 0));
-
-  const double bin_hours =
-      static_cast<double>(grid.width()) / static_cast<double>(util::kMicrosPerHour);
-  const double effective_pool =
-      std::max(4.0, config_.distinct_pool_factor * user.destination_pool_size);
-  const std::uint64_t bins = grid.bin_count(horizon);
-
-  for (std::uint64_t b = 0; b < bins; ++b) {
-    const Timestamp start = grid.bin_start(b);
-    const Timestamp mid = start + grid.width() / 2;
-    const double act = activity_at(user.diurnal, mid);
-    const double boost = episodes.step(start, bin_hours, act);
-    const std::uint32_t week = util::week_of(mid);
-
-    double tcp = 0, udp = 0, dns = 0, http = 0, syn = 0;
-    double distinct_draws = 0;
-
-    for (AppKind app : kAllApps) {
-      const double lambda =
-          user.rate_of(app) * act * boost * user.drift(week, app) * bin_hours;
-      const std::uint64_t sessions = stats::sample_poisson(rng, lambda);
-      for (std::uint64_t s = 0; s < sessions; ++s) {
-        const SessionFootprint f = sample_footprint(app, rng);
-        tcp += f.tcp_connections;
-        udp += f.udp_connections;
-        dns += f.dns_connections;
-        http += f.http_connections;
-        syn += f.syn_packets;
-        distinct_draws += f.distinct_draws;
-      }
-    }
-    // Resolver cache: a fraction of lookups never hit the wire. Cached
-    // lookups remove both a DNS flow and its UDP flow (same flow).
-    const double cached = std::round(dns * user.dns_cache_hit);
-    dns -= cached;
-    udp -= cached;
-    // Cached lookups also stop contributing a destination draw: no packet
-    // reaches the resolver.
-    distinct_draws = std::max(0.0, distinct_draws - cached);
-
-    using features::FeatureKind;
-    matrix.of(FeatureKind::TcpConnections).set(b, tcp);
-    matrix.of(FeatureKind::UdpConnections).set(b, udp);
-    matrix.of(FeatureKind::DnsConnections).set(b, dns);
-    matrix.of(FeatureKind::HttpConnections).set(b, http);
-    matrix.of(FeatureKind::TcpSyn).set(b, syn);
-    // Distinct destinations: m popularity-weighted draws from a pool of
-    // effective size P cover ~P(1 - (1 - 1/P)^m) distinct addresses.
-    const double distinct =
-        distinct_draws == 0
-            ? 0.0
-            : effective_pool *
-                  (1.0 - std::pow(1.0 - 1.0 / effective_pool, distinct_draws));
-    matrix.of(FeatureKind::DistinctConnections).set(b, std::round(distinct));
-  }
-  return matrix;
+  return generate_features_batched(user);
 }
 
 template <typename BinStart>

@@ -77,27 +77,6 @@ struct GeneratorConfig {
   }
 };
 
-/// Global toggle between the batched feature-generation pipeline (default)
-/// and the preserved seed per-bin path. Outputs are bit-identical by
-/// contract; the toggle exists so benches and the differential suite can
-/// A/B the two implementations (mirrors stats::kernels::batching_enabled).
-[[nodiscard]] bool batched_generation_enabled() noexcept;
-void set_batched_generation_enabled(bool enabled) noexcept;
-
-/// RAII generation-mode toggle for benches/tests.
-class ScopedGenerationMode {
- public:
-  explicit ScopedGenerationMode(bool batched) : previous_(batched_generation_enabled()) {
-    set_batched_generation_enabled(batched);
-  }
-  ~ScopedGenerationMode() { set_batched_generation_enabled(previous_); }
-  ScopedGenerationMode(const ScopedGenerationMode&) = delete;
-  ScopedGenerationMode& operator=(const ScopedGenerationMode&) = delete;
-
- private:
-  bool previous_;
-};
-
 class TraceGenerator {
  public:
   explicit TraceGenerator(GeneratorConfig config = {});
@@ -105,11 +84,11 @@ class TraceGenerator {
   [[nodiscard]] const GeneratorConfig& config() const noexcept { return config_; }
 
   /// Fast path: the user's six binned feature series over the full horizon.
-  /// Under ScenarioVersion::V1, dispatches to the batched pipeline
-  /// (precomputed rate tables, prepared Poisson rows, SoA staging) unless
-  /// batched_generation_enabled() is off; both implementations are
-  /// bit-identical draw for draw. Under V2, renders the counter-mode
-  /// contract tile by tile (v2_bin_tile).
+  /// Under ScenarioVersion::V1, runs the batched pipeline (precomputed rate
+  /// tables, prepared Poisson rows, SoA staging), bit-identical draw for
+  /// draw to the seed per-(bin, app) loop kept as a test oracle in
+  /// tests/oracle. Under V2, renders the counter-mode contract tile by tile
+  /// (v2_bin_tile).
   [[nodiscard]] features::FeatureMatrix generate_features(const UserProfile& user) const;
 
   /// V2 only: renders bins [tile_begin, tile_end) of the counter-mode
@@ -120,13 +99,6 @@ class TraceGenerator {
   void render_features_v2_tile(const UserProfile& user, std::uint64_t tile_begin,
                                std::uint64_t tile_end,
                                features::FeatureMatrix& matrix) const;
-
-  /// The preserved seed implementation of generate_features: one
-  /// activity/episode/poisson/footprint round-trip per (bin, app). Kept as
-  /// the reference side of the differential suite and the A side of
-  /// bench/micro_scenario.
-  [[nodiscard]] features::FeatureMatrix generate_features_reference(
-      const UserProfile& user) const;
 
   /// Full path: time-sorted packets for [begin, end). `begin`/`end` must lie
   /// within the horizon, begin < end. Ordering is the total order of

@@ -294,7 +294,7 @@ void parse_pcap_stream(std::istream& in, PcapReadResult& result, OnPacket&& on_p
   (void)read_u32(in, swapped, ok);  // version
   (void)read_u32(in, swapped, ok);  // thiszone
   (void)read_u32(in, swapped, ok);  // sigfigs
-  (void)read_u32(in, swapped, ok);  // snaplen
+  const std::uint32_t snaplen = read_u32(in, swapped, ok);
   const std::uint32_t linktype = read_u32(in, swapped, ok);
   MONOHIDS_ENSURE(ok, "truncated pcap global header");
   MONOHIDS_ENSURE(linktype == kLinktypeEthernet,
@@ -314,6 +314,7 @@ void parse_pcap_stream(std::istream& in, PcapReadResult& result, OnPacket&& on_p
       orig_len = read_u32(in, swapped, ok);
       MONOHIDS_ENSURE(ok, "truncated pcap record header");
       MONOHIDS_ENSURE(incl_len <= 10 * 1024 * 1024, "implausible pcap record length");
+      MONOHIDS_ENSURE(incl_len <= snaplen, "pcap record longer than snaplen");
 
       frame.resize(incl_len);
       in.read(reinterpret_cast<char*>(frame.data()), incl_len);

@@ -1,10 +1,10 @@
-// Batch-on vs batch-off identity for every consumer rewired onto the
-// stats::kernels layer. The batching toggle swaps whole code paths (merge
-// scans, grid passes, counting sorts) for the seed's per-call loops, so
-// bitwise-equal results here are the contract that keeps AnalysisCache
-// memoization valid: a cached artifact must not depend on which path — or
-// which SIMD back-end — produced it. Every check runs once per available
-// back-end, forced in-process.
+// Library-vs-oracle identity for every consumer rewired onto the
+// stats::kernels layer. The library answers sweeps with merge scans, grid
+// passes and counting sorts; the seed's per-call loops live in
+// tests/oracle. Bitwise-equal results here are the contract that keeps
+// AnalysisCache memoization valid: a cached artifact must not depend on
+// which path — or which SIMD back-end — produced it. Every check runs once
+// per available back-end, forced in-process.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "hids/evaluator.hpp"
 #include "hids/heuristics.hpp"
 #include "hids/roc.hpp"
+#include "oracle/per_call.hpp"
 #include "stats/empirical.hpp"
 #include "stats/kernels.hpp"
 #include "util/rng.hpp"
@@ -36,16 +37,10 @@ std::vector<Backend> available_backends() {
   return out;
 }
 
+/// Restores startup dispatch however a test exits.
 class DispatchGuard {
  public:
-  DispatchGuard() : batching_(kernels::batching_enabled()) {}
-  ~DispatchGuard() {
-    kernels::reset_backend();
-    kernels::set_batching_enabled(batching_);
-  }
-
- private:
-  bool batching_;
+  ~DispatchGuard() { kernels::reset_backend(); }
 };
 
 /// Count-like traffic samples (small integers, heavy ties) — the regime the
@@ -66,111 +61,115 @@ std::vector<double> continuous_samples(std::uint64_t seed, std::size_t n) {
   return v;
 }
 
-/// Runs `compute` once with batching off (the seed path) and once per
-/// available back-end with batching on, asserting bitwise-equal results.
-template <typename Fn>
-void expect_path_identity(Fn&& compute, const char* what) {
+/// Runs `oracle` once and `library` once per available back-end, asserting
+/// bitwise-equal results.
+template <typename Library, typename Oracle>
+void expect_oracle_identity(Library&& library, Oracle&& oracle, const char* what) {
   DispatchGuard guard;
-  kernels::set_batching_enabled(false);
-  const auto reference = compute();
-  kernels::set_batching_enabled(true);
+  const auto reference = oracle();
   for (Backend b : available_backends()) {
     ASSERT_TRUE(kernels::force_backend(b));
-    const auto batched = compute();
+    const auto batched = library();
     EXPECT_EQ(batched, reference)
         << what << " diverges on " << kernels::backend_name(b);
   }
 }
 
+std::vector<double> samples_of(const EmpiricalDistribution& d) {
+  return std::vector<double>(d.samples().begin(), d.samples().end());
+}
+
+std::vector<double> flatten(const std::vector<RocPoint>& curve) {
+  std::vector<double> flat;
+  for (const RocPoint& p : curve) {
+    flat.push_back(p.threshold);
+    flat.push_back(p.fp_rate);
+    flat.push_back(p.tp_rate);
+  }
+  return flat;
+}
+
 TEST(KernelRewire, ArenaSortIsBitIdentical) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
-    expect_path_identity(
-        [&] {
-          EmpiricalDistribution d(count_samples(seed, 700));
-          return std::vector<double>(d.samples().begin(), d.samples().end());
-        },
+    expect_oracle_identity(
+        [&] { return samples_of(EmpiricalDistribution(count_samples(seed, 700))); },
+        [&] { return oracle::sort_samples(count_samples(seed, 700)); },
         "EmpiricalDistribution counting sort");
-    expect_path_identity(
-        [&] {
-          EmpiricalDistribution d(continuous_samples(seed, 700));
-          return std::vector<double>(d.samples().begin(), d.samples().end());
-        },
+    expect_oracle_identity(
+        [&] { return samples_of(EmpiricalDistribution(continuous_samples(seed, 700))); },
+        [&] { return oracle::sort_samples(continuous_samples(seed, 700)); },
         "EmpiricalDistribution comparison sort");
   }
 }
 
 TEST(KernelRewire, PooledMergeIsBitIdentical) {
-  expect_path_identity(
-      [] {
-        std::vector<EmpiricalDistribution> parts;
-        for (std::uint64_t s = 0; s < 6; ++s) {
-          parts.emplace_back(count_samples(100 + s, 300));
-        }
-        const EmpiricalDistribution pooled = EmpiricalDistribution::merge(parts);
-        return std::vector<double>(pooled.samples().begin(), pooled.samples().end());
-      },
-      "pooled counting merge");
+  std::vector<EmpiricalDistribution> parts;
+  for (std::uint64_t s = 0; s < 6; ++s) {
+    parts.emplace_back(count_samples(100 + s, 300));
+  }
+  std::vector<std::span<const double>> spans;
+  for (const auto& p : parts) spans.push_back(p.samples());
+  expect_oracle_identity([&] { return samples_of(EmpiricalDistribution::merge(parts)); },
+                         [&] { return oracle::merge_sorted(spans); },
+                         "pooled counting merge");
 }
 
 TEST(KernelRewire, MeanFnIsBitIdentical) {
   const EmpiricalDistribution g(count_samples(7, 2000));
   const AttackModel attack = linear_attack_sweep(60.0, 64);
-  expect_path_identity(
-      [&] {
-        std::vector<double> out;
-        for (double t : {0.0, 7.0, 13.5, 40.0, 59.0, 61.0}) {
-          out.push_back(attack.mean_fn(g, t));
-        }
-        return out;
-      },
+  const std::vector<double> thresholds = {0.0, 7.0, 13.5, 40.0, 59.0, 61.0};
+  const auto sweep = [&](auto&& fn) {
+    std::vector<double> out;
+    for (double t : thresholds) out.push_back(fn(t));
+    return out;
+  };
+  expect_oracle_identity(
+      [&] { return sweep([&](double t) { return attack.mean_fn(g, t); }); },
+      [&] { return sweep([&](double t) { return oracle::mean_fn(attack, g, t); }); },
       "AttackModel::mean_fn");
 }
 
 TEST(KernelRewire, MeanFnBatchMatchesPerCallSeedPath) {
-  DispatchGuard guard;
   const EmpiricalDistribution g(continuous_samples(8, 1500));
   const AttackModel attack = linear_attack_sweep(80.0, 64);
   const auto thresholds = candidate_thresholds(g);
-
-  kernels::set_batching_enabled(false);
-  std::vector<double> reference;
-  reference.reserve(thresholds.size());
-  for (double t : thresholds) reference.push_back(attack.mean_fn(g, t));
-
-  kernels::set_batching_enabled(true);
-  for (Backend b : available_backends()) {
-    ASSERT_TRUE(kernels::force_backend(b));
-    std::vector<double> batched(thresholds.size());
-    attack.mean_fn_batch(g, thresholds, batched);
-    EXPECT_EQ(batched, reference) << "mean_fn_batch on " << kernels::backend_name(b);
-  }
+  expect_oracle_identity(
+      [&] {
+        std::vector<double> batched(thresholds.size());
+        attack.mean_fn_batch(g, thresholds, batched);
+        return batched;
+      },
+      [&] {
+        std::vector<double> reference;
+        for (double t : thresholds) reference.push_back(oracle::mean_fn(attack, g, t));
+        return reference;
+      },
+      "AttackModel::mean_fn_batch");
 }
 
 TEST(KernelRewire, OptimizingHeuristicsPickTheSameThreshold) {
   const EmpiricalDistribution g(count_samples(11, 3000));
   const AttackModel attack = linear_attack_sweep(60.0, 64);
   const FMeasureHeuristic fmeasure;
-  const UtilityHeuristic utility(0.5);
-  expect_path_identity([&] { return fmeasure.compute(g, &attack); },
-                       "FMeasureHeuristic");
-  expect_path_identity([&] { return utility.compute(g, &attack); },
-                       "UtilityHeuristic");
+  expect_oracle_identity([&] { return fmeasure.compute(g, &attack); },
+                         [&] { return oracle::fmeasure_threshold(g, attack); },
+                         "FMeasureHeuristic");
+  // The extreme weights tie many candidates (w = 0: every threshold at or
+  // above the maximum has zero false positives), so they pin the
+  // first-maximum tie-break too.
+  for (double w : {0.0, 0.5, 1.0}) {
+    const UtilityHeuristic utility(w);
+    expect_oracle_identity([&] { return utility.compute(g, &attack); },
+                           [&] { return oracle::utility_threshold(g, attack, w); },
+                           "UtilityHeuristic");
+  }
 }
 
 TEST(KernelRewire, RocCurveIsBitIdentical) {
   const EmpiricalDistribution g(count_samples(13, 2500));
   const AttackModel attack = linear_attack_sweep(60.0, 32);
-  expect_path_identity(
-      [&] {
-        std::vector<double> flat;
-        for (const RocPoint& p : roc_curve(g, attack)) {
-          flat.push_back(p.threshold);
-          flat.push_back(p.fp_rate);
-          flat.push_back(p.tp_rate);
-        }
-        return flat;
-      },
-      "roc_curve");
+  expect_oracle_identity([&] { return flatten(roc_curve(g, attack)); },
+                         [&] { return flatten(oracle::roc_curve(g, attack)); }, "roc_curve");
 }
 
 TEST(KernelRewire, NaiveDetectionCurveIsBitIdentical) {
@@ -181,8 +180,9 @@ TEST(KernelRewire, NaiveDetectionCurveIsBitIdentical) {
     thresholds.push_back(users.back().quantile(0.95));
   }
   const AttackModel attack = linear_attack_sweep(60.0, 64);
-  expect_path_identity(
+  expect_oracle_identity(
       [&] { return naive_detection_curve(users, thresholds, attack.sizes, 2); },
+      [&] { return oracle::naive_detection_curve(users, thresholds, attack.sizes); },
       "naive_detection_curve");
 }
 
@@ -193,12 +193,12 @@ TEST(KernelRewire, ReplayOutcomeIsBitIdentical) {
     benign[i] = static_cast<double>(rng() % 40);
     attack[i] = (rng() % 4 == 0) ? static_cast<double>(1 + rng() % 20) : 0.0;
   }
-  expect_path_identity(
-      [&] {
-        const ReplayOutcome out = evaluate_replay(benign, attack, 30.0);
-        return std::vector<double>{out.fp_rate, out.detection_rate};
-      },
-      "evaluate_replay");
+  const auto flat = [](const ReplayOutcome& out) {
+    return std::vector<double>{out.fp_rate, out.detection_rate};
+  };
+  expect_oracle_identity([&] { return flat(evaluate_replay(benign, attack, 30.0)); },
+                         [&] { return flat(oracle::evaluate_replay(benign, attack, 30.0)); },
+                         "evaluate_replay");
 }
 
 TEST(KernelRewire, JointAlarmRateIsBitIdentical) {
@@ -212,14 +212,14 @@ TEST(KernelRewire, JointAlarmRateIsBitIdentical) {
   }
   std::array<double, features::kFeatureCount> thresholds{};
   for (auto& t : thresholds) t = static_cast<double>(10 + rng() % 10);
-  expect_path_identity(
-      [&] {
-        const JointAlarmOutcome out = joint_alarm_rate(m, 0, thresholds);
-        std::vector<double> flat{out.joint_fp_rate, out.sum_of_marginals};
-        flat.insert(flat.end(), out.per_feature.begin(), out.per_feature.end());
-        return flat;
-      },
-      "joint_alarm_rate");
+  const auto flat = [](const JointAlarmOutcome& out) {
+    std::vector<double> v{out.joint_fp_rate, out.sum_of_marginals};
+    v.insert(v.end(), out.per_feature.begin(), out.per_feature.end());
+    return v;
+  };
+  expect_oracle_identity([&] { return flat(joint_alarm_rate(m, 0, thresholds)); },
+                         [&] { return flat(oracle::joint_alarm_rate(m, 0, thresholds)); },
+                         "joint_alarm_rate");
 }
 
 TEST(KernelRewire, DetectorAlarmCountIsBitIdentical) {
@@ -227,8 +227,9 @@ TEST(KernelRewire, DetectorAlarmCountIsBitIdentical) {
   std::vector<double> bins(5000);
   for (double& v : bins) v = static_cast<double>(rng() % 50);
   const ThresholdDetector det(37.0);
-  expect_path_identity([&] { return det.count_alarms(bins); },
-                       "ThresholdDetector::count_alarms");
+  expect_oracle_identity([&] { return det.count_alarms(bins); },
+                         [&] { return oracle::count_alarms(det, bins); },
+                         "ThresholdDetector::count_alarms");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Differential tests: the open-addressing FlowTable must be byte-identical
-// to ReferenceFlowTable (the original std::unordered_map implementation) on
+// to oracle::ReferenceFlowTable (the seed std::unordered_map tracker) on
 // arbitrary valid traffic — same FlowEvent stream, same FlowTableStats.
 // Randomized traces cover flow creation, FIN/RST teardown, idle-timeout
 // sweeps, far time jumps, flush, and same-tuple flow reincarnation.
@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "net/flow_table.hpp"
-#include "net/flow_table_ref.hpp"
+#include "oracle/flow_table.hpp"
 #include "stats/sampling.hpp"
 #include "util/rng.hpp"
 
@@ -70,7 +70,7 @@ std::vector<PacketRecord> random_trace(std::uint64_t seed, int packets) {
 /// emission order inside each packet's sweep must match too).
 void expect_identical(const std::vector<PacketRecord>& trace, const FlowTableConfig& config) {
   FlowTable table(kHost, config);
-  ReferenceFlowTable reference(kHost, config);
+  oracle::ReferenceFlowTable reference(kHost, config);
 
   for (const PacketRecord& p : trace) {
     table.process(p);
@@ -188,7 +188,7 @@ TEST(FlowTableDifferential, AdvanceToMatchesReference) {
   config.sweep_interval = util::kMicrosPerSecond;
 
   FlowTable table(kHost, config);
-  ReferenceFlowTable reference(kHost, config);
+  oracle::ReferenceFlowTable reference(kHost, config);
   for (const PacketRecord& p : trace) {
     table.process(p);
     reference.process(p);

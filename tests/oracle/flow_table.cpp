@@ -1,10 +1,14 @@
-#include "net/flow_table_ref.hpp"
+#include "oracle/flow_table.hpp"
 
 #include <algorithm>
 
 #include "util/error.hpp"
 
-namespace monohids::net {
+namespace monohids::oracle {
+
+using net::FlowEventKind;
+using net::Protocol;
+using net::TcpFlags;
 
 ReferenceFlowTable::ReferenceFlowTable(Ipv4Address monitored, FlowTableConfig config)
     : monitored_(monitored), config_(config) {
@@ -149,4 +153,27 @@ std::vector<FlowEvent> ReferenceFlowTable::drain_events() {
   return out;
 }
 
-}  // namespace monohids::net
+features::PipelineResult extract_features_seed(net::Ipv4Address monitored,
+                                               std::span<const net::PacketRecord> packets,
+                                               const features::PipelineConfig& config) {
+  ReferenceFlowTable table(monitored, config.flow_config);
+  features::FeatureExtractor extractor(config.grid, config.horizon);
+
+  for (const net::PacketRecord& packet : packets) {
+    extractor.on_packet(packet, monitored);
+    table.process(packet);
+    for (const net::FlowEvent& event : table.drain_events()) {
+      extractor.on_flow_event(event);
+    }
+  }
+  const util::Timestamp last_seen = packets.empty() ? 0 : packets.back().timestamp;
+  table.flush(std::max<util::Timestamp>(config.horizon, last_seen));
+  for (const net::FlowEvent& event : table.drain_events()) {
+    extractor.on_flow_event(event);
+  }
+  extractor.finish();
+
+  return features::PipelineResult{extractor.matrix(), table.stats()};
+}
+
+}  // namespace monohids::oracle

@@ -1,21 +1,31 @@
-// Reference connection tracker: the seed std::unordered_map implementation.
+// Seed connection tracker and batch pipeline: test oracles for net::FlowTable
+// and features::IngestSession.
 //
-// This is the behavioral spec for net::FlowTable kept on purpose: a node-
-// allocating hash map whose idle sweep rescans every live flow. It emits the
-// same deterministic (expiry deadline, tuple)-ordered timeout events and
-// tuple-ordered flush events as the open-addressing table, so the two are
-// byte-comparable: the randomized differential tests assert identical
-// FlowEvent streams and stats, and bench/micro_ingest uses it as the
-// map-vs-open-addressing and batch-vs-streaming baseline. Not for
-// production paths — use net::FlowTable.
+// ReferenceFlowTable is the seed std::unordered_map implementation, kept as
+// the behavioral spec of net::FlowTable: a node-allocating hash map whose
+// idle sweep rescans every live flow. It emits the same deterministic
+// (expiry deadline, tuple)-ordered timeout events and tuple-ordered flush
+// events as the open-addressing table, so the two are byte-comparable: the
+// randomized differential tests assert identical FlowEvent streams and
+// stats, and bench/micro_ingest uses it as the map-vs-open-addressing and
+// batch-vs-streaming baseline. Linked only by tests and A/B benches.
 #pragma once
 
 #include <unordered_map>
 #include <vector>
 
+#include "features/pipeline.hpp"
 #include "net/flow_table.hpp"
 
-namespace monohids::net {
+namespace monohids::oracle {
+
+using net::FiveTuple;
+using net::FlowEndReason;
+using net::FlowEvent;
+using net::FlowTableConfig;
+using net::FlowTableStats;
+using net::Ipv4Address;
+using net::PacketRecord;
 
 /// Map-based flow tracker with FlowTable's exact observable behavior.
 class ReferenceFlowTable {
@@ -57,4 +67,12 @@ class ReferenceFlowTable {
   util::Timestamp clock_ = 0;
 };
 
-}  // namespace monohids::net
+/// The seed batch pipeline: ReferenceFlowTable plus per-packet event
+/// drains. The streaming engine (features::extract_features and any batch
+/// partition through features::IngestSession) must stay byte-identical to
+/// this.
+[[nodiscard]] features::PipelineResult extract_features_seed(
+    net::Ipv4Address monitored, std::span<const net::PacketRecord> packets,
+    const features::PipelineConfig& config = {});
+
+}  // namespace monohids::oracle

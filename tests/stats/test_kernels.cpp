@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "stats/empirical.hpp"
+#include "oracle/per_call.hpp"
 #include "stats/kernels.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -21,17 +22,10 @@ namespace {
 
 using kernels::Backend;
 
-/// Restores startup dispatch and batching mode however a test exits.
+/// Restores startup dispatch however a test exits.
 class DispatchGuard {
  public:
-  DispatchGuard() : batching_(kernels::batching_enabled()) {}
-  ~DispatchGuard() {
-    kernels::reset_backend();
-    kernels::set_batching_enabled(batching_);
-  }
-
- private:
-  bool batching_;
+  ~DispatchGuard() { kernels::reset_backend(); }
 };
 
 std::vector<Backend> available_backends() {
@@ -86,20 +80,6 @@ TEST(KernelDispatch, BackendNamesMatchTables) {
   for (Backend b : available_backends()) {
     EXPECT_EQ(std::string(kernels::ops_for(b)->name), kernels::backend_name(b));
   }
-}
-
-TEST(KernelDispatch, ScopedBatchModeRestores) {
-  const bool before = kernels::batching_enabled();
-  {
-    kernels::ScopedBatchMode off(false);
-    EXPECT_FALSE(kernels::batching_enabled());
-    {
-      kernels::ScopedBatchMode on(true);
-      EXPECT_TRUE(kernels::batching_enabled());
-    }
-    EXPECT_FALSE(kernels::batching_enabled());
-  }
-  EXPECT_EQ(kernels::batching_enabled(), before);
 }
 
 // --- Tie handling -----------------------------------------------------------
@@ -290,12 +270,7 @@ TEST(KernelCountingPaths, CountingMergeMatchesHeapMerge) {
   std::vector<double> counted;
   ASSERT_TRUE(kernels::counting_merge(parts, counted));
 
-  std::vector<double> heap_merged;
-  {
-    kernels::ScopedBatchMode off(false);
-    merge_sorted_spans(parts, heap_merged);
-  }
-  EXPECT_EQ(counted, heap_merged);
+  EXPECT_EQ(counted, oracle::merge_sorted(parts));
 }
 
 TEST(KernelCountingPaths, CountingMergeRejectsNonCountData) {
@@ -360,8 +335,6 @@ TEST(KernelRankTable, RejectsNonCountData) {
 }
 
 TEST(KernelRankTable, EmpiricalDistributionBuildsAndUsesTable) {
-  DispatchGuard guard;
-  kernels::set_batching_enabled(true);
   std::vector<double> samples;
   for (int i = 0; i < 200; ++i) samples.push_back(static_cast<double>(i % 13));
 
@@ -374,11 +347,6 @@ TEST(KernelRankTable, EmpiricalDistributionBuildsAndUsesTable) {
   for (std::size_t j = 0; j < queries.size(); ++j) {
     EXPECT_EQ(batched[j], dist.cdf(queries[j])) << "q=" << queries[j];
   }
-
-  // Built with batching disabled, the table is skipped entirely.
-  kernels::set_batching_enabled(false);
-  const EmpiricalDistribution seed{std::vector<double>(samples)};
-  EXPECT_TRUE(seed.rank_table().empty());
 }
 
 TEST(KernelWiden, WidenU32IsExactOnEveryBackend) {
@@ -406,8 +374,6 @@ TEST(KernelWiden, WidenU32IsExactOnEveryBackend) {
 }
 
 TEST(KernelRankTable, ViewBuildsTableOnlyWhenRequested) {
-  DispatchGuard guard;
-  kernels::set_batching_enabled(true);
   std::vector<double> sorted(128);
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     sorted[i] = static_cast<double>(i / 4);

@@ -1,14 +1,16 @@
 // Differential suite for the batched feature-generation pipeline: the
-// batched path must be BIT-identical to the preserved reference path for
-// every profile, grid (divisible by the week or not), horizon, kernel
-// back-end and thread count. Identity is checked with memcmp over the raw
-// bin storage — not approximate comparison — because scenario digests,
-// AnalysisCache keys and every downstream experiment depend on exact bytes.
+// batched path must be BIT-identical to the seed per-(bin, app) loop
+// (oracle::generate_features_seed) for every profile, grid (divisible by
+// the week or not), horizon, kernel back-end and thread count. Identity is
+// checked with memcmp over the raw bin storage — not approximate
+// comparison — because scenario digests, AnalysisCache keys and every
+// downstream experiment depend on exact bytes.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
+#include "oracle/generator.hpp"
 #include "sim/scenario.hpp"
 #include "stats/kernels.hpp"
 #include "trace/generator.hpp"
@@ -26,12 +28,6 @@ void expect_bit_identical(const features::FeatureMatrix& a,
     ASSERT_EQ(std::memcmp(va.data(), vb.data(), va.size() * sizeof(double)), 0)
         << what << " series " << s;
   }
-}
-
-features::FeatureMatrix render(const TraceGenerator& gen, const UserProfile& u,
-                               bool batched) {
-  ScopedGenerationMode mode(batched);
-  return gen.generate_features(u);
 }
 
 TEST(BatchedGenerator, BitIdenticalToReferenceAcross200SeededCases) {
@@ -53,26 +49,14 @@ TEST(BatchedGenerator, BitIdenticalToReferenceAcross200SeededCases) {
       config.grid = util::BinGrid::minutes(width_minutes);
       const TraceGenerator gen(config);
       for (const UserProfile& u : users) {
-        const auto reference = render(gen, u, false);
-        const auto batched = render(gen, u, true);
+        const auto reference = oracle::generate_features_seed(config, u);
+        const auto batched = gen.generate_features(u);
         expect_bit_identical(reference, batched, "case");
         ++cases;
       }
     }
   }
   EXPECT_EQ(cases, 200);
-}
-
-TEST(BatchedGenerator, DisabledModeUsesTheReferencePath) {
-  PopulationConfig pc;
-  pc.user_count = 2;
-  const auto users = generate_population(pc);
-  GeneratorConfig config;
-  config.weeks = 1;
-  const TraceGenerator gen(config);
-  const auto direct = gen.generate_features_reference(users[1]);
-  const auto dispatched = render(gen, users[1], false);
-  expect_bit_identical(direct, dispatched, "reference dispatch");
 }
 
 TEST(BatchedGenerator, BitIdenticalAcrossKernelBackends) {
@@ -86,9 +70,9 @@ TEST(BatchedGenerator, BitIdenticalAcrossKernelBackends) {
   const TraceGenerator gen(config);
 
   for (const UserProfile& u : users) {
-    const auto native = render(gen, u, true);
+    const auto native = gen.generate_features(u);
     ASSERT_TRUE(stats::kernels::force_backend(stats::kernels::Backend::Scalar));
-    const auto scalar = render(gen, u, true);
+    const auto scalar = gen.generate_features(u);
     stats::kernels::reset_backend();
     expect_bit_identical(native, scalar, "backend");
   }
@@ -96,28 +80,23 @@ TEST(BatchedGenerator, BitIdenticalAcrossKernelBackends) {
 
 TEST(BatchedGenerator, ScenarioBitIdenticalAcrossThreadCountsAndModes) {
   // build_scenario fans users across worker threads; output must not depend
-  // on the thread count or the generation mode.
+  // on the thread count, and must equal the seed loop user for user.
   sim::ScenarioConfig config;
   config.set_users(12);
   config.set_weeks(1);
   config.set_seed(4242);
 
   config.threads = 1;
-  ScopedGenerationMode reference_mode(false);
-  const auto serial_reference = sim::build_scenario(config);
-  {
-    ScopedGenerationMode batched_mode(true);
-    config.threads = 1;
-    const auto serial_batched = sim::build_scenario(config);
-    config.threads = 3;
-    const auto threaded_batched = sim::build_scenario(config);
-    ASSERT_EQ(serial_reference.matrices.size(), serial_batched.matrices.size());
-    for (std::size_t i = 0; i < serial_reference.matrices.size(); ++i) {
-      expect_bit_identical(serial_reference.matrices[i], serial_batched.matrices[i],
-                           "serial");
-      expect_bit_identical(serial_reference.matrices[i], threaded_batched.matrices[i],
-                           "threaded");
-    }
+  const auto serial_batched = sim::build_scenario(config);
+  config.threads = 3;
+  const auto threaded_batched = sim::build_scenario(config);
+  const auto& users = serial_batched.users;
+  ASSERT_EQ(users.size(), serial_batched.matrices.size());
+  ASSERT_EQ(users.size(), threaded_batched.matrices.size());
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    const auto seed = oracle::generate_features_seed(config.generator, users[i]);
+    expect_bit_identical(seed, serial_batched.matrices[i], "serial");
+    expect_bit_identical(seed, threaded_batched.matrices[i], "threaded");
   }
 }
 

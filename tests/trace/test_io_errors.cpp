@@ -5,9 +5,11 @@
 // Writers produce the well-formed bytes; each test then damages them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/pcap.hpp"
@@ -325,6 +327,79 @@ TEST(TraceIoErrors, RecoveringPcapStreamStillThrowsOnMalformedGlobalHeader) {
     std::istringstream in(pcap_bytes().substr(0, 16));
     CountingSink sink;
     EXPECT_THROW((void)stream_pcap_recovering(in, sink), InputError);
+  }
+}
+
+/// The three global-header encodings the pcap readers accept.
+enum class PcapFlavor { LittleEndian, ByteSwapped, Nanosecond };
+
+void put_u32_at(std::string& bytes, std::size_t offset, std::uint32_t v, bool big_endian) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::size_t shift = 8 * (big_endian ? 3 - i : i);
+    bytes[offset + i] = static_cast<char>((v >> shift) & 0xFF);
+  }
+}
+
+/// Offsets of every record header in a little-endian capture.
+std::vector<std::size_t> pcap_record_offsets(const std::string& bytes) {
+  std::vector<std::size_t> offsets;
+  for (std::size_t at = 24; at + 16 <= bytes.size(); at += 16 + u32_le_at(bytes, at + 8)) {
+    offsets.push_back(at);
+  }
+  return offsets;
+}
+
+/// pcap_bytes() re-encoded as `flavor`: a byte-swapped capture flips every
+/// global- and record-header word; a nanosecond one only changes the magic.
+std::string pcap_bytes(PcapFlavor flavor) {
+  std::string bytes = pcap_bytes();
+  if (flavor == PcapFlavor::Nanosecond) put_u32_at(bytes, 0, 0xA1B23C4D, false);
+  if (flavor == PcapFlavor::ByteSwapped) {
+    const auto swap_words = [&bytes](std::size_t at, std::size_t words) {
+      for (std::size_t w = 0; w < words; ++w) {
+        put_u32_at(bytes, at + 4 * w, u32_le_at(bytes, at + 4 * w), /*big_endian=*/true);
+      }
+    };
+    const auto records = pcap_record_offsets(bytes);
+    swap_words(0, 6);
+    for (std::size_t at : records) swap_words(at, 4);
+  }
+  return bytes;
+}
+
+TEST(TraceIoErrors, PcapRecordLongerThanSnaplenIsRejected) {
+  const auto records = pcap_record_offsets(pcap_bytes());
+  ASSERT_EQ(records.size(), 8u);
+  std::uint32_t longest = 0;
+  for (std::size_t at : records) longest = std::max(longest, u32_le_at(pcap_bytes(), at + 8));
+
+  for (const auto& [flavor, name] :
+       {std::pair{PcapFlavor::LittleEndian, "little-endian"},
+        std::pair{PcapFlavor::ByteSwapped, "byte-swapped"},
+        std::pair{PcapFlavor::Nanosecond, "nanosecond"}}) {
+    SCOPED_TRACE(name);
+    const bool big_endian = flavor == PcapFlavor::ByteSwapped;
+    std::string bytes = pcap_bytes(flavor);
+    // A snaplen the longest frame exactly fills: every record is accepted.
+    put_u32_at(bytes, 16, longest, big_endian);
+    {
+      std::istringstream in(bytes);
+      const PcapReadResult result = read_pcap(in);
+      EXPECT_EQ(result.packets.size(), 8u);
+      EXPECT_EQ(result.byte_swapped, big_endian);
+      EXPECT_EQ(result.nanosecond_timestamps, flavor == PcapFlavor::Nanosecond);
+    }
+    // The fourth record claims one byte more than snaplen.
+    put_u32_at(bytes, records[3] + 8, longest + 1, big_endian);
+    expect_pcap_readers_reject(bytes, "pcap record longer than snaplen");
+
+    std::istringstream in(bytes);
+    CountingSink sink;
+    const PcapReadResult result = stream_pcap_recovering(in, sink);
+    EXPECT_EQ(sink.packets, 3u);
+    EXPECT_EQ(result.packet_count, 3u);
+    EXPECT_NE(result.stream_error.find("pcap record longer than snaplen"), std::string::npos)
+        << "actual: " << result.stream_error;
   }
 }
 
