@@ -1,9 +1,11 @@
 #include "trace/pcap.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <streambuf>
 
 #include "util/error.hpp"
 
@@ -231,6 +233,49 @@ namespace {
 
 // ------------------------------------------------------------ reading
 
+constexpr std::size_t kGlobalHeader = 24;
+constexpr std::size_t kRecordHeader = 16;
+constexpr std::uint32_t kMaxRecordBytes = 10 * 1024 * 1024;
+constexpr std::size_t kBlockBytes = 64 * 1024;
+
+/// Pulls a stream buffer through one reusable block: the parser looks at the
+/// next bytes in place and skips past them, so no frame is copied out.
+class BlockReader {
+ public:
+  explicit BlockReader(std::streambuf* source) : source_(source), block_(kBlockBytes) {}
+
+  /// Makes the next `n` bytes contiguous at data() and returns how many are
+  /// there: fewer than `n` only at end of input. A record larger than the
+  /// block grows it to fit.
+  std::size_t peek(std::size_t n) {
+    if (end_ - pos_ < n) refill(n);
+    return std::min(n, end_ - pos_);
+  }
+  [[nodiscard]] const std::uint8_t* data() const { return block_.data() + pos_; }
+  void skip(std::size_t n) { pos_ += n; }
+
+ private:
+  void refill(std::size_t n) {
+    // The unread tail moves to the front; the source tops the block up.
+    std::memmove(block_.data(), block_.data() + pos_, end_ - pos_);
+    end_ -= pos_;
+    pos_ = 0;
+    if (n > block_.size()) block_.resize(n);
+    while (end_ < n && source_ != nullptr) {
+      const std::streamsize got =
+          source_->sgetn(reinterpret_cast<char*>(block_.data() + end_),
+                         static_cast<std::streamsize>(block_.size() - end_));
+      if (got <= 0) break;
+      end_ += static_cast<std::size_t>(got);
+    }
+  }
+
+  std::streambuf* source_;
+  std::vector<std::uint8_t> block_;
+  std::size_t pos_ = 0;  ///< first unread byte
+  std::size_t end_ = 0;  ///< one past the last byte read from the source
+};
+
 struct Cursor {
   const std::uint8_t* data;
   std::size_t size;
@@ -253,11 +298,8 @@ struct Cursor {
   }
 };
 
-std::uint32_t read_u32(std::istream& in, bool swapped, bool& ok) {
-  std::array<unsigned char, 4> b{};
-  in.read(reinterpret_cast<char*>(b.data()), 4);
-  ok = static_cast<bool>(in);
-  if (!ok) return 0;
+/// A pcap header word: little-endian, or big-endian in a byte-swapped file.
+std::uint32_t load_u32(const std::uint8_t* b, bool swapped) {
   if (swapped) {
     return static_cast<std::uint32_t>(b[0]) << 24 | static_cast<std::uint32_t>(b[1]) << 16 |
            static_cast<std::uint32_t>(b[2]) << 8 | static_cast<std::uint32_t>(b[3]);
@@ -274,11 +316,12 @@ std::uint32_t read_u32(std::istream& in, bool swapped, bool& ok) {
 template <typename OnPacket>
 void parse_pcap_stream(std::istream& in, PcapReadResult& result, OnPacket&& on_packet,
                        bool recover = false) {
-  bool ok = false;
-  const std::uint32_t magic = read_u32(in, /*swapped=*/false, ok);
-  MONOHIDS_ENSURE(ok, "pcap stream is empty");
+  // A stream already in a failed state reads as empty, as istream::read would.
+  BlockReader reader(in.good() ? in.rdbuf() : nullptr);
+  const std::size_t global = reader.peek(kGlobalHeader);
+  MONOHIDS_ENSURE(global >= 4, "pcap stream is empty");
   bool swapped = false;
-  switch (magic) {
+  switch (load_u32(reader.data(), /*swapped=*/false)) {
     case kMagicMicro: break;
     case kMagicNano: result.nanosecond_timestamps = true; break;
     case kMagicMicroSwapped: swapped = true; break;
@@ -291,41 +334,38 @@ void parse_pcap_stream(std::istream& in, PcapReadResult& result, OnPacket&& on_p
   }
   result.byte_swapped = swapped;
 
-  (void)read_u32(in, swapped, ok);  // version
-  (void)read_u32(in, swapped, ok);  // thiszone
-  (void)read_u32(in, swapped, ok);  // sigfigs
-  const std::uint32_t snaplen = read_u32(in, swapped, ok);
-  const std::uint32_t linktype = read_u32(in, swapped, ok);
-  MONOHIDS_ENSURE(ok, "truncated pcap global header");
+  // version, thiszone and sigfigs (offsets 4-15) are not used.
+  MONOHIDS_ENSURE(global == kGlobalHeader, "truncated pcap global header");
+  const std::uint32_t snaplen = load_u32(reader.data() + 16, swapped);
+  const std::uint32_t linktype = load_u32(reader.data() + 20, swapped);
   MONOHIDS_ENSURE(linktype == kLinktypeEthernet,
                   "unsupported pcap linktype " + std::to_string(linktype) +
                       " (only Ethernet is supported)");
+  reader.skip(kGlobalHeader);
 
-  std::vector<std::uint8_t> frame;
   while (true) {
-    const std::uint32_t ts_sec = read_u32(in, swapped, ok);
-    if (!ok) break;  // clean EOF
-    std::uint32_t ts_frac = 0;
+    const std::size_t header = reader.peek(kRecordHeader);
+    if (header < 4) break;  // clean EOF: not even a ts_sec word left
     std::uint32_t incl_len = 0;
-    std::uint32_t orig_len = 0;
     try {
-      ts_frac = read_u32(in, swapped, ok);
-      incl_len = read_u32(in, swapped, ok);
-      orig_len = read_u32(in, swapped, ok);
-      MONOHIDS_ENSURE(ok, "truncated pcap record header");
-      MONOHIDS_ENSURE(incl_len <= 10 * 1024 * 1024, "implausible pcap record length");
+      MONOHIDS_ENSURE(header == kRecordHeader, "truncated pcap record header");
+      incl_len = load_u32(reader.data() + 8, swapped);
+      MONOHIDS_ENSURE(incl_len <= kMaxRecordBytes, "implausible pcap record length");
       MONOHIDS_ENSURE(incl_len <= snaplen, "pcap record longer than snaplen");
-
-      frame.resize(incl_len);
-      in.read(reinterpret_cast<char*>(frame.data()), incl_len);
-      MONOHIDS_ENSURE(static_cast<bool>(in), "truncated pcap record body");
+      MONOHIDS_ENSURE(reader.peek(kRecordHeader + incl_len) == kRecordHeader + incl_len,
+                      "truncated pcap record body");
     } catch (const InputError& e) {
       if (!recover) throw;
       result.stream_error = e.what();
       return;
     }
+    // Valid until the next peek(); the payload is skipped, never copied.
+    const std::uint8_t* record = reader.data();
+    reader.skip(kRecordHeader + incl_len);
+    const std::uint32_t ts_sec = load_u32(record, swapped);
+    const std::uint32_t ts_frac = load_u32(record + 4, swapped);
 
-    Cursor c{frame.data(), frame.size()};
+    Cursor c{record + kRecordHeader, incl_len};
     if (!c.has(kEthernetHeader)) {
       ++result.truncated;
       continue;
@@ -342,11 +382,13 @@ void parse_pcap_stream(std::istream& in, PcapReadResult& result, OnPacket&& on_p
     }
     const std::size_t ip_start = c.pos;
     const std::uint8_t version_ihl = c.u8();
-    if ((version_ihl >> 4) != 4) {
+    const std::size_t ihl = static_cast<std::size_t>(version_ihl & 0x0F) * 4;
+    // An IHL below 5 words would put the "transport header" inside the
+    // IPv4 header itself.
+    if ((version_ihl >> 4) != 4 || ihl < kIpv4Header) {
       ++result.skipped_non_ipv4;
       continue;
     }
-    const std::size_t ihl = static_cast<std::size_t>(version_ihl & 0x0F) * 4;
     c.pos = ip_start + 2;
     const std::uint16_t total_len = c.u16be();
     c.pos = ip_start + 9;
@@ -396,7 +438,6 @@ void parse_pcap_stream(std::istream& in, PcapReadResult& result, OnPacket&& on_p
     p.payload_bytes = total_len > header_bytes
                           ? static_cast<std::uint16_t>(total_len - header_bytes)
                           : 0;
-    (void)orig_len;
     ++result.packet_count;
     on_packet(p);
   }

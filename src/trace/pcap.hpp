@@ -24,7 +24,7 @@ namespace monohids::trace {
 struct PcapReadResult {
   std::vector<net::PacketRecord> packets;
   std::uint64_t packet_count = 0;       ///< parsed packets (== packets.size() for read_pcap)
-  std::uint64_t skipped_non_ipv4 = 0;   ///< frames with another ethertype
+  std::uint64_t skipped_non_ipv4 = 0;   ///< other ethertype, or not a well-formed IPv4 header
   std::uint64_t skipped_protocol = 0;   ///< IPv4 but not TCP/UDP/ICMP
   std::uint64_t truncated = 0;          ///< snaplen cut into the headers
   bool nanosecond_timestamps = false;
@@ -41,6 +41,13 @@ void write_pcap(std::ostream& out, const std::vector<net::PacketRecord>& packets
 
 /// Parses a pcap stream. Throws InputError on malformed files; tolerates
 /// unknown upper protocols by skipping (counted in the result).
+///
+/// All three readers consume `in.rdbuf()` directly, in blocks of 64 KiB (or
+/// one record, if larger), and decode the headers in place. After they
+/// return or throw, the stream's position is unspecified (it may be past
+/// the last record parsed) and none of its state flags are set: nothing may
+/// read the stream past the capture. A stream that is not good() on entry
+/// reads as empty.
 [[nodiscard]] PcapReadResult read_pcap(std::istream& in);
 
 /// Streaming form of read_pcap: pushes parsed packets into `sink` in batches

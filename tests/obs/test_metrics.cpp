@@ -115,7 +115,8 @@ TEST(MetricsRegistry, HistogramReRegistrationKeepsOriginalBounds) {
   (void)registry.histogram("agreed.hist", {1.0, 2.0});
   Histogram again = registry.histogram("agreed.hist", {10.0, 20.0, 30.0});
   again.observe(1.5);
-  const HistogramSample* sample = registry.snapshot().histogram("agreed.hist");
+  const MetricsSnapshot snap = registry.snapshot();  // owns what `sample` points into
+  const HistogramSample* sample = snap.histogram("agreed.hist");
   ASSERT_NE(sample, nullptr);
   EXPECT_EQ(sample->bounds, (BucketBounds{1.0, 2.0}));
 }

@@ -403,6 +403,35 @@ TEST(TraceIoErrors, PcapRecordLongerThanSnaplenIsRejected) {
   }
 }
 
+TEST(TraceIoErrors, PcapIpv4HeaderLengthBelowFiveIsSkipped) {
+  // An IHL below 5 words would place the ports and TCP flags inside the
+  // IPv4 header itself: such frames are not well-formed IPv4 and are
+  // skipped, not parsed.
+  std::string bytes = pcap_bytes();
+  const auto records = pcap_record_offsets(bytes);
+  ASSERT_EQ(records.size(), 8u);
+  const std::size_t version_ihl = 16 + 14;  // record header, then Ethernet
+  bytes[records[2] + version_ihl] = 0x40;   // IHL 0
+  bytes[records[5] + version_ihl] = 0x44;   // IHL 4 (16 bytes)
+  {
+    std::istringstream in(bytes);
+    const PcapReadResult result = read_pcap(in);
+    EXPECT_EQ(result.packets.size(), 6u);
+    EXPECT_EQ(result.packet_count, 6u);
+    EXPECT_EQ(result.skipped_non_ipv4, 2u);
+    EXPECT_EQ(result.truncated, 0u);
+  }
+  {
+    std::istringstream in(bytes);
+    CountingSink sink;
+    const PcapReadResult result = stream_pcap_recovering(in, sink);
+    EXPECT_EQ(sink.packets, 6u);
+    EXPECT_EQ(result.packet_count, 6u);
+    EXPECT_EQ(result.skipped_non_ipv4, 2u);
+    EXPECT_TRUE(result.stream_error.empty()) << "unexpected: " << result.stream_error;
+  }
+}
+
 TEST(TraceIoErrors, RecoveringPcapStreamIsCleanOnIntactInput) {
   std::istringstream in(pcap_bytes());
   CountingSink sink;
