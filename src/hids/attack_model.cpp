@@ -51,23 +51,42 @@ void AttackModel::mean_fn_batch(const stats::EmpiricalDistribution& g,
   if (thresholds.empty()) return;
   const std::size_t T = thresholds.size();
   const std::size_t S = sizes.size();
+  const auto n = static_cast<double>(g.size());
+  const auto count = static_cast<double>(S);
+  if (const auto table = g.rank_table(); !table.empty()) {
+    // Integer-count samples: every rank is a table load, so divide the K+1
+    // cumulative counts by n once (frac[k] is exactly the quotient the
+    // per-call path forms for rank cum[k]; ranks 0 and n divide to exactly
+    // 0 and 1) and add each size's quotient to every threshold's sum, in
+    // size order — the same additions as the per-call loop, bit-for-bit.
+    thread_local std::vector<double> frac;
+    frac.resize(table.size());
+    for (std::size_t k = 0; k < table.size(); ++k) {
+      frac[k] = static_cast<double>(table[k]) / n;
+    }
+    const auto table_end = static_cast<double>(table.size());
+    std::fill(out.begin(), out.end(), 0.0);
+    for (const double b : sizes) {
+      // The shifted query t - b ascends with t. Thresholds below b rank 0
+      // and would add +0.0, which leaves every sum (never -0.0) unchanged,
+      // so they are skipped; once t - b passes the table, rank n adds 1.0.
+      std::size_t j = static_cast<std::size_t>(
+          std::partition_point(thresholds.begin(), thresholds.end(),
+                               [b](double t) { return !(t - b >= 0.0); }) -
+          thresholds.begin());
+      for (; j < T; ++j) {
+        const double q = thresholds[j] - b;
+        if (q >= table_end) break;
+        out[j] += frac[static_cast<std::size_t>(q)];
+      }
+      for (; j < T; ++j) out[j] += 1.0;
+    }
+    for (std::size_t j = 0; j < T; ++j) out[j] /= count;
+    return;
+  }
   thread_local std::vector<std::uint32_t> ranks;
   ranks.resize(T * S);
-  if (const auto table = g.rank_table(); !table.empty()) {
-    // Integer-count samples: the whole size x threshold grid is T*S O(1)
-    // table loads — no arena pass at all. Same exact ranks as rank_grid.
-    const auto n32 = static_cast<std::uint32_t>(g.size());
-    for (std::size_t s = 0; s < S; ++s) {
-      const double shift = sizes[s];
-      std::uint32_t* row = ranks.data() + s * T;
-      for (std::size_t j = 0; j < T; ++j) {
-        row[j] = stats::kernels::rank_from_table(table, n32, thresholds[j] - shift);
-      }
-    }
-  } else {
-    stats::kernels::active().rank_grid(g.samples(), thresholds, sizes, ranks.data());
-  }
-  const auto n = static_cast<double>(g.size());
+  stats::kernels::active().rank_grid(g.samples(), thresholds, sizes, ranks.data());
   std::fill(out.begin(), out.end(), 0.0);
   // Per-threshold accumulation in size order — the same floating-point
   // operation sequence as the per-call loop, so sums match bit-for-bit.
@@ -77,7 +96,6 @@ void AttackModel::mean_fn_batch(const stats::EmpiricalDistribution& g,
       out[j] += static_cast<double>(row[j]) / n;
     }
   }
-  const auto count = static_cast<double>(S);
   for (std::size_t j = 0; j < T; ++j) out[j] /= count;
 }
 

@@ -27,11 +27,14 @@ struct AttackModel {
   [[nodiscard]] double mean_fn(const stats::EmpiricalDistribution& g, double t) const;
 
   /// Batched mean_fn over a whole ascending threshold sweep: out[j] =
-  /// mean_fn(g, thresholds[j]), evaluated as one attack-size x threshold
-  /// grid of shifted ranks in a single tiled pass over g's arena
-  /// (stats::kernels rank_grid). Accumulation runs in the same size order
-  /// and with the same rank/n divisions as the per-call path, so results
-  /// are bit-identical on every SIMD back-end.
+  /// mean_fn(g, thresholds[j]). With a rank table (small integer counts)
+  /// every shifted rank is a table load, the table's K+1 rank/n quotients
+  /// are formed once per call, and (threshold, size) cells below every
+  /// sample are skipped as the exact +0.0 they add; otherwise the attack-size x
+  /// threshold grid of shifted ranks comes from a single tiled pass over
+  /// g's arena (stats::kernels rank_grid). Accumulation runs in the same
+  /// size order over the same rank/n quotients as the per-call path, so
+  /// results are bit-identical on every SIMD back-end.
   void mean_fn_batch(const stats::EmpiricalDistribution& g,
                      std::span<const double> thresholds, std::span<double> out) const;
 };

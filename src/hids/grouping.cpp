@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -112,6 +113,7 @@ std::string KneePartialGrouper::name() const {
 
 std::string KneePartialGrouper::cache_key() const {
   std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);  // keys must not round
   os << name() << "(top=" << top_fraction_ << ",tg=" << top_groups_
      << ",bg=" << bottom_groups_ << ",q=" << pivot_quantile_ << ')';
   return os.str();
@@ -148,6 +150,7 @@ std::string KMeansGrouper::name() const {
 
 std::string KMeansGrouper::cache_key() const {
   std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);  // keys must not round
   os << name() << "(q=" << pivot_quantile_ << ",seed=" << seed_ << ')';
   return os.str();
 }
@@ -176,6 +179,7 @@ std::string EqualFrequencyGrouper::name() const {
 
 std::string EqualFrequencyGrouper::cache_key() const {
   std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);  // keys must not round
   os << name() << "(q=" << pivot_quantile_ << ')';
   return os.str();
 }

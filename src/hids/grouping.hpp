@@ -44,7 +44,8 @@ class Grouper {
   /// Identity string for memoization (sim::AnalysisCache): two groupers
   /// with the same cache_key MUST produce identical partitions on identical
   /// input. Defaults to name(); parameterized groupers whose display name
-  /// omits configuration override it to append every parameter.
+  /// omits configuration override it to append every parameter, printed
+  /// round-trip exactly (max_digits10).
   [[nodiscard]] virtual std::string cache_key() const { return name(); }
 };
 

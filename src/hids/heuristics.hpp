@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "hids/attack_model.hpp"
 #include "stats/empirical.hpp"
@@ -29,10 +30,43 @@ class ThresholdHeuristic {
 
   /// Identity string for memoization (sim::AnalysisCache): two heuristics
   /// with the same cache_key MUST compute identical thresholds on identical
-  /// input. The built-in heuristics' names already encode every parameter,
-  /// so the default suffices; override when adding a heuristic whose name
-  /// omits configuration.
+  /// input. Defaults to name(); parameterized heuristics override it to
+  /// print every parameter round-trip exactly (name() rounds doubles to 6
+  /// significant digits for display).
   [[nodiscard]] virtual std::string cache_key() const { return name(); }
+};
+
+/// A training distribution's false-positive / false-negative trade-off at
+/// every candidate threshold (candidate_thresholds, ascending) against one
+/// attack sweep. It does not depend on how FP and FN are weighed, so one
+/// curve serves every utility weight and the F-measure. The vectors hold
+/// exactly one slot per candidate (no spare capacity), so a retained curve
+/// costs its point count and nothing more.
+struct OperatingCurve {
+  std::vector<double> thresholds;
+  std::vector<double> fp;  ///< fp[j] = training.exceedance(thresholds[j])
+  std::vector<double> fn;  ///< fn[j] = attack.mean_fn(training, thresholds[j])
+};
+
+/// Builds the operating curve in one exceedance merge-scan plus one batched
+/// FN sweep (AttackModel::mean_fn_batch); every point is bit-identical to
+/// the per-threshold exceedance / mean_fn calls.
+[[nodiscard]] OperatingCurve operating_curve(const stats::EmpiricalDistribution& training,
+                                             const AttackModel& attack);
+
+/// An FN-aware heuristic that picks its threshold from the operating curve
+/// alone. compute() builds the curve and hands it to select(); callers that
+/// already hold the curve (sim::AnalysisCache memoizes pooled groups'
+/// curves) call select() directly and get the same threshold.
+class CurveHeuristic : public ThresholdHeuristic {
+ public:
+  /// Throws PreconditionError when `attack` is null or has no sizes.
+  [[nodiscard]] double compute(const stats::EmpiricalDistribution& training,
+                               const AttackModel* attack) const final;
+
+  /// The threshold this heuristic picks on `curve` (at least two points,
+  /// as operating_curve always returns).
+  [[nodiscard]] virtual double select(const OperatingCurve& curve) const = 0;
 };
 
 /// T = the q-th percentile of the training distribution. The paper's
@@ -44,6 +78,7 @@ class PercentileHeuristic final : public ThresholdHeuristic {
   [[nodiscard]] double compute(const stats::EmpiricalDistribution& training,
                                const AttackModel* attack) const override;
   [[nodiscard]] std::string name() const override;
+  [[nodiscard]] std::string cache_key() const override;
   [[nodiscard]] double percentile() const noexcept { return q_; }
 
  private:
@@ -57,6 +92,7 @@ class MeanSigmaHeuristic final : public ThresholdHeuristic {
   [[nodiscard]] double compute(const stats::EmpiricalDistribution& training,
                                const AttackModel* attack) const override;
   [[nodiscard]] std::string name() const override;
+  [[nodiscard]] std::string cache_key() const override;
 
  private:
   double k_;
@@ -65,23 +101,22 @@ class MeanSigmaHeuristic final : public ThresholdHeuristic {
 /// T maximizing the F-measure of attack detection on the training data:
 /// positives are (training + b) samples for each attack size b, negatives
 /// are the raw training samples.
-class FMeasureHeuristic final : public ThresholdHeuristic {
+class FMeasureHeuristic final : public CurveHeuristic {
  public:
   FMeasureHeuristic() = default;
-  [[nodiscard]] double compute(const stats::EmpiricalDistribution& training,
-                               const AttackModel* attack) const override;
+  [[nodiscard]] double select(const OperatingCurve& curve) const override;
   [[nodiscard]] std::string name() const override;
 };
 
 /// T maximizing the paper's utility U(T) = 1 − [w·FN(T) + (1−w)·FP(T)]
 /// estimated on the training data (Fig. 3's "utility heuristic", default
 /// w = 0.4).
-class UtilityHeuristic final : public ThresholdHeuristic {
+class UtilityHeuristic final : public CurveHeuristic {
  public:
   explicit UtilityHeuristic(double w);
-  [[nodiscard]] double compute(const stats::EmpiricalDistribution& training,
-                               const AttackModel* attack) const override;
+  [[nodiscard]] double select(const OperatingCurve& curve) const override;
   [[nodiscard]] std::string name() const override;
+  [[nodiscard]] std::string cache_key() const override;
   [[nodiscard]] double weight() const noexcept { return w_; }
 
  private:
@@ -89,7 +124,8 @@ class UtilityHeuristic final : public ThresholdHeuristic {
 };
 
 /// Candidate thresholds shared by the optimizing heuristics: the unique
-/// training values plus one step beyond the maximum.
+/// training values plus one step beyond the maximum, with no spare
+/// capacity.
 [[nodiscard]] std::vector<double> candidate_thresholds(
     const stats::EmpiricalDistribution& training);
 

@@ -8,51 +8,117 @@
 
 namespace monohids::hids {
 
+namespace {
+
+GroupAssignment group_population(std::span<const stats::EmpiricalDistribution> training_users,
+                                 const Grouper& grouper) {
+  MONOHIDS_EXPECT(!training_users.empty(), "empty population");
+  GroupAssignment groups = grouper.assign(training_users);
+  MONOHIDS_EXPECT(groups.group_of_user.size() == training_users.size(),
+                  "grouper returned the wrong population size");
+  return groups;
+}
+
+/// The pooled distribution of `members`: their already-sorted sample spans
+/// k-way-merged into this thread's scratch buffer — no per-member copies,
+/// no re-sort — behind a non-owning view, valid until this thread's next
+/// call. A plain function, so every caller shares one buffer per thread.
+stats::EmpiricalDistribution pool_members(
+    std::span<const stats::EmpiricalDistribution> training_users,
+    std::span<const std::uint32_t> members) {
+  thread_local std::vector<std::span<const double>> spans;
+  thread_local std::vector<double> pooled_buffer;
+  spans.clear();
+  spans.reserve(members.size());
+  for (std::uint32_t u : members) spans.push_back(training_users[u].samples());
+  stats::merge_sorted_spans(spans, pooled_buffer);
+  // The FN-aware heuristics sweep a dense threshold x attack-size grid over
+  // the pool, so the O(n + K) rank table pays for itself immediately.
+  return stats::EmpiricalDistribution::view_of_sorted(pooled_buffer, /*with_rank_table=*/true);
+}
+
+/// groups.members(), with every group checked to be non-empty.
+std::vector<std::vector<std::uint32_t>> members_of(const GroupAssignment& groups) {
+  auto members = groups.members();
+  for (const auto& m : members) MONOHIDS_EXPECT(!m.empty(), "grouper produced an empty group");
+  return members;
+}
+
+/// Hands every user their group's threshold.
+void fill_user_thresholds(ThresholdAssignment& out) {
+  out.threshold_of_user.resize(out.groups.group_of_user.size());
+  for (std::size_t u = 0; u < out.threshold_of_user.size(); ++u) {
+    out.threshold_of_user[u] = out.threshold_of_group[out.groups.group_of_user[u]];
+  }
+}
+
+}  // namespace
+
 ThresholdAssignment assign_thresholds(
     std::span<const stats::EmpiricalDistribution> training_users, const Grouper& grouper,
     const ThresholdHeuristic& heuristic, const AttackModel* attack, unsigned threads) {
-  MONOHIDS_EXPECT(!training_users.empty(), "empty population");
-
   ThresholdAssignment out;
-  out.groups = grouper.assign(training_users);
-  MONOHIDS_EXPECT(out.groups.group_of_user.size() == training_users.size(),
-                  "grouper returned the wrong population size");
-
-  const auto members = out.groups.members();
+  out.groups = group_population(training_users, grouper);
   out.threshold_of_group.resize(out.groups.group_count);
+  const auto members = members_of(out.groups);
   // Groups are independent (each pools its own members and runs the
   // heuristic on the pooled distribution), so they shard across threads;
-  // each shard writes only threshold_of_group[g]. Pooling k-way-merges the
-  // members' already-sorted sample spans into a per-worker scratch buffer —
-  // no per-member copies, no re-sort — and hands the heuristic a non-owning
-  // view over that buffer (valid for the duration of compute()).
+  // each shard writes only threshold_of_group[g].
   util::parallel_for(
       out.groups.group_count,
       [&](std::size_t g) {
-        MONOHIDS_EXPECT(!members[g].empty(), "grouper produced an empty group");
-        if (members[g].size() == 1) {
-          out.threshold_of_group[g] =
-              heuristic.compute(training_users[members[g].front()], attack);
-          return;
-        }
-        thread_local std::vector<std::span<const double>> spans;
-        thread_local std::vector<double> pooled_buffer;
-        spans.clear();
-        spans.reserve(members[g].size());
-        for (std::uint32_t u : members[g]) spans.push_back(training_users[u].samples());
-        stats::merge_sorted_spans(spans, pooled_buffer);
-        // The heuristic sweeps a dense threshold x attack-size grid over the
-        // pool, so the O(n + K) rank table pays for itself immediately.
-        const auto pooled = stats::EmpiricalDistribution::view_of_sorted(
-            pooled_buffer, /*with_rank_table=*/true);
-        out.threshold_of_group[g] = heuristic.compute(pooled, attack);
+        out.threshold_of_group[g] =
+            members[g].size() == 1
+                ? heuristic.compute(training_users[members[g].front()], attack)
+                : heuristic.compute(pool_members(training_users, members[g]), attack);
       },
       threads);
+  fill_user_thresholds(out);
+  return out;
+}
 
-  out.threshold_of_user.resize(training_users.size());
-  for (std::size_t u = 0; u < training_users.size(); ++u) {
-    out.threshold_of_user[u] = out.threshold_of_group[out.groups.group_of_user[u]];
-  }
+PooledCurves pooled_curves(std::span<const stats::EmpiricalDistribution> training_users,
+                           const Grouper& grouper, const AttackModel& attack,
+                           unsigned threads) {
+  PooledCurves out;
+  out.groups = group_population(training_users, grouper);
+  out.curve_of_group.resize(out.groups.group_count);
+  const auto members = members_of(out.groups);
+  util::parallel_for(
+      out.groups.group_count,
+      [&](std::size_t g) {
+        if (members[g].size() > 1) {
+          out.curve_of_group[g] =
+              operating_curve(pool_members(training_users, members[g]), attack);
+        }
+      },
+      threads);
+  return out;
+}
+
+ThresholdAssignment select_thresholds(
+    std::span<const stats::EmpiricalDistribution> training_users, const PooledCurves& curves,
+    const CurveHeuristic& heuristic, const AttackModel& attack, unsigned threads) {
+  MONOHIDS_EXPECT(curves.groups.group_of_user.size() == training_users.size() &&
+                      curves.curve_of_group.size() == curves.groups.group_count,
+                  "pooled curves cover a different population");
+  ThresholdAssignment out;
+  out.groups = curves.groups;
+  out.threshold_of_group.resize(out.groups.group_count);
+  const auto members = out.groups.members();
+  // One-member groups run the whole per-host sweep (full diversity: one
+  // per user), so they still shard across threads.
+  util::parallel_for(
+      out.groups.group_count,
+      [&](std::size_t g) {
+        const OperatingCurve& curve = curves.curve_of_group[g];
+        out.threshold_of_group[g] =
+            curve.thresholds.empty()
+                ? heuristic.compute(training_users[members[g].front()], &attack)
+                : heuristic.select(curve);
+      },
+      threads);
+  fill_user_thresholds(out);
   return out;
 }
 

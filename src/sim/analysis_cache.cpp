@@ -101,8 +101,25 @@ std::shared_ptr<const hids::ThresholdAssignment> AnalysisCache::thresholds(
                 attack != nullptr ? attack->sizes : std::vector<double>{}};
   return get_or_compute(assignments_, key, [&]() {
     const auto train = week(feature, train_week, threads);
+    const auto* curve_heuristic = dynamic_cast<const hids::CurveHeuristic*>(&heuristic);
+    if (curve_heuristic != nullptr && attack != nullptr && !attack->sizes.empty()) {
+      const auto curves = pooled_curves(feature, train_week, grouper, *attack, threads);
+      return std::make_shared<const hids::ThresholdAssignment>(
+          hids::select_thresholds(*train, *curves, *curve_heuristic, *attack, threads));
+    }
     return std::make_shared<const hids::ThresholdAssignment>(
         hids::assign_thresholds(*train, grouper, heuristic, attack, threads));
+  });
+}
+
+std::shared_ptr<const hids::PooledCurves> AnalysisCache::pooled_curves(
+    features::FeatureKind feature, std::uint32_t train_week, const hids::Grouper& grouper,
+    const hids::AttackModel& attack, unsigned threads) {
+  CurveKey key{features::index_of(feature), train_week, grouper.cache_key(), attack.sizes};
+  return get_or_compute(curves_, key, [&]() {
+    const auto train = week(feature, train_week, threads);
+    return std::make_shared<const hids::PooledCurves>(
+        hids::pooled_curves(*train, grouper, attack, threads));
   });
 }
 
@@ -130,6 +147,7 @@ void AnalysisCache::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   distributions_.entries.clear();
   assignments_.entries.clear();
+  curves_.entries.clear();
   attacks_.entries.clear();
 }
 

@@ -3,11 +3,19 @@
 // Every figure/table starts from the same per-user, per-week empirical
 // distributions and (grouper x heuristic) threshold assignments, yet the
 // uncached pipeline rebuilds them on each call. AnalysisCache computes each
-// artifact once — keyed on (feature, week) for distributions and on
-// (feature, train week, grouper, heuristic, attack sweep) for threshold
-// assignments — and hands out shared, immutable results zero-copy
+// artifact once — keyed on (feature, week) for distributions, on (feature,
+// train week, grouper, attack sweep) for pooled groups' operating curves
+// and on (feature, train week, grouper, heuristic, attack sweep) for
+// threshold assignments — and hands out shared, immutable results zero-copy
 // (EmpiricalDistribution copies are pointer+span copies). Results are
 // bit-identical to the uncached path for any thread count.
+//
+// FN-aware heuristics (hids::CurveHeuristic: utility at any weight,
+// F-measure) share the pooled curves: re-weighting a policy only re-selects
+// on memoized curves instead of re-merging and re-sweeping each pooled
+// group. One-member groups' curves are not memoized — at full diversity
+// that is one curve per host, about 6x the pooled curves' memory in the
+// 350-user study — so they are rebuilt per assignment.
 //
 // Lifetime: the cache references (does not copy) the feature matrices it
 // was built over; it is valid while those matrices are alive and
@@ -31,6 +39,7 @@
 
 #include "hids/attack_model.hpp"
 #include "hids/evaluator.hpp"
+#include "hids/threshold_policy.hpp"
 
 namespace monohids::sim {
 
@@ -45,11 +54,19 @@ class AnalysisCache final : public hids::DistributionCache {
 
   /// Memoized hids::assign_thresholds over the cached training
   /// distributions. Keyed on cache_key() of the grouper/heuristic plus the
-  /// exact attack sweep, so parameterized policies never collide.
+  /// exact attack sweep, so parameterized policies never collide. A
+  /// CurveHeuristic with a non-empty attack sweep selects on the memoized
+  /// pooled_curves() (hids::select_thresholds) — same thresholds.
   [[nodiscard]] std::shared_ptr<const hids::ThresholdAssignment> thresholds(
       features::FeatureKind feature, std::uint32_t train_week,
       const hids::Grouper& grouper, const hids::ThresholdHeuristic& heuristic,
       const hids::AttackModel* attack, unsigned threads = 0) override;
+
+  /// Memoized hids::pooled_curves over the cached training distributions,
+  /// keyed like thresholds() without the heuristic.
+  [[nodiscard]] std::shared_ptr<const hids::PooledCurves> pooled_curves(
+      features::FeatureKind feature, std::uint32_t train_week, const hids::Grouper& grouper,
+      const hids::AttackModel& attack, unsigned threads = 0);
 
   /// Memoized sim::make_attack_model: log sweep bounded by the maximum
   /// observed training value of `feature` in `train_week`.
@@ -96,12 +113,14 @@ class AnalysisCache final : public hids::DistributionCache {
   using DistKey = std::pair<std::size_t, std::uint32_t>;  // (feature index, week)
   using AssignKey = std::tuple<std::size_t, std::uint32_t, std::string, std::string,
                                std::vector<double>>;
+  using CurveKey = std::tuple<std::size_t, std::uint32_t, std::string, std::vector<double>>;
   using AttackKey = std::tuple<std::size_t, std::uint32_t, std::uint32_t>;
 
   std::span<const features::FeatureMatrix> users_;
   mutable std::mutex mutex_;
   MemoMap<DistKey, DistributionSet> distributions_;
   MemoMap<AssignKey, hids::ThresholdAssignment> assignments_;
+  MemoMap<CurveKey, hids::PooledCurves> curves_;
   MemoMap<AttackKey, hids::AttackModel> attacks_;
   Counters counters_;
   bool bypass_ = false;

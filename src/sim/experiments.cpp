@@ -133,7 +133,9 @@ UtilityComparisonResult utility_boxplots(const Scenario& scenario, FeatureKind f
 WeightSweepResult weight_sweep(const Scenario& scenario, FeatureKind feature,
                                std::vector<double> weights, bool reoptimize_per_weight) {
   if (weights.empty()) {
-    for (double w = 0.1; w < 0.95; w += 0.1) weights.push_back(w);
+    // i / 10.0 is the double nearest each label; accumulating += 0.1 drifts
+    // (0.30000000000000004, 0.7999999999999999, ...).
+    for (int i = 1; i <= 9; ++i) weights.push_back(i / 10.0);
   }
   const auto rounds = canonical_rounds();
   const AttackModel attack = make_attack_model(scenario, feature, rounds.front().train_week);

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
+#include "oracle/per_call.hpp"
 #include "stats/classification.hpp"
+#include "stats/kernels.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -54,6 +60,9 @@ TEST(FnAwareHeuristics, RequireAttackModel) {
   const auto g = uniform_0_100(100);
   EXPECT_THROW((void)FMeasureHeuristic{}.compute(g, nullptr), PreconditionError);
   EXPECT_THROW((void)UtilityHeuristic{0.4}.compute(g, nullptr), PreconditionError);
+  const AttackModel no_sizes;
+  EXPECT_THROW((void)FMeasureHeuristic{}.compute(g, &no_sizes), PreconditionError);
+  EXPECT_THROW((void)UtilityHeuristic{0.4}.compute(g, &no_sizes), PreconditionError);
 }
 
 TEST(Utility, PickedThresholdMaximizesUtilityOverCandidates) {
@@ -119,6 +128,140 @@ TEST(Heuristics, PolymorphicUseThroughBasePointer) {
     EXPECT_FALSE(h->name().empty());
     EXPECT_GE(h->compute(g, &attack), 0.0);
   }
+}
+
+TEST(Heuristics, CacheKeysKeepEveryDigitNamesStayShort) {
+  // Parameters equal to 6 significant digits: one display name, two keys.
+  EXPECT_EQ(UtilityHeuristic(0.1234561).name(), UtilityHeuristic(0.1234564).name());
+  EXPECT_NE(UtilityHeuristic(0.1234561).cache_key(), UtilityHeuristic(0.1234564).cache_key());
+  EXPECT_EQ(PercentileHeuristic(0.9912341).name(), PercentileHeuristic(0.9912344).name());
+  EXPECT_NE(PercentileHeuristic(0.9912341).cache_key(),
+            PercentileHeuristic(0.9912344).cache_key());
+  EXPECT_EQ(MeanSigmaHeuristic(2.0000001).name(), MeanSigmaHeuristic(2.0000004).name());
+  EXPECT_NE(MeanSigmaHeuristic(2.0000001).cache_key(), MeanSigmaHeuristic(2.0000004).cache_key());
+  EXPECT_EQ(UtilityHeuristic(0.4).name(), "utility-w0.4");
+  EXPECT_EQ(UtilityHeuristic(0.4).cache_key(), UtilityHeuristic(0.4).cache_key());
+}
+
+// ------------------------------------------------------ operating curves
+
+/// Count-like samples (small integers, heavy ties): distributions over them
+/// carry a rank table, so mean_fn_batch takes its table branch.
+std::vector<double> count_samples(std::uint64_t seed, std::size_t n) {
+  util::Xoshiro256 rng(seed);
+  std::vector<double> v(n);
+  for (double& x : v) x = static_cast<double>(rng() % 60);
+  return v;
+}
+
+/// Training sets covering both mean_fn_batch branches: an owned count
+/// distribution and a pooled view_of_sorted(..., true) (rank table), and a
+/// continuous one (rank grid).
+struct Trainings {
+  EmpiricalDistribution counts{count_samples(31, 3000)};
+  std::vector<double> pooled_arena;
+  EmpiricalDistribution pooled;
+  EmpiricalDistribution continuous = uniform_0_100(1500);
+
+  Trainings() {
+    const EmpiricalDistribution a(count_samples(32, 900));
+    const EmpiricalDistribution b(count_samples(33, 1100));
+    const std::vector<std::span<const double>> parts = {a.samples(), b.samples()};
+    pooled_arena = oracle::merge_sorted(parts);
+    pooled = EmpiricalDistribution::view_of_sorted(pooled_arena, /*with_rank_table=*/true);
+  }
+
+  [[nodiscard]] std::vector<const EmpiricalDistribution*> all() const {
+    return {&counts, &pooled, &continuous};
+  }
+};
+
+/// A 3-size linear sweep (mean_fn's per-size branch, below 8 sizes) and the
+/// 64-size log sweep the experiments use.
+std::vector<AttackModel> sweeps() {
+  return {linear_attack_sweep(60.0, 3), log_attack_sweep(1.0, 100.0, 64)};
+}
+
+const std::vector<double> kWeights = {0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0};
+
+TEST(OperatingCurve, PointsMatchPerThresholdCallsAtExactSize) {
+  const Trainings trainings;
+  ASSERT_FALSE(trainings.counts.rank_table().empty());
+  ASSERT_FALSE(trainings.pooled.rank_table().empty());
+  ASSERT_TRUE(trainings.continuous.rank_table().empty());
+  for (const EmpiricalDistribution* g : trainings.all()) {
+    for (const AttackModel& attack : sweeps()) {
+      const OperatingCurve curve = operating_curve(*g, attack);
+      EXPECT_EQ(curve.thresholds, candidate_thresholds(*g));
+      EXPECT_EQ(curve.thresholds.capacity(), curve.thresholds.size());
+      ASSERT_EQ(curve.fp.size(), curve.thresholds.size());
+      ASSERT_EQ(curve.fn.size(), curve.thresholds.size());
+      for (std::size_t j = 0; j < curve.thresholds.size(); ++j) {
+        const double t = curve.thresholds[j];
+        ASSERT_EQ(curve.fp[j], g->exceedance(t)) << "t=" << t;
+        ASSERT_EQ(curve.fn[j], attack.mean_fn(*g, t)) << "t=" << t;
+        ASSERT_EQ(curve.fn[j], oracle::mean_fn(attack, *g, t)) << "t=" << t;
+      }
+    }
+  }
+}
+
+TEST(OperatingCurve, MeanFnBatchMatchesPerCallOnEveryBackend) {
+  namespace kernels = stats::kernels;
+  struct DispatchGuard {  // restores startup dispatch however the test exits
+    ~DispatchGuard() { kernels::reset_backend(); }
+  } guard;
+  const Trainings trainings;
+  for (kernels::Backend b :
+       {kernels::Backend::Scalar, kernels::Backend::Avx2, kernels::Backend::Neon}) {
+    if (!kernels::backend_available(b)) continue;
+    ASSERT_TRUE(kernels::force_backend(b));
+    for (const EmpiricalDistribution* g : trainings.all()) {
+      for (const AttackModel& attack : sweeps()) {
+        // Candidates plus off-grid queries: fractional, negative and past
+        // every shifted sample (all three rank-table cases).
+        auto thresholds = candidate_thresholds(*g);
+        thresholds.insert(thresholds.begin(), {-5.0, 0.5});
+        thresholds.push_back(1e6);
+        std::sort(thresholds.begin(), thresholds.end());
+        std::vector<double> batched(thresholds.size());
+        attack.mean_fn_batch(*g, thresholds, batched);
+        for (std::size_t j = 0; j < thresholds.size(); ++j) {
+          ASSERT_EQ(batched[j], attack.mean_fn(*g, thresholds[j]))
+              << kernels::backend_name(b) << " t=" << thresholds[j];
+          ASSERT_EQ(batched[j], oracle::mean_fn(attack, *g, thresholds[j]))
+              << kernels::backend_name(b) << " t=" << thresholds[j];
+        }
+      }
+    }
+  }
+}
+
+TEST(CurveHeuristic, SelectOnTheCurveEqualsComputeAndTheOracle) {
+  const Trainings trainings;
+  for (const EmpiricalDistribution* g : trainings.all()) {
+    for (const AttackModel& attack : sweeps()) {
+      const OperatingCurve curve = operating_curve(*g, attack);
+      for (double w : kWeights) {
+        const UtilityHeuristic utility(w);
+        const double selected = utility.select(curve);
+        EXPECT_EQ(selected, utility.compute(*g, &attack)) << "w=" << w;
+        EXPECT_EQ(selected, oracle::utility_threshold(*g, attack, w)) << "w=" << w;
+      }
+      const FMeasureHeuristic fmeasure;
+      EXPECT_EQ(fmeasure.select(curve), fmeasure.compute(*g, &attack));
+      EXPECT_EQ(fmeasure.select(curve), oracle::fmeasure_threshold(*g, attack));
+    }
+  }
+}
+
+TEST(CurveHeuristic, SelectNeedsTheNeverAlarmEndpoint) {
+  OperatingCurve one_point;
+  one_point.thresholds = {1.0};
+  one_point.fp = {0.0};
+  one_point.fn = {0.0};
+  EXPECT_THROW((void)UtilityHeuristic(0.4).select(one_point), PreconditionError);
+  EXPECT_THROW((void)FMeasureHeuristic{}.select(one_point), PreconditionError);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace monohids::hids {
 namespace {
@@ -71,6 +74,70 @@ TEST(AssignThresholds, ForwardsAttackModelToHeuristic) {
   EXPECT_EQ(a.threshold_of_user.size(), 2u);
   // Without the model the FN-aware heuristic must throw.
   EXPECT_THROW((void)assign_thresholds(users, FullDiversityGrouper{}, h), PreconditionError);
+}
+
+/// Count-like users with distinct levels, so every grouper has something
+/// to split.
+std::vector<EmpiricalDistribution> count_population(std::size_t users) {
+  util::Xoshiro256 rng(5);
+  std::vector<EmpiricalDistribution> out;
+  for (std::size_t u = 0; u < users; ++u) {
+    std::vector<double> v(300);
+    for (double& x : v) x = static_cast<double>(rng() % (5 + 4 * u));
+    out.emplace_back(std::move(v));
+  }
+  return out;
+}
+
+TEST(PooledCurves, CurvesOnlyForPooledGroups) {
+  const auto users = count_population(24);
+  const AttackModel attack = log_attack_sweep(1.0, 100.0, 64);
+  const auto curves = pooled_curves(users, KneePartialGrouper{}, attack);
+  ASSERT_EQ(curves.curve_of_group.size(), curves.groups.group_count);
+  const auto members = curves.groups.members();
+  for (std::size_t g = 0; g < members.size(); ++g) {
+    EXPECT_EQ(curves.curve_of_group[g].thresholds.empty(), members[g].size() == 1) << g;
+  }
+  const auto full = pooled_curves(users, FullDiversityGrouper{}, attack);
+  for (const auto& curve : full.curve_of_group) EXPECT_TRUE(curve.thresholds.empty());
+  const auto homog = pooled_curves(users, HomogeneousGrouper{}, attack);
+  ASSERT_EQ(homog.curve_of_group.size(), 1u);
+  EXPECT_EQ(homog.curve_of_group[0].thresholds.capacity(),
+            homog.curve_of_group[0].thresholds.size());
+}
+
+TEST(PooledCurves, SelectThresholdsMatchesAssignThresholdsForEveryThreadCount) {
+  const auto users = count_population(24);
+  const AttackModel attack = log_attack_sweep(1.0, 100.0, 64);
+  const UtilityHeuristic utility(0.4);
+  const FMeasureHeuristic fmeasure;
+  std::vector<std::unique_ptr<Grouper>> groupers;
+  groupers.push_back(std::make_unique<HomogeneousGrouper>());
+  groupers.push_back(std::make_unique<FullDiversityGrouper>());
+  groupers.push_back(std::make_unique<KneePartialGrouper>());
+  for (unsigned threads : {1u, 3u}) {
+    for (const auto& grouper : groupers) {
+      const auto curves = pooled_curves(users, *grouper, attack, threads);
+      for (const CurveHeuristic* h : {static_cast<const CurveHeuristic*>(&utility),
+                                      static_cast<const CurveHeuristic*>(&fmeasure)}) {
+        const auto selected = select_thresholds(users, curves, *h, attack, threads);
+        const auto direct = assign_thresholds(users, *grouper, *h, &attack, 1);
+        EXPECT_EQ(selected.threshold_of_group, direct.threshold_of_group)
+            << grouper->name() << ' ' << h->name() << " threads=" << threads;
+        EXPECT_EQ(selected.threshold_of_user, direct.threshold_of_user);
+        EXPECT_EQ(selected.groups.group_of_user, direct.groups.group_of_user);
+      }
+    }
+  }
+}
+
+TEST(PooledCurves, CurvesFromAnotherPopulationAreAnError) {
+  const auto users = count_population(6);
+  const AttackModel attack = log_attack_sweep(1.0, 100.0, 8);
+  const auto curves = pooled_curves(users, HomogeneousGrouper{}, attack);
+  const auto fewer = count_population(5);
+  EXPECT_THROW((void)select_thresholds(fewer, curves, UtilityHeuristic(0.4), attack),
+               PreconditionError);
 }
 
 TEST(AssignThresholds, EmptyPopulationIsAnError) {

@@ -97,6 +97,15 @@ TEST(Experiments, WeightSweepDivergesWithW) {
   EXPECT_GT(full[2] - homog[2], full[0] - homog[0]);
 }
 
+TEST(Experiments, WeightSweepDefaultGridIsExactTenths) {
+  const auto result = weight_sweep(shared_scenario(), FeatureKind::TcpConnections);
+  // Bitwise: the default grid holds the doubles the labels name.
+  EXPECT_EQ(result.weights,
+            (std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}));
+  ASSERT_EQ(result.mean_utility.size(), 3u);
+  EXPECT_EQ(result.mean_utility[0].size(), 9u);
+}
+
 TEST(Experiments, AlarmTableShapes) {
   const auto result = alarm_rates(shared_scenario(), FeatureKind::TcpConnections);
   ASSERT_EQ(result.heuristic_names.size(), 2u);
