@@ -35,7 +35,8 @@ inline util::CliFlags standard_flags(std::string summary) {
   flags.add_int("weeks", 5, "trace horizon in weeks (paper: 5)");
   flags.add_int("bin-minutes", 15, "feature bin width in minutes (paper: 15 or 5)");
   flags.add_string("feature", "num-TCP-connections", "feature to analyze");
-  flags.add_int("scenario-version", 1,
+  flags.add_int("scenario-version",
+                static_cast<std::int64_t>(trace::GeneratorConfig{}.scenario_version),
                 "trace draw contract: 1 = serial-stream seed contract, "
                 "2 = counter-mode (bin-parallel) contract");
   flags.add_bool("verbose", false, "enable info logging");

@@ -52,9 +52,7 @@ int main(int argc, char** argv) {
                    "with --verify-exact: fail above this |mean utility| error "
                    "(0 = the config's utility_error_bound())");
   flags.add_double("max-rss-mib", 0.0, "fail when peak RSS exceeds this (0 = no gate)");
-  // Fleet mode defaults to the v2 counter-mode contract (FleetConfig's own
-  // default); --scenario-version 1 rebuilds serial-draw fleet artifacts.
-  flags.set_default_int("scenario-version", 2);
+  // --scenario-version 1 rebuilds serial-draw fleet artifacts.
   if (!flags.parse(argc, argv)) return 0;
 
   bench::PhaseTimings timings;

@@ -72,6 +72,8 @@ sim::ScenarioConfig config_from_flags(const util::CliFlags& flags) {
   config.set_weeks(static_cast<std::uint32_t>(flags.get_int("weeks")));
   config.generator.grid =
       util::BinGrid::minutes(static_cast<std::uint64_t>(flags.get_int("bin-minutes")));
+  // The oracle A/B is the v1 contract's: pinned, whatever the default.
+  config.generator.scenario_version = trace::ScenarioVersion::V1;
   return config;
 }
 
@@ -86,6 +88,9 @@ int main(int argc, char** argv) {
                    "fail when the v2 counter-mode speedup over the batched "
                    "v1 path is below this");
   flags.add_int("repeat", 2, "timed passes per mode (the minimum is reported)");
+  // The oracle A/B runs the v1 contract (config_from_flags pins it); the
+  // config echo says so.
+  flags.set_default_int("scenario-version", 1);
   if (!flags.parse(argc, argv)) return 0;
   bench::PhaseTimings timings;
   bench::echo_standard_config(timings, flags);

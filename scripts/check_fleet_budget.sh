@@ -13,7 +13,7 @@
 #      within MAX_UTILITY_ERR (default: the config's documented
 #      2 * (eps + 1/(m-1)) bound) of the exact pipeline.
 #
-# Both runs use the fleet default draw contract (v2 counter-mode,
+# Both runs use the default draw contract (v2 counter-mode,
 # API_TOUR.md §16) unless SCENARIO_VERSION overrides it; a third quick
 # accuracy run pins the legacy v1 serial-stream contract so the
 # --scenario-version 1 escape hatch keeps working.

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -19,8 +20,12 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-double parse_number(std::string_view key, std::string_view text) {
-  double value = 0;
+/// Parses the whole of `text` as a T with from_chars: a double, or an
+/// integer key (which rejects fractions, signs on unsigned keys and
+/// out-of-range values instead of truncating them).
+template <typename T>
+T parse_number(std::string_view key, std::string_view text) {
+  T value{};
   const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
   MONOHIDS_ENSURE(ec == std::errc{} && ptr == text.data() + text.size(),
                   "malformed value for '" + std::string(key) + "': " + std::string(text));
@@ -31,7 +36,8 @@ double parse_number(std::string_view key, std::string_view text) {
 
 std::string serialize_scenario_config(const ScenarioConfig& config) {
   std::ostringstream os;
-  os.precision(15);
+  // Every double round-trips bit for bit.
+  os.precision(std::numeric_limits<double>::max_digits10);
   const auto& p = config.population;
   const auto& g = config.generator;
   os << "# monohids scenario configuration\n"
@@ -73,61 +79,62 @@ ScenarioConfig parse_scenario_config(std::string_view text) {
       setters{
           {"users",
            [&](auto k, auto v) {
-             const double n = parse_number(k, v);
-             MONOHIDS_ENSURE(n >= 1 && n <= 1e7, "users out of range");
-             p.user_count = static_cast<std::uint32_t>(n);
+             const auto n = parse_number<std::uint32_t>(k, v);
+             MONOHIDS_ENSURE(n >= 1 && n <= 10'000'000, "users out of range");
+             p.user_count = n;
            }},
           {"seed",
-           [&](auto k, auto v) { p.seed = static_cast<std::uint64_t>(parse_number(k, v)); }},
+           [&](auto k, auto v) { p.seed = parse_number<std::uint64_t>(k, v); }},
           {"weeks",
            [&](auto k, auto v) {
-             const double n = parse_number(k, v);
+             const auto n = parse_number<std::uint32_t>(k, v);
              MONOHIDS_ENSURE(n >= 1 && n <= 520, "weeks out of range");
-             p.weeks = static_cast<std::uint32_t>(n);
+             p.weeks = n;
              g.weeks = p.weeks;
            }},
           {"heavy_fraction",
            [&](auto k, auto v) {
-             p.heavy_fraction = parse_number(k, v);
+             p.heavy_fraction = parse_number<double>(k, v);
              MONOHIDS_ENSURE(p.heavy_fraction >= 0 && p.heavy_fraction <= 1,
                              "heavy_fraction out of range");
            }},
           {"intensity_log_mu",
-           [&](auto k, auto v) { p.intensity_log_mu = parse_number(k, v); }},
+           [&](auto k, auto v) { p.intensity_log_mu = parse_number<double>(k, v); }},
           {"intensity_log_sigma",
-           [&](auto k, auto v) { p.intensity_log_sigma = parse_number(k, v); }},
+           [&](auto k, auto v) { p.intensity_log_sigma = parse_number<double>(k, v); }},
           {"heavy_boost_log_mu",
-           [&](auto k, auto v) { p.heavy_boost_log_mu = parse_number(k, v); }},
+           [&](auto k, auto v) { p.heavy_boost_log_mu = parse_number<double>(k, v); }},
           {"heavy_boost_log_sigma",
-           [&](auto k, auto v) { p.heavy_boost_log_sigma = parse_number(k, v); }},
+           [&](auto k, auto v) { p.heavy_boost_log_sigma = parse_number<double>(k, v); }},
           {"extreme_fraction_of_heavy",
-           [&](auto k, auto v) { p.extreme_fraction_of_heavy = parse_number(k, v); }},
+           [&](auto k, auto v) { p.extreme_fraction_of_heavy = parse_number<double>(k, v); }},
           {"extreme_boost_log_mu",
-           [&](auto k, auto v) { p.extreme_boost_log_mu = parse_number(k, v); }},
+           [&](auto k, auto v) { p.extreme_boost_log_mu = parse_number<double>(k, v); }},
           {"extreme_boost_log_sigma",
-           [&](auto k, auto v) { p.extreme_boost_log_sigma = parse_number(k, v); }},
+           [&](auto k, auto v) { p.extreme_boost_log_sigma = parse_number<double>(k, v); }},
           {"app_mix_log_sigma",
-           [&](auto k, auto v) { p.app_mix_log_sigma = parse_number(k, v); }},
+           [&](auto k, auto v) { p.app_mix_log_sigma = parse_number<double>(k, v); }},
           {"dns_mix_log_sigma",
-           [&](auto k, auto v) { p.dns_mix_log_sigma = parse_number(k, v); }},
+           [&](auto k, auto v) { p.dns_mix_log_sigma = parse_number<double>(k, v); }},
           {"weekly_drift_log_sigma",
-           [&](auto k, auto v) { p.weekly_drift_log_sigma = parse_number(k, v); }},
-          {"weekly_trend", [&](auto k, auto v) { p.weekly_trend = parse_number(k, v); }},
+           [&](auto k, auto v) { p.weekly_drift_log_sigma = parse_number<double>(k, v); }},
+          {"weekly_trend",
+           [&](auto k, auto v) { p.weekly_trend = parse_number<double>(k, v); }},
           {"subnet_base",
            [&](auto, auto v) { p.subnet_base = net::Ipv4Address::parse(std::string(v)); }},
           {"bin_minutes",
            [&](auto k, auto v) {
-             const double n = parse_number(k, v);
+             const auto n = parse_number<std::uint64_t>(k, v);
              MONOHIDS_ENSURE(n >= 1 && n <= 24 * 60, "bin_minutes out of range");
-             g.grid = util::BinGrid::minutes(static_cast<std::uint64_t>(n));
+             g.grid = util::BinGrid::minutes(n);
            }},
           {"episode_log_mu",
-           [&](auto k, auto v) { g.episode_log_mu = parse_number(k, v); }},
+           [&](auto k, auto v) { g.episode_log_mu = parse_number<double>(k, v); }},
           {"distinct_pool_factor",
-           [&](auto k, auto v) { g.distinct_pool_factor = parse_number(k, v); }},
+           [&](auto k, auto v) { g.distinct_pool_factor = parse_number<double>(k, v); }},
           {"scenario_version",
            [&](auto k, auto v) {
-             const double n = parse_number(k, v);
+             const auto n = parse_number<std::uint32_t>(k, v);
              MONOHIDS_ENSURE(n == 1 || n == 2, "scenario_version must be 1 or 2");
              g.scenario_version = n == 2 ? trace::ScenarioVersion::V2
                                          : trace::ScenarioVersion::V1;

@@ -53,22 +53,14 @@ namespace monohids::sim {
 struct FleetConfig {
   /// Population + generator parameters (same meaning as ScenarioConfig;
   /// fidelity is ignored — fleet mode always renders bin-level features).
-  /// Fleet default: the v2 counter-mode scenario contract
-  /// (trace::ScenarioVersion::V2) — every (user, bin) cell owns an
-  /// independent Philox stream, so shards parallelize over flattened
-  /// (user, bin-tile) work items instead of whole users and the result is
-  /// invariant to the tile partition on top of shard size and thread
-  /// count. Flip base.generator.scenario_version back to V1 to rebuild
-  /// fleet artifacts recorded under the serial-draw contract.
-  ScenarioConfig base = v2_base();
-
-  /// The fleet default base config: stock ScenarioConfig under the v2 draw
+  /// Under the default v2 counter-mode contract (trace::ScenarioVersion::V2)
+  /// every (user, bin) cell owns an independent Philox stream, so shards
+  /// parallelize over flattened (user, bin-tile) work items instead of
+  /// whole users and the result is invariant to the tile partition on top
+  /// of shard size and thread count. Set base.generator.scenario_version
+  /// to V1 to rebuild fleet artifacts recorded under the serial-draw
   /// contract.
-  [[nodiscard]] static ScenarioConfig v2_base() {
-    ScenarioConfig config;
-    config.generator.scenario_version = trace::ScenarioVersion::V2;
-    return config;
-  }
+  ScenarioConfig base;
 
   /// Users generated and reduced per resident shard. Execution knob: rows
   /// and pooled sketches are bit-identical for every value; peak RSS and

@@ -5,6 +5,7 @@
 
 #include "net/classify.hpp"
 #include "stats/sampling.hpp"
+#include "trace/v2_contract.hpp"
 #include "util/error.hpp"
 
 namespace monohids::trace {
@@ -121,26 +122,50 @@ using net::PacketRecord;
 using net::Protocol;
 using net::TcpFlags;
 
-std::uint16_t ephemeral_port(util::Xoshiro256& rng) {
-  return static_cast<std::uint16_t>(stats::sample_uniform_int(rng, 49152, 65535));
+template <typename Engine>
+std::uint64_t uniform_int(Engine& rng, std::uint64_t lo, std::uint64_t hi) {
+  if constexpr (requires { rng.uniform_int(lo, hi); }) {
+    return rng.uniform_int(lo, hi);
+  } else {
+    return stats::sample_uniform_int(rng, lo, hi);
+  }
+}
+
+template <typename Engine>
+std::uint16_t ephemeral_port(Engine& rng, Protocol protocol) {
+  if constexpr (requires { rng.ephemeral_port(protocol); }) {
+    return rng.ephemeral_port(protocol);
+  } else {
+    return static_cast<std::uint16_t>(uniform_int(rng, 49152, 65535));
+  }
 }
 
 /// Zipf-ish pick: squares a uniform draw so low indices are favored, giving
 /// a popular-head / long-tail destination mix without a per-call Zipf table.
-net::Ipv4Address pick_weighted(const std::vector<net::Ipv4Address>& pool,
-                               util::Xoshiro256& rng) {
+template <typename Engine>
+net::Ipv4Address pick_weighted(const std::vector<net::Ipv4Address>& pool, Engine& rng) {
   MONOHIDS_EXPECT(!pool.empty(), "destination pool is empty");
   const double u = rng.uniform01();
   const auto idx = static_cast<std::size_t>(u * u * static_cast<double>(pool.size()));
   return pool[std::min(idx, pool.size() - 1)];
 }
 
+/// SYN retransmissions for the next of `connections_left` connections: the
+/// session's remaining budget spread evenly, so it is used up exactly. One
+/// per connection (the first ones) whenever the budget fits.
+std::uint32_t next_retransmissions(std::uint32_t& extra_syns, std::uint32_t connections_left) {
+  const std::uint32_t retrans = (extra_syns + connections_left - 1) / connections_left;
+  extra_syns -= retrans;
+  return retrans;
+}
+
 /// Emits a full TCP connection: SYN / SYN-ACK / ACK, optional data, FIN in
 /// both directions. `extra_syns` prepends SYN retransmissions.
+template <typename Engine>
 void emit_tcp_connection(util::Timestamp start, net::Ipv4Address src, net::Ipv4Address dst,
-                         std::uint16_t dst_port, std::uint32_t extra_syns,
-                         util::Xoshiro256& rng, std::vector<PacketRecord>& out) {
-  const std::uint16_t sport = ephemeral_port(rng);
+                         std::uint16_t dst_port, std::uint32_t extra_syns, Engine& rng,
+                         std::vector<PacketRecord>& out) {
+  const std::uint16_t sport = ephemeral_port(rng, Protocol::Tcp);
   const FiveTuple fwd{src, dst, sport, dst_port, Protocol::Tcp};
   const FiveTuple rev = fwd.reversed();
   util::Timestamp t = start;
@@ -169,10 +194,10 @@ void emit_tcp_connection(util::Timestamp start, net::Ipv4Address src, net::Ipv4A
 }
 
 /// Emits a UDP request/response pair (DNS lookup or P2P probe).
+template <typename Engine>
 void emit_udp_exchange(util::Timestamp start, net::Ipv4Address src, net::Ipv4Address dst,
-                       std::uint16_t dst_port, util::Xoshiro256& rng,
-                       std::vector<PacketRecord>& out) {
-  const std::uint16_t sport = ephemeral_port(rng);
+                       std::uint16_t dst_port, Engine& rng, std::vector<PacketRecord>& out) {
+  const std::uint16_t sport = ephemeral_port(rng, Protocol::Udp);
   const FiveTuple fwd{src, dst, sport, dst_port, Protocol::Udp};
   out.push_back({start, fwd, TcpFlags::None, 64});
   out.push_back({start + 15'000, fwd.reversed(), TcpFlags::None, 128});
@@ -180,16 +205,17 @@ void emit_udp_exchange(util::Timestamp start, net::Ipv4Address src, net::Ipv4Add
 
 }  // namespace
 
+template <typename Engine>
 void emit_session_packets(AppKind kind, const SessionFootprint& footprint,
                           util::Timestamp start, net::Ipv4Address src,
-                          const DestinationPools& pools, util::Xoshiro256& rng,
+                          const DestinationPools& pools, Engine& rng,
                           std::vector<net::PacketRecord>& out) {
   util::Timestamp t = start;
 
   // DNS lookups first (they precede the connections they resolve).
   for (std::uint32_t i = 0; i < footprint.dns_connections; ++i) {
     emit_udp_exchange(t, src, pools.dns_server, net::ports::kDns, rng, out);
-    t += 30'000 + stats::sample_uniform_int(rng, 0, 50'000);
+    t += 30'000 + uniform_int(rng, 0, 50'000);
   }
 
   switch (kind) {
@@ -201,15 +227,14 @@ void emit_session_packets(AppKind kind, const SessionFootprint& footprint,
         const net::Ipv4Address dst = pick_weighted(pools.web_servers, rng);
         const bool is_http = remaining_http > 0;
         if (is_http) --remaining_http;
-        // Spread the sampled retransmission budget over the first
-        // connections so the rendered SYN count matches the footprint
-        // exactly.
-        const std::uint32_t retrans = extra_syns > 0 ? 1 : 0;
-        extra_syns -= retrans;
+        // Spread the sampled retransmission budget over the connections so
+        // the rendered SYN count matches the footprint exactly.
+        const std::uint32_t retrans =
+            next_retransmissions(extra_syns, footprint.tcp_connections - i);
         emit_tcp_connection(t, src, dst,
                             is_http ? net::ports::kHttp : net::ports::kHttps, retrans, rng,
                             out);
-        t += 10'000 + stats::sample_uniform_int(rng, 0, 120'000);
+        t += 10'000 + uniform_int(rng, 0, 120'000);
       }
       break;
     }
@@ -223,10 +248,9 @@ void emit_session_packets(AppKind kind, const SessionFootprint& footprint,
            ++i) {
         const net::Ipv4Address dst = pick_weighted(pools.peer_pool, rng);
         emit_udp_exchange(t, src, dst,
-                          static_cast<std::uint16_t>(
-                              stats::sample_uniform_int(rng, 10'000, 40'000)),
-                          rng, out);
-        t += 2'000 + stats::sample_uniform_int(rng, 0, 20'000);
+                          static_cast<std::uint16_t>(uniform_int(rng, 10'000, 40'000)), rng,
+                          out);
+        t += 2'000 + uniform_int(rng, 0, 20'000);
       }
       break;
     }
@@ -241,15 +265,22 @@ void emit_session_packets(AppKind kind, const SessionFootprint& footprint,
       const net::Ipv4Address cdn_a = pick_weighted(pools.web_servers, rng);
       const net::Ipv4Address cdn_b = pick_weighted(pools.web_servers, rng);
       for (std::uint32_t i = 0; i < footprint.tcp_connections; ++i) {
-        const std::uint32_t retrans = extra_syns > 0 ? 1 : 0;
-        extra_syns -= retrans;
+        const std::uint32_t retrans =
+            next_retransmissions(extra_syns, footprint.tcp_connections - i);
         emit_tcp_connection(t, src, (i % 2 == 0) ? cdn_a : cdn_b, net::ports::kHttps,
                             retrans, rng, out);
-        t += 5'000 + stats::sample_uniform_int(rng, 0, 40'000);
+        t += 5'000 + uniform_int(rng, 0, 40'000);
       }
       break;
     }
   }
 }
+
+template void emit_session_packets(AppKind, const SessionFootprint&, util::Timestamp,
+                                   net::Ipv4Address, const DestinationPools&,
+                                   util::Xoshiro256&, std::vector<net::PacketRecord>&);
+template void emit_session_packets(AppKind, const SessionFootprint&, util::Timestamp,
+                                   net::Ipv4Address, const DestinationPools&,
+                                   detail::V2PacketDraws&, std::vector<net::PacketRecord>&);
 
 }  // namespace monohids::trace

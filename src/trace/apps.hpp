@@ -68,12 +68,19 @@ struct DestinationPools {
 };
 
 /// Emits the packet exchange of one session with the given sampled
-/// footprint, starting near `start`. Packets are appended (unsorted across
+/// footprint, starting at `start`. Packets are appended (unsorted across
 /// sessions; the generator sorts the final trace). `src` is the monitored
-/// host; ephemeral source ports are drawn from the RNG.
+/// host. Every packet lies at or after `start`.
+///
+/// `Engine` supplies the session's draws: destinations, gaps and
+/// ephemeral source ports. A util::Xoshiro256 (the v1 contract) draws all
+/// of them from the stream. An engine with `uniform_int(lo, hi)` and
+/// `ephemeral_port(protocol)` members supplies those itself (the v2 packet
+/// channel, trace/v2_contract.hpp). Instantiated for those two engines.
+template <typename Engine>
 void emit_session_packets(AppKind kind, const SessionFootprint& footprint,
                           util::Timestamp start, net::Ipv4Address src,
-                          const DestinationPools& pools, util::Xoshiro256& rng,
+                          const DestinationPools& pools, Engine& rng,
                           std::vector<net::PacketRecord>& out);
 
 }  // namespace monohids::trace

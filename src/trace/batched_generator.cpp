@@ -41,6 +41,7 @@
 #include "trace/batched_tables.hpp"
 #include "trace/episode_process.hpp"
 #include "trace/generator.hpp"
+#include "trace/v2_contract.hpp"
 
 namespace monohids::trace {
 
@@ -391,9 +392,9 @@ features::FeatureMatrix TraceGenerator::generate_features_batched(
 // ---------------------------------------------------------------------------
 // V2 counter-mode renderer.
 //
-// Draw-key contract (see API_TOUR §16). All streams share one key,
-// derive_seed(user.seed, "v2/bins", 0), and EVERY draw consumes exactly
-// one 32-bit Philox word:
+// Draw-key contract (see API_TOUR §16 and trace/v2_contract.hpp). All
+// streams share one key, derive_seed(user.seed, "v2/bins", 0), and EVERY
+// draw consumes exactly one 32-bit Philox word:
 //
 //   - Count channels: stream kV2CountChannel + a (a = app index) holds one
 //     word per bin — word b is bin b's COMPLETE session-count draw for app
@@ -402,20 +403,8 @@ features::FeatureMatrix TraceGenerator::generate_features_batched(
 //     tile's counts fill in one wide kernel pass per app and reduce in one
 //     bulk sweep; a bin whose six counts are all zero (the overwhelming
 //     night-time case) is finished without touching its own stream at all.
-//   - Bin streams: stream b (b = bin index) holds bin b's remaining draws
-//     in a fixed layout, one word per draw, in app order:
-//       1. Web: object-count words — S direct Pareto-count words when S <=
-//          kParetoDirectCap, else the ParetoSumTable chained-binomial
-//          histogram (head words while sessions remain, then one word per
-//          value-past-head session); then ONE merged domain-extras Poisson
-//          word (mean = sum of min(objects, 12) / 5), one Binomial HTTPS
-//          word over total objects, one Binomial SYN-retransmission word;
-//       2. Dns: one merged lookup-extras Poisson word (mean 0.6 * S);
-//       3. Mail: one Binomial DNS-refresh word;
-//       4. P2p: peer-count words (direct / ParetoSumTable as above);
-//       5. Interactive: one Binomial DNS-refresh word;
-//       6. Update: fetch-count words (direct / ParetoSumTable), then one
-//          merged retransmission Poisson word (mean 0.02 * total fetches).
+//   - Bin streams: stream b (b = bin index) holds bin b's merged totals in
+//     the fixed layout of draw_v2_bin_totals.
 //
 // Every merge is exact in distribution because the feature matrix only
 // consumes per-bin TOTALS: independent Poissons sum to a Poisson of the
@@ -435,87 +424,11 @@ features::FeatureMatrix TraceGenerator::generate_features_batched(
 
 namespace {
 
-/// Stream id of app a's count channel (word b = bin b's session-count
-/// draw). Offset past the 32-bit bin-index space so count channels and bin
-/// streams never collide on any horizon.
-constexpr std::uint64_t kV2CountChannel = std::uint64_t{1} << 32;
-
-/// Cursor over one (user, bin) Philox stream, backed by a reused scratch
-/// buffer filled in whole blocks through the dispatched philox_fill kernel.
-/// Satisfies the 32-bit engine interface of sample_poisson_prepared32.
-///
-/// The buffer carries a logical end (not the vector's size), so per-bin
-/// resets never touch memory and refills never memset: the vector only
-/// grows to the high-water mark of the busiest bin and stays there. reset()
-/// takes the caller's word estimate so a typical bin is served by ONE
-/// kernel fill (the whole point — one wide SIMD pass instead of a cascade
-/// of small serial fills). take(n) pointers are valid only until the next
-/// cursor call (a refill may reallocate) — callers copy what they need
-/// across draws.
-class V2Cursor {
- public:
-  V2Cursor(std::uint64_t key, std::vector<std::uint32_t>& scratch) noexcept
-      : ops_(&stats::kernels::active()), key_(key), buf_(&scratch) {}
-
-  void reset(std::uint64_t stream, std::size_t expect_words) {
-    stream_ = stream;
-    pos_ = 0;
-    end_ = 0;
-    fill(std::max<std::size_t>(expect_words, 8));
-  }
-
-  std::uint32_t operator()() {
-    if (pos_ == end_) [[unlikely]]
-      refill(1);
-    return (*buf_)[pos_++];
-  }
-
-  const std::uint32_t* take(std::size_t n) {
-    if (end_ - pos_ < n) [[unlikely]]
-      refill(n - (end_ - pos_));
-    const std::uint32_t* p = buf_->data() + pos_;
-    pos_ += n;
-    return p;
-  }
-
- private:
-  void refill(std::size_t want) {
-    // The estimate undershot: grow by at least a buffer's worth (capped) so
-    // pathological bins don't degrade into tiny serial fills.
-    fill(std::max(want, std::min<std::size_t>(std::max<std::size_t>(end_, 64), 8192)));
-  }
-
-  void fill(std::size_t words) {
-    // Round up to whole 4-block vector groups: the AVX2 kernel falls back
-    // to scalar for sub-group remainders, and the extra words are free
-    // determinism-wise (they sit at fixed counter positions whether or not
-    // a bin ever reads them).
-    const std::size_t blocks = ((words + 3) / 4 + 3) & ~std::size_t{3};
-    if (buf_->size() < end_ + blocks * 4) {
-      buf_->resize(std::max(end_ + blocks * 4, buf_->size() * 2));
-    }
-    ops_->philox_fill(key_, stream_, end_ / 4, buf_->data() + end_, blocks);
-    end_ += blocks * 4;
-  }
-
-  const stats::kernels::Ops* ops_;
-  std::uint64_t key_;
-  std::uint64_t stream_ = 0;
-  std::vector<std::uint32_t>* buf_;
-  std::size_t pos_ = 0;  // next word to hand out
-  std::size_t end_ = 0;  // filled words (logical size; <= buf_->size())
-};
-
 /// Per-thread scratch reused across tile renders (fleet mode renders
 /// millions of tiles; none of these should allocate per tile).
 struct V2Scratch {
-  std::vector<double> act;
-  std::vector<double> boost;
-  std::vector<double> means;          // session-count means, app-major
+  detail::V2TilePlan plan;
   std::vector<std::uint32_t> words;   // cursor buffer
-  std::vector<std::uint32_t> cw;      // count-channel words, app-major
-  std::vector<std::uint32_t> cnt;     // session counts, app-major
-  std::vector<std::uint8_t> active;   // per-bin any-app-fired flags
   std::vector<std::uint32_t> st_tcp, st_udp, st_dns, st_http, st_syn, st_draws;
 };
 
@@ -526,30 +439,21 @@ V2Scratch& v2_scratch() {
 
 }  // namespace
 
-
-void TraceGenerator::render_features_v2_tile(const UserProfile& user,
-                                             std::uint64_t tile_begin,
-                                             std::uint64_t tile_end,
-                                             features::FeatureMatrix& matrix) const {
-  using stats::batch::to_unit32;
-
-  const util::BinGrid grid = config_.grid;
-  const util::Duration horizon = config_.horizon();
-  const std::uint64_t bins = grid.bin_count(horizon);
+std::uint64_t detail::plan_v2_tile(const GeneratorConfig& config, const UserProfile& user,
+                                   std::uint64_t tile_begin, std::uint64_t tile_end,
+                                   V2TilePlan& plan) {
+  const util::BinGrid grid = config.grid;
+  const std::uint64_t bins = grid.bin_count(config.horizon());
   MONOHIDS_EXPECT(tile_begin < tile_end && tile_end <= bins, "v2 tile out of range");
   const std::uint64_t tile_bins = tile_end - tile_begin;
 
   const double bin_hours =
       static_cast<double>(grid.width()) / static_cast<double>(util::kMicrosPerHour);
-  const double effective_pool =
-      std::max(4.0, config_.distinct_pool_factor * user.destination_pool_size);
   const std::uint64_t bins_per_week =
       util::kMicrosPerWeek % grid.width() == 0 ? util::kMicrosPerWeek / grid.width() : 0;
 
-  V2Scratch& scratch = v2_scratch();
-
   // --- stage 1: rate tables (same structure as v1, 32-bit grain) ----------
-  std::vector<double>& act = scratch.act;
+  std::vector<double>& act = plan.act;
   act.resize(bins_per_week != 0 ? std::min(bins_per_week, bins) : bins);
   for (std::uint64_t i = 0; i < act.size(); ++i) {
     const util::Timestamp mid = grid.bin_start(i) + grid.width() / 2;
@@ -559,11 +463,11 @@ void TraceGenerator::render_features_v2_tile(const UserProfile& user,
   // Episode boosts: the serial v2 episode stream stepped from bin 0 with
   // the pinned semantics, recording only this tile's bins. Re-stepping the
   // prefix costs ~1 word per idle bin — negligible next to rendering.
-  std::vector<double>& boost = scratch.boost;
+  std::vector<double>& boost = plan.boost;
   boost.resize(tile_bins);
   {
     BasicEpisodeProcess<util::Philox4x32> episodes(
-        user, config_.episode_log_mu, util::derive_seed(user.seed, "v2/episodes", 0));
+        user, config.episode_log_mu, util::derive_seed(user.seed, "v2/episodes", 0));
     std::uint64_t bow = 0;
     for (std::uint64_t b = 0; b < tile_end; ++b) {
       const double m = episodes.step(grid.bin_start(b), bin_hours, act[bow]);
@@ -574,9 +478,9 @@ void TraceGenerator::render_features_v2_tile(const UserProfile& user,
 
   // --- stage 2: session-count means per (app, tile bin) -------------------
   // Means stay app-major (no bin-major transpose): the count-channel sweep
-  // is app-major anyway and the bin loop below only touches active bins'
+  // is app-major anyway and the bin loop only touches active bins'
   // stripes, so six sequential streams beat a 16-byte scatter per row.
-  std::vector<double>& means = scratch.means;
+  std::vector<double>& means = plan.means;
   means.resize(tile_bins * kAppCount);
   for (std::size_t a = 0; a < kAppCount; ++a) {
     const AppKind app = kAllApps[a];
@@ -611,14 +515,14 @@ void TraceGenerator::render_features_v2_tile(const UserProfile& user,
   const std::uint64_t cw_offset = tile_begin - cw_block0 * 4;
   const std::uint64_t cw_blocks = (tile_end + 3) / 4 - cw_block0;
   const std::uint64_t cw_stride = cw_blocks * 4;
-  std::vector<std::uint32_t>& cw = scratch.cw;
+  std::vector<std::uint32_t>& cw = plan.cw;
   cw.resize(cw_stride * kAppCount);
   for (std::size_t a = 0; a < kAppCount; ++a) {
     ops.philox_fill(key, kV2CountChannel + a, cw_block0, cw.data() + a * cw_stride,
                     static_cast<std::size_t>(cw_blocks));
   }
-  std::vector<std::uint8_t>& active = scratch.active;
-  std::vector<std::uint32_t>& cnt = scratch.cnt;
+  std::vector<std::uint8_t>& active = plan.active;
+  std::vector<std::uint32_t>& cnt = plan.cnt;
   active.assign(tile_bins, 0);
   cnt.resize(tile_bins * kAppCount);
   std::uint64_t total_sessions = 0;
@@ -633,6 +537,20 @@ void TraceGenerator::render_features_v2_tile(const UserProfile& user,
       active[i] |= static_cast<std::uint8_t>(ca[i] != 0);
     }
   }
+  return total_sessions;
+}
+
+void TraceGenerator::render_features_v2_tile(const UserProfile& user,
+                                             std::uint64_t tile_begin,
+                                             std::uint64_t tile_end,
+                                             features::FeatureMatrix& matrix) const {
+  V2Scratch& scratch = v2_scratch();
+  const std::uint64_t total_sessions =
+      detail::plan_v2_tile(config_, user, tile_begin, tile_end, scratch.plan);
+  const std::uint64_t tile_bins = tile_end - tile_begin;
+  const std::vector<std::uint32_t>& cnt = scratch.plan.cnt;
+  const double effective_pool =
+      std::max(4.0, config_.distinct_pool_factor * user.destination_pool_size);
 
   // --- stage 3: bulk word consumption per bin -----------------------------
   scratch.st_tcp.assign(tile_bins, 0);
@@ -643,127 +561,32 @@ void TraceGenerator::render_features_v2_tile(const UserProfile& user,
   scratch.st_draws.assign(tile_bins, 0);
 
   const detail::FootprintTables32& T = detail::footprint_tables32();
-  const std::uint64_t web_b0 = T.web_objects.boundary(0);
-  const std::uint64_t web_b1 = T.web_objects.boundary(1);
-  const std::uint64_t web_b2 = T.web_objects.boundary(2);
-
-  constexpr std::size_t kWebRow = index_of(AppKind::Web);
-  constexpr std::size_t kDnsRow = index_of(AppKind::Dns);
-  constexpr std::size_t kMailRow = index_of(AppKind::Mail);
-  constexpr std::size_t kP2pRow = index_of(AppKind::P2p);
-  constexpr std::size_t kInterRow = index_of(AppKind::Interactive);
-  constexpr std::size_t kUpdateRow = index_of(AppKind::Update);
-  constexpr std::uint64_t kDirect = detail::FootprintTables32::kParetoDirectCap;
-
-  V2Cursor cur(key, scratch.words);
+  detail::V2Cursor cur(util::derive_seed(user.seed, "v2/bins", 0), scratch.words);
+  const auto no_values = [](AppKind, std::uint32_t, std::uint64_t) {};
 
   for (std::uint64_t i = 0; i < tile_bins; ++i) {
-    if (!active[i]) continue;  // staging rows stay zero; no stream touched
-    const std::uint64_t s_web = cnt[kWebRow * tile_bins + i];
-    const std::uint64_t s_dns = cnt[kDnsRow * tile_bins + i];
-    const std::uint64_t s_mail = cnt[kMailRow * tile_bins + i];
-    const std::uint64_t s_p2p = cnt[kP2pRow * tile_bins + i];
-    const std::uint64_t s_inter = cnt[kInterRow * tile_bins + i];
-    const std::uint64_t s_upd = cnt[kUpdateRow * tile_bins + i];
+    if (!scratch.plan.active[i]) continue;  // staging rows stay zero; no stream touched
+    std::array<std::uint64_t, kAppCount> s;
+    for (std::size_t a = 0; a < kAppCount; ++a) s[a] = cnt[a * tile_bins + i];
+    const detail::V2BinTotals t =
+        detail::draw_v2_bin_totals(T, cur, tile_begin + i, s, no_values);
 
-    // Exact-ish word estimate from the known counts (merged draws are one
-    // word each; only the multinomial tails are random). Slightly generous
-    // so a typical bin is served by the single reset() fill.
-    std::size_t est = 8;
-    est += s_web <= kDirect ? s_web : 4 + s_web / 16;
-    est += s_p2p <= kDirect ? s_p2p : 10 + s_p2p / 8;
-    est += s_upd <= kDirect ? s_upd : 10 + s_upd / 16;
-    cur.reset(tile_begin + i, est);
-    
-    std::uint64_t n_tcp = 0, n_udp = 0, n_dns = 0, n_http = 0, n_syn = 0, n_draws = 0;
-
-    if (const std::uint64_t S = s_web; S != 0) {  // Web
-      std::uint64_t total_objects = 0, m12 = 0;
-      if (S <= kDirect) {
-        const std::uint32_t* ow = cur.take(S);
-        for (std::uint64_t s = 0; s < S; ++s) {
-          const std::uint32_t w = ow[s];
-          std::uint32_t o;
-          if (w > web_b2) [[likely]]
-            o = 1 + (w <= web_b0 ? 1u : 0u) + (w <= web_b1 ? 1u : 0u);
-          else
-            o = T.web_objects.count(w);
-          total_objects += o;
-          m12 += std::min<std::uint32_t>(o, 12);
-        }
-      } else {
-        T.web_objects_sum.sample(cur, S, total_objects, m12);
-      }
-      // The merged domain draw needs only the sufficient statistic m12;
-      // the Bernoulli passes over objects collapse to one Binomial word.
-      const std::uint64_t domain_extra = T.domain_sum.sample(cur(), m12);
-      const std::uint64_t https = T.https_045.sample(cur(), total_objects);
-      const std::uint64_t syn_extra = T.syn_retrans_003.sample(cur(), total_objects);
-      n_tcp += total_objects;
-      n_http += total_objects - https;
-      n_dns += S + domain_extra;
-      n_udp += S + domain_extra;
-      n_syn += total_objects + syn_extra;
-      n_draws += total_objects + S;
-    }
-    if (const std::uint64_t S = s_dns; S != 0) {  // Dns
-      const std::uint64_t extra = T.dns_sum.sample(cur(), S);
-      n_dns += S + extra;
-      n_udp += S + extra;
-      n_draws += S;
-    }
-    if (const std::uint64_t S = s_mail; S != 0) {  // Mail
-      const std::uint64_t hits = T.mail_dns_020.sample(cur(), S);
-      n_tcp += S;
-      n_syn += S;
-      n_draws += S;
-      n_dns += hits;
-      n_udp += hits;
-    }
-    if (const std::uint64_t S = s_p2p; S != 0) {  // P2p
-      std::uint64_t peers = 0, unused = 0;
-      if (S <= kDirect) {
-        const std::uint32_t* pw = cur.take(S);
-        for (std::uint64_t s = 0; s < S; ++s) peers += T.p2p_peers.count_fast(pw[s]);
-      } else {
-        T.p2p_peers_sum.sample(cur, S, peers, unused);
-      }
-      n_udp += peers;
-      n_draws += peers;
-    }
-    if (const std::uint64_t S = s_inter; S != 0) {  // Interactive
-      const std::uint64_t hits = T.interactive_dns_030.sample(cur(), S);
-      n_tcp += S;
-      n_syn += S;
-      n_draws += S;
-      n_dns += hits;
-      n_udp += hits;
-    }
-    if (const std::uint64_t S = s_upd; S != 0) {  // Update
-      std::uint64_t pareto_fetches = 0, unused = 0;
-      if (S <= kDirect) {
-        const std::uint32_t* fw = cur.take(S);
-        for (std::uint64_t s = 0; s < S; ++s) {
-          pareto_fetches += T.update_fetches.count_fast(fw[s]);
-        }
-      } else {
-        T.update_fetches_sum.sample(cur, S, pareto_fetches, unused);
-      }
-      const std::uint64_t total_fetches = 4 * S + pareto_fetches;
-      const std::uint64_t retrans = T.update_sum.sample(cur(), total_fetches);
-      n_tcp += total_fetches;
-      n_syn += total_fetches + retrans;
-      n_dns += S;
-      n_udp += S;
-      n_draws += 2 * S;
-    }
-
+    const std::uint64_t s_web = s[index_of(AppKind::Web)];
+    const std::uint64_t s_dns = s[index_of(AppKind::Dns)];
+    const std::uint64_t s_mail = s[index_of(AppKind::Mail)];
+    const std::uint64_t s_inter = s[index_of(AppKind::Interactive)];
+    const std::uint64_t s_upd = s[index_of(AppKind::Update)];
+    const std::uint64_t n_tcp = t.web_objects + s_mail + s_inter + t.update_fetches;
+    const std::uint64_t n_dns = s_web + t.web_domain_extra + s_dns + t.dns_extra +
+                                t.mail_hits + t.interactive_hits + s_upd;
     scratch.st_tcp[i] = static_cast<std::uint32_t>(n_tcp);
-    scratch.st_udp[i] = static_cast<std::uint32_t>(n_udp);
+    scratch.st_udp[i] = static_cast<std::uint32_t>(n_dns + t.p2p_peers);
     scratch.st_dns[i] = static_cast<std::uint32_t>(n_dns);
-    scratch.st_http[i] = static_cast<std::uint32_t>(n_http);
-    scratch.st_syn[i] = static_cast<std::uint32_t>(n_syn);
-    scratch.st_draws[i] = static_cast<std::uint32_t>(n_draws);
+    scratch.st_http[i] = static_cast<std::uint32_t>(t.web_objects - t.web_https);
+    scratch.st_syn[i] =
+        static_cast<std::uint32_t>(n_tcp + t.web_syn_extra + t.update_retrans);
+    scratch.st_draws[i] = static_cast<std::uint32_t>(
+        t.web_objects + s_web + s_dns + s_mail + t.p2p_peers + s_inter + 2 * s_upd);
   }
 
   // --- stage 4: float post-processing (shared helper) ---------------------

@@ -68,6 +68,12 @@ struct FootprintTables {
 /// across generator threads is free).
 [[nodiscard]] const FootprintTables& footprint_tables();
 
+/// Value sink that ignores every value (the feature renderer's default: it
+/// consumes totals only).
+struct NoValueSink {
+  void operator()(std::uint32_t, std::uint64_t) const noexcept {}
+};
+
 /// Exact sampler for the SUM of S iid capped-Pareto counts, in O(support)
 /// words instead of O(S). The feature matrix only consumes per-bin totals
 /// (total web objects, total P2P peers, total update fetches), so the
@@ -104,12 +110,18 @@ class ParetoSumTable {
   /// accumulates the total count and the min(value, 12) total (the web
   /// domain-extras sufficient statistic; callers that don't need it ignore
   /// it). Word footprint: at most head + (# sessions with X > head).
-  template <typename WordSource>
+  ///
+  /// `on_values(value, count)` sees the histogram as it is drawn: once per
+  /// head value with its session count (possibly 0), then once per tail
+  /// session with count 1. The packet renderer rebuilds per-session values
+  /// from it; the feature renderer passes the no-op default.
+  template <typename WordSource, typename ValueSink = NoValueSink>
   void sample(WordSource& next_word, std::uint64_t sessions, std::uint64_t& total,
-              std::uint64_t& min12_total) const {
+              std::uint64_t& min12_total, ValueSink&& on_values = {}) const {
     std::uint64_t rem = sessions;
     for (std::uint32_t v = 1; v <= head_ && rem != 0; ++v) {
       const std::uint64_t k = head_binom_[v - 1].sample(next_word(), rem);
+      on_values(v, k);
       total += k * v;
       min12_total += k * std::min<std::uint64_t>(v, 12);
       rem -= k;
@@ -121,6 +133,7 @@ class ParetoSumTable {
           (static_cast<std::uint64_t>(next_word()) * (tail_bound_ + 1)) >> 32;
       std::uint32_t k = head_ + 1;
       while (k < cap_ && scaled <= table_->boundary(k - 1)) ++k;
+      on_values(k, 1);
       total += k;
       min12_total += std::min<std::uint32_t>(k, 12);
     }

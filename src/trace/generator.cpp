@@ -7,6 +7,7 @@
 #include "obs/metrics.hpp"
 #include "stats/sampling.hpp"
 #include "trace/episode_process.hpp"
+#include "trace/v2_contract.hpp"
 #include "util/error.hpp"
 
 namespace monohids::trace {
@@ -53,16 +54,24 @@ void TraceGenerator::walk_packets(const UserProfile& user, Timestamp begin, Time
                                   BinStart&& on_rendered_bin) const {
   MONOHIDS_EXPECT(begin < end, "empty packet range");
   MONOHIDS_EXPECT(end <= config_.horizon(), "range beyond generator horizon");
-  // The packet walk shares the v1 "bins" stream draw for draw with the
-  // bin-level path; the v2 counter-mode contract has no packet rendering
-  // (its draws are keyed per bin, not walked serially).
-  MONOHIDS_EXPECT(config_.scenario_version == ScenarioVersion::V1,
-                  "packet rendering requires the v1 scenario contract");
 
   const util::BinGrid grid = config_.grid;
   const DestinationPools pools = make_pools(user);
+  const std::uint64_t first_bin = grid.bin_of(begin);
+  const std::uint64_t last_bin = grid.bin_of(end - 1);
 
-  // The same bin-walk as generate_features, with identical draws from the
+  if (config_.scenario_version == ScenarioVersion::V2) {
+    // Counter-mode: every packet of a bin's sessions lies inside the bin,
+    // so the window renders its own bins and nothing else.
+    detail::V2PacketRenderer renderer(config_, user, pools, first_bin, last_bin + 1);
+    for (std::uint64_t b = first_bin; b <= last_bin; ++b) {
+      on_rendered_bin(grid.bin_start(b));
+      renderer.render_bin(b, pending);
+    }
+    return;
+  }
+
+  // V1: the same bin-walk as generate_features, with identical draws from the
   // "bins" stream — so session counts and footprints match the bin-level
   // trace exactly. Arrival offsets come from a dedicated stream (always
   // consumed, so any [begin,end) window sees the same sessions at the same
@@ -77,8 +86,6 @@ void TraceGenerator::walk_packets(const UserProfile& user, Timestamp begin, Time
   const double bin_hours =
       static_cast<double>(grid.width()) / static_cast<double>(util::kMicrosPerHour);
 
-  const std::uint64_t first_bin = grid.bin_of(begin);
-  const std::uint64_t last_bin = grid.bin_of(end - 1);
   // Advance the shared RNG streams deterministically through skipped bins so
   // a [begin,end) window reproduces the exact traffic of the full trace.
   for (std::uint64_t b = 0; b <= last_bin; ++b) {

@@ -4,13 +4,14 @@
 //
 //   - generate_packets(): materializes actual PacketRecords (windump-style)
 //     for a time range. Full fidelity; cost scales with traffic volume, so
-//     it is used for tests, examples and pipeline validation.
-//   - generate_features(): renders per-bin feature counts directly by
-//     sampling the same session arrivals and SessionFootprints, skipping
-//     packet materialization. This is the path the 350-user, multi-week
-//     statistical experiments run on (the paper's analysis is entirely
-//     bin-level, so nothing is lost; integration tests check the two paths
-//     agree statistically).
+//     it is used for tests, examples, the daemon and pcap export.
+//   - generate_features(): renders per-bin feature counts directly from
+//     the same session draws, skipping packet materialization. This is the
+//     path the 350-user, multi-week statistical experiments run on (the
+//     paper's analysis is entirely bin-level, so nothing is lost). Under
+//     the default V2 contract, extract_features over the packets equals it
+//     exactly in every bin on the five connection/SYN counts; the
+//     distinct-destination count agrees statistically.
 //
 // Both paths are deterministic functions of (profile, config) — they derive
 // all randomness from the user's seed.
@@ -32,12 +33,13 @@ namespace monohids::trace {
 /// bin's. Preserved bit-for-bit — seeds quoted in EXPERIMENTS.md keep
 /// producing the exact matrices they always did.
 ///
-/// V2 (counter-mode): every (user, bin) cell owns an independent
-/// random-access Philox4x32 stream (key derive_seed(user.seed, "v2/bins",
-/// 0), stream = bin index), with episode boosts from a serial Philox
-/// stream keyed "v2/episodes". Bins render independently and in SIMD-width
-/// word blocks, so any tile partition, thread count, shard size or kernel
-/// back-end yields the identical matrix. This is the fleet default.
+/// V2 (counter-mode, the default): every (user, bin) cell owns an
+/// independent random-access Philox4x32 stream (key derive_seed(user.seed,
+/// "v2/bins", 0), stream = bin index), with episode boosts from a serial
+/// Philox stream keyed "v2/episodes". Bins render independently and in
+/// SIMD-width word blocks, so any tile partition, thread count, shard size
+/// or kernel back-end yields the identical matrix, and a packet window
+/// costs its own bins.
 enum class ScenarioVersion : std::uint8_t { V1 = 1, V2 = 2 };
 
 struct GeneratorConfig {
@@ -52,10 +54,10 @@ struct GeneratorConfig {
   /// effective pool is smaller than the nominal one).
   double distinct_pool_factor = 0.6;
 
-  /// Draw contract for the feature path. V1 stays the default so every
-  /// seed-quoted artifact is untouched; fleet mode flips its copy to V2
-  /// (see sim::FleetConfig).
-  ScenarioVersion scenario_version = ScenarioVersion::V1;
+  /// Draw contract for both render paths. Set V1 (config key
+  /// `scenario_version = 1`) to rebuild artifacts recorded under the serial
+  /// contract.
+  ScenarioVersion scenario_version = ScenarioVersion::V2;
 
   /// V2 only: bins per render tile inside generate_features (0 = the whole
   /// horizon as one tile). Pure partition knob — the output is tile-size
@@ -103,7 +105,9 @@ class TraceGenerator {
   /// Full path: time-sorted packets for [begin, end). `begin`/`end` must lie
   /// within the horizon, begin < end. Ordering is the total order of
   /// PacketRecord (timestamp, then tuple/flags/payload), so equal-timestamp
-  /// ties are deterministic and match the streamed path exactly.
+  /// ties are deterministic and match the streamed path exactly. A window
+  /// holds exactly the full trace's packets inside it: under V2 it renders
+  /// only its own bins, under V1 it replays the serial streams from bin 0.
   [[nodiscard]] std::vector<net::PacketRecord> generate_packets(const UserProfile& user,
                                                                 util::Timestamp begin,
                                                                 util::Timestamp end) const;
@@ -136,7 +140,8 @@ class TraceGenerator {
 
   /// Shared bin-walk behind both packet paths: appends rendered session
   /// packets to `pending` and invokes `on_rendered_bin(bin_start)` before
-  /// each rendered bin (the streaming watermark). Defined in generator.cpp.
+  /// each rendered bin (the streaming watermark). Defined in generator.cpp;
+  /// V2 bins render through detail::V2PacketRenderer (v2_packets.cpp).
   template <typename BinStart>
   void walk_packets(const UserProfile& user, util::Timestamp begin, util::Timestamp end,
                     std::vector<net::PacketRecord>& pending, BinStart&& on_rendered_bin) const;

@@ -31,12 +31,22 @@ const trace::UserProfile& fixture_user() {
   return users[5];
 }
 
+std::vector<net::PacketRecord> render_fixture(trace::ScenarioVersion version) {
+  trace::GeneratorConfig config;
+  config.scenario_version = version;
+  const trace::TraceGenerator generator{config};
+  return generator.generate_packets(fixture_user(), 0, kWeeks * util::kMicrosPerWeek);
+}
+
 const std::vector<net::PacketRecord>& fixture_packets() {
-  static const auto packets = [] {
-    const trace::TraceGenerator generator{trace::GeneratorConfig{}};
-    return generator.generate_packets(fixture_user(), 0,
-                                      kWeeks * util::kMicrosPerWeek);
-  }();
+  static const auto packets = render_fixture(trace::GeneratorConfig{}.scenario_version);
+  return packets;
+}
+
+/// The fixture under the v1 contract, which the P2/GK value envelope below
+/// was calibrated on.
+const std::vector<net::PacketRecord>& v1_fixture_packets() {
+  static const auto packets = render_fixture(trace::ScenarioVersion::V1);
   return packets;
 }
 
@@ -49,9 +59,9 @@ DaemonConfig fixture_config() {
   return config;
 }
 
-DaemonResult run(const DaemonConfig& config) {
+DaemonResult run(const DaemonConfig& config,
+                 const std::vector<net::PacketRecord>& packets = fixture_packets()) {
   Daemon daemon(config);
-  const auto& packets = fixture_packets();
   constexpr std::size_t kBatch = 8192;
   for (std::size_t off = 0; off < packets.size(); off += kBatch) {
     daemon.on_batch(std::span<const net::PacketRecord>(
@@ -136,15 +146,18 @@ TEST(DaemonRollover, RollingThresholdAfterNWeeksMatchesTheBatchWindow) {
 
 TEST(DaemonRollover, StreamingEstimatorsStayCloseToExact) {
   // P2 and GK replace the exact buffer for memory-bounded deployments; they
-  // are approximations, so this is a sanity envelope, not bit-identity.
+  // are approximations, so this is a sanity envelope, not bit-identity. A
+  // value envelope depends on how far apart a week's top bins lie, so it
+  // is pinned to the v1 stream it was set on; GkThresholdsKeepTheirRank-
+  // Guarantee checks GK's actual bound on the default contract.
   const DaemonConfig exact = fixture_config();
-  const DaemonResult exact_result = run(exact);
+  const DaemonResult exact_result = run(exact, v1_fixture_packets());
 
   for (const EstimatorKind kind : {EstimatorKind::P2, EstimatorKind::Gk}) {
     SCOPED_TRACE(name_of(kind));
     DaemonConfig config = fixture_config();
     config.estimator = kind;
-    const DaemonResult result = run(config);
+    const DaemonResult result = run(config, v1_fixture_packets());
     ASSERT_EQ(result.rollovers.size(), exact_result.rollovers.size());
     for (std::size_t w = 0; w < result.rollovers.size(); ++w) {
       for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
@@ -154,6 +167,37 @@ TEST(DaemonRollover, StreamingEstimatorsStayCloseToExact) {
         EXPECT_NEAR(approx, truth, std::max(5.0, 0.25 * std::abs(truth)))
             << "week " << result.rollovers[w].week;
       }
+    }
+  }
+}
+
+TEST(DaemonRollover, GkThresholdsKeepTheirRankGuarantee) {
+  // Each weekly GK threshold must sit within eps * n ranks of the exact
+  // nearest-rank p99 of the training week (GkSketch's guarantee).
+  DaemonConfig config = fixture_config();
+  config.estimator = EstimatorKind::Gk;
+  const DaemonResult result = run(config);
+  const auto batch =
+      features::extract_features(config.monitored, fixture_packets(), config.pipeline);
+  ASSERT_EQ(result.rollovers.size(), kWeeks - 1);
+  for (const ThresholdUpdate& update : result.rollovers) {
+    for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
+      const auto slice =
+          batch.matrix.of(features::kAllFeatures[i]).week_slice(update.week - 1);
+      const double n = static_cast<double>(slice.size());
+      const double target = std::ceil(config.percentile * n);
+      const double value = update.thresholds[i];
+      // The value occupies ranks (#below, #below + #equal]; some rank in
+      // that span must lie within the guarantee band around the target.
+      const auto below = static_cast<double>(
+          std::count_if(slice.begin(), slice.end(), [&](double x) { return x < value; }));
+      const auto at_most = static_cast<double>(
+          std::count_if(slice.begin(), slice.end(), [&](double x) { return x <= value; }));
+      const double slack = config.gk_epsilon * n;
+      EXPECT_GE(at_most, target - slack)
+          << "week " << update.week << " " << features::name_of(features::kAllFeatures[i]);
+      EXPECT_LE(below + 1, target + slack)
+          << "week " << update.week << " " << features::name_of(features::kAllFeatures[i]);
     }
   }
 }

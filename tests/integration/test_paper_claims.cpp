@@ -2,6 +2,10 @@
 // paper's population size (350 users, 15-minute bins, multi-week traces).
 // These are the acceptance tests of the reproduction — if one fails, a
 // figure or table no longer reproduces.
+//
+// Every claim runs under both scenario contracts until v1 is deleted: the
+// shipped v2 default (suites Figure1, Table3, ...) and v1 (suites
+// Figure1V1, Table3V1, ...).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,13 +18,30 @@ namespace {
 
 using features::FeatureKind;
 
-const Scenario& paper_scenario() {
-  static const Scenario scenario = [] {
-    ScenarioConfig config;  // defaults: 350 users, 5 weeks, seed 42
-    return build_scenario(config);
-  }();
-  return scenario;
+using trace::ScenarioVersion;
+
+Scenario build_paper_scenario(ScenarioVersion version) {
+  ScenarioConfig config;  // defaults: 350 users, 5 weeks, seed 42
+  config.generator.scenario_version = version;
+  return build_scenario(config);
 }
+
+const Scenario& paper_scenario(ScenarioVersion version) {
+  if (version == ScenarioVersion::V1) {
+    static const Scenario v1 = build_paper_scenario(ScenarioVersion::V1);
+    return v1;
+  }
+  static const Scenario v2 = build_paper_scenario(ScenarioVersion::V2);
+  return v2;
+}
+
+// Defines the claim body once and registers it as Suite.Name (v2) and
+// SuiteV1.Name (v1).
+#define PAPER_CLAIM(Suite, Name)                                                    \
+  void Suite##_##Name(const Scenario& scenario);                                   \
+  TEST(Suite, Name) { Suite##_##Name(paper_scenario(ScenarioVersion::V2)); }       \
+  TEST(Suite##V1, Name) { Suite##_##Name(paper_scenario(ScenarioVersion::V1)); }   \
+  void Suite##_##Name(const Scenario& scenario)
 
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -28,26 +49,26 @@ double median(std::vector<double> v) {
 }
 
 // ---------------------------------------------------------------- Figure 1
-TEST(Figure1, TailThresholdsSpanDecades) {
+PAPER_CLAIM(Figure1, TailThresholdsSpanDecades) {
   // "the range of diversity varies by 3 to 4 orders of magnitude for 5 of
   // the 6 features ... number of DNS connections varies only across two"
   double min_spread = 99.0, max_spread = 0.0;
   for (FeatureKind f : features::kAllFeatures) {
-    const auto result = tail_diversity(paper_scenario(), f, 0);
+    const auto result = tail_diversity(scenario, f, 0);
     EXPECT_GE(result.spread_decades, 1.4) << features::name_of(f);
     min_spread = std::min(min_spread, result.spread_decades);
     max_spread = std::max(max_spread, result.spread_decades);
   }
   EXPECT_GE(max_spread, 2.4);
   // DNS is the tightest feature.
-  const auto dns = tail_diversity(paper_scenario(), FeatureKind::DnsConnections, 0);
+  const auto dns = tail_diversity(scenario, FeatureKind::DnsConnections, 0);
   EXPECT_NEAR(dns.spread_decades, min_spread, 0.7);
 }
 
-TEST(Figure1, HeavyUserKneeExists) {
+PAPER_CLAIM(Figure1, HeavyUserKneeExists) {
   // Roughly the top 10-15% of users are "very heavy with respect to all
   // others": the p85 -> max ratio dwarfs the p50 -> p85 ratio.
-  const auto result = tail_diversity(paper_scenario(), FeatureKind::TcpConnections, 0);
+  const auto result = tail_diversity(scenario, FeatureKind::TcpConnections, 0);
   const auto n = result.p99_sorted.size();
   const double p50 = result.p99_sorted[n / 2];
   const double p85 = result.p99_sorted[static_cast<std::size_t>(0.85 * n)];
@@ -56,9 +77,9 @@ TEST(Figure1, HeavyUserKneeExists) {
 }
 
 // ---------------------------------------------------------------- Figure 2
-TEST(Figure2, CrossFeatureRolesExist) {
+PAPER_CLAIM(Figure2, CrossFeatureRolesExist) {
   // "users at the extreme lower right ... 'light' in UDP but 'heavy' in TCP"
-  const auto scatter = feature_scatter(paper_scenario(), FeatureKind::TcpConnections,
+  const auto scatter = feature_scatter(scenario, FeatureKind::TcpConnections,
                                        FeatureKind::UdpConnections, 0);
   const double tcp_median = median(scatter.x);
   const double udp_median = median(scatter.y);
@@ -76,17 +97,17 @@ TEST(Figure2, CrossFeatureRolesExist) {
 }
 
 // ----------------------------------------------------------------- Table 2
-TEST(Table2, BestUsersBarelyOverlapAcrossFeatures) {
-  const auto tcp = best_users_experiment(paper_scenario(), FeatureKind::TcpConnections, 0);
-  const auto udp = best_users_experiment(paper_scenario(), FeatureKind::UdpConnections, 0);
+PAPER_CLAIM(Table2, BestUsersBarelyOverlapAcrossFeatures) {
+  const auto tcp = best_users_experiment(scenario, FeatureKind::TcpConnections, 0);
+  const auto udp = best_users_experiment(scenario, FeatureKind::UdpConnections, 0);
   // Paper: 2 common users under full diversity, 4 under partial diversity.
   EXPECT_LE(hids::overlap_count(tcp.full_diversity, udp.full_diversity), 5u);
   EXPECT_LE(hids::overlap_count(tcp.partial_diversity, udp.partial_diversity), 7u);
 }
 
 // ------------------------------------------------------------- Figure 3(a)
-TEST(Figure3a, DiversityUtilityBeatsMonocultureForMostUsers) {
-  const auto result = utility_boxplots(paper_scenario(), FeatureKind::TcpConnections, 0.4);
+PAPER_CLAIM(Figure3a, DiversityUtilityBeatsMonocultureForMostUsers) {
+  const auto result = utility_boxplots(scenario, FeatureKind::TcpConnections, 0.4);
   const double homog_median = median(result.utilities[0]);
   const double full_median = median(result.utilities[1]);
   const double partial_median = median(result.utilities[2]);
@@ -96,8 +117,8 @@ TEST(Figure3a, DiversityUtilityBeatsMonocultureForMostUsers) {
 }
 
 // ------------------------------------------------------------- Figure 3(b)
-TEST(Figure3b, DiversityGainGrowsWithFnWeight) {
-  const auto result = weight_sweep(paper_scenario(), FeatureKind::TcpConnections,
+PAPER_CLAIM(Figure3b, DiversityGainGrowsWithFnWeight) {
+  const auto result = weight_sweep(scenario, FeatureKind::TcpConnections,
                                    {0.1, 0.3, 0.5, 0.7, 0.9});
   const auto& homog = result.mean_utility[0];
   const auto& full = result.mean_utility[1];
@@ -116,8 +137,8 @@ TEST(Figure3b, DiversityGainGrowsWithFnWeight) {
 }
 
 // ----------------------------------------------------------------- Table 3
-TEST(Table3, MonocultureFloodsTheConsole) {
-  const auto result = alarm_rates(paper_scenario(), FeatureKind::TcpConnections);
+PAPER_CLAIM(Table3, MonocultureFloodsTheConsole) {
+  const auto result = alarm_rates(scenario, FeatureKind::TcpConnections);
   // row 0: 99th percentile heuristic — homogeneous > full-diversity and
   // homogeneous > 8-partial (paper: 1594 vs 892 vs 482).
   const auto& percentile_row = result.alarms[0];
@@ -131,10 +152,10 @@ TEST(Table3, MonocultureFloodsTheConsole) {
   EXPECT_GT(utility_row[0], utility_row[1]);
 }
 
-TEST(Table3, AlarmVolumesArePlausible) {
+PAPER_CLAIM(Table3, AlarmVolumesArePlausible) {
   // 350 users, 672 bins/week, ~1%-tail detectors: hundreds to a few
   // thousand alarms per week, not zero and not everything.
-  const auto result = alarm_rates(paper_scenario(), FeatureKind::TcpConnections);
+  const auto result = alarm_rates(scenario, FeatureKind::TcpConnections);
   for (const auto& row : result.alarms) {
     for (double alarms : row) {
       EXPECT_GT(alarms, 100.0);
@@ -144,8 +165,8 @@ TEST(Table3, AlarmVolumesArePlausible) {
 }
 
 // ------------------------------------------------------------- Figure 4(a)
-TEST(Figure4a, DiversityCatchesStealthyAttacks) {
-  const auto result = naive_attack_curves(paper_scenario(), FeatureKind::TcpConnections, 40);
+PAPER_CLAIM(Figure4a, DiversityCatchesStealthyAttacks) {
+  const auto result = naive_attack_curves(scenario, FeatureKind::TcpConnections, 40);
   const auto& sizes = result.sizes;
   const auto& homog = result.detection[0];
   const auto& full = result.detection[1];
@@ -172,8 +193,8 @@ TEST(Figure4a, DiversityCatchesStealthyAttacks) {
 }
 
 // ------------------------------------------------------------- Figure 4(b)
-TEST(Figure4b, DiversityShrinksMimicryRoom) {
-  const auto result = resourceful_attack(paper_scenario(), FeatureKind::TcpConnections);
+PAPER_CLAIM(Figure4b, DiversityShrinksMimicryRoom) {
+  const auto result = resourceful_attack(scenario, FeatureKind::TcpConnections);
   const double homog_median = median(result.hidden_volumes[0]);
   const double full_median = median(result.hidden_volumes[1]);
   const double partial_median = median(result.hidden_volumes[2]);
@@ -185,8 +206,8 @@ TEST(Figure4b, DiversityShrinksMimicryRoom) {
 }
 
 // ---------------------------------------------------------------- Figure 5
-TEST(Figure5, StormReplayContrast) {
-  const auto result = storm_replay(paper_scenario());
+PAPER_CLAIM(Figure5, StormReplayContrast) {
+  const auto result = storm_replay(scenario);
   const auto& homog = result.outcomes[0];
   const auto& full = result.outcomes[1];
   const auto& partial = result.outcomes[2];
@@ -215,8 +236,8 @@ TEST(Figure5, StormReplayContrast) {
 }
 
 // ---------------------------------------------------- §5 grouping notes
-TEST(Section5, KMeansFindsNoNaturalClusters) {
-  const auto result = grouping_ablation(paper_scenario(), FeatureKind::TcpConnections);
+PAPER_CLAIM(Section5, KMeansFindsNoNaturalClusters) {
+  const auto result = grouping_ablation(scenario, FeatureKind::TcpConnections);
   // "there wasn't a natural separation ... no natural holes": silhouettes
   // stay mediocre for every k the paper tried.
   for (std::size_t i = 0; i < result.silhouettes.size(); ++i) {
@@ -225,8 +246,8 @@ TEST(Section5, KMeansFindsNoNaturalClusters) {
 }
 
 // --------------------------------------------------- §6.1 threshold drift
-TEST(Section61, ThresholdsAreNotStableWeekToWeek) {
-  const auto result = threshold_drift(paper_scenario(), FeatureKind::TcpConnections);
+PAPER_CLAIM(Section61, ThresholdsAreNotStableWeekToWeek) {
+  const auto result = threshold_drift(scenario, FeatureKind::TcpConnections);
   // "selecting a threshold based on the 99th percentile did not always
   // reflect a 1% false positive rate in the next week"
   std::size_t off_target = 0;
@@ -235,6 +256,8 @@ TEST(Section61, ThresholdsAreNotStableWeekToWeek) {
   }
   EXPECT_GT(off_target, result.realized_fp.size() / 4);
 }
+
+#undef PAPER_CLAIM
 
 }  // namespace
 }  // namespace monohids::sim

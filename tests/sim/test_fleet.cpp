@@ -153,7 +153,7 @@ TEST(Fleet, CompactRowsStayWithinTheRankErrorBound) {
   // Per-user FP check: the compact view's exceedance at the exact pipeline's
   // threshold must stay within rank_error_bound() of the exact exceedance.
   // The exact side runs on the fleet's own base config so both pipelines
-  // share the draw contract (the fleet default is v2) and the bound is the
+  // share the draw contract (the default is v2) and the bound is the
   // sketch+grid approximation alone, not cross-contract sampling noise.
   FleetConfig config = small_fleet(80, 32);
   const Scenario exact = build_scenario(config.base);

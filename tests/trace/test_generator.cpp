@@ -164,9 +164,12 @@ TEST(Generator, PacketPathCoversFinalPartialBin) {
   // was bin-aligned, generate_features rendered that whole bin while the
   // packet path clipped at the raw week, so the two paths disagreed on the
   // covered range. Both must now render through the aligned horizon.
+  // The clipping bug lived in the v1 serial walk; v2 renders whole bins
+  // (GeneratorV2Packets.PartialFinalBinAgreesOnA13MinuteGrid).
   GeneratorConfig config;
   config.weeks = 1;
   config.grid = util::BinGrid::minutes(660);
+  config.scenario_version = ScenarioVersion::V1;
   const TraceGenerator gen(config);
   const UserProfile u = test_user(42, 8.0);
 

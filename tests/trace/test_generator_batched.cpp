@@ -47,6 +47,7 @@ TEST(BatchedGenerator, BitIdenticalToReferenceAcross200SeededCases) {
       GeneratorConfig config;
       config.weeks = weeks;
       config.grid = util::BinGrid::minutes(width_minutes);
+      config.scenario_version = ScenarioVersion::V1;  // the oracle is the v1 seed loop
       const TraceGenerator gen(config);
       for (const UserProfile& u : users) {
         const auto reference = oracle::generate_features_seed(config, u);
@@ -67,6 +68,7 @@ TEST(BatchedGenerator, BitIdenticalAcrossKernelBackends) {
   const auto users = generate_population(pc);
   GeneratorConfig config;
   config.weeks = 1;
+  config.scenario_version = ScenarioVersion::V1;
   const TraceGenerator gen(config);
 
   for (const UserProfile& u : users) {
@@ -85,6 +87,7 @@ TEST(BatchedGenerator, ScenarioBitIdenticalAcrossThreadCountsAndModes) {
   config.set_users(12);
   config.set_weeks(1);
   config.set_seed(4242);
+  config.generator.scenario_version = ScenarioVersion::V1;  // the oracle is the v1 seed loop
 
   config.threads = 1;
   const auto serial_batched = sim::build_scenario(config);
