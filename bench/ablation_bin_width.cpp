@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
     config.set_seed(static_cast<std::uint64_t>(flags.get_int("seed")));
     config.set_weeks(static_cast<std::uint32_t>(flags.get_int("weeks")));
     config.generator.grid = util::BinGrid::minutes(static_cast<std::uint64_t>(minutes));
-    config.generator.scenario_version = bench::scenario_version_from_flags(flags);
     const auto scenario = sim::build_scenario(config);
     const auto feature = bench::feature_from_flags(flags);
 

@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   base.set_weeks(static_cast<std::uint32_t>(flags.get_int("weeks")));
   base.generator.grid =
       util::BinGrid::minutes(static_cast<std::uint64_t>(flags.get_int("bin-minutes")));
-  base.generator.scenario_version = bench::scenario_version_from_flags(flags);
   MONOHIDS_EXPECT(base.generator.weeks >= 2,
                   "sketch ablation needs >= 2 weeks (train week 0, test week 1)");
   if (flags.get_bool("verbose")) util::set_log_level(util::LogLevel::Info);

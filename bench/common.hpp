@@ -18,7 +18,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "sim/experiments.hpp"
-#include "trace/generator.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -35,10 +34,6 @@ inline util::CliFlags standard_flags(std::string summary) {
   flags.add_int("weeks", 5, "trace horizon in weeks (paper: 5)");
   flags.add_int("bin-minutes", 15, "feature bin width in minutes (paper: 15 or 5)");
   flags.add_string("feature", "num-TCP-connections", "feature to analyze");
-  flags.add_int("scenario-version",
-                static_cast<std::int64_t>(trace::GeneratorConfig{}.scenario_version),
-                "trace draw contract: 1 = serial-stream seed contract, "
-                "2 = counter-mode (bin-parallel) contract");
   flags.add_bool("verbose", false, "enable info logging");
   flags.add_string("json", "",
                    "write per-phase wall times + config echo as JSON to this path");
@@ -196,31 +191,13 @@ class PhaseTimings {
   std::vector<std::pair<std::string, double>> phases_;
 };
 
-/// The --scenario-version flag as a trace::ScenarioVersion (validated).
-inline trace::ScenarioVersion scenario_version_from_flags(const util::CliFlags& flags) {
-  const std::int64_t v = flags.get_int("scenario-version");
-  MONOHIDS_ENSURE(v == 1 || v == 2, "--scenario-version must be 1 or 2");
-  return v == 2 ? trace::ScenarioVersion::V2 : trace::ScenarioVersion::V1;
-}
-
-/// The generation mode a flag set resolves to, for the config echo: which
-/// implementation generate_features will actually run.
-inline std::string generation_mode_from_flags(const util::CliFlags& flags) {
-  if (scenario_version_from_flags(flags) == trace::ScenarioVersion::V2) return "v2-tiled";
-  return "v1-batched";
-}
-
 /// Copies the standard scenario flags into a timing record's config echo.
-/// scenario_version + generation_mode distinguish v1/v2 runs in the
-/// committed BENCH_*.json trajectories.
 inline void echo_standard_config(PhaseTimings& timings, const util::CliFlags& flags) {
   timings.config("users", flags.get_int("users"));
   timings.config("seed", flags.get_int("seed"));
   timings.config("weeks", flags.get_int("weeks"));
   timings.config("bin_minutes", flags.get_int("bin-minutes"));
   timings.config("feature", flags.get_string("feature"));
-  timings.config("scenario_version", flags.get_int("scenario-version"));
-  timings.config("generation_mode", generation_mode_from_flags(flags));
 }
 
 /// Builds the scenario a parsed flag set describes, echoing the parameters.
@@ -232,12 +209,10 @@ inline sim::Scenario scenario_from_flags(const util::CliFlags& flags) {
   config.set_weeks(static_cast<std::uint32_t>(flags.get_int("weeks")));
   config.generator.grid =
       util::BinGrid::minutes(static_cast<std::uint64_t>(flags.get_int("bin-minutes")));
-  config.generator.scenario_version = scenario_version_from_flags(flags);
 
   std::cout << "# users=" << flags.get_int("users") << " seed=" << flags.get_int("seed")
             << " weeks=" << flags.get_int("weeks")
-            << " bin-minutes=" << flags.get_int("bin-minutes")
-            << " scenario-version=" << flags.get_int("scenario-version") << '\n';
+            << " bin-minutes=" << flags.get_int("bin-minutes") << '\n';
   return sim::build_scenario(config);
 }
 

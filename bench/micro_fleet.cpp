@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
                    "with --verify-exact: fail above this |mean utility| error "
                    "(0 = the config's utility_error_bound())");
   flags.add_double("max-rss-mib", 0.0, "fail when peak RSS exceeds this (0 = no gate)");
-  // --scenario-version 1 rebuilds serial-draw fleet artifacts.
   if (!flags.parse(argc, argv)) return 0;
 
   bench::PhaseTimings timings;
@@ -67,7 +66,6 @@ int main(int argc, char** argv) {
   config.shard_size = static_cast<std::uint32_t>(flags.get_int("shard-size"));
   config.grid_points = static_cast<std::uint32_t>(flags.get_int("grid-points"));
   config.sketch_epsilon = flags.get_double("eps");
-  config.base.generator.scenario_version = bench::scenario_version_from_flags(flags);
   MONOHIDS_EXPECT(config.base.generator.weeks >= 2,
                   "fleet bench needs >= 2 weeks (train week 0, test week 1)");
   if (flags.get_bool("verbose")) util::set_log_level(util::LogLevel::Info);

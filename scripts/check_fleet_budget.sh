@@ -13,16 +13,10 @@
 #      within MAX_UTILITY_ERR (default: the config's documented
 #      2 * (eps + 1/(m-1)) bound) of the exact pipeline.
 #
-# Both runs use the default draw contract (v2 counter-mode,
-# API_TOUR.md §16) unless SCENARIO_VERSION overrides it; a third quick
-# accuracy run pins the legacy v1 serial-stream contract so the
-# --scenario-version 1 escape hatch keeps working.
-#
 # Usage: scripts/check_fleet_budget.sh [build-dir]
 # Env:   FLEET_USERS (default 10000), MAX_RSS_MIB (default 768),
 #        VERIFY_USERS (default 2000), MAX_UTILITY_ERR (default 0 = the
-#        documented bound), SHARD_SIZE (default 2048), OUT_DIR (default .),
-#        SCENARIO_VERSION (default 2)
+#        documented bound), SHARD_SIZE (default 2048), OUT_DIR (default .)
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -32,7 +26,6 @@ VERIFY_USERS="${VERIFY_USERS:-2000}"
 MAX_UTILITY_ERR="${MAX_UTILITY_ERR:-0}"
 SHARD_SIZE="${SHARD_SIZE:-2048}"
 OUT_DIR="${OUT_DIR:-.}"
-SCENARIO_VERSION="${SCENARIO_VERSION:-2}"
 
 BIN="${BUILD_DIR}/bench/micro_fleet"
 if [ ! -x "${BIN}" ]; then
@@ -40,23 +33,14 @@ if [ ! -x "${BIN}" ]; then
   exit 1
 fi
 
-echo "== fleet scale run: ${FLEET_USERS} hosts, RSS ceiling ${MAX_RSS_MIB} MiB," \
-     "scenario v${SCENARIO_VERSION} =="
+echo "== fleet scale run: ${FLEET_USERS} hosts, RSS ceiling ${MAX_RSS_MIB} MiB =="
 "${BIN}" --users "${FLEET_USERS}" --weeks 2 --shard-size "${SHARD_SIZE}" \
-    --scenario-version "${SCENARIO_VERSION}" \
     --max-rss-mib "${MAX_RSS_MIB}" --json "${OUT_DIR}/BENCH_fleet_smoke.json"
 
 echo "== fleet accuracy run: ${VERIFY_USERS} hosts vs the exact pipeline =="
 "${BIN}" --users "${VERIFY_USERS}" --weeks 2 --shard-size "${SHARD_SIZE}" \
-    --scenario-version "${SCENARIO_VERSION}" \
     --verify-exact --max-utility-err "${MAX_UTILITY_ERR}" \
     --json "${OUT_DIR}/BENCH_fleet_verify.json"
 
-echo "== fleet accuracy run (legacy v1 contract): ${VERIFY_USERS} hosts =="
-"${BIN}" --users "${VERIFY_USERS}" --weeks 2 --shard-size "${SHARD_SIZE}" \
-    --scenario-version 1 \
-    --verify-exact --max-utility-err "${MAX_UTILITY_ERR}" \
-    --json "${OUT_DIR}/BENCH_fleet_verify_v1.json"
-
 echo "OK: RSS within ${MAX_RSS_MIB} MiB at ${FLEET_USERS} hosts;" \
-     "sketch utilities within the error bound at ${VERIFY_USERS} hosts (v${SCENARIO_VERSION} and v1)"
+     "sketch utilities within the error bound at ${VERIFY_USERS} hosts"

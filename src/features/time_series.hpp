@@ -51,7 +51,7 @@ class BinnedSeries {
 
   [[nodiscard]] std::span<const double> values() const noexcept { return counts_; }
 
-  /// Mutable bin storage for bulk writers (the batched trace generator
+  /// Mutable bin storage for bulk writers (the trace generator
   /// widens SoA staging buffers straight into it). Same layout as values().
   [[nodiscard]] std::span<double> values_mut() noexcept { return counts_; }
 

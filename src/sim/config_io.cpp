@@ -62,8 +62,7 @@ std::string serialize_scenario_config(const ScenarioConfig& config) {
      << "bin_minutes = " << g.grid.width() / util::kMicrosPerMinute << '\n'
      << "episode_log_mu = " << g.episode_log_mu << '\n'
      << "distinct_pool_factor = " << g.distinct_pool_factor << '\n'
-     << "scenario_version = "
-     << (g.scenario_version == trace::ScenarioVersion::V2 ? 2 : 1) << '\n'
+     << "scenario_version = 2\n"
      << "fidelity = " << (config.fidelity == TraceFidelity::Packets ? "packets" : "bins")
      << '\n';
   return os.str();
@@ -134,10 +133,13 @@ ScenarioConfig parse_scenario_config(std::string_view text) {
            [&](auto k, auto v) { g.distinct_pool_factor = parse_number<double>(k, v); }},
           {"scenario_version",
            [&](auto k, auto v) {
+             // The key names the draw contract the file was written for;
+             // only the counter-mode contract (2) is built.
              const auto n = parse_number<std::uint32_t>(k, v);
-             MONOHIDS_ENSURE(n == 1 || n == 2, "scenario_version must be 1 or 2");
-             g.scenario_version = n == 2 ? trace::ScenarioVersion::V2
-                                         : trace::ScenarioVersion::V1;
+             MONOHIDS_ENSURE(n != 1,
+                             "scenario_version = 1: the v1 serial-stream contract was "
+                             "removed; commit c31a951 is the last build that renders it");
+             MONOHIDS_ENSURE(n == 2, "scenario_version must be 2");
            }},
           {"fidelity",
            [&](auto, auto v) {

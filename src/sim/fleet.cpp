@@ -116,20 +116,15 @@ FleetScenario build_fleet_scenario(const FleetConfig& config) {
   FleetMetrics metrics = FleetMetrics::make();
   std::uint64_t folded_sketch_bytes = 0;
 
-  // V2 render geometry: a wave of users' matrices stays resident at once
+  // Render geometry: a wave of users' matrices stays resident at once
   // (bounded by a flat byte budget), and the wave renders as flattened
-  // (user, bin-tile) parallel_for items — the counter-mode contract makes
+  // (user, week-tile) parallel_for items — the counter-mode contract makes
   // every tile an independent work unit, so small shards and stragglers
-  // still keep every worker busy. The tile size is a pure partition knob
-  // (output invariant by contract); one week per tile is the natural grain
+  // still keep every worker busy. One week per tile is the natural grain
   // since the sketch fold consumes week slices.
-  const bool v2 = config.base.generator.scenario_version == trace::ScenarioVersion::V2;
   const std::uint64_t total_bins =
       generator.config().grid.bin_count(generator.config().horizon());
-  const std::uint64_t tile_bins =
-      config.base.generator.v2_bin_tile != 0
-          ? std::min<std::uint64_t>(config.base.generator.v2_bin_tile, total_bins)
-          : fleet.bins_per_week_;
+  const std::uint64_t tile_bins = fleet.bins_per_week_;
   const std::uint64_t tiles_per_user = (total_bins + tile_bins - 1) / tile_bins;
   constexpr std::size_t kWaveMatrixBudget = std::size_t{64} << 20;  // bytes
   const std::size_t user_matrix_bytes =
@@ -174,48 +169,36 @@ FleetScenario build_fleet_scenario(const FleetConfig& config) {
       }
     };
 
-    if (v2) {
-      for (std::uint32_t wave_first = 0; wave_first < count; wave_first += wave_size) {
-        const std::uint32_t wave_count = std::min(wave_size, count - wave_first);
-        std::vector<trace::UserProfile> profiles(wave_count);
-        std::vector<features::FeatureMatrix> matrices(wave_count);
-        util::parallel_for(
-            wave_count,
-            [&](std::size_t i) {
-              profiles[i] =
-                  builder.build(static_cast<std::uint32_t>(first + wave_first + i));
-              for (auto& series : matrices[i].series) {
-                series = features::BinnedSeries(generator.config().grid,
-                                                generator.config().horizon());
-              }
-            },
-            config.threads);
-        util::parallel_for(
-            std::size_t{wave_count} * tiles_per_user,
-            [&](std::size_t item) {
-              const std::size_t u = item / tiles_per_user;
-              const std::uint64_t begin = (item % tiles_per_user) * tile_bins;
-              const std::uint64_t end = std::min(total_bins, begin + tile_bins);
-              generator.render_features_v2_tile(profiles[u], begin, end, matrices[u]);
-            },
-            config.threads);
-        util::parallel_for(
-            wave_count,
-            [&](std::size_t i) {
-              reduce_user(static_cast<std::uint32_t>(first + wave_first + i),
-                          static_cast<std::uint32_t>(wave_first + i), matrices[i]);
-              matrices[i] = {};  // release the wave slot before the next wave
-            },
-            config.threads);
-      }
-    } else {
+    for (std::uint32_t wave_first = 0; wave_first < count; wave_first += wave_size) {
+      const std::uint32_t wave_count = std::min(wave_size, count - wave_first);
+      std::vector<trace::UserProfile> profiles(wave_count);
+      std::vector<features::FeatureMatrix> matrices(wave_count);
       util::parallel_for(
-          count,
-          [&](std::size_t local) {
-            const auto id = static_cast<std::uint32_t>(first + local);
-            const trace::UserProfile profile = builder.build(id);
-            const features::FeatureMatrix matrix = generator.generate_features(profile);
-            reduce_user(id, static_cast<std::uint32_t>(local), matrix);
+          wave_count,
+          [&](std::size_t i) {
+            profiles[i] =
+                builder.build(static_cast<std::uint32_t>(first + wave_first + i));
+            for (auto& series : matrices[i].series) {
+              series = features::BinnedSeries(generator.config().grid,
+                                              generator.config().horizon());
+            }
+          },
+          config.threads);
+      util::parallel_for(
+          std::size_t{wave_count} * tiles_per_user,
+          [&](std::size_t item) {
+            const std::size_t u = item / tiles_per_user;
+            const std::uint64_t begin = (item % tiles_per_user) * tile_bins;
+            const std::uint64_t end = std::min(total_bins, begin + tile_bins);
+            generator.render_features_v2_tile(profiles[u], begin, end, matrices[u]);
+          },
+          config.threads);
+      util::parallel_for(
+          wave_count,
+          [&](std::size_t i) {
+            reduce_user(static_cast<std::uint32_t>(first + wave_first + i),
+                        static_cast<std::uint32_t>(wave_first + i), matrices[i]);
+            matrices[i] = {};  // release the wave slot before the next wave
           },
           config.threads);
     }

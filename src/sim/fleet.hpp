@@ -6,10 +6,8 @@
 // population through memory one shard at a time and keeps only a compact
 // eps-approximate summary per (user, feature, week):
 //
-//   shard generation (v2 counter-mode renderer by default: waves of users
-//     bounded by a matrix budget, flattened (user, bin-tile) items through
-//     util::parallel_for; the v1 serial-draw generator per user when
-//     configured)
+//   shard generation (waves of users bounded by a matrix budget, rendered
+//     as flattened (user, week-tile) items through util::parallel_for)
 //     → per-user GkSketch of each week's bin counts (stats::GkSketch::
 //       from_sorted on the sorted week slice)
 //     → an m-point quantile-grid row (GkSketch::quantile_batch through the
@@ -34,9 +32,8 @@
 // Determinism: rows and pooled sketches are bit-identical for every shard
 // size and thread count — each user's row depends only on (config, user id)
 // and lands in its own slot; the pooled fold is sequential in user order.
-// Under the v2 contract this extends to the bin-tile partition and the
-// SIMD kernel back-end (the counter-mode draw keys make every bin's words
-// independent of how the render work was partitioned).
+// The same holds across SIMD kernel back-ends (the counter-mode draw keys
+// make every bin's words independent of how the render work is split).
 #pragma once
 
 #include <cstdint>
@@ -53,13 +50,10 @@ namespace monohids::sim {
 struct FleetConfig {
   /// Population + generator parameters (same meaning as ScenarioConfig;
   /// fidelity is ignored — fleet mode always renders bin-level features).
-  /// Under the default v2 counter-mode contract (trace::ScenarioVersion::V2)
-  /// every (user, bin) cell owns an independent Philox stream, so shards
-  /// parallelize over flattened (user, bin-tile) work items instead of
-  /// whole users and the result is invariant to the tile partition on top
-  /// of shard size and thread count. Set base.generator.scenario_version
-  /// to V1 to rebuild fleet artifacts recorded under the serial-draw
-  /// contract.
+  /// Every (user, bin) cell owns an independent Philox stream, so shards
+  /// parallelize over flattened (user, week-tile) work items instead of
+  /// whole users, and the result is invariant to shard size and thread
+  /// count.
   ScenarioConfig base;
 
   /// Users generated and reduced per resident shard. Execution knob: rows

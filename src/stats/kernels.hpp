@@ -84,7 +84,7 @@ struct Ops {
                        std::uint64_t* marginal, std::uint64_t& joint);
 
   /// out[i] = (double)values[i]: widens an SoA staging buffer of integer
-  /// tallies (the batched trace generator's per-bin counts) into a feature
+  /// tallies (the trace generator's per-bin counts) into a feature
   /// series. Values must be < 2^31 (per-bin traffic tallies always are);
   /// within that range the conversion is exact in every back-end, so the
   /// widened series is bit-identical across Scalar/AVX2/NEON.

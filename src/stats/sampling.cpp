@@ -79,58 +79,6 @@ std::uint64_t sample_poisson(util::Xoshiro256& rng, double mean) {
 
 namespace batch {
 
-std::uint64_t bernoulli_threshold(double p) noexcept {
-  if (p <= 0.0) return 0;
-  if (p >= 1.0) return std::uint64_t{1} << 53;
-  // Ceil estimate, then fix up: p * 2^53 can round either way, but the
-  // exact boundary is within one ulp of it, so a couple of compares of
-  // exact to_unit values land the true threshold.
-  std::uint64_t t = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
-  while (t > 0 && to_unit(t - 1) >= p) --t;
-  while (t < (std::uint64_t{1} << 53) && to_unit(t) < p) ++t;
-  return t;
-}
-
-void prepare_poisson_rows(std::span<const double> means, std::span<PoissonRow> rows) {
-  MONOHIDS_EXPECT(rows.size() >= means.size(), "prepared rows span too small");
-  double prev_mean = -1.0, prev_limit = 0.0;
-  std::uint64_t prev_threshold = 0;
-  for (std::size_t i = 0; i < means.size(); ++i) {
-    const double mean = means[i];
-    MONOHIDS_EXPECT(mean >= 0.0, "Poisson mean must be non-negative");
-    PoissonRow& row = rows[i];
-    row.mean = mean;
-    if (mean == 0.0 || mean >= 30.0) continue;  // limit/threshold unused
-    if (mean != prev_mean) {
-      prev_mean = mean;
-      prev_limit = std::exp(-mean);
-      prev_threshold = knuth_zero_threshold(prev_limit);
-    }
-    row.limit = prev_limit;
-    row.zero_threshold = prev_threshold;
-  }
-}
-
-void prepare_poisson_rows32(std::span<const double> means, std::span<PoissonRow32> rows) {
-  MONOHIDS_EXPECT(rows.size() >= means.size(), "prepared rows span too small");
-  double prev_mean = -1.0, prev_limit = 0.0;
-  std::uint64_t prev_threshold = 0;
-  for (std::size_t i = 0; i < means.size(); ++i) {
-    const double mean = means[i];
-    MONOHIDS_EXPECT(mean >= 0.0, "Poisson mean must be non-negative");
-    PoissonRow32& row = rows[i];
-    row.mean = mean;
-    if (mean == 0.0 || mean >= kNormalCutoff32) continue;  // limit/threshold unused
-    if (mean != prev_mean) {
-      prev_mean = mean;
-      prev_limit = std::exp(-mean);
-      prev_threshold = knuth_zero_threshold32(prev_limit);
-    }
-    row.limit = prev_limit;
-    row.zero_threshold = prev_threshold;
-  }
-}
-
 namespace {
 
 /// Word-space threshold for one CDF value: t = min(floor(cdf * 2^32),
@@ -201,47 +149,28 @@ BinomialCdf::BinomialCdf(double p) : p_(p) {
   }
 }
 
-void sample_uniform01_batch(util::Xoshiro256& rng, std::span<double> out) {
-  for (double& v : out) v = rng.uniform01();
-}
-
-void sample_exponential_batch(util::Xoshiro256& rng, double rate, std::span<double> out) {
-  MONOHIDS_EXPECT(rate > 0.0, "exponential rate must be positive");
-  for (double& v : out) {
-    double u = rng.uniform01();
-    if (u <= 0.0) u = 0x1.0p-53;
-    v = -std::log(u) / rate;
-  }
-}
-
-namespace {
-
-/// The direct (pow-based) Pareto count the table must reproduce exactly.
-std::uint32_t pareto_count_direct(double u, double inv_shape, std::uint32_t cap) {
-  if (u <= 0.0) u = 0x1.0p-53;
-  const double v = 1.0 / std::pow(u, inv_shape);
-  return static_cast<std::uint32_t>(std::min<double>(v, static_cast<double>(cap)));
-}
-
-}  // namespace
-
-ParetoCountTable::ParetoCountTable(double shape, std::uint32_t cap, unsigned word_bits)
-    : cap_(cap) {
+ParetoCountTable::ParetoCountTable(double shape, std::uint32_t cap) : cap_(cap) {
   MONOHIDS_EXPECT(shape > 0.0, "Pareto shape must be positive");
   MONOHIDS_EXPECT(cap >= 1, "Pareto count cap must be at least 1");
-  MONOHIDS_EXPECT(word_bits >= 16 && word_bits <= 53, "Pareto word grain out of range");
   const double inv_shape = 1.0 / shape;
-  const double unit = std::ldexp(1.0, -static_cast<int>(word_bits));  // 2^-word_bits
-  const std::uint64_t word_count = std::uint64_t{1} << word_bits;
+  // The direct (pow-based) count of word w, which the table must
+  // reproduce exactly.
+  const auto count_at = [&](std::uint64_t w) {
+    double u = static_cast<double>(w) * 0x1.0p-32;
+    if (u <= 0.0) u = 0x1.0p-53;
+    const double v = 1.0 / std::pow(u, inv_shape);
+    return static_cast<std::uint32_t>(std::min<double>(v, static_cast<double>(cap)));
+  };
+  constexpr std::uint64_t kWordCount = std::uint64_t{1} << 32;
   boundary_.resize(cap - 1);
   for (std::uint32_t k = 1; k < cap; ++k) {
-    // Largest m with count >= k + 1; count is non-increasing in m and
+    // Largest w with count >= k + 1; count is non-increasing in w and
     // count(0) = cap (the word 0 is guarded up to 2^-53), so the invariant
     // holds at lo = 0.
-    std::uint64_t lo = 0, hi = word_count - 1;
+    std::uint64_t lo = 0, hi = kWordCount - 1;
     while (lo < hi) {
       const std::uint64_t mid = lo + (hi - lo + 1) / 2;
-      if (pareto_count_direct(static_cast<double>(mid) * unit, inv_shape, cap) >= k + 1) {
+      if (count_at(mid) >= k + 1) {
         lo = mid;
       } else {
         hi = mid - 1;
@@ -250,12 +179,8 @@ ParetoCountTable::ParetoCountTable(double shape, std::uint32_t cap, unsigned wor
     boundary_[k - 1] = lo;
     // The boundary must be exact — both sides of it — or table counts
     // silently diverge from the pow path for rare draws.
-    MONOHIDS_ENSURE(pareto_count_direct(static_cast<double>(lo) * unit, inv_shape, cap) >=
-                        k + 1,
-                    "Pareto boundary below its own count");
-    MONOHIDS_ENSURE(lo + 1 >= word_count ||
-                        pareto_count_direct(static_cast<double>(lo + 1) * unit, inv_shape,
-                                            cap) < k + 1,
+    MONOHIDS_ENSURE(count_at(lo) >= k + 1, "Pareto boundary below its own count");
+    MONOHIDS_ENSURE(lo + 1 >= kWordCount || count_at(lo + 1) < k + 1,
                     "Pareto boundary not tight");
   }
 }

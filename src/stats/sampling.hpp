@@ -3,7 +3,10 @@
 // The population substitute for the paper's proprietary 350-host traces is
 // built from log-normal user-intensity meta-distributions, Pareto session
 // sizes and Zipf destination popularity — the standard models for enterprise
-// traffic tails. All samplers draw from our deterministic Xoshiro256 engine.
+// traffic tails. The per-call samplers below draw from any uniform01()
+// engine (Xoshiro256 for population building and Storm overlays, Philox4x32
+// for episode streams). The batch namespace holds the scenario contract's
+// one-word samplers: each consumes exactly one 32-bit Philox word per draw.
 #pragma once
 
 #include <array>
@@ -11,7 +14,6 @@
 #include <cmath>
 #include <cstdint>
 #include <numbers>
-#include <span>
 #include <vector>
 
 #include "util/error.hpp"
@@ -21,8 +23,7 @@ namespace monohids::stats {
 
 /// Standard normal via Box–Muller (single value; the pair's second half is
 /// discarded for simplicity — generation speed is not the bottleneck).
-/// Templated on the engine: any uniform01() source works (Xoshiro256 for
-/// the v1 streams, Philox4x32 for v2 counter-mode streams), and the
+/// Templated on the engine: any uniform01() source works, and the
 /// arithmetic is identical either way — only the draw grain differs.
 template <typename Engine>
 [[nodiscard]] double sample_standard_normal(Engine& rng) {
@@ -92,136 +93,23 @@ class ZipfSampler {
                                                std::uint64_t hi);
 
 // ---------------------------------------------------------------------------
-// Batch sampling API.
+// One-word samplers of the scenario contract.
 //
 // The trace generator's inner loop issues hundreds of millions of draws per
-// scenario, almost all of them Poisson counts whose mean repeats across long
-// runs of bins (night floors, weekly periodicity). This API splits each
-// sampler into a preparation step (the libm work: exp, threshold
-// derivation — batchable, dedupable, hoistable out of the RNG loop) and a
-// per-draw step that is pure integer/multiply arithmetic.
-//
-// Draw-order contract: every batch::* sampler consumes draws from the
-// engine in EXACTLY the order and count of its per-call counterpart
-// (sample_poisson, uniform01, sample_exponential), so interleaved streams
-// stay bit-identical no matter which side prepared its parameters. The
-// integer thresholds below make the common branches exact: u = (x >> 11) *
-// 2^-53 maps the engine word x to a double, and because m * 2^-53 is exact
-// for any 53-bit m, comparisons of u against a precomputed double reduce to
-// exact integer compares of m against a precomputed threshold.
+// scenario. Every draw here consumes exactly one 32-bit Philox word w, read
+// as u = to_unit32(w) = w * 2^-32 (exact for every w), so a bin's word
+// layout is fixed in advance and its words can be generated in one wide
+// kernel pass. The libm work (exp, threshold rows) is precomputed once;
+// the per-draw step is an integer row scan or a short FP walk.
 
 namespace batch {
 
-/// The double the engine derives from a raw draw word: (x >> 11) * 2^-53.
-/// Exact (the 53-bit mantissa fits), which is what makes the integer
-/// thresholds below bit-faithful.
-[[nodiscard]] inline double to_unit(std::uint64_t m) noexcept {
-  return static_cast<double>(m) * 0x1.0p-53;
-}
-
-/// Smallest m with to_unit(m) > limit, i.e. Knuth inversion returns 0 for
-/// mean -ln(limit) iff the first draw word (>> 11) is below this. limit *
-/// 2^53 is an exact power-of-two scaling, so floor(limit * 2^53) + 1 is
-/// exact — no fixup loop needed.
-[[nodiscard]] inline std::uint64_t knuth_zero_threshold(double limit) noexcept {
-  if (limit >= 1.0) return (std::uint64_t{1} << 53) + 1;
-  if (limit <= 0.0) return 1;  // only m = 0 fails to_unit(m) > 0
-  return static_cast<std::uint64_t>(limit * 0x1.0p53) + 1;
-}
-
-/// Threshold T with (to_unit(m) < p) == (m < T): turns a uniform01
-/// Bernoulli test into one integer compare. Computed with a ceil estimate
-/// plus an exactness fixup (p * 2^53 itself may round).
-[[nodiscard]] std::uint64_t bernoulli_threshold(double p) noexcept;
-
-// -- 32-bit word variants (the v2 counter-mode draw grain) ------------------
-//
-// The v2 scenario contract consumes whole Philox 32-bit words: u =
-// to_unit32(w) = w * 2^-32, exact for every w. The same
-// power-of-two-scaling argument as the 53-bit forms applies, with one
-// simplification: p * 2^32 is itself exact for any double p in (0, 1), so
-// the Bernoulli threshold needs no fixup loop at all. Thresholds are
-// stored as uint64 because the inclusive bounds can be 2^32.
-
-/// The double the v2 contract derives from a raw 32-bit word (exact).
+/// The double the contract derives from a raw 32-bit word (exact).
 [[nodiscard]] inline double to_unit32(std::uint32_t w) noexcept {
   return static_cast<double>(w) * 0x1.0p-32;
 }
 
-/// Smallest T with to_unit32(w) > limit iff w >= T, i.e. Knuth inversion
-/// returns 0 for mean -ln(limit) iff the first word is below T.
-[[nodiscard]] inline std::uint64_t knuth_zero_threshold32(double limit) noexcept {
-  if (limit >= 1.0) return (std::uint64_t{1} << 32) + 1;
-  if (limit <= 0.0) return 1;  // only w = 0 fails to_unit32(w) > 0
-  return static_cast<std::uint64_t>(limit * 0x1.0p32) + 1;
-}
-
-/// Threshold T with (to_unit32(w) < p) == (w < T). Exact by construction:
-/// w * 2^-32 < p iff w < p * 2^32, and both scalings are exact.
-[[nodiscard]] inline std::uint64_t bernoulli_threshold32(double p) noexcept {
-  if (p <= 0.0) return 0;
-  if (p >= 1.0) return std::uint64_t{1} << 32;
-  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p32));
-}
-
-/// Prepared per-mean Poisson parameters. For mean < 30 (Knuth inversion)
-/// `limit` is exp(-mean) and `zero_threshold` its integer form; for the
-/// normal-approximation regime both are unused.
-struct PoissonRow {
-  double mean = 0.0;
-  double limit = 0.0;
-  std::uint64_t zero_threshold = 0;
-};
-
-/// Fills rows[i] from means[i]. Consecutive equal means share one exp()
-/// call — on diurnal rate tables (night floors, weekend plateaus) this
-/// collapses most of the libm cost. Consumes no draws.
-void prepare_poisson_rows(std::span<const double> means, std::span<PoissonRow> rows);
-
-/// Draws one Poisson count from a prepared row. Bit-identical to
-/// sample_poisson(rng, row.mean): same regimes (0 draws for mean 0, Knuth
-/// inversion below 30, Box–Muller normal approximation above), same draw
-/// count, same results. Forced inline: the caller's loop keeps the engine
-/// state in registers only if no call boundary makes its address escape.
-[[gnu::always_inline]] inline std::uint64_t sample_poisson_prepared(
-    util::Xoshiro256& rng, const PoissonRow& row) {
-  if (row.mean == 0.0) return 0;
-  if (row.mean < 30.0) [[likely]] {
-    // Knuth inversion with the zero-count case (the overwhelmingly common
-    // one on diurnal rate tables) decided by a single integer compare.
-    const std::uint64_t m1 = rng() >> 11;
-    if (m1 < row.zero_threshold) return 0;
-    double product = to_unit(m1);
-    std::uint64_t k = 0;
-    do {
-      product *= rng.uniform01();
-      ++k;
-    } while (product > row.limit);
-    return k;
-  }
-  // Normal approximation, inlined so the engine's address never escapes
-  // (an out-of-line call here forces the RNG state to memory in the hot
-  // caller). Mirrors sample_standard_normal + the sample_poisson epilogue.
-  double u1 = rng.uniform01();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  const double u2 = rng.uniform01();
-  const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
-  const double v = row.mean + std::sqrt(row.mean) * z + 0.5;
-  return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v);
-}
-
-/// Prepared per-mean Poisson parameters in the v2 32-bit draw grain.
-/// Same shape as PoissonRow; the zero threshold lives in the 2^32 word
-/// space instead of 2^53 and the normal-approximation regime starts at
-/// kNormalCutoff32 instead of 30.
-struct PoissonRow32 {
-  double mean = 0.0;
-  double limit = 0.0;
-  std::uint64_t zero_threshold = 0;
-};
-
-/// The v2 contract's normal-approximation cutoff. The 53-bit contract
-/// switches at mean 30; the v2 grain switches at 12, where a single
+/// The contract's normal-approximation cutoff: mean 12, where a single
 /// inverse-CDF normal word already beats a mean-length inversion chain
 /// (the chain is a serial FP dependency, ~mean x 5 cycles) and the
 /// approximation error is still below the model's own fidelity (the paper
@@ -427,72 +315,19 @@ class BinomialCdf {
   std::vector<std::uint32_t> rows_;  // n-major threshold rows
 };
 
-/// Fills rows[i] from means[i]; consecutive equal means share one exp()
-/// call, consumes no draws (the 32-bit analog of prepare_poisson_rows,
-/// with the kNormalCutoff32 regime split).
-void prepare_poisson_rows32(std::span<const double> means, std::span<PoissonRow32> rows);
-
-/// The v2 normal-approximation Poisson draw: two words, Box–Muller, the
-/// 32-bit analog of sample_poisson_prepared's large-mean branch. Exposed
-/// on its own because the v2 renderer also applies it to merged
-/// Poisson-sum draws whose mean clears kNormalCutoff32.
-template <typename Engine>
-[[gnu::always_inline]] inline std::uint64_t sample_poisson_normal32(Engine& rng, double mean) {
-  double u1 = rng.uniform01();
-  if (u1 <= 0.0) u1 = 0x1.0p-32;
-  const double u2 = rng.uniform01();
-  const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
-  const double v = mean + std::sqrt(mean) * z + 0.5;
-  return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v);
-}
-
-/// Draws one Poisson count from a prepared row out of a 32-bit word source
-/// (util::Philox4x32 or the trace generator's scratch-buffer cursor —
-/// anything with a uint32 operator() and a matching uniform01()). Defines
-/// the v2 contract's Poisson draw: Knuth inversion below kNormalCutoff32
-/// (one word per chain step), sample_poisson_normal32 above.
-template <typename Engine>
-[[gnu::always_inline]] inline std::uint64_t sample_poisson_prepared32(
-    Engine& rng, const PoissonRow32& row) {
-  if (row.mean == 0.0) return 0;
-  if (row.mean < kNormalCutoff32) [[likely]] {
-    const std::uint32_t w1 = rng();
-    if (w1 < row.zero_threshold) return 0;
-    double product = to_unit32(w1);
-    std::uint64_t k = 0;
-    do {
-      product *= rng.uniform01();
-      ++k;
-    } while (product > row.limit);
-    return k;
-  }
-  return sample_poisson_normal32(rng, row.mean);
-}
-
-/// out[i] = rng.uniform01(), in order — the batched form of the arrival
-/// draws (one per session) in the packet walk.
-void sample_uniform01_batch(util::Xoshiro256& rng, std::span<double> out);
-
-/// out[i] = sample_exponential(rng, rate), in order.
-void sample_exponential_batch(util::Xoshiro256& rng, double rate, std::span<double> out);
-
 /// Exact integer-threshold table for a capped, floored Pareto count:
-/// count(u) = min(floor(1 / u^(1/shape)), cap) with u guarded to 2^-53 —
-/// the apps.cpp pareto_count draw. boundary[k-1] holds the largest draw
-/// word m with count(to_unit(m)) >= k + 1, so a count is recovered from a
-/// raw word with integer compares only (no pow). Boundaries are found once
-/// by binary search over the 2^word_bits word space and verified exact.
-///
-/// word_bits selects the draw grain the table serves: 53 for v1 engine
-/// words (m = engine() >> 11, u = m * 2^-53), 32 for v2 Philox words (u =
-/// w * 2^-32). The u <= 0 guard stays at 2^-53 in both grains, so word 0
-/// maps to the cap either way.
+/// count(u) = min(floor(1 / u^(1/shape)), cap) with u = to_unit32(w) and
+/// u <= 0 guarded to 2^-53 (so word 0 maps to the cap). boundary[k-1] holds
+/// the largest word w with count(to_unit32(w)) >= k + 1, so a count is
+/// recovered from a raw word with integer compares only (no pow).
+/// Boundaries are found once by binary search over the 2^32 word space and
+/// verified exact.
 class ParetoCountTable {
  public:
-  ParetoCountTable(double shape, std::uint32_t cap, unsigned word_bits = 53);
+  ParetoCountTable(double shape, std::uint32_t cap);
 
-  /// Count for draw word m (= engine() >> 11). Descending boundary scan;
-  /// expected ~1-2 probes for shape > 1.5.
+  /// Count for draw word w. Descending boundary scan; expected ~1-2 probes
+  /// for shape > 1.5.
   [[nodiscard]] std::uint32_t count(std::uint64_t m) const noexcept {
     std::uint32_t k = 1;
     while (k < cap_ && m <= boundary_[k - 1]) ++k;

@@ -2,20 +2,20 @@
 //
 // Each end-host behavior is a mix of six application types. A "session" is
 // one user-visible action (loading a page, a mail poll, a P2P exchange...).
-// Every session type can render itself two ways, guaranteed consistent:
-//   - footprint(): the increments it contributes to the six study features
-//     (used by the fast bin-level generator), and
-//   - emit_packets(): an actual packet exchange whose flow-table/extractor
-//     output matches that footprint (used by the full packet-level path and
-//     validated by integration tests).
+// A session's SessionFootprint is the increments it contributes to the five
+// counted study features; emit_session_packets renders an actual packet
+// exchange whose flow-table/extractor output matches that footprint exactly
+// (tests/trace/test_apps.cpp). The footprints themselves are split per bin
+// from the scenario contract's draws (trace/v2_packets.cpp).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "net/packet.hpp"
-#include "util/rng.hpp"
+#include "util/sim_time.hpp"
 
 namespace monohids::trace {
 
@@ -41,21 +41,16 @@ inline constexpr std::array<AppKind, kAppCount> kAllApps = {
 
 [[nodiscard]] std::string_view name_of(AppKind a) noexcept;
 
-/// Feature increments contributed by one session. `distinct_draws` is the
-/// number of destination-pool draws the session makes; the generator turns
-/// draws into expected distinct destinations via the user's pool size.
+/// Increments one session contributes to the five counted features. (The
+/// distinct-destination feature is an expectation the feature renderer
+/// computes per bin from the bin's destination-draw total.)
 struct SessionFootprint {
   std::uint32_t tcp_connections = 0;
   std::uint32_t udp_connections = 0;
   std::uint32_t dns_connections = 0;
   std::uint32_t http_connections = 0;
   std::uint32_t syn_packets = 0;
-  std::uint32_t distinct_draws = 0;
 };
-
-/// Samples the random shape of one session of `kind` (page size, peer count,
-/// ...). Deterministic given the RNG state.
-[[nodiscard]] SessionFootprint sample_footprint(AppKind kind, util::Xoshiro256& rng);
 
 /// Destination address pools for the packet path. The generator owns one per
 /// user; sessions draw servers/peers out of it (Zipf-weighted inside the
@@ -67,20 +62,18 @@ struct DestinationPools {
   std::vector<net::Ipv4Address> peer_pool;     ///< P2P peers / misc hosts
 };
 
-/// Emits the packet exchange of one session with the given sampled
-/// footprint, starting at `start`. Packets are appended (unsorted across
-/// sessions; the generator sorts the final trace). `src` is the monitored
-/// host. Every packet lies at or after `start`.
-///
-/// `Engine` supplies the session's draws: destinations, gaps and
-/// ephemeral source ports. A util::Xoshiro256 (the v1 contract) draws all
-/// of them from the stream. An engine with `uniform_int(lo, hi)` and
-/// `ephemeral_port(protocol)` members supplies those itself (the v2 packet
-/// channel, trace/v2_contract.hpp). Instantiated for those two engines.
-template <typename Engine>
+namespace detail {
+class V2PacketDraws;
+}  // namespace detail
+
+/// Emits the packet exchange of one session with the given footprint,
+/// starting at `start`. Packets are appended (unsorted across sessions; the
+/// generator sorts the final trace). `src` is the monitored host. Every
+/// packet lies at or after `start`. `draws` is the bin's packet channel: it
+/// supplies destinations, gaps and ephemeral source ports.
 void emit_session_packets(AppKind kind, const SessionFootprint& footprint,
                           util::Timestamp start, net::Ipv4Address src,
-                          const DestinationPools& pools, Engine& rng,
+                          const DestinationPools& pools, detail::V2PacketDraws& draws,
                           std::vector<net::PacketRecord>& out);
 
 }  // namespace monohids::trace

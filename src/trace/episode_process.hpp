@@ -1,13 +1,12 @@
-// Burst-episode state machine shared by every render path.
+// Burst-episode state machine of the scenario contract.
 //
 // Episodes are rare bursty periods (a crawl, a large sync) during which all
 // of a user's session rates are multiplied by a sampled factor. The process
-// is stepped bin by bin with identical draws in every render path (bin-level
-// batched, packet walk, and the seed bin loop kept as a test oracle), so all
-// paths share their bursts draw for draw.
+// is stepped bin by bin from bin 0 on one serial Philox4x32 stream (key
+// derive_seed(user.seed, "v2/episodes", 0), stream 0), so every tile of the
+// feature renderer and every packet window sees the same bursts.
 //
-// Pinned semantics (tests/trace/test_episode_process.cpp holds these fixed
-// so the batched rate-table path can reproduce them exactly):
+// Pinned semantics (tests/trace/test_episode_process.cpp holds these fixed):
 //
 //   - Expiry is half-open [start, end): a bin starting exactly at the
 //     episode's end timestamp is NOT boosted — the multiplier resets to 1
@@ -33,14 +32,10 @@
 
 namespace monohids::trace {
 
-/// Templated on the engine: v1 paths step a Xoshiro256 stream, the v2
-/// counter-mode contract steps a Philox4x32 stream (seeded with the
-/// episode key, stream 0). The draw semantics above are engine-agnostic —
-/// only the draw grain differs.
-template <typename Engine = util::Xoshiro256>
-class BasicEpisodeProcess {
+class EpisodeProcess {
  public:
-  BasicEpisodeProcess(const UserProfile& user, double log_mu, std::uint64_t seed)
+  /// `seed` keys the Philox stream (stream 0).
+  EpisodeProcess(const UserProfile& user, double log_mu, std::uint64_t seed)
       : user_(&user), log_mu_(log_mu), rng_(seed) {}
 
   /// Multiplier in effect for the bin starting at `bin_start`.
@@ -68,12 +63,9 @@ class BasicEpisodeProcess {
  private:
   const UserProfile* user_;
   double log_mu_;
-  Engine rng_;
+  util::Philox4x32 rng_;
   double multiplier_ = 1.0;
   util::Timestamp episode_end_ = 0;
 };
-
-/// The v1 process (Xoshiro engine), under its historical name.
-using EpisodeProcess = BasicEpisodeProcess<>;
 
 }  // namespace monohids::trace

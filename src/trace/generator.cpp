@@ -1,12 +1,10 @@
 #include "trace/generator.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "obs/metrics.hpp"
 #include "stats/sampling.hpp"
-#include "trace/episode_process.hpp"
 #include "trace/v2_contract.hpp"
 #include "util/error.hpp"
 
@@ -43,11 +41,6 @@ DestinationPools TraceGenerator::make_pools(const UserProfile& user) const {
   return pools;
 }
 
-features::FeatureMatrix TraceGenerator::generate_features(const UserProfile& user) const {
-  if (config_.scenario_version == ScenarioVersion::V2) return generate_features_v2(user);
-  return generate_features_batched(user);
-}
-
 template <typename BinStart>
 void TraceGenerator::walk_packets(const UserProfile& user, Timestamp begin, Timestamp end,
                                   std::vector<net::PacketRecord>& pending,
@@ -60,65 +53,12 @@ void TraceGenerator::walk_packets(const UserProfile& user, Timestamp begin, Time
   const std::uint64_t first_bin = grid.bin_of(begin);
   const std::uint64_t last_bin = grid.bin_of(end - 1);
 
-  if (config_.scenario_version == ScenarioVersion::V2) {
-    // Counter-mode: every packet of a bin's sessions lies inside the bin,
-    // so the window renders its own bins and nothing else.
-    detail::V2PacketRenderer renderer(config_, user, pools, first_bin, last_bin + 1);
-    for (std::uint64_t b = first_bin; b <= last_bin; ++b) {
-      on_rendered_bin(grid.bin_start(b));
-      renderer.render_bin(b, pending);
-    }
-    return;
-  }
-
-  // V1: the same bin-walk as generate_features, with identical draws from the
-  // "bins" stream — so session counts and footprints match the bin-level
-  // trace exactly. Arrival offsets come from a dedicated stream (always
-  // consumed, so any [begin,end) window sees the same sessions at the same
-  // times); per-packet details (ephemeral ports, jitter) come from a packet
-  // stream and may differ between windows.
-  util::Xoshiro256 rng(util::derive_seed(user.seed, "bins", 0));
-  util::Xoshiro256 arrival_rng(util::derive_seed(user.seed, "arrivals", 0));
-  util::Xoshiro256 packet_rng(util::derive_seed(user.seed, "packets", 0));
-  EpisodeProcess episodes(user, config_.episode_log_mu,
-                          util::derive_seed(user.seed, "episodes", 0));
-
-  const double bin_hours =
-      static_cast<double>(grid.width()) / static_cast<double>(util::kMicrosPerHour);
-
-  // Advance the shared RNG streams deterministically through skipped bins so
-  // a [begin,end) window reproduces the exact traffic of the full trace.
-  for (std::uint64_t b = 0; b <= last_bin; ++b) {
-    const Timestamp start = grid.bin_start(b);
-    const Timestamp mid = start + grid.width() / 2;
-    const double act = activity_at(user.diurnal, mid);
-    const double boost = episodes.step(start, bin_hours, act);
-    const std::uint32_t week = util::week_of(mid);
-    const bool render = b >= first_bin;
-    // Every packet emitted from bin b onward has timestamp >= start, so
-    // pending packets before `start` are final (the streaming watermark).
-    if (render) on_rendered_bin(start);
-
-    for (AppKind app : kAllApps) {
-      const double lambda =
-          user.rate_of(app) * act * boost * user.drift(week, app) * bin_hours;
-      const std::uint64_t sessions = stats::sample_poisson(rng, lambda);
-      for (std::uint64_t s = 0; s < sessions; ++s) {
-        SessionFootprint f = sample_footprint(app, rng);
-        const Timestamp at =
-            start + static_cast<util::Duration>(arrival_rng.uniform01() *
-                                                static_cast<double>(grid.width() - 1));
-        if (!render) continue;
-        // Resolver cache, matching the bin-level path statistically.
-        std::uint32_t kept_dns = 0;
-        for (std::uint32_t d = 0; d < f.dns_connections; ++d) {
-          if (packet_rng.uniform01() >= user.dns_cache_hit) ++kept_dns;
-        }
-        f.udp_connections -= (f.dns_connections - kept_dns);
-        f.dns_connections = kept_dns;
-        emit_session_packets(app, f, at, user.address, pools, packet_rng, pending);
-      }
-    }
+  // Every packet of a bin's sessions lies inside the bin, so the window
+  // renders its own bins and nothing else.
+  detail::V2PacketRenderer renderer(config_, user, pools, first_bin, last_bin + 1);
+  for (std::uint64_t b = first_bin; b <= last_bin; ++b) {
+    on_rendered_bin(grid.bin_start(b));
+    renderer.render_bin(b, pending);
   }
 }
 

@@ -1,20 +1,24 @@
 // Trace generation: turns a UserProfile into traffic.
 //
-// Two render paths, driven by the same stochastic session model:
+// One draw contract (counter-mode, API_TOUR §16) and two renderers over it:
 //
-//   - generate_packets(): materializes actual PacketRecords (windump-style)
-//     for a time range. Full fidelity; cost scales with traffic volume, so
-//     it is used for tests, examples, the daemon and pcap export.
-//   - generate_features(): renders per-bin feature counts directly from
-//     the same session draws, skipping packet materialization. This is the
-//     path the 350-user, multi-week statistical experiments run on (the
-//     paper's analysis is entirely bin-level, so nothing is lost). Under
-//     the default V2 contract, extract_features over the packets equals it
-//     exactly in every bin on the five connection/SYN counts; the
-//     distinct-destination count agrees statistically.
+//   - generate_features(): per-bin feature counts, without materializing
+//     packets. This is the path the 350-user, multi-week statistical
+//     experiments run on (the paper's analysis is entirely bin-level, so
+//     nothing is lost).
+//   - generate_packets(): actual PacketRecords (windump-style) for a time
+//     range, for tests, examples, the daemon and pcap export. Built from
+//     the same draws, so extract_features over the packets equals
+//     generate_features exactly in every bin on the five connection/SYN
+//     counts; the distinct-destination count agrees statistically.
 //
-// Both paths are deterministic functions of (profile, config) — they derive
-// all randomness from the user's seed.
+// Every (user, bin) cell owns an independent random-access Philox4x32
+// stream (key derive_seed(user.seed, "v2/bins", 0), stream = bin index);
+// episode boosts come from a serial Philox stream keyed "v2/episodes".
+// Bins render independently, so any tile partition, thread count, shard
+// size or kernel back-end yields the identical matrix, and a packet window
+// costs only its own bins. Both paths are deterministic functions of
+// (profile, config).
 #pragma once
 
 #include <vector>
@@ -25,22 +29,6 @@
 #include "trace/user_profile.hpp"
 
 namespace monohids::trace {
-
-/// Scenario draw contract.
-///
-/// V1 (the seed contract): every user draws from two serial Xoshiro256
-/// streams ("bins", "episodes"); each bin's draws depend on every earlier
-/// bin's. Preserved bit-for-bit — seeds quoted in EXPERIMENTS.md keep
-/// producing the exact matrices they always did.
-///
-/// V2 (counter-mode, the default): every (user, bin) cell owns an
-/// independent random-access Philox4x32 stream (key derive_seed(user.seed,
-/// "v2/bins", 0), stream = bin index), with episode boosts from a serial
-/// Philox stream keyed "v2/episodes". Bins render independently and in
-/// SIMD-width word blocks, so any tile partition, thread count, shard size
-/// or kernel back-end yields the identical matrix, and a packet window
-/// costs its own bins.
-enum class ScenarioVersion : std::uint8_t { V1 = 1, V2 = 2 };
 
 struct GeneratorConfig {
   util::BinGrid grid = util::BinGrid::minutes(15);
@@ -53,17 +41,6 @@ struct GeneratorConfig {
   /// bin-level path (destination picks are popularity-weighted, so the
   /// effective pool is smaller than the nominal one).
   double distinct_pool_factor = 0.6;
-
-  /// Draw contract for both render paths. Set V1 (config key
-  /// `scenario_version = 1`) to rebuild artifacts recorded under the serial
-  /// contract.
-  ScenarioVersion scenario_version = ScenarioVersion::V2;
-
-  /// V2 only: bins per render tile inside generate_features (0 = the whole
-  /// horizon as one tile). Pure partition knob — the output is tile-size
-  /// invariant by the V2 contract; fleet mode uses it to interleave cheap
-  /// (user, tile) work items.
-  std::uint32_t v2_bin_tile = 0;
 
   /// Rendered horizon, rounded UP to a whole number of bins. The feature
   /// path always renders bin_count(horizon) full bins; before this was
@@ -85,19 +62,15 @@ class TraceGenerator {
 
   [[nodiscard]] const GeneratorConfig& config() const noexcept { return config_; }
 
-  /// Fast path: the user's six binned feature series over the full horizon.
-  /// Under ScenarioVersion::V1, runs the batched pipeline (precomputed rate
-  /// tables, prepared Poisson rows, SoA staging), bit-identical draw for
-  /// draw to the seed per-(bin, app) loop kept as a test oracle in
-  /// tests/oracle. Under V2, renders the counter-mode contract tile by tile
-  /// (v2_bin_tile).
+  /// The user's six binned feature series over the full horizon: one
+  /// render_features_v2_tile call covering every bin.
   [[nodiscard]] features::FeatureMatrix generate_features(const UserProfile& user) const;
 
-  /// V2 only: renders bins [tile_begin, tile_end) of the counter-mode
-  /// contract into `matrix` (which must span the full horizon). Tiles of
-  /// one user may be rendered in any order, interleaved with other users,
-  /// on any thread — each touches only its own bins and the result is
-  /// partition-invariant. Defined in batched_generator.cpp.
+  /// Renders bins [tile_begin, tile_end) into `matrix` (which must span the
+  /// full horizon). Tiles of one user may be rendered in any order,
+  /// interleaved with other users, on any thread — each touches only its
+  /// own bins and the result is partition-invariant. Defined in
+  /// v2_features.cpp.
   void render_features_v2_tile(const UserProfile& user, std::uint64_t tile_begin,
                                std::uint64_t tile_end,
                                features::FeatureMatrix& matrix) const;
@@ -106,8 +79,8 @@ class TraceGenerator {
   /// within the horizon, begin < end. Ordering is the total order of
   /// PacketRecord (timestamp, then tuple/flags/payload), so equal-timestamp
   /// ties are deterministic and match the streamed path exactly. A window
-  /// holds exactly the full trace's packets inside it: under V2 it renders
-  /// only its own bins, under V1 it replays the serial streams from bin 0.
+  /// holds exactly the full trace's packets inside it and renders only its
+  /// own bins.
   [[nodiscard]] std::vector<net::PacketRecord> generate_packets(const UserProfile& user,
                                                                 util::Timestamp begin,
                                                                 util::Timestamp end) const;
@@ -129,19 +102,10 @@ class TraceGenerator {
   [[nodiscard]] DestinationPools make_pools(const UserProfile& user) const;
 
  private:
-  /// Batched implementation of generate_features; defined in
-  /// batched_generator.cpp.
-  [[nodiscard]] features::FeatureMatrix generate_features_batched(
-      const UserProfile& user) const;
-
-  /// V2 counter-mode implementation of generate_features: the tile loop
-  /// over render_features_v2_tile. Defined in batched_generator.cpp.
-  [[nodiscard]] features::FeatureMatrix generate_features_v2(const UserProfile& user) const;
-
   /// Shared bin-walk behind both packet paths: appends rendered session
   /// packets to `pending` and invokes `on_rendered_bin(bin_start)` before
   /// each rendered bin (the streaming watermark). Defined in generator.cpp;
-  /// V2 bins render through detail::V2PacketRenderer (v2_packets.cpp).
+  /// bins render through detail::V2PacketRenderer (v2_packets.cpp).
   template <typename BinStart>
   void walk_packets(const UserProfile& user, util::Timestamp begin, util::Timestamp end,
                     std::vector<net::PacketRecord>& pending, BinStart&& on_rendered_bin) const;

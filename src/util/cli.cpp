@@ -21,16 +21,6 @@ CliFlags& CliFlags::add_int(std::string name, std::int64_t default_value, std::s
   return *this;
 }
 
-CliFlags& CliFlags::set_default_int(std::string_view name, std::int64_t default_value) {
-  const auto it = flags_.find(name);
-  MONOHIDS_EXPECT(it != flags_.end(), "flag was never registered: " + std::string(name));
-  MONOHIDS_EXPECT(it->second.kind == Kind::Int,
-                  "flag accessed with wrong type: " + std::string(name));
-  it->second.int_value = default_value;
-  it->second.default_text = std::to_string(default_value);
-  return *this;
-}
-
 CliFlags& CliFlags::add_double(std::string name, double default_value, std::string help) {
   std::ostringstream os;
   os << default_value;

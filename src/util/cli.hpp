@@ -27,12 +27,6 @@ class CliFlags {
   CliFlags& add_string(std::string name, std::string default_value, std::string help);
   CliFlags& add_bool(std::string name, bool default_value, std::string help);
 
-  /// Overrides a registered int flag's default (value and --help text).
-  /// For binaries that share a standard flag set but disagree on one
-  /// default (e.g. fleet tools defaulting --scenario-version to 2). Must be
-  /// called before parse().
-  CliFlags& set_default_int(std::string_view name, std::int64_t default_value);
-
   /// Parses argv. Returns false if --help was requested (usage already
   /// printed to stdout); callers should then exit 0.
   [[nodiscard]] bool parse(int argc, const char* const* argv);

@@ -3,12 +3,15 @@
 // same training window — nearest-rank quantiles over whole week slices for
 // WeeklyRollover, the sliding-window quantile for Rolling mode. Also pins
 // the warm-up contract (week 0 never alarms) and the strict value>threshold
-// alarm predicate.
+// alarm predicate, and checks the streaming estimators (GK, P2) in rank
+// space.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "hids/daemon.hpp"
@@ -31,22 +34,11 @@ const trace::UserProfile& fixture_user() {
   return users[5];
 }
 
-std::vector<net::PacketRecord> render_fixture(trace::ScenarioVersion version) {
-  trace::GeneratorConfig config;
-  config.scenario_version = version;
-  const trace::TraceGenerator generator{config};
-  return generator.generate_packets(fixture_user(), 0, kWeeks * util::kMicrosPerWeek);
-}
-
 const std::vector<net::PacketRecord>& fixture_packets() {
-  static const auto packets = render_fixture(trace::GeneratorConfig{}.scenario_version);
-  return packets;
-}
-
-/// The fixture under the v1 contract, which the P2/GK value envelope below
-/// was calibrated on.
-const std::vector<net::PacketRecord>& v1_fixture_packets() {
-  static const auto packets = render_fixture(trace::ScenarioVersion::V1);
+  static const auto packets = [] {
+    const trace::TraceGenerator generator{trace::GeneratorConfig{}};
+    return generator.generate_packets(fixture_user(), 0, kWeeks * util::kMicrosPerWeek);
+  }();
   return packets;
 }
 
@@ -59,8 +51,8 @@ DaemonConfig fixture_config() {
   return config;
 }
 
-DaemonResult run(const DaemonConfig& config,
-                 const std::vector<net::PacketRecord>& packets = fixture_packets()) {
+DaemonResult run(const DaemonConfig& config) {
+  const std::vector<net::PacketRecord>& packets = fixture_packets();
   Daemon daemon(config);
   constexpr std::size_t kBatch = 8192;
   for (std::size_t off = 0; off < packets.size(); off += kBatch) {
@@ -144,38 +136,25 @@ TEST(DaemonRollover, RollingThresholdAfterNWeeksMatchesTheBatchWindow) {
   }
 }
 
-TEST(DaemonRollover, StreamingEstimatorsStayCloseToExact) {
-  // P2 and GK replace the exact buffer for memory-bounded deployments; they
-  // are approximations, so this is a sanity envelope, not bit-identity. A
-  // value envelope depends on how far apart a week's top bins lie, so it
-  // is pinned to the v1 stream it was set on; GkThresholdsKeepTheirRank-
-  // Guarantee checks GK's actual bound on the default contract.
-  const DaemonConfig exact = fixture_config();
-  const DaemonResult exact_result = run(exact, v1_fixture_packets());
-
-  for (const EstimatorKind kind : {EstimatorKind::P2, EstimatorKind::Gk}) {
-    SCOPED_TRACE(name_of(kind));
-    DaemonConfig config = fixture_config();
-    config.estimator = kind;
-    const DaemonResult result = run(config, v1_fixture_packets());
-    ASSERT_EQ(result.rollovers.size(), exact_result.rollovers.size());
-    for (std::size_t w = 0; w < result.rollovers.size(); ++w) {
-      for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
-        const double approx = result.rollovers[w].thresholds[i];
-        const double truth = exact_result.rollovers[w].thresholds[i];
-        EXPECT_TRUE(std::isfinite(approx));
-        EXPECT_NEAR(approx, truth, std::max(5.0, 0.25 * std::abs(truth)))
-            << "week " << result.rollovers[w].week;
-      }
-    }
-  }
+/// How far `value` sits from the nearest-rank `percentile` of `slice`, in
+/// ranks: the value occupies ranks (#below, #below + #equal], and the error
+/// is the distance from the target rank ceil(percentile * n) to that span
+/// (0 when the span covers it).
+double rank_error(std::span<const double> slice, double value, double percentile) {
+  const double target = std::ceil(percentile * static_cast<double>(slice.size()));
+  const auto below = static_cast<double>(
+      std::count_if(slice.begin(), slice.end(), [&](double x) { return x < value; }));
+  const auto at_most = static_cast<double>(
+      std::count_if(slice.begin(), slice.end(), [&](double x) { return x <= value; }));
+  return std::max({0.0, target - at_most, below + 1 - target});
 }
 
-TEST(DaemonRollover, GkThresholdsKeepTheirRankGuarantee) {
-  // Each weekly GK threshold must sit within eps * n ranks of the exact
-  // nearest-rank p99 of the training week (GkSketch's guarantee).
+/// Runs the fixture with `kind` and calls check(rank_error, n, what) for
+/// every weekly threshold against its training week.
+template <typename Check>
+void for_each_rank_error(EstimatorKind kind, Check&& check) {
   DaemonConfig config = fixture_config();
-  config.estimator = EstimatorKind::Gk;
+  config.estimator = kind;
   const DaemonResult result = run(config);
   const auto batch =
       features::extract_features(config.monitored, fixture_packets(), config.pipeline);
@@ -184,22 +163,37 @@ TEST(DaemonRollover, GkThresholdsKeepTheirRankGuarantee) {
     for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
       const auto slice =
           batch.matrix.of(features::kAllFeatures[i]).week_slice(update.week - 1);
-      const double n = static_cast<double>(slice.size());
-      const double target = std::ceil(config.percentile * n);
-      const double value = update.thresholds[i];
-      // The value occupies ranks (#below, #below + #equal]; some rank in
-      // that span must lie within the guarantee band around the target.
-      const auto below = static_cast<double>(
-          std::count_if(slice.begin(), slice.end(), [&](double x) { return x < value; }));
-      const auto at_most = static_cast<double>(
-          std::count_if(slice.begin(), slice.end(), [&](double x) { return x <= value; }));
-      const double slack = config.gk_epsilon * n;
-      EXPECT_GE(at_most, target - slack)
-          << "week " << update.week << " " << features::name_of(features::kAllFeatures[i]);
-      EXPECT_LE(below + 1, target + slack)
-          << "week " << update.week << " " << features::name_of(features::kAllFeatures[i]);
+      ASSERT_TRUE(std::isfinite(update.thresholds[i]));
+      check(rank_error(slice, update.thresholds[i], config.percentile),
+            static_cast<double>(slice.size()),
+            "week " + std::to_string(update.week) + " " +
+                std::string(features::name_of(features::kAllFeatures[i])));
     }
   }
+}
+
+TEST(DaemonRollover, GkThresholdsKeepTheirRankGuarantee) {
+  // Each weekly GK threshold must sit within eps * n ranks of the exact
+  // nearest-rank p99 of the training week (GkSketch's guarantee).
+  const double eps = fixture_config().gk_epsilon;
+  for_each_rank_error(EstimatorKind::Gk, [&](double error, double n, const std::string& what) {
+    EXPECT_LE(error, eps * n) << what;
+  });
+}
+
+TEST(DaemonRollover, P2ThresholdsStayInTheirRankBand) {
+  // P2 has no worst-case guarantee: its markers track their desired ranks
+  // to within one position, but the estimate is an interpolated marker
+  // height, not an order statistic. The band is therefore operational:
+  // 2 * (1 - p) * n ranks of the nearest-rank p99 keeps the threshold in
+  // the training week's top 3(1 - p) of bins, so a P2 learner spends at
+  // most three times the false-alarm budget the percentile promises. It is
+  // checked in rank space, where it does not depend on how far apart a
+  // week's top bins lie. (Measured worst on this fixture: 7 of 672 ranks.)
+  const double p = fixture_config().percentile;
+  for_each_rank_error(EstimatorKind::P2, [&](double error, double n, const std::string& what) {
+    EXPECT_LE(error, 2.0 * (1.0 - p) * n) << what;
+  });
 }
 
 }  // namespace

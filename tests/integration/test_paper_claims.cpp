@@ -2,10 +2,6 @@
 // paper's population size (350 users, 15-minute bins, multi-week traces).
 // These are the acceptance tests of the reproduction — if one fails, a
 // figure or table no longer reproduces.
-//
-// Every claim runs under both scenario contracts until v1 is deleted: the
-// shipped v2 default (suites Figure1, Table3, ...) and v1 (suites
-// Figure1V1, Table3V1, ...).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,30 +14,10 @@ namespace {
 
 using features::FeatureKind;
 
-using trace::ScenarioVersion;
-
-Scenario build_paper_scenario(ScenarioVersion version) {
-  ScenarioConfig config;  // defaults: 350 users, 5 weeks, seed 42
-  config.generator.scenario_version = version;
-  return build_scenario(config);
+const Scenario& paper_scenario() {
+  static const Scenario scenario = build_scenario(ScenarioConfig{});  // 350 users, 5 weeks, seed 42
+  return scenario;
 }
-
-const Scenario& paper_scenario(ScenarioVersion version) {
-  if (version == ScenarioVersion::V1) {
-    static const Scenario v1 = build_paper_scenario(ScenarioVersion::V1);
-    return v1;
-  }
-  static const Scenario v2 = build_paper_scenario(ScenarioVersion::V2);
-  return v2;
-}
-
-// Defines the claim body once and registers it as Suite.Name (v2) and
-// SuiteV1.Name (v1).
-#define PAPER_CLAIM(Suite, Name)                                                    \
-  void Suite##_##Name(const Scenario& scenario);                                   \
-  TEST(Suite, Name) { Suite##_##Name(paper_scenario(ScenarioVersion::V2)); }       \
-  TEST(Suite##V1, Name) { Suite##_##Name(paper_scenario(ScenarioVersion::V1)); }   \
-  void Suite##_##Name(const Scenario& scenario)
 
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -49,7 +25,8 @@ double median(std::vector<double> v) {
 }
 
 // ---------------------------------------------------------------- Figure 1
-PAPER_CLAIM(Figure1, TailThresholdsSpanDecades) {
+TEST(Figure1, TailThresholdsSpanDecades) {
+  const Scenario& scenario = paper_scenario();
   // "the range of diversity varies by 3 to 4 orders of magnitude for 5 of
   // the 6 features ... number of DNS connections varies only across two"
   double min_spread = 99.0, max_spread = 0.0;
@@ -65,7 +42,8 @@ PAPER_CLAIM(Figure1, TailThresholdsSpanDecades) {
   EXPECT_NEAR(dns.spread_decades, min_spread, 0.7);
 }
 
-PAPER_CLAIM(Figure1, HeavyUserKneeExists) {
+TEST(Figure1, HeavyUserKneeExists) {
+  const Scenario& scenario = paper_scenario();
   // Roughly the top 10-15% of users are "very heavy with respect to all
   // others": the p85 -> max ratio dwarfs the p50 -> p85 ratio.
   const auto result = tail_diversity(scenario, FeatureKind::TcpConnections, 0);
@@ -77,7 +55,8 @@ PAPER_CLAIM(Figure1, HeavyUserKneeExists) {
 }
 
 // ---------------------------------------------------------------- Figure 2
-PAPER_CLAIM(Figure2, CrossFeatureRolesExist) {
+TEST(Figure2, CrossFeatureRolesExist) {
+  const Scenario& scenario = paper_scenario();
   // "users at the extreme lower right ... 'light' in UDP but 'heavy' in TCP"
   const auto scatter = feature_scatter(scenario, FeatureKind::TcpConnections,
                                        FeatureKind::UdpConnections, 0);
@@ -97,7 +76,8 @@ PAPER_CLAIM(Figure2, CrossFeatureRolesExist) {
 }
 
 // ----------------------------------------------------------------- Table 2
-PAPER_CLAIM(Table2, BestUsersBarelyOverlapAcrossFeatures) {
+TEST(Table2, BestUsersBarelyOverlapAcrossFeatures) {
+  const Scenario& scenario = paper_scenario();
   const auto tcp = best_users_experiment(scenario, FeatureKind::TcpConnections, 0);
   const auto udp = best_users_experiment(scenario, FeatureKind::UdpConnections, 0);
   // Paper: 2 common users under full diversity, 4 under partial diversity.
@@ -106,7 +86,8 @@ PAPER_CLAIM(Table2, BestUsersBarelyOverlapAcrossFeatures) {
 }
 
 // ------------------------------------------------------------- Figure 3(a)
-PAPER_CLAIM(Figure3a, DiversityUtilityBeatsMonocultureForMostUsers) {
+TEST(Figure3a, DiversityUtilityBeatsMonocultureForMostUsers) {
+  const Scenario& scenario = paper_scenario();
   const auto result = utility_boxplots(scenario, FeatureKind::TcpConnections, 0.4);
   const double homog_median = median(result.utilities[0]);
   const double full_median = median(result.utilities[1]);
@@ -117,7 +98,8 @@ PAPER_CLAIM(Figure3a, DiversityUtilityBeatsMonocultureForMostUsers) {
 }
 
 // ------------------------------------------------------------- Figure 3(b)
-PAPER_CLAIM(Figure3b, DiversityGainGrowsWithFnWeight) {
+TEST(Figure3b, DiversityGainGrowsWithFnWeight) {
+  const Scenario& scenario = paper_scenario();
   const auto result = weight_sweep(scenario, FeatureKind::TcpConnections,
                                    {0.1, 0.3, 0.5, 0.7, 0.9});
   const auto& homog = result.mean_utility[0];
@@ -137,7 +119,8 @@ PAPER_CLAIM(Figure3b, DiversityGainGrowsWithFnWeight) {
 }
 
 // ----------------------------------------------------------------- Table 3
-PAPER_CLAIM(Table3, MonocultureFloodsTheConsole) {
+TEST(Table3, MonocultureFloodsTheConsole) {
+  const Scenario& scenario = paper_scenario();
   const auto result = alarm_rates(scenario, FeatureKind::TcpConnections);
   // row 0: 99th percentile heuristic — homogeneous > full-diversity and
   // homogeneous > 8-partial (paper: 1594 vs 892 vs 482).
@@ -152,7 +135,8 @@ PAPER_CLAIM(Table3, MonocultureFloodsTheConsole) {
   EXPECT_GT(utility_row[0], utility_row[1]);
 }
 
-PAPER_CLAIM(Table3, AlarmVolumesArePlausible) {
+TEST(Table3, AlarmVolumesArePlausible) {
+  const Scenario& scenario = paper_scenario();
   // 350 users, 672 bins/week, ~1%-tail detectors: hundreds to a few
   // thousand alarms per week, not zero and not everything.
   const auto result = alarm_rates(scenario, FeatureKind::TcpConnections);
@@ -165,7 +149,8 @@ PAPER_CLAIM(Table3, AlarmVolumesArePlausible) {
 }
 
 // ------------------------------------------------------------- Figure 4(a)
-PAPER_CLAIM(Figure4a, DiversityCatchesStealthyAttacks) {
+TEST(Figure4a, DiversityCatchesStealthyAttacks) {
+  const Scenario& scenario = paper_scenario();
   const auto result = naive_attack_curves(scenario, FeatureKind::TcpConnections, 40);
   const auto& sizes = result.sizes;
   const auto& homog = result.detection[0];
@@ -193,7 +178,8 @@ PAPER_CLAIM(Figure4a, DiversityCatchesStealthyAttacks) {
 }
 
 // ------------------------------------------------------------- Figure 4(b)
-PAPER_CLAIM(Figure4b, DiversityShrinksMimicryRoom) {
+TEST(Figure4b, DiversityShrinksMimicryRoom) {
+  const Scenario& scenario = paper_scenario();
   const auto result = resourceful_attack(scenario, FeatureKind::TcpConnections);
   const double homog_median = median(result.hidden_volumes[0]);
   const double full_median = median(result.hidden_volumes[1]);
@@ -206,7 +192,8 @@ PAPER_CLAIM(Figure4b, DiversityShrinksMimicryRoom) {
 }
 
 // ---------------------------------------------------------------- Figure 5
-PAPER_CLAIM(Figure5, StormReplayContrast) {
+TEST(Figure5, StormReplayContrast) {
+  const Scenario& scenario = paper_scenario();
   const auto result = storm_replay(scenario);
   const auto& homog = result.outcomes[0];
   const auto& full = result.outcomes[1];
@@ -236,7 +223,8 @@ PAPER_CLAIM(Figure5, StormReplayContrast) {
 }
 
 // ---------------------------------------------------- §5 grouping notes
-PAPER_CLAIM(Section5, KMeansFindsNoNaturalClusters) {
+TEST(Section5, KMeansFindsNoNaturalClusters) {
+  const Scenario& scenario = paper_scenario();
   const auto result = grouping_ablation(scenario, FeatureKind::TcpConnections);
   // "there wasn't a natural separation ... no natural holes": silhouettes
   // stay mediocre for every k the paper tried.
@@ -246,7 +234,8 @@ PAPER_CLAIM(Section5, KMeansFindsNoNaturalClusters) {
 }
 
 // --------------------------------------------------- §6.1 threshold drift
-PAPER_CLAIM(Section61, ThresholdsAreNotStableWeekToWeek) {
+TEST(Section61, ThresholdsAreNotStableWeekToWeek) {
+  const Scenario& scenario = paper_scenario();
   const auto result = threshold_drift(scenario, FeatureKind::TcpConnections);
   // "selecting a threshold based on the 99th percentile did not always
   // reflect a 1% false positive rate in the next week"
@@ -256,8 +245,6 @@ PAPER_CLAIM(Section61, ThresholdsAreNotStableWeekToWeek) {
   }
   EXPECT_GT(off_target, result.realized_fp.size() / 4);
 }
-
-#undef PAPER_CLAIM
 
 }  // namespace
 }  // namespace monohids::sim

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
-#include "oracle/generator.hpp"
 #include "util/error.hpp"
 
 namespace monohids::sim {
@@ -116,7 +116,6 @@ TEST(ConfigIo, RoundTripIsExact) {
   original.generator.grid = util::BinGrid::minutes(13);
   original.generator.episode_log_mu = 0.49999999999999994;
   original.generator.distinct_pool_factor = 0.6000000000000001;
-  original.generator.scenario_version = trace::ScenarioVersion::V1;
 
   const std::string text = serialize_scenario_config(original);
   const ScenarioConfig restored = parse_scenario_config(text);
@@ -145,7 +144,6 @@ TEST(ConfigIo, RoundTripIsExact) {
   EXPECT_TRUE(same_bits(restored.generator.episode_log_mu, original.generator.episode_log_mu));
   EXPECT_TRUE(same_bits(restored.generator.distinct_pool_factor,
                         original.generator.distinct_pool_factor));
-  EXPECT_EQ(restored.generator.scenario_version, original.generator.scenario_version);
   EXPECT_EQ(restored.fidelity, original.fidelity);
   // A second round is a fixed point of the text, too.
   EXPECT_EQ(serialize_scenario_config(restored), text);
@@ -163,37 +161,25 @@ TEST(ConfigIo, IntegerKeysRejectFractionsSignsAndNonNumbers) {
             ~std::uint64_t{0});
 }
 
-TEST(ConfigIo, ScenarioVersionDefaultsToV2AndV1StaysReachable) {
-  EXPECT_EQ(parse_scenario_config("users = 3\n").generator.scenario_version,
-            trace::ScenarioVersion::V2);
-  EXPECT_EQ(parse_scenario_config("scenario_version = 1\n").generator.scenario_version,
-            trace::ScenarioVersion::V1);
-  EXPECT_THROW((void)parse_scenario_config("scenario_version = 3\n"), InputError);
-}
-
-TEST(ConfigIo, SerializedV1ConfigRebuildsTheV1MatricesBitForBit) {
-  // Seed-quoted artifacts recorded under the serial contract stay
-  // reproducible after the default flip: a config that says
-  // scenario_version = 1 rebuilds exactly the seed loop's matrices.
-  ScenarioConfig original;
-  original.set_users(6);
-  original.set_weeks(1);
-  original.set_seed(42);
-  original.generator.scenario_version = trace::ScenarioVersion::V1;
-  const std::string text = serialize_scenario_config(original);
-  ASSERT_NE(text.find("scenario_version = 1\n"), std::string::npos);
-  const Scenario rebuilt = build_scenario(parse_scenario_config(text));
-  ASSERT_EQ(rebuilt.matrices.size(), 6u);
-  for (std::size_t u = 0; u < rebuilt.matrices.size(); ++u) {
-    const auto seed = oracle::generate_features_seed(original.generator, rebuilt.users[u]);
-    for (std::size_t f = 0; f < seed.series.size(); ++f) {
-      const auto want = seed.series[f].values();
-      const auto got = rebuilt.matrices[u].series[f].values();
-      ASSERT_EQ(got.size(), want.size());
-      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(double)), 0)
-          << "user " << u << " series " << f;
-    }
+TEST(ConfigIo, ScenarioVersionOneIsRejected) {
+  // Files name the draw contract they were written for. Only the
+  // counter-mode contract (2) is built: a file written for the removed
+  // serial-stream contract must fail loudly, naming the last build that
+  // renders it, instead of silently rebuilding different matrices.
+  EXPECT_NE(serialize_scenario_config(ScenarioConfig{}).find("scenario_version = 2\n"),
+            std::string::npos);
+  EXPECT_NO_THROW((void)parse_scenario_config("scenario_version = 2\n"));
+  EXPECT_NO_THROW((void)parse_scenario_config("users = 3\n"));
+  try {
+    (void)parse_scenario_config("users = 3\nscenario_version = 1\n");
+    ADD_FAILURE() << "scenario_version = 1 was accepted";
+  } catch (const InputError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("removed"), std::string::npos) << what;
+    EXPECT_NE(what.find("c31a951"), std::string::npos) << what;
   }
+  EXPECT_THROW((void)parse_scenario_config("scenario_version = 3\n"), InputError);
+  EXPECT_THROW((void)parse_scenario_config("scenario_version = 0\n"), InputError);
 }
 
 TEST(ConfigIo, SubnetBaseParses) {

@@ -119,42 +119,12 @@ TEST(Fleet, ShardAndThreadCountDoNotChangeAnything) {
   }
 }
 
-TEST(Fleet, BinTilePartitionDoesNotChangeAnything) {
-  // The new v2 invariance axis: the bin-tile partition is a pure execution
-  // knob. Rows and pooled sketches must be bit-identical for whole-horizon
-  // tiles, week tiles, sub-week tiles and a deliberately non-divisible
-  // tile size, serial and threaded.
-  constexpr std::uint32_t kUsers = 48;
-  const FleetScenario reference = build_fleet_scenario(small_fleet(kUsers, kUsers, 1));
-  for (const std::uint32_t tile : {96u, 129u, 672u, 1344u}) {
-    FleetConfig config = small_fleet(kUsers, 16, 3);
-    config.base.generator.v2_bin_tile = tile;
-    const FleetScenario fleet = build_fleet_scenario(config);
-    for (FeatureKind f : features::kAllFeatures) {
-      for (std::uint32_t w = 0; w < fleet.week_count(); ++w) {
-        const auto expect = reference.rows(f, w);
-        const auto got = fleet.rows(f, w);
-        ASSERT_EQ(got.size(), expect.size());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          ASSERT_EQ(got[i], expect[i])
-              << "feature " << features::index_of(f) << " week " << w << " slot "
-              << i << " tile=" << tile;
-        }
-        for (const double q : {0.0, 0.5, 0.99, 1.0}) {
-          ASSERT_EQ(fleet.pooled(f, w).quantile(q), reference.pooled(f, w).quantile(q))
-              << "pooled quantile diverged at q=" << q << " tile=" << tile;
-        }
-      }
-    }
-  }
-}
-
 TEST(Fleet, CompactRowsStayWithinTheRankErrorBound) {
   // Per-user FP check: the compact view's exceedance at the exact pipeline's
   // threshold must stay within rank_error_bound() of the exact exceedance.
   // The exact side runs on the fleet's own base config so both pipelines
-  // share the draw contract (the default is v2) and the bound is the
-  // sketch+grid approximation alone, not cross-contract sampling noise.
+  // see the same matrices and the bound is the sketch+grid approximation
+  // alone.
   FleetConfig config = small_fleet(80, 32);
   const Scenario exact = build_scenario(config.base);
   const FleetScenario fleet = build_fleet_scenario(config);

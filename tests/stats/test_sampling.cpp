@@ -153,117 +153,6 @@ TEST(UniformInt, InvertedRangeIsAnError) {
   EXPECT_THROW((void)sample_uniform_int(rng, 5, 4), PreconditionError);
 }
 
-TEST(BatchSampling, PoissonPreparedMatchesPerCallDrawForDraw) {
-  // The batch API's core contract: sample_poisson_prepared consumes exactly
-  // the draws sample_poisson would, in the same order, with the same
-  // results — across all three regimes (zero mean, Knuth inversion, normal
-  // approximation) and interleaved arbitrarily.
-  const std::vector<double> means = {0.0,  0.01, 0.6,  3.7, 29.999, 30.0,
-                                     85.5, 0.0,  12.0, 400.0, 1e-9,  29.0};
-  std::vector<batch::PoissonRow> rows(means.size());
-  batch::prepare_poisson_rows(means, rows);
-
-  util::Xoshiro256 per_call(321);
-  util::Xoshiro256 prepared(321);
-  for (int round = 0; round < 2000; ++round) {
-    const std::size_t i = static_cast<std::size_t>(round) % means.size();
-    ASSERT_EQ(sample_poisson(per_call, means[i]),
-              batch::sample_poisson_prepared(prepared, rows[i]))
-        << "round " << round;
-  }
-  // Same engine position afterwards == same total draw count.
-  EXPECT_EQ(per_call(), prepared());
-}
-
-TEST(BatchSampling, UniformAndExponentialBatchesMatchPerCall) {
-  util::Xoshiro256 a(77), b(77);
-  std::vector<double> uniforms(257);
-  batch::sample_uniform01_batch(a, uniforms);
-  for (double u : uniforms) ASSERT_EQ(u, b.uniform01());
-
-  std::vector<double> exps(131);
-  batch::sample_exponential_batch(a, 0.05, exps);
-  for (double e : exps) ASSERT_EQ(e, sample_exponential(b, 0.05));
-  EXPECT_EQ(a(), b());
-}
-
-TEST(BatchSampling, BernoulliThresholdIsExactAtTheBoundary) {
-  // (to_unit(m) < p) must equal (m < threshold) for EVERY draw word, which
-  // reduces to exactness on the two words either side of the threshold.
-  util::Xoshiro256 rng(99);
-  std::vector<double> ps = {0.03, 0.2, 0.3, 0.45, 0.5, 1e-17, 1.0 - 1e-16};
-  for (int i = 0; i < 200; ++i) ps.push_back(rng.uniform01());
-  for (double p : ps) {
-    const std::uint64_t t = batch::bernoulli_threshold(p);
-    if (t > 0) {
-      ASSERT_LT(batch::to_unit(t - 1), p) << p;
-    }
-    if (t < (std::uint64_t{1} << 53)) {
-      ASSERT_GE(batch::to_unit(t), p) << p;
-    }
-  }
-  EXPECT_EQ(batch::bernoulli_threshold(0.0), 0u);
-  EXPECT_EQ(batch::bernoulli_threshold(1.0), std::uint64_t{1} << 53);
-}
-
-TEST(BatchSampling, KnuthZeroThresholdMatchesLoopEntry) {
-  // Knuth inversion returns 0 iff the first uniform is <= exp(-mean);
-  // the threshold must reproduce that decision exactly on raw words.
-  util::Xoshiro256 rng(100);
-  for (int i = 0; i < 200; ++i) {
-    const double mean = rng.uniform01() * 29.99;
-    const double limit = std::exp(-mean);
-    const std::uint64_t t = batch::knuth_zero_threshold(limit);
-    ASSERT_GE(t, 1u);
-    ASSERT_LE(batch::to_unit(t - 1), limit) << mean;
-    if (t <= (std::uint64_t{1} << 53)) {
-      ASSERT_GT(batch::to_unit(t), limit) << mean;
-    }
-  }
-}
-
-TEST(BatchSampling, ParetoCountTableMatchesPowFormula) {
-  // The table must reproduce min(floor(1/u^(1/shape)), cap) — the
-  // pareto_count draw in trace/apps.cpp — for random words, for words
-  // adjacent to every boundary, and identically via count and count_fast.
-  struct Case {
-    double shape;
-    std::uint32_t cap;
-  };
-  for (const Case c : {Case{2.6, 40}, Case{1.55, 600}, Case{2.1, 100}, Case{0.8, 5}}) {
-    const batch::ParetoCountTable table(c.shape, c.cap);
-    const auto direct = [&](std::uint64_t m) {
-      double u = batch::to_unit(m);
-      if (u <= 0.0) u = 0x1.0p-53;
-      const double v = 1.0 / std::pow(u, 1.0 / c.shape);
-      return static_cast<std::uint32_t>(std::min<double>(v, c.cap));
-    };
-    util::Xoshiro256 rng(c.cap);
-    for (int i = 0; i < 20000; ++i) {
-      const std::uint64_t m = rng() >> 11;
-      ASSERT_EQ(table.count(m), direct(m)) << m;
-      ASSERT_EQ(table.count_fast(m), direct(m)) << m;
-    }
-    for (std::uint32_t k = 1; k < c.cap; ++k) {
-      for (const std::uint64_t m :
-           {table.boundary(k - 1), table.boundary(k - 1) + 1,
-            table.boundary(k - 1) == 0 ? std::uint64_t{0} : table.boundary(k - 1) - 1}) {
-        ASSERT_EQ(table.count(m), direct(m)) << m;
-        ASSERT_EQ(table.count_fast(m), direct(m)) << m;
-      }
-    }
-  }
-}
-
-TEST(BatchSampling, PreparedRowsRejectBadInput) {
-  std::vector<double> means = {1.0, -0.5};
-  std::vector<batch::PoissonRow> rows(2);
-  EXPECT_THROW(batch::prepare_poisson_rows(means, rows), PreconditionError);
-  std::vector<batch::PoissonRow> too_small(1);
-  means[1] = 0.5;
-  EXPECT_THROW(batch::prepare_poisson_rows(means, too_small), PreconditionError);
-}
-
 TEST(StandardNormal, MomentsMatch) {
   util::Xoshiro256 rng(55);
   double acc = 0.0, acc2 = 0.0;

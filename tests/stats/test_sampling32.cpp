@@ -186,31 +186,39 @@ TEST(BinomialCdf, NormalRegimeStaysInRangeWithRightMoments) {
 }
 
 TEST(ParetoCountTable, ThirtyTwoBitGrainMatchesThePowFormula) {
-  // The v2 grain: u = w * 2^-32 with the u <= 0 guard still at 2^-53 (word
-  // 0 maps to the cap). Same exactness contract as the 53-bit table.
-  for (const double shape : {2.6, 1.55}) {
-    const std::uint32_t cap = 80;
-    const batch::ParetoCountTable table(shape, cap, 32);
+  // u = w * 2^-32 with the u <= 0 guard at 2^-53 (word 0 maps to the cap):
+  // the table must reproduce min(floor(1/u^(1/shape)), cap) for random
+  // words and for words adjacent to every boundary, identically via count
+  // and count_fast — for the contract's three shapes and caps and two
+  // off-model ones.
+  struct Case {
+    double shape;
+    std::uint32_t cap;
+  };
+  for (const Case c : {Case{2.6, 40}, Case{1.55, 600}, Case{2.1, 100}, Case{2.6, 80},
+                       Case{0.8, 5}}) {
+    const batch::ParetoCountTable table(c.shape, c.cap);
     const auto direct = [&](std::uint64_t w) {
       double u = static_cast<double>(w) * 0x1.0p-32;
       if (u <= 0.0) u = 0x1.0p-53;
-      const double v = 1.0 / std::pow(u, 1.0 / shape);
-      return static_cast<std::uint32_t>(std::min<double>(v, cap));
+      const double v = 1.0 / std::pow(u, 1.0 / c.shape);
+      return static_cast<std::uint32_t>(std::min<double>(v, c.cap));
     };
-    util::Philox4x32 rng(util::derive_seed(5, "pareto32", 0), 0);
+    util::Philox4x32 rng(util::derive_seed(5, "pareto32", 0), c.cap);
     for (int i = 0; i < 20000; ++i) {
       const std::uint32_t w = rng();
       ASSERT_EQ(table.count(w), direct(w)) << w;
       ASSERT_EQ(table.count_fast(w), direct(w)) << w;
     }
-    for (std::uint32_t k = 1; k < cap; ++k) {
+    for (std::uint32_t k = 1; k < c.cap; ++k) {
       for (const std::uint64_t w :
            {table.boundary(k - 1), table.boundary(k - 1) + 1,
             table.boundary(k - 1) == 0 ? std::uint64_t{0} : table.boundary(k - 1) - 1}) {
         ASSERT_EQ(table.count(w), direct(w)) << w;
+        ASSERT_EQ(table.count_fast(w), direct(w)) << w;
       }
     }
-    EXPECT_EQ(table.count(0), cap);
+    EXPECT_EQ(table.count(0), c.cap);
   }
 }
 

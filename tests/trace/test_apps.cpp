@@ -1,6 +1,11 @@
 // Consistency contract: emit_session_packets(), run through the real flow
-// table and extractor, must reproduce the SessionFootprint the bin-level
-// generator would count. This is what licenses the fast statistical path.
+// table and extractor, must reproduce the SessionFootprint it was given —
+// the increments the feature renderer counts for that session. This is
+// what licenses the bin-level path. The footprints are an enumerated grid
+// over the range of every count the scenario contract can hand a session
+// (single and capped-out Pareto values, zero/partial/full HTTPS and
+// SYN-retransmission subsets, cached and uncached lookups), rendered on the
+// packet-channel engine (detail::V2PacketDraws).
 #include "trace/apps.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +14,7 @@
 #include <unordered_set>
 
 #include "features/pipeline.hpp"
-#include "util/rng.hpp"
+#include "trace/v2_contract.hpp"
 
 namespace monohids::trace {
 namespace {
@@ -35,9 +40,9 @@ struct ExtractedCounts {
 
 /// Renders one session as packets and extracts total feature counts.
 ExtractedCounts render_and_extract(AppKind kind, const SessionFootprint& footprint,
-                                   util::Xoshiro256& rng) {
+                                   detail::V2PacketDraws& draws) {
   std::vector<net::PacketRecord> packets;
-  emit_session_packets(kind, footprint, 1000, kHost, small_pools(), rng, packets);
+  emit_session_packets(kind, footprint, 1000, kHost, small_pools(), draws, packets);
   std::sort(packets.begin(), packets.end());
 
   features::PipelineConfig config;
@@ -59,20 +64,84 @@ ExtractedCounts render_and_extract(AppKind kind, const SessionFootprint& footpri
   return counts;
 }
 
+/// Packet channel of bin `bin` under a fixed test key (15-minute bins).
+detail::V2PacketDraws packet_draws(std::uint64_t bin) {
+  return detail::V2PacketDraws(0x5eed, bin, 15 * util::kMicrosPerMinute);
+}
+
+/// Footprints of one session of `kind` as the scenario contract builds them
+/// (trace/v2_packets.cpp), over the edges of each count's range.
+std::vector<SessionFootprint> footprint_grid(AppKind kind) {
+  std::vector<SessionFootprint> grid;
+  switch (kind) {
+    case AppKind::Web:
+      // objects (Pareto, cap 40); HTTPS and SYN-retransmission subsets of
+      // the objects; lookups after the resolver cache.
+      for (const std::uint32_t objects : {1u, 2u, 3u, 12u, 40u}) {
+        for (const std::uint32_t https : {0u, objects / 2, objects}) {
+          for (const std::uint32_t retrans : {0u, 1u, objects}) {
+            for (const std::uint32_t lookups : {0u, 1u, 4u}) {
+              grid.push_back({.tcp_connections = objects,
+                              .udp_connections = lookups,
+                              .dns_connections = lookups,
+                              .http_connections = objects - https,
+                              .syn_packets = objects + retrans});
+            }
+          }
+        }
+      }
+      break;
+    case AppKind::Dns:
+      for (const std::uint32_t lookups : {1u, 2u, 7u}) {
+        grid.push_back({.udp_connections = lookups, .dns_connections = lookups});
+      }
+      break;
+    case AppKind::Mail:
+    case AppKind::Interactive:
+      for (const std::uint32_t lookups : {0u, 1u}) {
+        grid.push_back({.tcp_connections = 1,
+                        .udp_connections = lookups,
+                        .dns_connections = lookups,
+                        .syn_packets = 1});
+      }
+      break;
+    case AppKind::P2p:
+      for (const std::uint32_t peers : {1u, 2u, 9u, 600u}) {
+        grid.push_back({.udp_connections = peers});
+      }
+      break;
+    case AppKind::Update:
+      // 4 + Pareto fetches (cap 100); retransmissions split by fetch count.
+      for (const std::uint32_t fetches : {4u, 5u, 104u}) {
+        for (const std::uint32_t retrans : {0u, 1u, 9u}) {
+          for (const std::uint32_t lookups : {0u, 1u}) {
+            grid.push_back({.tcp_connections = fetches,
+                            .udp_connections = lookups,
+                            .dns_connections = lookups,
+                            .syn_packets = fetches + retrans});
+          }
+        }
+      }
+      break;
+  }
+  return grid;
+}
+
 class AppConsistency : public ::testing::TestWithParam<AppKind> {};
 
 TEST_P(AppConsistency, PacketsReproduceFootprint) {
   const AppKind kind = GetParam();
-  util::Xoshiro256 footprint_rng(101);
-  util::Xoshiro256 packet_rng(202);
-  for (int trial = 0; trial < 25; ++trial) {
-    const SessionFootprint f = sample_footprint(kind, footprint_rng);
-    const ExtractedCounts c = render_and_extract(kind, f, packet_rng);
-    EXPECT_DOUBLE_EQ(c.tcp, f.tcp_connections) << name_of(kind) << " trial " << trial;
-    EXPECT_DOUBLE_EQ(c.udp, f.udp_connections) << name_of(kind);
-    EXPECT_DOUBLE_EQ(c.dns, f.dns_connections) << name_of(kind);
-    EXPECT_DOUBLE_EQ(c.http, f.http_connections) << name_of(kind);
-    EXPECT_DOUBLE_EQ(c.syn, f.syn_packets) << name_of(kind);
+  const std::vector<SessionFootprint> grid = footprint_grid(kind);
+  ASSERT_FALSE(grid.empty());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const SessionFootprint& f = grid[i];
+    detail::V2PacketDraws draws = packet_draws(i);
+    const ExtractedCounts c = render_and_extract(kind, f, draws);
+    EXPECT_DOUBLE_EQ(c.tcp, f.tcp_connections) << name_of(kind) << " footprint " << i;
+    EXPECT_DOUBLE_EQ(c.udp, f.udp_connections) << name_of(kind) << " footprint " << i;
+    EXPECT_DOUBLE_EQ(c.dns, f.dns_connections) << name_of(kind) << " footprint " << i;
+    EXPECT_DOUBLE_EQ(c.http, f.http_connections) << name_of(kind) << " footprint " << i;
+    EXPECT_DOUBLE_EQ(c.syn, f.syn_packets) << name_of(kind) << " footprint " << i;
   }
 }
 
@@ -81,71 +150,20 @@ INSTANTIATE_TEST_SUITE_P(AllApps, AppConsistency, ::testing::ValuesIn(kAllApps),
                            return std::string(name_of(info.param));
                          });
 
-TEST(AppFootprints, WebAlwaysHasObjectsAndDns) {
-  util::Xoshiro256 rng(7);
-  for (int i = 0; i < 200; ++i) {
-    const auto f = sample_footprint(AppKind::Web, rng);
-    EXPECT_GE(f.tcp_connections, 1u);
-    EXPECT_GE(f.dns_connections, 1u);
-    EXPECT_GE(f.syn_packets, f.tcp_connections);  // retransmissions only add
-    EXPECT_LE(f.http_connections, f.tcp_connections);
-    EXPECT_EQ(f.udp_connections, f.dns_connections);
-  }
-}
-
-TEST(AppFootprints, WebObjectCountsAreHeavyTailed) {
-  util::Xoshiro256 rng(8);
-  std::uint32_t max_objects = 0;
-  double total = 0;
-  const int n = 3000;
-  for (int i = 0; i < n; ++i) {
-    const auto f = sample_footprint(AppKind::Web, rng);
-    max_objects = std::max(max_objects, f.tcp_connections);
-    total += f.tcp_connections;
-  }
-  const double mean = total / n;
-  EXPECT_GT(max_objects, mean * 8);  // tail far beyond the mean
-}
-
-TEST(AppFootprints, P2pTouchesManyDistinctPeers) {
-  util::Xoshiro256 rng(9);
-  for (int i = 0; i < 100; ++i) {
-    const auto f = sample_footprint(AppKind::P2p, rng);
-    EXPECT_EQ(f.distinct_draws, f.udp_connections);
-    EXPECT_EQ(f.tcp_connections, 0u);
-  }
-}
-
-TEST(AppFootprints, UpdateConcentratesOnFewDestinations) {
-  util::Xoshiro256 rng(10);
-  for (int i = 0; i < 100; ++i) {
-    const auto f = sample_footprint(AppKind::Update, rng);
-    EXPECT_GE(f.tcp_connections, 4u);
-    EXPECT_LE(f.distinct_draws, 2u);
-  }
-}
-
-TEST(AppFootprints, MailIsASingleConnection) {
-  util::Xoshiro256 rng(11);
-  for (int i = 0; i < 100; ++i) {
-    const auto f = sample_footprint(AppKind::Mail, rng);
-    EXPECT_EQ(f.tcp_connections, 1u);
-    EXPECT_EQ(f.syn_packets, 1u);
-  }
-}
-
 TEST(AppPackets, UpdateUsesAtMostTwoServers) {
-  util::Xoshiro256 rng(12);
-  const auto f = sample_footprint(AppKind::Update, rng);
-  std::vector<net::PacketRecord> packets;
-  emit_session_packets(AppKind::Update, f, 0, kHost, small_pools(), rng, packets);
-  std::unordered_set<net::Ipv4Address> dsts;
-  for (const auto& p : packets) {
-    if (p.tuple.src_ip == kHost && p.tuple.protocol == net::Protocol::Tcp) {
-      dsts.insert(p.tuple.dst_ip);
+  const std::vector<SessionFootprint> grid = footprint_grid(AppKind::Update);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    detail::V2PacketDraws draws = packet_draws(i);
+    std::vector<net::PacketRecord> packets;
+    emit_session_packets(AppKind::Update, grid[i], 0, kHost, small_pools(), draws, packets);
+    std::unordered_set<net::Ipv4Address> dsts;
+    for (const auto& p : packets) {
+      if (p.tuple.src_ip == kHost && p.tuple.protocol == net::Protocol::Tcp) {
+        dsts.insert(p.tuple.dst_ip);
+      }
     }
+    EXPECT_LE(dsts.size(), 2u) << "footprint " << i;
   }
-  EXPECT_LE(dsts.size(), 2u);
 }
 
 TEST(AppNames, AreStable) {

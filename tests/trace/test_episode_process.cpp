@@ -1,10 +1,10 @@
-// Pins the EpisodeProcess draw semantics the batched rate-table path
-// depends on: half-open [start, end) expiry, no draws while an episode is
-// active, exactly one idle draw per non-starting bin, the three-draw start
+// Pins the EpisodeProcess draw semantics every renderer depends on:
+// half-open [start, end) expiry, no draws while an episode is active,
+// exactly one idle draw per non-starting bin, the three-draw start
 // sequence, and the draw-then-clamp boost bound. Every test checks the
-// process against an independent mirror of its RNG stream, so any change in
-// draw count or order fails here before it silently desynchronizes the
-// render paths.
+// process against an independent mirror of its Philox stream, so any
+// change in draw count or order fails here before it silently moves the
+// scenario's bursts.
 #include "trace/episode_process.hpp"
 
 #include <gtest/gtest.h>
@@ -39,7 +39,7 @@ struct MirroredEpisode {
   util::Timestamp end;
 };
 
-MirroredEpisode mirror_start(util::Xoshiro256& mirror, const UserProfile& u,
+MirroredEpisode mirror_start(util::Philox4x32& mirror, const UserProfile& u,
                              util::Timestamp bin_start) {
   const stats::LogNormalSampler boost(kLogMu, u.episode_log_sigma);
   const double m = 1.0 + std::min(boost.sample(mirror), 6.0) * u.episode_amplitude;
@@ -53,7 +53,7 @@ TEST(EpisodeProcess, ExpiryIsHalfOpenAtTheEndTimestamp) {
   // idle bin, so the mirror can predict each multiplier exactly.
   const UserProfile u = episodic_user(1e9);
   EpisodeProcess ep(u, kLogMu, 77);
-  util::Xoshiro256 mirror(77);
+  util::Philox4x32 mirror(77);
 
   mirror.uniform01();  // the start draw
   const MirroredEpisode first = mirror_start(mirror, u, 0);
@@ -76,7 +76,7 @@ TEST(EpisodeProcess, ExpiryIsHalfOpenAtTheEndTimestamp) {
 TEST(EpisodeProcess, ActiveBinsConsumeNoDraws) {
   const UserProfile u = episodic_user(1e9);
   EpisodeProcess ep(u, kLogMu, 123);
-  util::Xoshiro256 mirror(123);
+  util::Philox4x32 mirror(123);
 
   mirror.uniform01();
   const MirroredEpisode first = mirror_start(mirror, u, 0);
@@ -102,7 +102,7 @@ TEST(EpisodeProcess, IdleBinsConsumeExactlyOneDraw) {
   const UserProfile u = episodic_user(1e9);
   for (int idle_bins : {1, 3, 17}) {
     EpisodeProcess ep(u, kLogMu, 1000 + idle_bins);
-    util::Xoshiro256 mirror(1000 + idle_bins);
+    util::Philox4x32 mirror(1000 + idle_bins);
     for (int i = 0; i < idle_bins; ++i) {
       ASSERT_EQ(ep.step(i, kBinHours, 0.0), 1.0);
       mirror.uniform01();
@@ -121,7 +121,7 @@ TEST(EpisodeProcess, BoostDrawsFirstAndClampsAfter) {
   bool clamped_at_least_once = false;
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     EpisodeProcess ep(u, kLogMu, seed);
-    util::Xoshiro256 mirror(seed);
+    util::Philox4x32 mirror(seed);
     util::Timestamp bin_start = 0;
     for (int episode = 0; episode < 4; ++episode) {
       mirror.uniform01();
@@ -148,7 +148,7 @@ TEST(EpisodeProcess, DifferentialWalkAgainstIndependentMirror) {
   // re-implementation of the pinned semantics, draw for draw.
   const UserProfile u = episodic_user(0.5, 2.0, 1.5);
   EpisodeProcess ep(u, kLogMu, 2026);
-  util::Xoshiro256 mirror(2026);
+  util::Philox4x32 mirror(2026);
 
   double multiplier = 1.0;
   util::Timestamp end = 0;

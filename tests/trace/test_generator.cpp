@@ -158,34 +158,6 @@ TEST(Generator, HorizonIsBinAligned) {
   EXPECT_LT(config.horizon(), kMicrosPerWeek + config.grid.width());
 }
 
-TEST(Generator, PacketPathCoversFinalPartialBin) {
-  // 660-minute bins over one week: the 16th bin starts Sunday 21:00 and
-  // runs to Monday 08:00 — past the raw one-week mark. Before the horizon
-  // was bin-aligned, generate_features rendered that whole bin while the
-  // packet path clipped at the raw week, so the two paths disagreed on the
-  // covered range. Both must now render through the aligned horizon.
-  // The clipping bug lived in the v1 serial walk; v2 renders whole bins
-  // (GeneratorV2Packets.PartialFinalBinAgreesOnA13MinuteGrid).
-  GeneratorConfig config;
-  config.weeks = 1;
-  config.grid = util::BinGrid::minutes(660);
-  config.scenario_version = ScenarioVersion::V1;
-  const TraceGenerator gen(config);
-  const UserProfile u = test_user(42, 8.0);
-
-  const auto m = gen.generate_features(u);
-  const std::uint64_t bins = config.grid.bin_count(config.horizon());
-  EXPECT_EQ(m.of(FeatureKind::TcpConnections).bin_count(), bins);
-  EXPECT_EQ(m.of(FeatureKind::TcpConnections).horizon(), config.horizon());
-
-  const auto packets = gen.generate_packets(u, 0, config.horizon());
-  ASSERT_FALSE(packets.empty());
-  // Monday-morning traffic (past the raw week) proves the packet walk
-  // renders the partial-bin extension instead of clipping at weeks * week.
-  EXPECT_GE(packets.back().timestamp, kMicrosPerWeek);
-  EXPECT_EQ(config.grid.bin_of(packets.back().timestamp), bins - 1);
-}
-
 TEST(Generator, ZeroWeeksIsAnError) {
   GeneratorConfig config;
   config.weeks = 0;

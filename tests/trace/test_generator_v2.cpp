@@ -1,10 +1,10 @@
-// Determinism suite for the v2 counter-mode scenario contract: the rendered
+// Determinism suite for the counter-mode scenario contract: the rendered
 // feature bytes must be a pure function of (config, user) — invariant to
 // the bin-tile partition, the tile rendering order, and the SIMD back-end.
-// Unlike the v1 differential suite (test_generator_batched.cpp) there is no
-// reference implementation to diff against; the contract IS the keyed draw
-// layout (API_TOUR.md §16), so the suite pins its invariances plus a
-// distributional sanity check against the v1 model it replaces.
+// There is no reference implementation to diff against; the contract IS
+// the keyed draw layout (API_TOUR.md §16), so the suite pins its
+// invariances plus a distributional check against the serial-stream (v1)
+// model it replaced, whose totals are frozen below.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,8 +44,22 @@ GeneratorConfig v2_config(std::uint32_t weeks, std::uint32_t bin_minutes) {
   GeneratorConfig config;
   config.weeks = weeks;
   config.grid = util::BinGrid::minutes(bin_minutes);
-  config.scenario_version = ScenarioVersion::V2;
   return config;
+}
+
+/// Renders every bin of `user` through render_features_v2_tile in
+/// consecutive tiles of `tile` bins.
+features::FeatureMatrix render_in_tiles(const TraceGenerator& generator,
+                                        const UserProfile& user, std::uint64_t tile) {
+  const util::BinGrid grid = generator.config().grid;
+  const util::Duration horizon = generator.config().horizon();
+  const std::uint64_t bins = grid.bin_count(horizon);
+  features::FeatureMatrix matrix;
+  for (auto& series : matrix.series) series = features::BinnedSeries(grid, horizon);
+  for (std::uint64_t begin = 0; begin < bins; begin += tile) {
+    generator.render_features_v2_tile(user, begin, std::min(bins, begin + tile), matrix);
+  }
+  return matrix;
 }
 
 TEST(GeneratorV2, RenderIsReproducibleAcrossGeneratorInstances) {
@@ -59,24 +73,20 @@ TEST(GeneratorV2, RenderIsReproducibleAcrossGeneratorInstances) {
 }
 
 TEST(GeneratorV2, BinTilePartitionDoesNotChangeAnyByte) {
-  // Default tile vs bin-count-hostile tiles, on grids that divide the week
-  // and grids that do not: every partition must render identical bytes,
-  // because each (user, bin) owns its own keyed stream.
+  // generate_features (one whole-horizon tile) vs bin-count-hostile tile
+  // partitions, on grids that divide the week and grids that do not: every
+  // partition must render identical bytes, because each (user, bin) owns
+  // its own keyed stream.
   const auto users = small_population(4, 2);
   for (const std::uint32_t bin_minutes : {15u, 13u}) {
-    auto config = v2_config(2, bin_minutes);
-    const TraceGenerator reference(config);
-    std::vector<features::FeatureMatrix> expected;
-    for (const UserProfile& u : users) expected.push_back(reference.generate_features(u));
-
-    for (const std::uint32_t tile : {1u, 7u, 97u, 672u, 100000u}) {
-      config.v2_bin_tile = tile;
-      const TraceGenerator tiled(config);
-      for (std::size_t i = 0; i < users.size(); ++i) {
-        expect_bit_identical(tiled.generate_features(users[i]), expected[i],
+    const TraceGenerator generator(v2_config(2, bin_minutes));
+    for (const UserProfile& u : users) {
+      const auto expected = generator.generate_features(u);
+      for (const std::uint64_t tile : {1u, 7u, 97u, 672u, 100000u}) {
+        expect_bit_identical(render_in_tiles(generator, u, tile), expected,
                              "tile " + std::to_string(tile) + " bin-minutes " +
                                  std::to_string(bin_minutes) + " user " +
-                                 std::to_string(i));
+                                 std::to_string(u.user_id));
       }
     }
   }
@@ -139,33 +149,28 @@ TEST(GeneratorV2, EveryAvailableBackendRendersIdenticalBytes) {
 }
 
 TEST(GeneratorV2, AggregateVolumeTracksTheV1Model) {
-  // v2 redraws every count under a different contract, so bytes differ
-  // from v1 by design — but it samples the same behavioral model, so the
-  // population-aggregate per-feature totals must land in the same range.
-  // Deterministic seeds: this pins the distributional equivalence once.
+  // The counter-mode contract redraws every count, so its bytes differ from
+  // the serial-stream (v1) contract it replaced by design — but it samples
+  // the same behavioral model, so the population-aggregate per-feature
+  // totals must land in the same range. The v1 totals of these 12 users
+  // (two weeks, 15-minute bins) were rendered by commit c31a951, the last
+  // build with the v1 generator, and are frozen here in series order.
+  constexpr double kV1Totals[features::kFeatureCount] = {357612, 457230, 464783,
+                                                         133684, 489182, 450902};
   const auto users = small_population(12, 2);
-  auto config = v2_config(2, 15);
-  const TraceGenerator v2(config);
-  config.scenario_version = ScenarioVersion::V1;
-  const TraceGenerator v1(config);
+  const TraceGenerator generator(v2_config(2, 15));
 
-  std::vector<double> v1_total, v2_total;
+  std::vector<double> total(features::kFeatureCount, 0.0);
   for (const UserProfile& u : users) {
-    const auto m1 = v1.generate_features(u);
-    const auto m2 = v2.generate_features(u);
-    if (v1_total.empty()) {
-      v1_total.assign(m1.series.size(), 0.0);
-      v2_total.assign(m2.series.size(), 0.0);
-    }
-    for (std::size_t s = 0; s < m1.series.size(); ++s) {
-      for (const double v : m1.series[s].values()) v1_total[s] += v;
-      for (const double v : m2.series[s].values()) v2_total[s] += v;
+    const auto m = generator.generate_features(u);
+    ASSERT_EQ(m.series.size(), total.size());
+    for (std::size_t s = 0; s < m.series.size(); ++s) {
+      for (const double v : m.series[s].values()) total[s] += v;
     }
   }
-  for (std::size_t s = 0; s < v1_total.size(); ++s) {
-    ASSERT_GT(v1_total[s], 0.0) << "series " << s;
-    ASSERT_GT(v2_total[s], 0.0) << "series " << s;
-    const double ratio = v2_total[s] / v1_total[s];
+  for (std::size_t s = 0; s < total.size(); ++s) {
+    ASSERT_GT(total[s], 0.0) << "series " << s;
+    const double ratio = total[s] / kV1Totals[s];
     EXPECT_GT(ratio, 0.75) << "series " << s;
     EXPECT_LT(ratio, 1.30) << "series " << s;
   }

@@ -13,9 +13,9 @@
 
 #include "features/pipeline.hpp"
 #include "sim/scenario.hpp"
-#include "trace/batched_tables.hpp"
 #include "trace/generator.hpp"
 #include "trace/population.hpp"
+#include "trace/v2_contract.hpp"
 
 namespace monohids::trace {
 namespace {
@@ -30,7 +30,6 @@ GeneratorConfig v2_config(std::uint32_t weeks, std::uint32_t bin_minutes) {
   GeneratorConfig config;
   config.weeks = weeks;
   config.grid = util::BinGrid::minutes(bin_minutes);
-  config.scenario_version = ScenarioVersion::V2;
   return config;
 }
 
@@ -256,16 +255,20 @@ TEST(GeneratorV2Packets, DistinctDestinationsTrackTheFeaturePathStatistically) {
   // The feature path turns destination draws into an expected distinct
   // count; the packet path makes the picks. The two agree only as well as
   // the model's expectation formula fits its popularity-weighted picks —
-  // the same under either contract.
-  for (const std::size_t i : {0u, 1u, 17u, 40u}) {
-    GeneratorConfig config = v2_config(1, 15);
-    const double v2 = distinct_ratio(config, population()[i]);
-    config.scenario_version = ScenarioVersion::V1;
-    const double v1 = distinct_ratio(config, population()[i]);
+  // the same under the serial-stream (v1) contract this one replaced. The
+  // v1 ratios of these users were measured by commit c31a951, the last
+  // build with the v1 generator, and are frozen here.
+  struct Case {
+    std::size_t user;
+    double v1_ratio;
+  };
+  for (const Case c : {Case{0, 0.47726184777405456}, Case{1, 0.65346267852330908},
+                       Case{17, 0.55262403211930022}, Case{40, 0.63289529461636285}}) {
+    const double v2 = distinct_ratio(v2_config(1, 15), population()[c.user]);
     // Measured ratios sit at 0.48-0.66 under both contracts.
-    EXPECT_GT(v2, 0.35) << "user " << i;
-    EXPECT_LT(v2, 0.9) << "user " << i;
-    EXPECT_NEAR(v2, v1, 0.12) << "user " << i;
+    EXPECT_GT(v2, 0.35) << "user " << c.user;
+    EXPECT_LT(v2, 0.9) << "user " << c.user;
+    EXPECT_NEAR(v2, c.v1_ratio, 0.12) << "user " << c.user;
   }
 }
 
