@@ -18,30 +18,6 @@ std::string_view name_of(FeatureKind f) noexcept {
   return "unknown";
 }
 
-std::string_view anomaly_of(FeatureKind f) noexcept {
-  switch (f) {
-    case FeatureKind::DnsConnections: return "Botnet C&C";
-    case FeatureKind::TcpConnections: return "scans, DDoS";
-    case FeatureKind::TcpSyn: return "scans, DDoS";
-    case FeatureKind::HttpConnections: return "Clickfraud, DDoS";
-    case FeatureKind::DistinctConnections: return "scans";
-    case FeatureKind::UdpConnections: return "scans, DDoS";
-  }
-  return "unknown";
-}
-
-std::string_view products_of(FeatureKind f) noexcept {
-  switch (f) {
-    case FeatureKind::DnsConnections: return "Damballa";
-    case FeatureKind::TcpConnections: return "Cisco CSA";
-    case FeatureKind::TcpSyn: return "BRO, CSA";
-    case FeatureKind::HttpConnections: return "BRO, BlackIce";
-    case FeatureKind::DistinctConnections: return "BRO";
-    case FeatureKind::UdpConnections: return "Cisco CSA";
-  }
-  return "unknown";
-}
-
 FeatureKind parse_feature(std::string_view name) {
   for (FeatureKind f : kAllFeatures) {
     if (name_of(f) == name) return f;

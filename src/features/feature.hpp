@@ -42,12 +42,6 @@ inline constexpr std::array<FeatureKind, kFeatureCount> kAllFeatures = {
 /// Canonical name, e.g. "num-TCP-connections".
 [[nodiscard]] std::string_view name_of(FeatureKind f) noexcept;
 
-/// The anomaly class the feature targets (Table 1).
-[[nodiscard]] std::string_view anomaly_of(FeatureKind f) noexcept;
-
-/// Commercial products the paper lists for the feature (Table 1).
-[[nodiscard]] std::string_view products_of(FeatureKind f) noexcept;
-
 /// Parses a canonical name back to the kind; throws InputError if unknown.
 [[nodiscard]] FeatureKind parse_feature(std::string_view name);
 

@@ -48,18 +48,4 @@ double roc_auc(const std::vector<RocPoint>& curve) {
   return auc;
 }
 
-RocPoint closest_to_perfect(const std::vector<RocPoint>& curve) {
-  MONOHIDS_EXPECT(!curve.empty(), "empty ROC curve");
-  const RocPoint* best = &curve.front();
-  double best_d = 1e18;
-  for (const RocPoint& p : curve) {
-    const double d = p.fp_rate * p.fp_rate + (1.0 - p.tp_rate) * (1.0 - p.tp_rate);
-    if (d < best_d) {
-      best_d = d;
-      best = &p;
-    }
-  }
-  return *best;
-}
-
 }  // namespace monohids::hids

@@ -29,8 +29,4 @@ struct RocPoint {
 /// range, extended to FP = 1 at the maximal TP. 0.5 = chance, 1 = perfect.
 [[nodiscard]] double roc_auc(const std::vector<RocPoint>& curve);
 
-/// The curve point closest to the perfect corner (0, 1) — a heuristic-free
-/// "balanced" operating point used by the ablation bench as a reference.
-[[nodiscard]] RocPoint closest_to_perfect(const std::vector<RocPoint>& curve);
-
 }  // namespace monohids::hids

@@ -83,16 +83,10 @@ FlowTable::FlowTable(Ipv4Address monitored, FlowTableConfig config)
     : monitored_(monitored), config_(config) {
   MONOHIDS_EXPECT(config_.tcp_idle_timeout > 0 && config_.udp_idle_timeout > 0,
                   "idle timeouts must be positive");
-  // expected_flows is a peak-occupancy hint; size so the hint fits under the
-  // load-factor ceiling without ever regrowing.
-  std::size_t capacity = kMinSlots;
-  if (config_.expected_flows > 0) {
-    capacity = next_pow2(config_.expected_flows * 4 / 3 + 1, kMinSlots);
-  }
-  tags_.assign(capacity, 0);
-  keys_.resize(capacity);
-  flows_.resize(capacity);
-  mask_ = capacity - 1;
+  tags_.assign(kMinSlots, 0);
+  keys_.resize(kMinSlots);
+  flows_.resize(kMinSlots);
+  mask_ = kMinSlots - 1;
 
   // Wheel bucket width: at least the sweep cadence (a sweep then crosses at
   // most one bucket boundary), at least 1/1024 of the longest timeout (caps
@@ -106,7 +100,6 @@ FlowTable::FlowTable(Ipv4Address monitored, FlowTableConfig config)
       (static_cast<std::uint64_t>(max_timeout) >> wheel_shift_) + 3, 4);
   wheel_.resize(ring);
   wheel_mask_ = ring - 1;
-  wheel_active_ = capacity > kScanSweepMaxSlots;
 }
 
 namespace {

@@ -53,10 +53,6 @@ struct FlowTableConfig {
   util::Duration udp_idle_timeout = 1 * util::kMicrosPerMinute;
   /// How often expired flows are swept, in simulated time.
   util::Duration sweep_interval = 30 * util::kMicrosPerSecond;
-  /// Pre-sizing hint: expected peak live-flow count. The slot arena is
-  /// reserved up front so no rehash/regrow storm happens mid-trace; 0 keeps
-  /// the small default initial table (current behavior).
-  std::size_t expected_flows = 0;
 };
 
 struct FlowTableStats {
@@ -110,8 +106,6 @@ class FlowTable {
 
   [[nodiscard]] const FlowTableStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t active_flows() const noexcept { return live_; }
-  /// Current slot-arena size (power of two); exposed for occupancy tests.
-  [[nodiscard]] std::size_t slot_capacity() const noexcept { return tags_.size(); }
   [[nodiscard]] Ipv4Address monitored() const noexcept { return monitored_; }
 
  private:

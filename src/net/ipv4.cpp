@@ -38,41 +38,4 @@ std::string Ipv4Address::to_string() const {
   return out;
 }
 
-Ipv4Prefix::Ipv4Prefix(Ipv4Address base, int length) : length_(length) {
-  MONOHIDS_EXPECT(length >= 0 && length <= 32, "prefix length must be in [0,32]");
-  base_ = Ipv4Address(base.value() & mask());
-}
-
-Ipv4Prefix Ipv4Prefix::parse(std::string_view text) {
-  const auto slash = text.find('/');
-  MONOHIDS_ENSURE(slash != std::string_view::npos, "prefix needs a '/': " + std::string(text));
-  const Ipv4Address base = Ipv4Address::parse(text.substr(0, slash));
-  int length = 0;
-  const auto tail = text.substr(slash + 1);
-  auto [ptr, ec] = std::from_chars(tail.data(), tail.data() + tail.size(), length);
-  MONOHIDS_ENSURE(ec == std::errc{} && ptr == tail.data() + tail.size() && length >= 0 &&
-                      length <= 32,
-                  "malformed prefix length: " + std::string(text));
-  return Ipv4Prefix(base, length);
-}
-
-std::uint32_t Ipv4Prefix::mask() const noexcept {
-  return length_ == 0 ? 0 : ~std::uint32_t{0} << (32 - length_);
-}
-
-bool Ipv4Prefix::contains(Ipv4Address addr) const noexcept {
-  return (addr.value() & mask()) == base_.value();
-}
-
-std::uint64_t Ipv4Prefix::size() const noexcept { return std::uint64_t{1} << (32 - length_); }
-
-Ipv4Address Ipv4Prefix::address_at(std::uint64_t index) const {
-  MONOHIDS_EXPECT(index < size(), "address index outside prefix");
-  return Ipv4Address(base_.value() + static_cast<std::uint32_t>(index));
-}
-
-std::string Ipv4Prefix::to_string() const {
-  return base_.to_string() + "/" + std::to_string(length_);
-}
-
 }  // namespace monohids::net

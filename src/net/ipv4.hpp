@@ -1,4 +1,4 @@
-// IPv4 addresses and prefixes.
+// IPv4 addresses.
 //
 // The trace substrate addresses hosts the way the original study's packet
 // headers did: end hosts live in an enterprise /16, servers and attack
@@ -42,33 +42,6 @@ class Ipv4Address {
 
  private:
   std::uint32_t value_ = 0;
-};
-
-/// A CIDR prefix, e.g. 10.0.0.0/8.
-class Ipv4Prefix {
- public:
-  /// `length` in [0, 32]; host bits of `base` are masked off.
-  Ipv4Prefix(Ipv4Address base, int length);
-
-  /// Parses "a.b.c.d/len".
-  static Ipv4Prefix parse(std::string_view text);
-
-  [[nodiscard]] Ipv4Address base() const noexcept { return base_; }
-  [[nodiscard]] int length() const noexcept { return length_; }
-  [[nodiscard]] std::uint32_t mask() const noexcept;
-  [[nodiscard]] bool contains(Ipv4Address addr) const noexcept;
-
-  /// Number of addresses in the prefix (2^(32-len)), as uint64 to hold /0.
-  [[nodiscard]] std::uint64_t size() const noexcept;
-
-  /// The `index`-th address inside the prefix (index < size()).
-  [[nodiscard]] Ipv4Address address_at(std::uint64_t index) const;
-
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  Ipv4Address base_;
-  int length_;
 };
 
 }  // namespace monohids::net

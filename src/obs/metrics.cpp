@@ -51,10 +51,6 @@ BucketBounds latency_buckets_ms() {
   return {0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000};
 }
 
-BucketBounds latency_buckets_us() {
-  return {1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 50000, 100000, 500000, 1000000};
-}
-
 BucketBounds pow2_buckets(std::size_t count) {
   BucketBounds bounds;
   bounds.reserve(count);

@@ -231,9 +231,8 @@ class Histogram {
 
 #endif  // MONOHIDS_OBS_ENABLED
 
-/// Latency bucket presets (upper bounds in the named unit).
+/// Latency bucket preset (upper bounds in milliseconds).
 [[nodiscard]] BucketBounds latency_buckets_ms();
-[[nodiscard]] BucketBounds latency_buckets_us();
 /// Geometric size buckets 1, 2, 4, ... 2^(count-1).
 [[nodiscard]] BucketBounds pow2_buckets(std::size_t count);
 

@@ -118,19 +118,6 @@ void EmpiricalDistribution::rank_batch(std::span<const double> xs,
   }
 }
 
-void EmpiricalDistribution::cdf_batch(std::span<const double> xs,
-                                      std::span<double> out) const {
-  MONOHIDS_EXPECT(!empty(), "cdf of empty distribution");
-  MONOHIDS_EXPECT(xs.size() == out.size(), "cdf_batch output size mismatch");
-  thread_local std::vector<std::uint32_t> ranks;
-  ranks.resize(xs.size());
-  rank_batch(xs, ranks);
-  const auto n = static_cast<double>(sorted_.size());
-  for (std::size_t j = 0; j < xs.size(); ++j) {
-    out[j] = static_cast<double>(ranks[j]) / n;
-  }
-}
-
 void EmpiricalDistribution::exceedance_batch(std::span<const double> xs,
                                              std::span<double> out) const {
   MONOHIDS_EXPECT(!empty(), "cdf of empty distribution");

@@ -68,22 +68,18 @@ class EmpiricalDistribution {
   /// P(X > x): the false-positive rate of a detector thresholded at x.
   [[nodiscard]] double exceedance(double x) const;
 
-  /// Batched cdf: out[j] = cdf(xs[j]) for the whole query batch at once.
-  /// Answered by one merge-scan over the arena when `xs` is ascending
-  /// (O(n + T) for a threshold sweep instead of O(T log n)) and by
-  /// branchless vectorized rank queries otherwise (stats::kernels). The
-  /// results are bit-identical to per-call cdf() on every SIMD back-end —
-  /// ranks are exact integers and the rank/n division is the same operation
-  /// the scalar path performs.
-  void cdf_batch(std::span<const double> xs, std::span<double> out) const;
-
-  /// Batched exceedance: out[j] = exceedance(xs[j]), same contract as
-  /// cdf_batch (and the same 1.0 - cdf arithmetic as the per-call path).
+  /// Batched exceedance: out[j] = exceedance(xs[j]) for the whole query
+  /// batch at once. Answered by one merge-scan over the arena when `xs` is
+  /// ascending (O(n + T) for a threshold sweep instead of O(T log n)) and
+  /// by branchless vectorized rank queries otherwise (stats::kernels). The
+  /// results are bit-identical to per-call exceedance() on every SIMD
+  /// back-end — ranks are exact integers and the 1.0 - rank/n arithmetic is
+  /// the same operation the scalar path performs.
   void exceedance_batch(std::span<const double> xs, std::span<double> out) const;
 
   /// Batched upper-bound ranks: out[j] = #samples <= xs[j], the integer
-  /// primitive behind cdf_batch (exposed for consumers that post-process
-  /// ranks themselves, e.g. AttackModel::mean_fn_batch).
+  /// primitive behind exceedance_batch (exposed for consumers that
+  /// post-process ranks themselves, e.g. AttackModel::mean_fn_batch).
   void rank_batch(std::span<const double> xs, std::span<std::uint32_t> out) const;
 
   /// Cumulative rank table cum[k] = #samples <= k, present when the samples

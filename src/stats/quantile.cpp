@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -44,15 +45,6 @@ double quantile_nearest_rank(std::span<const double> samples, double q) {
 double quantile_interpolated(std::span<const double> samples, double q) {
   const auto v = sorted_copy(samples);
   return quantile_interpolated_sorted(v, q);
-}
-
-std::vector<double> quantiles_nearest_rank(std::span<const double> samples,
-                                           std::span<const double> probabilities) {
-  const auto v = sorted_copy(samples);
-  std::vector<double> out;
-  out.reserve(probabilities.size());
-  for (double q : probabilities) out.push_back(quantile_nearest_rank_sorted(v, q));
-  return out;
 }
 
 }  // namespace monohids::stats

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace monohids::stats {
 
@@ -26,9 +25,5 @@ namespace monohids::stats {
 
 /// Convenience: copies, sorts, and applies interpolation.
 [[nodiscard]] double quantile_interpolated(std::span<const double> samples, double q);
-
-/// Batch: nearest-rank quantiles for many probabilities with a single sort.
-[[nodiscard]] std::vector<double> quantiles_nearest_rank(std::span<const double> samples,
-                                                         std::span<const double> probabilities);
 
 }  // namespace monohids::stats

@@ -15,47 +15,6 @@ LogNormalSampler::LogNormalSampler(double mu, double sigma) : mu_(mu), sigma_(si
 double LogNormalSampler::median() const { return std::exp(mu_); }
 double LogNormalSampler::mean() const { return std::exp(mu_ + sigma_ * sigma_ / 2.0); }
 
-ParetoSampler::ParetoSampler(double scale_xm, double shape_alpha)
-    : xm_(scale_xm), alpha_(shape_alpha) {
-  MONOHIDS_EXPECT(scale_xm > 0.0, "Pareto scale must be positive");
-  MONOHIDS_EXPECT(shape_alpha > 0.0, "Pareto shape must be positive");
-}
-
-double ParetoSampler::sample(util::Xoshiro256& rng) const {
-  // Inverse CDF: x = xm / u^(1/alpha); guard u > 0.
-  double u = rng.uniform01();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return xm_ / std::pow(u, 1.0 / alpha_);
-}
-
-ZipfSampler::ZipfSampler(std::uint32_t n, double exponent_s) {
-  MONOHIDS_EXPECT(n > 0, "Zipf support must be non-empty");
-  MONOHIDS_EXPECT(exponent_s >= 0.0, "Zipf exponent must be non-negative");
-  cdf_.resize(n);
-  double total = 0.0;
-  for (std::uint32_t k = 1; k <= n; ++k) {
-    total += std::pow(static_cast<double>(k), -exponent_s);
-    cdf_[k - 1] = total;
-  }
-  for (double& c : cdf_) c /= total;
-  cdf_.back() = 1.0;  // guard against rounding
-}
-
-std::uint32_t ZipfSampler::sample(util::Xoshiro256& rng) const {
-  const double u = rng.uniform01();
-  // binary search for the first cdf entry >= u
-  std::size_t lo = 0, hi = cdf_.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return static_cast<std::uint32_t>(lo + 1);  // ranks are 1-based
-}
-
 std::uint64_t sample_poisson(util::Xoshiro256& rng, double mean) {
   MONOHIDS_EXPECT(mean >= 0.0, "Poisson mean must be non-negative");
   if (mean == 0.0) return 0;

@@ -1,12 +1,13 @@
 // Heavy-tailed samplers used by the synthetic trace generator.
 //
 // The population substitute for the paper's proprietary 350-host traces is
-// built from log-normal user-intensity meta-distributions, Pareto session
-// sizes and Zipf destination popularity — the standard models for enterprise
-// traffic tails. The per-call samplers below draw from any uniform01()
-// engine (Xoshiro256 for population building and Storm overlays, Philox4x32
-// for episode streams). The batch namespace holds the scenario contract's
-// one-word samplers: each consumes exactly one 32-bit Philox word per draw.
+// built from log-normal user-intensity meta-distributions and Pareto session
+// sizes — the standard models for enterprise traffic tails. The per-call
+// samplers below draw from any uniform01() engine (Xoshiro256 for population
+// building and Storm overlays, Philox4x32 for episode streams). The batch
+// namespace holds the scenario contract's one-word samplers, Pareto session
+// sizes (ParetoCountTable) included: each consumes exactly one 32-bit Philox
+// word per draw.
 #pragma once
 
 #include <array>
@@ -55,33 +56,6 @@ class LogNormalSampler {
 
  private:
   double mu_, sigma_;
-};
-
-/// Pareto (Type I): P(X > x) = (xm / x)^alpha for x >= xm.
-class ParetoSampler {
- public:
-  ParetoSampler(double scale_xm, double shape_alpha);
-  [[nodiscard]] double sample(util::Xoshiro256& rng) const;
-  [[nodiscard]] double scale() const noexcept { return xm_; }
-  [[nodiscard]] double shape() const noexcept { return alpha_; }
-
- private:
-  double xm_, alpha_;
-};
-
-/// Zipf over ranks {1..n}: P(rank k) ∝ k^-s. Used for destination
-/// popularity (a handful of servers receive most connections; the tail of
-/// distinct destinations is long).
-class ZipfSampler {
- public:
-  ZipfSampler(std::uint32_t n, double exponent_s);
-  [[nodiscard]] std::uint32_t sample(util::Xoshiro256& rng) const;
-  [[nodiscard]] std::uint32_t support() const noexcept {
-    return static_cast<std::uint32_t>(cdf_.size());
-  }
-
- private:
-  std::vector<double> cdf_;  // cumulative probabilities, cdf_.back() == 1
 };
 
 /// Poisson sampler (inversion for small mean, PTRS-ish normal approximation

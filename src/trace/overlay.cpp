@@ -4,22 +4,6 @@
 
 namespace monohids::trace {
 
-features::BinnedSeries make_constant_attack(util::BinGrid grid, util::Duration horizon,
-                                            double size, std::uint64_t first_bin,
-                                            std::uint64_t last_bin) {
-  MONOHIDS_EXPECT(size >= 0.0, "attack size must be non-negative");
-  features::BinnedSeries b(grid, horizon);
-  MONOHIDS_EXPECT(first_bin <= last_bin && last_bin < b.bin_count(),
-                  "attack window out of range");
-  for (std::uint64_t i = first_bin; i <= last_bin; ++i) b.set(i, size);
-  return b;
-}
-
-features::BinnedSeries overlay(const features::BinnedSeries& user,
-                               const features::BinnedSeries& attack) {
-  return user + attack;
-}
-
 features::BinnedSeries overlay_tiled(const features::BinnedSeries& user,
                                      const features::BinnedSeries& attack) {
   MONOHIDS_EXPECT(user.grid().width() == attack.grid().width(),

@@ -1,25 +1,14 @@
 // Attack overlay: the paper's additive threat model g + b.
 //
 // The botmaster's traffic adds to whatever the user generates; these
-// helpers build attack series b and overlay them on user series g. Constant
-// attacks put `size` extra units in every bin of a window (the Fig. 4 naive
-// sweep); matrix overlays add a full zombie footprint (the Fig. 5 Storm
-// replay, repeated/tiled if the user trace is longer than the attack).
+// helpers overlay an attack series b on a user series g, tiling b if the
+// user trace is longer than the attack (the Fig. 5 Storm replay adds a
+// one-week zombie footprint to multi-week user traces).
 #pragma once
 
 #include "features/time_series.hpp"
 
 namespace monohids::trace {
-
-/// A constant-rate attack of `size` per bin over bins [first_bin, last_bin].
-[[nodiscard]] features::BinnedSeries make_constant_attack(util::BinGrid grid,
-                                                          util::Duration horizon, double size,
-                                                          std::uint64_t first_bin,
-                                                          std::uint64_t last_bin);
-
-/// g + b for one feature; shapes must match.
-[[nodiscard]] features::BinnedSeries overlay(const features::BinnedSeries& user,
-                                             const features::BinnedSeries& attack);
 
 /// Adds attack series b (possibly shorter) onto user series g, tiling b
 /// periodically to cover g's horizon — the paper replays the one-week Storm

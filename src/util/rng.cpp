@@ -25,21 +25,6 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   // four consecutive zeros from any seed, so no further check is needed.
 }
 
-void Xoshiro256::jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
-                                            0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (word & (std::uint64_t{1} << b)) {
-        for (std::size_t i = 0; i < 4; ++i) s[i] ^= state_[i];
-      }
-      (void)operator()();
-    }
-  }
-  state_ = s;
-}
-
 namespace {
 
 // Philox4x32 round constants (Salmon et al. 2011): the two multipliers and

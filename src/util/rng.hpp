@@ -63,10 +63,6 @@ class Xoshiro256 {
     return result;
   }
 
-  /// Advances the state by 2^128 steps; gives 2^128 non-overlapping
-  /// subsequences for parallel streams.
-  void jump() noexcept;
-
   /// Uniform double in [0, 1).
   double uniform01() noexcept {
     return static_cast<double>(operator()() >> 11) * 0x1.0p-53;

@@ -31,16 +31,6 @@ TEST(Feature, NamesMatchTableOne) {
   EXPECT_EQ(name_of(FeatureKind::UdpConnections), "num-UDP-connections");
 }
 
-TEST(Feature, AnomalyAndProductColumns) {
-  EXPECT_EQ(anomaly_of(FeatureKind::DnsConnections), "Botnet C&C");
-  EXPECT_EQ(products_of(FeatureKind::DnsConnections), "Damballa");
-  EXPECT_EQ(anomaly_of(FeatureKind::HttpConnections), "Clickfraud, DDoS");
-  for (FeatureKind f : kAllFeatures) {
-    EXPECT_FALSE(anomaly_of(f).empty());
-    EXPECT_FALSE(products_of(f).empty());
-  }
-}
-
 TEST(Feature, ParseInvertsName) {
   for (FeatureKind f : kAllFeatures) {
     EXPECT_EQ(parse_feature(name_of(f)), f);

@@ -58,27 +58,11 @@ TEST(Roc, HugeAttacksAreNearPerfect) {
   EXPECT_GT(auc, 0.99);
 }
 
-TEST(Roc, ClosestToPerfectPicksABalancedPoint) {
-  const auto benign = uniform(0, 100);
-  const auto attack = linear_attack_sweep(150.0, 15);
-  const auto curve = roc_curve(benign, attack);
-  const auto best = closest_to_perfect(curve);
-  // Must beat the extreme endpoints on distance to (0, 1).
-  const auto d = [](const RocPoint& p) {
-    return p.fp_rate * p.fp_rate + (1 - p.tp_rate) * (1 - p.tp_rate);
-  };
-  EXPECT_LE(d(best), d(curve.front()));
-  EXPECT_LE(d(best), d(curve.back()));
-  EXPECT_GT(best.tp_rate, 0.5);
-  EXPECT_LT(best.fp_rate, 0.5);
-}
-
 TEST(Roc, EmptyInputsAreErrors) {
   const auto benign = uniform(0, 10, 10);
   const AttackModel empty;
   EXPECT_THROW((void)roc_curve(benign, empty), PreconditionError);
   EXPECT_THROW((void)roc_auc({}), PreconditionError);
-  EXPECT_THROW((void)closest_to_perfect({}), PreconditionError);
 }
 
 }  // namespace

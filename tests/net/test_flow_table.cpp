@@ -252,25 +252,6 @@ TEST(FlowTable, SweepOrderIndependentOfInsertionOrder) {
   }
 }
 
-TEST(FlowTable, ExpectedFlowsHintPreSizesArena) {
-  FlowTableConfig config;
-  config.expected_flows = 4096;
-  FlowTable table(kHost, config);
-  const std::size_t capacity = table.slot_capacity();
-  EXPECT_GE(capacity, 4096u);  // fits the hint below the max load factor
-
-  // Filling up to the hint must never regrow the arena.
-  std::uint32_t created = 0;
-  for (std::uint16_t sport = 2000; created < 4096; ++sport) {
-    for (std::uint16_t dport = 1; dport <= 64 && created < 4096; ++dport) {
-      table.process(pkt(created, out_tcp(sport, dport), TcpFlags::Syn));
-      ++created;
-    }
-  }
-  EXPECT_EQ(table.active_flows(), 4096u);
-  EXPECT_EQ(table.slot_capacity(), capacity);
-}
-
 TEST(FlowTable, MaxLiveFlowsTracksPeakOccupancy) {
   FlowTableConfig config;
   config.udp_idle_timeout = kMicrosPerMinute;

@@ -44,44 +44,5 @@ TEST(Ipv4Address, HashableInUnorderedSet) {
   EXPECT_EQ(set.size(), 2u);
 }
 
-TEST(Ipv4Prefix, MasksHostBits) {
-  const Ipv4Prefix p(Ipv4Address::parse("10.1.2.3"), 16);
-  EXPECT_EQ(p.base().to_string(), "10.1.0.0");
-  EXPECT_EQ(p.to_string(), "10.1.0.0/16");
-}
-
-TEST(Ipv4Prefix, Containment) {
-  const auto p = Ipv4Prefix::parse("192.168.0.0/24");
-  EXPECT_TRUE(p.contains(Ipv4Address::parse("192.168.0.255")));
-  EXPECT_FALSE(p.contains(Ipv4Address::parse("192.168.1.0")));
-}
-
-TEST(Ipv4Prefix, SizeAndIndexing) {
-  const auto p = Ipv4Prefix::parse("10.0.0.0/30");
-  EXPECT_EQ(p.size(), 4u);
-  EXPECT_EQ(p.address_at(0).to_string(), "10.0.0.0");
-  EXPECT_EQ(p.address_at(3).to_string(), "10.0.0.3");
-  EXPECT_THROW((void)p.address_at(4), PreconditionError);
-}
-
-TEST(Ipv4Prefix, SlashZeroCoversEverything) {
-  const auto p = Ipv4Prefix::parse("0.0.0.0/0");
-  EXPECT_EQ(p.size(), 1ull << 32);
-  EXPECT_TRUE(p.contains(Ipv4Address::parse("255.255.255.255")));
-}
-
-TEST(Ipv4Prefix, SlashThirtyTwoIsOneHost) {
-  const auto p = Ipv4Prefix::parse("1.2.3.4/32");
-  EXPECT_EQ(p.size(), 1u);
-  EXPECT_TRUE(p.contains(Ipv4Address::parse("1.2.3.4")));
-  EXPECT_FALSE(p.contains(Ipv4Address::parse("1.2.3.5")));
-}
-
-TEST(Ipv4Prefix, ParseRejectsMalformedInput) {
-  for (const char* text : {"10.0.0.0", "10.0.0.0/33", "10.0.0.0/-1", "10.0.0.0/x"}) {
-    EXPECT_THROW((void)Ipv4Prefix::parse(text), InputError) << text;
-  }
-}
-
 }  // namespace
 }  // namespace monohids::net

@@ -14,7 +14,6 @@ ReferenceFlowTable::ReferenceFlowTable(Ipv4Address monitored, FlowTableConfig co
     : monitored_(monitored), config_(config) {
   MONOHIDS_EXPECT(config_.tcp_idle_timeout > 0 && config_.udp_idle_timeout > 0,
                   "idle timeouts must be positive");
-  if (config_.expected_flows > 0) flows_.reserve(config_.expected_flows);
 }
 
 void ReferenceFlowTable::process(const PacketRecord& packet) {

@@ -47,11 +47,14 @@ std::string fill_case(std::uint64_t case_index, util::Xoshiro256& rng,
       for (double& v : out) v = lognormal.sample(rng);
       return "lognormal";
     }
-    case 2: {
-      const ParetoSampler pareto(1.0, 1.2);
-      for (double& v : out) v = pareto.sample(rng);
+    case 2:
+      // Pareto(xm = 1, alpha = 1.2) by inverse CDF.
+      for (double& v : out) {
+        double u = rng.uniform01();
+        if (u <= 0.0) u = 0x1.0p-53;
+        v = 1.0 / std::pow(u, 1.0 / 1.2);
+      }
       return "pareto";
-    }
     case 3:
       // Few distinct values: massive ties, the classic GK edge case.
       for (double& v : out) v = static_cast<double>(rng() % 5);

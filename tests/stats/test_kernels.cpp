@@ -187,7 +187,6 @@ TEST(KernelEdgeCases, CdfBatchOnEmptyDistributionThrows) {
   const EmpiricalDistribution d;
   std::vector<double> xs{1.0};
   std::vector<double> out(1);
-  EXPECT_THROW(d.cdf_batch(xs, out), PreconditionError);
   EXPECT_THROW(d.exceedance_batch(xs, out), PreconditionError);
 }
 
@@ -343,9 +342,9 @@ TEST(KernelRankTable, EmpiricalDistributionBuildsAndUsesTable) {
 
   const std::vector<double> queries = {-1.0, 0.0, 4.0, 4.5, 12.0, 13.0};
   std::vector<double> batched(queries.size());
-  dist.cdf_batch(queries, batched);
+  dist.exceedance_batch(queries, batched);
   for (std::size_t j = 0; j < queries.size(); ++j) {
-    EXPECT_EQ(batched[j], dist.cdf(queries[j])) << "q=" << queries[j];
+    EXPECT_EQ(batched[j], dist.exceedance(queries[j])) << "q=" << queries[j];
   }
 }
 

@@ -60,18 +60,6 @@ TEST(Quantile, UnsortedConvenienceSorts) {
   EXPECT_DOUBLE_EQ(quantile_interpolated(v, 0.5), 3.0);
 }
 
-TEST(Quantile, BatchMatchesIndividual) {
-  std::vector<double> v;
-  util::Xoshiro256 rng(3);
-  for (int i = 0; i < 500; ++i) v.push_back(rng.uniform01() * 100);
-  const std::vector<double> probs{0.1, 0.5, 0.9, 0.99};
-  const auto batch = quantiles_nearest_rank(v, probs);
-  ASSERT_EQ(batch.size(), probs.size());
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], quantile_nearest_rank(v, probs[i]));
-  }
-}
-
 // Property: the nearest-rank quantile q has at least ceil(q*n) samples <= it.
 class QuantileProperty : public ::testing::TestWithParam<double> {};
 

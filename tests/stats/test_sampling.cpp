@@ -34,63 +34,6 @@ TEST(LogNormal, EmpiricalMomentsMatch) {
   EXPECT_NEAR(values[n / 2], s.median(), s.median() * 0.02);
 }
 
-TEST(Pareto, InvalidParametersAreErrors) {
-  EXPECT_THROW(ParetoSampler(0.0, 1.0), PreconditionError);
-  EXPECT_THROW(ParetoSampler(1.0, 0.0), PreconditionError);
-}
-
-TEST(Pareto, SamplesRespectScaleFloor) {
-  util::Xoshiro256 rng(43);
-  const ParetoSampler s(2.0, 1.5);
-  for (int i = 0; i < 10000; ++i) EXPECT_GE(s.sample(rng), 2.0);
-}
-
-TEST(Pareto, TailExponentMatches) {
-  // P(X > 2*xm) should be 2^-alpha.
-  util::Xoshiro256 rng(44);
-  const double alpha = 1.5;
-  const ParetoSampler s(1.0, alpha);
-  int exceed = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    if (s.sample(rng) > 2.0) ++exceed;
-  }
-  EXPECT_NEAR(static_cast<double>(exceed) / n, std::pow(2.0, -alpha), 0.01);
-}
-
-TEST(Zipf, RanksAreOneBasedAndBounded) {
-  util::Xoshiro256 rng(45);
-  const ZipfSampler s(50, 1.0);
-  for (int i = 0; i < 10000; ++i) {
-    const auto r = s.sample(rng);
-    EXPECT_GE(r, 1u);
-    EXPECT_LE(r, 50u);
-  }
-}
-
-TEST(Zipf, HeadIsMorePopularThanTail) {
-  util::Xoshiro256 rng(46);
-  const ZipfSampler s(100, 1.2);
-  int head = 0, tail = 0;
-  for (int i = 0; i < 50000; ++i) {
-    const auto r = s.sample(rng);
-    if (r <= 5) ++head;
-    if (r > 50) ++tail;
-  }
-  EXPECT_GT(head, tail * 2);
-}
-
-TEST(Zipf, ZeroExponentIsUniform) {
-  util::Xoshiro256 rng(47);
-  const ZipfSampler s(10, 0.0);
-  std::vector<int> counts(11, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[s.sample(rng)];
-  for (int r = 1; r <= 10; ++r) {
-    EXPECT_NEAR(static_cast<double>(counts[r]) / n, 0.1, 0.01);
-  }
-}
-
 TEST(Poisson, ZeroMeanIsAlwaysZero) {
   util::Xoshiro256 rng(48);
   EXPECT_EQ(sample_poisson(rng, 0.0), 0u);

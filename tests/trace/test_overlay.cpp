@@ -20,31 +20,6 @@ BinnedSeries series_with(std::initializer_list<std::pair<std::size_t, double>> v
   return s;
 }
 
-TEST(Overlay, ConstantAttackFillsWindow) {
-  const auto b = make_constant_attack(BinGrid::minutes(15), kMicrosPerWeek, 50.0, 10, 12);
-  EXPECT_DOUBLE_EQ(b.at(9), 0.0);
-  EXPECT_DOUBLE_EQ(b.at(10), 50.0);
-  EXPECT_DOUBLE_EQ(b.at(12), 50.0);
-  EXPECT_DOUBLE_EQ(b.at(13), 0.0);
-}
-
-TEST(Overlay, ConstantAttackValidatesWindow) {
-  EXPECT_THROW((void)make_constant_attack(BinGrid::minutes(15), kMicrosPerWeek, 1.0, 5, 4),
-               PreconditionError);
-  EXPECT_THROW((void)make_constant_attack(BinGrid::minutes(15), kMicrosPerWeek, 1.0, 0, 10000),
-               PreconditionError);
-  EXPECT_THROW((void)make_constant_attack(BinGrid::minutes(15), kMicrosPerWeek, -1.0, 0, 1),
-               PreconditionError);
-}
-
-TEST(Overlay, AdditionIsGPlusB) {
-  const auto g = series_with({{0, 5.0}, {1, 2.0}});
-  const auto b = series_with({{0, 10.0}});
-  const auto observed = overlay(g, b);
-  EXPECT_DOUBLE_EQ(observed.at(0), 15.0);
-  EXPECT_DOUBLE_EQ(observed.at(1), 2.0);
-}
-
 TEST(Overlay, TiledRepeatsShorterAttack) {
   // user trace: 2 weeks; attack: 1 week.
   BinnedSeries user(BinGrid::minutes(15), 2 * kMicrosPerWeek);
@@ -76,7 +51,8 @@ TEST(Overlay, MismatchedGridsAreAnError) {
 TEST(Overlay, AdditivityPreservesUserTraffic) {
   // The attacker only ever adds traffic: observed >= user everywhere.
   const auto g = series_with({{0, 3.0}, {7, 9.0}, {100, 1.0}});
-  const auto b = make_constant_attack(BinGrid::minutes(15), kMicrosPerWeek, 20.0, 0, 671);
+  BinnedSeries b(BinGrid::minutes(15), kMicrosPerWeek);
+  for (std::size_t i = 0; i < b.bin_count(); ++i) b.set(i, 20.0);
   const auto observed = overlay_tiled(g, b);
   for (std::size_t i = 0; i < g.bin_count(); ++i) {
     ASSERT_GE(observed.at(i), g.at(i));

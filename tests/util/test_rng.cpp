@@ -6,7 +6,6 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <set>
 #include <vector>
 
 namespace monohids::util {
@@ -46,15 +45,6 @@ TEST(Xoshiro256, Uniform01MeanIsHalf) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) acc += rng.uniform01();
   EXPECT_NEAR(acc / n, 0.5, 0.01);
-}
-
-TEST(Xoshiro256, JumpProducesDisjointStream) {
-  Xoshiro256 a(5);
-  Xoshiro256 b(5);
-  b.jump();
-  std::set<std::uint64_t> from_a;
-  for (int i = 0; i < 1000; ++i) from_a.insert(a());
-  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(from_a.contains(b()));
 }
 
 TEST(Xoshiro256, SatisfiesUniformRandomBitGenerator) {
