@@ -43,6 +43,93 @@ OperatingCurve operating_curve(const stats::EmpiricalDistribution& training,
   return curve;
 }
 
+namespace {
+
+/// How far above the lower envelope a point may lie and still be kept:
+/// far above the few-ulp rounding of stats::utility on rates in [0, 1],
+/// far below any real gap between operating points.
+constexpr double kHullSlack = 1e-9;
+
+}  // namespace
+
+OperatingCurve utility_hull(const OperatingCurve& curve) {
+  const std::size_t n = curve.thresholds.size();
+  MONOHIDS_EXPECT(n > 0 && curve.fp.size() == n && curve.fn.size() == n,
+                  "operating curve must be non-empty with equal-length columns");
+  for (std::size_t j = 1; j < n; ++j) {
+    MONOHIDS_EXPECT(curve.fp[j] <= curve.fp[j - 1] && curve.fn[j] >= curve.fn[j - 1],
+                    "operating curve must have fp falling and fn rising with the threshold");
+  }
+  const auto loss = [&](std::size_t j, double w) {
+    return w * curve.fn[j] + (1.0 - w) * curve.fp[j];
+  };
+
+  // Vertices of the lower-left convex hull with strictly falling fn
+  // (Andrew's monotone chain; collinear points are not vertices). Walking
+  // the thresholds down visits the points by ascending fp.
+  thread_local std::vector<std::size_t> chain;
+  chain.clear();
+  for (std::size_t j = n; j-- > 0;) {
+    if (!chain.empty() && curve.fn[j] >= curve.fn[chain.back()]) continue;
+    while (chain.size() >= 2) {
+      const std::size_t o = chain.end()[-2];
+      const std::size_t a = chain.back();
+      const double cross = (curve.fp[a] - curve.fp[o]) * (curve.fn[j] - curve.fn[o]) -
+                           (curve.fn[a] - curve.fn[o]) * (curve.fp[j] - curve.fp[o]);
+      if (cross > 0.0) break;
+      chain.pop_back();
+    }
+    chain.push_back(j);
+  }
+
+  // On [kink[k], kink[k + 1]] the envelope H is chain[k]'s loss, with
+  // kink[0] = 0, kink[K] = 1 and kink[k] the weight where chain[k − 1] and
+  // chain[k] tie. L_j − H is convex with slope (fn − fp of j) − (fn − fp of
+  // chain[k]) on piece k, and the chain's fn − fp falls with k, so the
+  // minimum lies at the first kink whose vertex has fn − fp at most j's.
+  // j's fn − fp rises with the threshold, so one pass walks that kink
+  // leftwards. Where rounding flips a comparison, L_j − H is flat to within
+  // rounding between the two kinks. Each kink's envelope is the lower loss
+  // of its two vertices: a vertex the chain lost to rounding only raises
+  // it, which keeps more points, never fewer.
+  const std::size_t vertices = chain.size();
+  const auto slope = [&](std::size_t j) { return curve.fn[j] - curve.fp[j]; };
+  thread_local std::vector<double> kink;
+  thread_local std::vector<double> envelope;
+  kink.assign(vertices + 1, 0.0);
+  envelope.resize(vertices + 1);
+  kink[vertices] = 1.0;
+  for (std::size_t k = 1; k < vertices; ++k) {
+    const double dfp = curve.fp[chain[k]] - curve.fp[chain[k - 1]];
+    const double dfn = curve.fn[chain[k - 1]] - curve.fn[chain[k]];
+    kink[k] = dfp / (dfp + dfn);
+  }
+  for (std::size_t k = 0; k <= vertices; ++k) {
+    const std::size_t before = chain[k > 0 ? k - 1 : 0];
+    const std::size_t after = chain[k < vertices ? k : vertices - 1];
+    envelope[k] = std::min(loss(before, kink[k]), loss(after, kink[k]));
+  }
+
+  thread_local std::vector<std::size_t> kept;
+  kept.clear();
+  std::size_t k = vertices;
+  for (std::size_t j = 0; j < n; ++j) {
+    while (k > 0 && slope(chain[k - 1]) <= slope(j)) --k;
+    if (loss(j, kink[k]) - envelope[k] <= kHullSlack) kept.push_back(j);
+  }
+
+  OperatingCurve hull;
+  hull.thresholds.reserve(kept.size());
+  hull.fp.reserve(kept.size());
+  hull.fn.reserve(kept.size());
+  for (const std::size_t j : kept) {
+    hull.thresholds.push_back(curve.thresholds[j]);
+    hull.fp.push_back(curve.fp[j]);
+    hull.fn.push_back(curve.fn[j]);
+  }
+  return hull;
+}
+
 double CurveHeuristic::compute(const stats::EmpiricalDistribution& training,
                                const AttackModel* attack) const {
   MONOHIDS_EXPECT(attack != nullptr && !attack->sizes.empty(),

@@ -54,10 +54,32 @@ struct OperatingCurve {
 [[nodiscard]] OperatingCurve operating_curve(const stats::EmpiricalDistribution& training,
                                              const AttackModel& attack);
 
+/// The points of `curve` a utility-weight selection can pick, in threshold
+/// order: an ordered subsequence of the curve, sized exactly.
+///
+/// The loss L_j(w) = w·fn[j] + (1−w)·fp[j] is linear in w, so its lower
+/// envelope H(w) = min_j L_j(w) is concave and piecewise linear, with kinks
+/// at the weights where adjacent vertices of the (fp, fn) lower-left convex
+/// hull tie. L_j − H is convex, so its minimum over [0, 1] lies at w = 0,
+/// w = 1 or a kink. Point j stays iff that minimum is at most a fixed
+/// slack far above stats::utility's rounding: every hull vertex, every
+/// collinear point and every point within rounding of an edge stays. The
+/// first maximum of UtilityHeuristic::select on the whole curve is
+/// therefore kept, and every kept point before it scores strictly lower,
+/// so select() on the hull returns the same threshold for every w in
+/// [0, 1]. The F-measure is not linear in w and must not select on a hull.
+///
+/// Runs in O(n) on a curve whose fp never rises and whose fn never falls
+/// with the threshold, as operating_curve's do; throws PreconditionError
+/// otherwise. A curve from operating_curve keeps at least its last two
+/// points (both have fp = 0, the w = 0 minimum).
+[[nodiscard]] OperatingCurve utility_hull(const OperatingCurve& curve);
+
 /// An FN-aware heuristic that picks its threshold from the operating curve
 /// alone. compute() builds the curve and hands it to select(); callers that
-/// already hold the curve (sim::AnalysisCache memoizes pooled groups'
-/// curves) call select() directly and get the same threshold.
+/// already hold the curve call select() directly and get the same
+/// threshold (sim::AnalysisCache memoizes utility hulls, see
+/// utility_hull).
 class CurveHeuristic : public ThresholdHeuristic {
  public:
   /// Throws PreconditionError when `attack` is null or has no sizes.

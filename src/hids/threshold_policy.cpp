@@ -82,15 +82,17 @@ PooledCurves pooled_curves(std::span<const stats::EmpiricalDistribution> trainin
                            unsigned threads) {
   PooledCurves out;
   out.groups = group_population(training_users, grouper);
-  out.curve_of_group.resize(out.groups.group_count);
+  out.hull_of_group.resize(out.groups.group_count);
   const auto members = members_of(out.groups);
+  // Full diversity means one sweep per host, so the groups shard across
+  // threads; each shard writes only hull_of_group[g].
   util::parallel_for(
       out.groups.group_count,
       [&](std::size_t g) {
-        if (members[g].size() > 1) {
-          out.curve_of_group[g] =
-              operating_curve(pool_members(training_users, members[g]), attack);
-        }
+        out.hull_of_group[g] = utility_hull(
+            members[g].size() == 1
+                ? operating_curve(training_users[members[g].front()], attack)
+                : operating_curve(pool_members(training_users, members[g]), attack));
       },
       threads);
   return out;
@@ -98,26 +100,17 @@ PooledCurves pooled_curves(std::span<const stats::EmpiricalDistribution> trainin
 
 ThresholdAssignment select_thresholds(
     std::span<const stats::EmpiricalDistribution> training_users, const PooledCurves& curves,
-    const CurveHeuristic& heuristic, const AttackModel& attack, unsigned threads) {
+    const UtilityHeuristic& heuristic) {
   MONOHIDS_EXPECT(curves.groups.group_of_user.size() == training_users.size() &&
-                      curves.curve_of_group.size() == curves.groups.group_count,
+                      curves.hull_of_group.size() == curves.groups.group_count,
                   "pooled curves cover a different population");
   ThresholdAssignment out;
   out.groups = curves.groups;
   out.threshold_of_group.resize(out.groups.group_count);
-  const auto members = out.groups.members();
-  // One-member groups run the whole per-host sweep (full diversity: one
-  // per user), so they still shard across threads.
-  util::parallel_for(
-      out.groups.group_count,
-      [&](std::size_t g) {
-        const OperatingCurve& curve = curves.curve_of_group[g];
-        out.threshold_of_group[g] =
-            curve.thresholds.empty()
-                ? heuristic.compute(training_users[members[g].front()], &attack)
-                : heuristic.select(curve);
-      },
-      threads);
+  // A few dozen hull points per group: too little work to fan out.
+  for (std::size_t g = 0; g < out.groups.group_count; ++g) {
+    out.threshold_of_group[g] = heuristic.select(curves.hull_of_group[g]);
+  }
   fill_user_thresholds(out);
   return out;
 }

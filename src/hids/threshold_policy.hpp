@@ -36,30 +36,32 @@ struct ThresholdAssignment {
     const ThresholdHeuristic& heuristic, const AttackModel* attack = nullptr,
     unsigned threads = 0);
 
-/// The w-independent half of an FN-aware assignment: the grouping plus the
-/// operating curve of every pooled group. curve_of_group[g] is empty for a
-/// one-member group, whose curve is the member's own (rebuilding it is cheap
-/// next to pooling, and retaining one per host is not: see
-/// sim::AnalysisCache).
+/// The w-independent half of a utility assignment: the grouping plus the
+/// utility_hull of every group's operating curve — the pooled curve for a
+/// group of several members, the member's own curve for a one-member group.
+/// A hull is a few dozen points at most, so one per host is cheap to
+/// retain, and re-weighting never rebuilds a curve. The F-measure is not
+/// linear in w and cannot select on a hull: it goes through
+/// assign_thresholds.
 struct PooledCurves {
   GroupAssignment groups;
-  std::vector<OperatingCurve> curve_of_group;
+  std::vector<OperatingCurve> hull_of_group;
 };
 
-/// Groups the population and builds each pooled group's operating curve
-/// over the same pooled distribution assign_thresholds hands the heuristic,
-/// sharded over `threads` workers. Identical for every thread count.
+/// Groups the population and builds the utility hull of each group's
+/// operating curve over the same distribution assign_thresholds hands the
+/// heuristic, sharded over `threads` workers. Identical for every thread
+/// count.
 [[nodiscard]] PooledCurves pooled_curves(
     std::span<const stats::EmpiricalDistribution> training_users, const Grouper& grouper,
     const AttackModel& attack, unsigned threads = 0);
 
-/// assign_thresholds(training_users, grouper, heuristic, &attack, threads)
-/// from precomputed pooled curves: select() on each pooled group's curve,
-/// compute() on each one-member group's own distribution. Bit-identical to
-/// assign_thresholds with the grouper `curves` was built from.
+/// assign_thresholds(training_users, grouper, heuristic, &attack) from
+/// precomputed hulls: select() on every group's hull. Bit-identical to
+/// assign_thresholds with the grouper and attack `curves` were built from.
 [[nodiscard]] ThresholdAssignment select_thresholds(
     std::span<const stats::EmpiricalDistribution> training_users, const PooledCurves& curves,
-    const CurveHeuristic& heuristic, const AttackModel& attack, unsigned threads = 0);
+    const UtilityHeuristic& heuristic);
 
 /// The `count` users with the lowest assigned thresholds — the paper's
 /// "best users" for detecting stealthy anomalies of this feature (Table 2).

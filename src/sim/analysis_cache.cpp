@@ -101,11 +101,11 @@ std::shared_ptr<const hids::ThresholdAssignment> AnalysisCache::thresholds(
                 attack != nullptr ? attack->sizes : std::vector<double>{}};
   return get_or_compute(assignments_, key, [&]() {
     const auto train = week(feature, train_week, threads);
-    const auto* curve_heuristic = dynamic_cast<const hids::CurveHeuristic*>(&heuristic);
-    if (curve_heuristic != nullptr && attack != nullptr && !attack->sizes.empty()) {
+    const auto* utility = dynamic_cast<const hids::UtilityHeuristic*>(&heuristic);
+    if (utility != nullptr && attack != nullptr && !attack->sizes.empty()) {
       const auto curves = pooled_curves(feature, train_week, grouper, *attack, threads);
       return std::make_shared<const hids::ThresholdAssignment>(
-          hids::select_thresholds(*train, *curves, *curve_heuristic, *attack, threads));
+          hids::select_thresholds(*train, *curves, *utility));
     }
     return std::make_shared<const hids::ThresholdAssignment>(
         hids::assign_thresholds(*train, grouper, heuristic, attack, threads));

@@ -4,18 +4,20 @@
 // distributions and (grouper x heuristic) threshold assignments, yet the
 // uncached pipeline rebuilds them on each call. AnalysisCache computes each
 // artifact once — keyed on (feature, week) for distributions, on (feature,
-// train week, grouper, attack sweep) for pooled groups' operating curves
-// and on (feature, train week, grouper, heuristic, attack sweep) for
-// threshold assignments — and hands out shared, immutable results zero-copy
+// train week, grouper, attack sweep) for every group's utility hull and on
+// (feature, train week, grouper, heuristic, attack sweep) for threshold
+// assignments — and hands out shared, immutable results zero-copy
 // (EmpiricalDistribution copies are pointer+span copies). Results are
 // bit-identical to the uncached path for any thread count.
 //
-// FN-aware heuristics (hids::CurveHeuristic: utility at any weight,
-// F-measure) share the pooled curves: re-weighting a policy only re-selects
-// on memoized curves instead of re-merging and re-sweeping each pooled
-// group. One-member groups' curves are not memoized — at full diversity
-// that is one curve per host, about 6x the pooled curves' memory in the
-// 350-user study — so they are rebuilt per assignment.
+// Utility heuristics at every weight share the memoized hulls
+// (hids::pooled_curves): the hull of each pooled group's curve and of each
+// one-member group's own curve, which keeps every point a
+// utility-weight selection can pick (hids::utility_hull). Re-weighting a
+// policy only re-selects on the hulls instead of re-merging pooled groups
+// and re-sweeping every host. The F-measure is not linear in the weight,
+// so it never selects on a hull: its assignment runs
+// hids::assign_thresholds on the full curves.
 //
 // Lifetime: the cache references (does not copy) the feature matrices it
 // was built over; it is valid while those matrices are alive and
@@ -55,15 +57,16 @@ class AnalysisCache final : public hids::DistributionCache {
   /// Memoized hids::assign_thresholds over the cached training
   /// distributions. Keyed on cache_key() of the grouper/heuristic plus the
   /// exact attack sweep, so parameterized policies never collide. A
-  /// CurveHeuristic with a non-empty attack sweep selects on the memoized
-  /// pooled_curves() (hids::select_thresholds) — same thresholds.
+  /// UtilityHeuristic with a non-empty attack sweep selects on the memoized
+  /// pooled_curves() hulls (hids::select_thresholds) — same thresholds.
   [[nodiscard]] std::shared_ptr<const hids::ThresholdAssignment> thresholds(
       features::FeatureKind feature, std::uint32_t train_week,
       const hids::Grouper& grouper, const hids::ThresholdHeuristic& heuristic,
       const hids::AttackModel* attack, unsigned threads = 0) override;
 
-  /// Memoized hids::pooled_curves over the cached training distributions,
-  /// keyed like thresholds() without the heuristic.
+  /// Memoized hids::pooled_curves (every group's utility hull) over the
+  /// cached training distributions, keyed like thresholds() without the
+  /// heuristic.
   [[nodiscard]] std::shared_ptr<const hids::PooledCurves> pooled_curves(
       features::FeatureKind feature, std::uint32_t train_week, const hids::Grouper& grouper,
       const hids::AttackModel& attack, unsigned threads = 0);

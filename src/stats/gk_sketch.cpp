@@ -254,6 +254,11 @@ GkSketch GkSketch::deserialize(std::istream& in) {
   MONOHIDS_ENSURE((n == 0) == (tuple_count == 0),
                   "GK sketch image: observation/tuple count mismatch");
 
+  // Every tuple of a sketch built by add(), from_sorted() or merge() keeps
+  // g + delta within the ε band; quantile() relies on it for its rank bound.
+  const auto band = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::floor(2.0 * epsilon * static_cast<double>(n))));
+
   // Bounded incremental reserve: tuple_count is untrusted, so grow as real
   // bytes arrive instead of trusting the header with one huge allocation.
   std::uint64_t total_g = 0;
@@ -267,7 +272,8 @@ GkSketch GkSketch::deserialize(std::istream& in) {
     MONOHIDS_ENSURE(t.value >= previous, "GK sketch image: values not ascending");
     MONOHIDS_ENSURE(t.g >= 1 && t.g <= n - total_g,
                     "GK sketch image: rank gaps exceed observation count");
-    MONOHIDS_ENSURE(t.delta <= n, "GK sketch image: uncertainty exceeds n");
+    MONOHIDS_ENSURE(t.g <= band && t.delta <= band - t.g,
+                    "GK sketch image: tuple rank span exceeds the epsilon band");
     previous = t.value;
     total_g += t.g;
     sketch.tuples_.push_back(t);

@@ -65,8 +65,9 @@ class GkSketch {
 
   /// Reads a serialize()d image; throws util::InputError on truncated or
   /// corrupt input (bad magic/version, non-finite or descending values,
-  /// inconsistent rank bookkeeping). The round-trip is exact: the restored
-  /// sketch answers every query identically.
+  /// inconsistent rank bookkeeping, a tuple with g + delta above the band
+  /// max(1, ⌊2εn⌋)). The round-trip is exact: the restored sketch answers
+  /// every query identically.
   [[nodiscard]] static GkSketch deserialize(std::istream& in);
 
   /// Heap footprint of the summary (the fleet's per-host memory accounting).

@@ -14,6 +14,7 @@
 
 #include "hids/daemon.hpp"
 #include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "trace/generator.hpp"
 #include "trace/population.hpp"
 
@@ -79,7 +80,10 @@ TEST(DaemonStress, ScrapersRaceTheWorkerAcrossAWeekRollover) {
       obs::write_global_prometheus(out);
       rendered += out.str().size();
     }
-    EXPECT_GT(rendered, 0u);
+    // An OBS=OFF build registers nothing, so the exposition is empty there.
+    if constexpr (obs::kEnabled) {
+      EXPECT_GT(rendered, 0u);
+    }
   });
 
   // Producer: blocking lossless feed in small batches so the stream crosses

@@ -264,5 +264,168 @@ TEST(CurveHeuristic, SelectNeedsTheNeverAlarmEndpoint) {
   EXPECT_THROW((void)FMeasureHeuristic{}.select(one_point), PreconditionError);
 }
 
+// ------------------------------------------------------------ utility hull
+
+/// The weight grid every hull check runs: both ends, the smallest steps off
+/// them, the tenths, and 200 seeded uniform draws.
+std::vector<double> hull_weights() {
+  std::vector<double> weights = {0.0, 0x1.0p-52, 1.0 - 0x1.0p-53, 1.0};
+  for (int i = 1; i <= 9; ++i) weights.push_back(i / 10.0);
+  util::Xoshiro256 rng(2009);
+  for (int i = 0; i < 200; ++i) weights.push_back(rng.uniform01());
+  return weights;
+}
+
+/// A hand-built curve: thresholds 0, 1, 2, ... over the given points.
+OperatingCurve curve_of(std::vector<double> fp, std::vector<double> fn) {
+  OperatingCurve curve;
+  for (std::size_t j = 0; j < fp.size(); ++j) curve.thresholds.push_back(static_cast<double>(j));
+  curve.fp = std::move(fp);
+  curve.fn = std::move(fn);
+  return curve;
+}
+
+/// `hull` is an ordered subsequence of `curve` (every kept point carries
+/// its own fp and fn), stored at exact size.
+void expect_subsequence(const OperatingCurve& hull, const OperatingCurve& curve) {
+  ASSERT_EQ(hull.fp.size(), hull.thresholds.size());
+  ASSERT_EQ(hull.fn.size(), hull.thresholds.size());
+  EXPECT_EQ(hull.thresholds.capacity(), hull.thresholds.size());
+  std::size_t j = 0;
+  for (std::size_t k = 0; k < hull.thresholds.size(); ++k) {
+    while (j < curve.thresholds.size() && curve.thresholds[j] != hull.thresholds[k]) ++j;
+    ASSERT_LT(j, curve.thresholds.size()) << "hull point " << k << " is not on the curve";
+    EXPECT_EQ(hull.fp[k], curve.fp[j]);
+    EXPECT_EQ(hull.fn[k], curve.fn[j]);
+    ++j;
+  }
+}
+
+/// select() on the hull picks what select() on the whole curve picks, at
+/// every hull weight.
+void expect_hull_selects_like_the_curve(const OperatingCurve& curve, const char* what) {
+  const OperatingCurve hull = utility_hull(curve);
+  expect_subsequence(hull, curve);
+  for (double w : hull_weights()) {
+    const UtilityHeuristic utility(w);
+    EXPECT_EQ(utility.select(hull), utility.select(curve)) << what << " w=" << w;
+  }
+}
+
+TEST(UtilityHull, SelectMatchesTheOracleAtEveryWeight) {
+  const Trainings trainings;
+  for (const EmpiricalDistribution* g : trainings.all()) {
+    for (const AttackModel& attack : sweeps()) {
+      const OperatingCurve curve = operating_curve(*g, attack);
+      const OperatingCurve hull = utility_hull(curve);
+      expect_subsequence(hull, curve);
+      // The never-alarm endpoint and the training maximum (fp = 0 both)
+      // are the w = 0 minimum, so both stay.
+      ASSERT_GE(hull.thresholds.size(), 2u);
+      EXPECT_EQ(hull.thresholds.end()[-1], curve.thresholds.end()[-1]);
+      EXPECT_EQ(hull.thresholds.end()[-2], curve.thresholds.end()[-2]);
+      for (double w : hull_weights()) {
+        EXPECT_EQ(UtilityHeuristic(w).select(hull), oracle::utility_threshold(*g, attack, w))
+            << "w=" << w << " sizes=" << attack.sizes.size();
+      }
+    }
+  }
+  // The continuous training has 1501 candidates; its hull is a small subset.
+  const OperatingCurve curve = operating_curve(trainings.continuous, sweeps()[1]);
+  EXPECT_LT(utility_hull(curve).thresholds.size() * 10, curve.thresholds.size());
+}
+
+TEST(UtilityHull, CollinearPointsAllStay) {
+  // Dyadic points on fp + fn = 3/4: at w = 1/2 all four tie exactly, and
+  // the first of them must win on the hull as on the curve.
+  const OperatingCurve exact = curve_of({0.75, 0.5, 0.25, 0.0, 0.0}, {0.0, 0.25, 0.5, 0.75, 1.0});
+  EXPECT_EQ(utility_hull(exact).thresholds.size(), 5u);
+  EXPECT_EQ(UtilityHeuristic(0.5).select(utility_hull(exact)), 0.0);
+  expect_hull_selects_like_the_curve(exact, "dyadic collinear");
+  // Collinear only up to rounding (tenths are not dyadic), plus a point a
+  // hair below and one a hair above the middle of an edge.
+  expect_hull_selects_like_the_curve(
+      curve_of({0.3, 0.2, 0.1, 0.0, 0.0}, {0.1, 0.2, 0.3, 0.4, 1.0}), "rounded collinear");
+  expect_hull_selects_like_the_curve(
+      curve_of({0.4, 0.2, 0.2, 0.0, 0.0}, {0.0, 0.2 - 1e-15, 0.2 + 1e-15, 0.4, 1.0}),
+      "near-collinear");
+}
+
+TEST(UtilityHull, RunsOfEqualRatesKeepTheirFirstPoint) {
+  // Equal fn: at w = 1 the whole run ties and its first point wins.
+  const OperatingCurve equal_fn =
+      curve_of({0.9, 0.5, 0.3, 0.1, 0.0, 0.0}, {0.1, 0.1, 0.1, 0.4, 0.4, 1.0});
+  EXPECT_EQ(UtilityHeuristic(1.0).select(utility_hull(equal_fn)), 0.0);
+  expect_hull_selects_like_the_curve(equal_fn, "equal fn");
+  // Equal fp (the tail every real curve ends in): at w = 0 the first wins.
+  const OperatingCurve equal_fp =
+      curve_of({0.5, 0.0, 0.0, 0.0, 0.0}, {0.0, 0.2, 0.2, 0.7, 1.0});
+  EXPECT_EQ(UtilityHeuristic(0.0).select(utility_hull(equal_fp)), 1.0);
+  expect_hull_selects_like_the_curve(equal_fp, "equal fp");
+  // Duplicated points: both copies stay, the first wins.
+  expect_hull_selects_like_the_curve(
+      curve_of({0.4, 0.2, 0.2, 0.0, 0.0}, {0.0, 0.1, 0.1, 0.5, 1.0}), "duplicates");
+}
+
+TEST(UtilityHull, NeverAlarmEndpointAndTwoPointCurves) {
+  // A one-value training set: the training maximum and the never-alarm
+  // endpoint, both with fp = 0.
+  const EmpiricalDistribution constant(std::vector<double>(50, 7.0));
+  const AttackModel attack = linear_attack_sweep(10.0, 4);
+  const OperatingCurve curve = operating_curve(constant, attack);
+  ASSERT_EQ(curve.thresholds.size(), 2u);
+  const OperatingCurve hull = utility_hull(curve);
+  EXPECT_EQ(hull.thresholds, curve.thresholds);
+  for (double w : hull_weights()) {
+    EXPECT_EQ(UtilityHeuristic(w).select(hull), oracle::utility_threshold(constant, attack, w))
+        << "w=" << w;
+  }
+  // Hand-built two- and three-point curves: the never-alarm endpoint ties
+  // an earlier fp = 0 point at w = 0 and must lose the tie on the hull too.
+  expect_hull_selects_like_the_curve(curve_of({0.0, 0.0}, {0.3, 1.0}), "two points");
+  expect_hull_selects_like_the_curve(curve_of({0.0, 0.0}, {1.0, 1.0}), "two equal points");
+  expect_hull_selects_like_the_curve(curve_of({1.0, 0.0, 0.0}, {0.0, 1.0, 1.0}),
+                                     "all-or-nothing");
+}
+
+TEST(UtilityHull, SeededCoarseCurvesMatchTheWholeCurve) {
+  // Monotone curves on a coarse grid (heavy exact ties, collinear runs):
+  // 1/8 steps are exact in binary, 1/10 steps round. Each ends in the two
+  // fp = 0 points every real curve ends in.
+  util::Xoshiro256 rng(909);
+  for (int trial = 0; trial < 400; ++trial) {
+    const double grid = trial % 2 == 0 ? 8.0 : 10.0;
+    const auto steps = static_cast<std::uint64_t>(grid);
+    const std::size_t n = 2 + rng() % 12;
+    std::vector<double> fp(n), fn(n);
+    std::uint64_t fp_steps = steps, fn_steps = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      fp_steps -= std::min<std::uint64_t>(fp_steps, rng() % 3);
+      fn_steps = std::min<std::uint64_t>(steps, fn_steps + rng() % 3);
+      fp[j] = static_cast<double>(fp_steps) / grid;
+      fn[j] = static_cast<double>(fn_steps) / grid;
+    }
+    fp.insert(fp.end(), {0.0, 0.0});
+    fn.insert(fn.end(), {fn.back(), 1.0});
+    expect_hull_selects_like_the_curve(curve_of(std::move(fp), std::move(fn)),
+                                       grid == 8.0 ? "1/8 grid" : "1/10 grid");
+    if (HasFailure()) break;
+  }
+}
+
+TEST(UtilityHull, NeedsAMonotoneCurve) {
+  // operating_curve's fp never rises and its fn never falls with the
+  // threshold; the hull walks the points in that order. Empty and ragged
+  // curves are errors too.
+  EXPECT_THROW((void)utility_hull(curve_of({0.5, 0.6, 0.0}, {0.1, 0.2, 1.0})),
+               PreconditionError);
+  EXPECT_THROW((void)utility_hull(curve_of({0.5, 0.2, 0.0}, {0.3, 0.2, 1.0})),
+               PreconditionError);
+  OperatingCurve ragged = curve_of({0.5, 0.0}, {0.0, 1.0});
+  ragged.fn.pop_back();
+  EXPECT_THROW((void)utility_hull(ragged), PreconditionError);
+  EXPECT_THROW((void)utility_hull(OperatingCurve{}), PreconditionError);
+}
+
 }  // namespace
 }  // namespace monohids::hids

@@ -156,12 +156,18 @@ TEST(KernelRewire, OptimizingHeuristicsPickTheSameThreshold) {
                          "FMeasureHeuristic");
   // The extreme weights tie many candidates (w = 0: every threshold at or
   // above the maximum has zero false positives), so they pin the
-  // first-maximum tie-break too.
-  for (double w : {0.0, 0.5, 1.0}) {
+  // first-maximum tie-break too. The hull the analysis cache memoizes must
+  // pick the same threshold as the whole curve.
+  for (int i = 0; i <= 10; ++i) {
+    const double w = i / 10.0;
     const UtilityHeuristic utility(w);
     expect_oracle_identity([&] { return utility.compute(g, &attack); },
                            [&] { return oracle::utility_threshold(g, attack, w); },
                            "UtilityHeuristic");
+    expect_oracle_identity(
+        [&] { return utility.select(utility_hull(operating_curve(g, attack))); },
+        [&] { return oracle::utility_threshold(g, attack, w); },
+        "UtilityHeuristic on the utility hull");
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -89,28 +91,52 @@ std::vector<EmpiricalDistribution> count_population(std::size_t users) {
   return out;
 }
 
-TEST(PooledCurves, CurvesOnlyForPooledGroups) {
+/// The pooled distribution of `members`: what assign_thresholds hands the
+/// heuristic for a group of several members.
+EmpiricalDistribution pool_of(std::span<const EmpiricalDistribution> users,
+                              std::span<const std::uint32_t> members) {
+  std::vector<double> samples;
+  for (std::uint32_t u : members) {
+    samples.insert(samples.end(), users[u].samples().begin(), users[u].samples().end());
+  }
+  return EmpiricalDistribution(std::move(samples));
+}
+
+TEST(PooledCurves, EveryGroupHoldsItsCurvesHull) {
   const auto users = count_population(24);
   const AttackModel attack = log_attack_sweep(1.0, 100.0, 64);
-  const auto curves = pooled_curves(users, KneePartialGrouper{}, attack);
-  ASSERT_EQ(curves.curve_of_group.size(), curves.groups.group_count);
-  const auto members = curves.groups.members();
-  for (std::size_t g = 0; g < members.size(); ++g) {
-    EXPECT_EQ(curves.curve_of_group[g].thresholds.empty(), members[g].size() == 1) << g;
+  std::vector<std::unique_ptr<Grouper>> groupers;
+  groupers.push_back(std::make_unique<HomogeneousGrouper>());
+  groupers.push_back(std::make_unique<FullDiversityGrouper>());
+  groupers.push_back(std::make_unique<KneePartialGrouper>());
+  for (const auto& grouper : groupers) {
+    const auto curves = pooled_curves(users, *grouper, attack);
+    ASSERT_EQ(curves.hull_of_group.size(), curves.groups.group_count);
+    const auto members = curves.groups.members();
+    for (std::size_t g = 0; g < members.size(); ++g) {
+      const OperatingCurve curve =
+          members[g].size() == 1 ? operating_curve(users[members[g].front()], attack)
+                                 : operating_curve(pool_of(users, members[g]), attack);
+      const OperatingCurve& hull = curves.hull_of_group[g];
+      ASSERT_GE(hull.thresholds.size(), 2u) << grouper->name() << " group " << g;
+      EXPECT_EQ(hull.thresholds.capacity(), hull.thresholds.size());
+      // The hull of the group's curve (not the whole curve), and an ordered
+      // subsequence of it, point for point.
+      EXPECT_EQ(hull.thresholds, utility_hull(curve).thresholds);
+      std::size_t j = 0;
+      for (std::size_t k = 0; k < hull.thresholds.size(); ++k, ++j) {
+        while (j < curve.thresholds.size() && curve.thresholds[j] != hull.thresholds[k]) ++j;
+        ASSERT_LT(j, curve.thresholds.size()) << grouper->name() << " group " << g;
+        EXPECT_EQ(hull.fp[k], curve.fp[j]);
+        EXPECT_EQ(hull.fn[k], curve.fn[j]);
+      }
+    }
   }
-  const auto full = pooled_curves(users, FullDiversityGrouper{}, attack);
-  for (const auto& curve : full.curve_of_group) EXPECT_TRUE(curve.thresholds.empty());
-  const auto homog = pooled_curves(users, HomogeneousGrouper{}, attack);
-  ASSERT_EQ(homog.curve_of_group.size(), 1u);
-  EXPECT_EQ(homog.curve_of_group[0].thresholds.capacity(),
-            homog.curve_of_group[0].thresholds.size());
 }
 
 TEST(PooledCurves, SelectThresholdsMatchesAssignThresholdsForEveryThreadCount) {
   const auto users = count_population(24);
   const AttackModel attack = log_attack_sweep(1.0, 100.0, 64);
-  const UtilityHeuristic utility(0.4);
-  const FMeasureHeuristic fmeasure;
   std::vector<std::unique_ptr<Grouper>> groupers;
   groupers.push_back(std::make_unique<HomogeneousGrouper>());
   groupers.push_back(std::make_unique<FullDiversityGrouper>());
@@ -118,12 +144,12 @@ TEST(PooledCurves, SelectThresholdsMatchesAssignThresholdsForEveryThreadCount) {
   for (unsigned threads : {1u, 3u}) {
     for (const auto& grouper : groupers) {
       const auto curves = pooled_curves(users, *grouper, attack, threads);
-      for (const CurveHeuristic* h : {static_cast<const CurveHeuristic*>(&utility),
-                                      static_cast<const CurveHeuristic*>(&fmeasure)}) {
-        const auto selected = select_thresholds(users, curves, *h, attack, threads);
-        const auto direct = assign_thresholds(users, *grouper, *h, &attack, 1);
+      for (double w : {0.0, 0.4, 1.0}) {
+        const UtilityHeuristic utility(w);
+        const auto selected = select_thresholds(users, curves, utility);
+        const auto direct = assign_thresholds(users, *grouper, utility, &attack, 1);
         EXPECT_EQ(selected.threshold_of_group, direct.threshold_of_group)
-            << grouper->name() << ' ' << h->name() << " threads=" << threads;
+            << grouper->name() << ' ' << utility.name() << " threads=" << threads;
         EXPECT_EQ(selected.threshold_of_user, direct.threshold_of_user);
         EXPECT_EQ(selected.groups.group_of_user, direct.groups.group_of_user);
       }
@@ -136,7 +162,7 @@ TEST(PooledCurves, CurvesFromAnotherPopulationAreAnError) {
   const AttackModel attack = log_attack_sweep(1.0, 100.0, 8);
   const auto curves = pooled_curves(users, HomogeneousGrouper{}, attack);
   const auto fewer = count_population(5);
-  EXPECT_THROW((void)select_thresholds(fewer, curves, UtilityHeuristic(0.4), attack),
+  EXPECT_THROW((void)select_thresholds(fewer, curves, UtilityHeuristic(0.4)),
                PreconditionError);
 }
 

@@ -216,7 +216,7 @@ TEST(AnalysisCache, NearbyParametersDoNotCollide) {
                             hids::KneePartialGrouper(0.1500004), p99);
 }
 
-// ------------------------------------------- pooled operating-curve memo
+// ---------------------------------------------------- utility-hull memo
 
 /// The paper's three groupers plus both alternatives at 8 groups.
 std::vector<std::unique_ptr<hids::Grouper>> differential_groupers() {
@@ -251,9 +251,10 @@ TEST(AnalysisCache, CurveMemoMatchesUncachedAndTheOracle) {
         EXPECT_EQ(cached->threshold_of_user, direct.threshold_of_user) << what;
         EXPECT_EQ(cached->threshold_of_group, direct.threshold_of_group) << what;
         EXPECT_EQ(cached->groups.group_of_user, direct.groups.group_of_user) << what;
+        // Every group against the oracle on its own training data: the
+        // merged pool, or a one-member group's own distribution.
         const auto members = cached->groups.members();
         for (std::size_t g = 0; g < members.size(); ++g) {
-          if (members[g].size() < 2) continue;
           std::vector<std::span<const double>> parts;
           for (std::uint32_t u : members[g]) parts.push_back(train[u].samples());
           const auto pool =
@@ -262,7 +263,8 @@ TEST(AnalysisCache, CurveMemoMatchesUncachedAndTheOracle) {
               << what << " group " << g;
         }
       };
-      for (double w : {0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0}) {
+      for (int i = 0; i <= 10; ++i) {
+        const double w = i / 10.0;
         check(hids::UtilityHeuristic(w),
               [w](const stats::EmpiricalDistribution& pool, const hids::AttackModel& attack) {
                 return oracle::utility_threshold(pool, attack, w);
@@ -287,7 +289,8 @@ TEST(AnalysisCache, WeightsOverOneKeyBuildOneCurve) {
   const auto after = cache.counters();
   // k assignment misses plus exactly one curve miss.
   EXPECT_EQ(after.misses - before.misses, weights.size() + 1);
-  // The F-measure shares the same curves: one more assignment, no curve.
+  // The F-measure never selects on the hulls: one more assignment, built
+  // by assign_thresholds, and no curve lookup.
   (void)cache.thresholds(FeatureKind::TcpConnections, 0, grouper, hids::FMeasureHeuristic{},
                          attack.get());
   EXPECT_EQ(cache.counters().misses - after.misses, 1u);
@@ -309,7 +312,7 @@ TEST(AnalysisCache, ClearAndBypassRebuildCurves) {
   cache.clear();
   const auto after = cache.pooled_curves(FeatureKind::TcpConnections, 0, grouper, *attack);
   EXPECT_NE(before.get(), after.get());
-  EXPECT_EQ(before->curve_of_group[0].fn, after->curve_of_group[0].fn);
+  EXPECT_EQ(before->hull_of_group[0].fn, after->hull_of_group[0].fn);
 
   cache.set_bypass(true);
   const auto start = cache.counters();
@@ -350,9 +353,9 @@ TEST(AnalysisCache, ConcurrentWeightsShareOneCurve) {
     std::vector<std::thread> workers;
     workers.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      // threads=2: every caller also fans its one-member groups out over
-      // the shared pool, so the nested memo lookup runs under real
-      // concurrency.
+      // threads=2: the one caller that builds the hulls fans its groups
+      // out over the shared pool while the others wait on the memo entry,
+      // so the nested lookup runs under real concurrency.
       workers.emplace_back([&, t] {
         results[t] = cache.thresholds(FeatureKind::TcpConnections, 0, grouper,
                                       hids::UtilityHeuristic(weight(t)), attack.get(), 2);
