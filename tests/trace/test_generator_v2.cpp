@@ -176,5 +176,35 @@ TEST(GeneratorV2, AggregateVolumeTracksTheV1Model) {
   }
 }
 
+TEST(GeneratorV2, FeatureBytesArePinned) {
+  // FNV-1a over the raw bytes of every bin of every series: the feature
+  // contract must not move a byte when the code that renders it changes.
+  // Three grids: 15 minutes divides the day, 21 minutes divides the week
+  // but not the day, 13 minutes divides neither.
+  const auto fnv = [](const std::vector<UserProfile>& users, std::uint32_t bin_minutes) {
+    const TraceGenerator generator(v2_config(2, bin_minutes));
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const UserProfile& u : users) {
+      const auto m = generator.generate_features(u);
+      for (const auto& series : m.series) {
+        for (const double v : series.values()) {
+          std::uint64_t bits;
+          std::memcpy(&bits, &v, sizeof bits);
+          for (int i = 0; i < 8; ++i) {
+            h ^= (bits >> (8 * i)) & 0xFF;
+            h *= 1099511628211ULL;
+          }
+        }
+      }
+    }
+    return h;
+  };
+  const auto users = small_population(40, 2);
+  EXPECT_EQ(fnv(users, 15), 6741087548348779596ULL);
+  const std::vector<UserProfile> few(users.begin(), users.begin() + 8);
+  EXPECT_EQ(fnv(few, 21), 12037056479667261780ULL);
+  EXPECT_EQ(fnv(few, 13), 4097864595905910545ULL);
+}
+
 }  // namespace
 }  // namespace monohids::trace
