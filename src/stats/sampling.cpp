@@ -52,6 +52,13 @@ std::uint32_t cdf_threshold32(double cdf) noexcept {
   return t >= 0x1.0p32 ? 0xFFFFFFFFu : static_cast<std::uint32_t>(t);
 }
 
+/// cdf_row_scan's precondition. Holds by construction (each CDF is a
+/// running sum of nonnegative terms and cdf_threshold32 is monotone);
+/// checked once per row at table build.
+bool row_is_nondecreasing(const std::uint32_t* row) noexcept {
+  return std::is_sorted(row, row + kCdfRowLen);
+}
+
 }  // namespace
 
 std::uint64_t poisson_normal_word32(std::uint32_t w, double mean) noexcept {
@@ -78,6 +85,7 @@ PoissonSumCdf::PoissonSumCdf(double mean_step, std::uint32_t stat_cap)
       cum += pk;
       row[k] = cdf_threshold32(cum);
     }
+    MONOHIDS_EXPECT(row_is_nondecreasing(row), "Poisson-sum threshold row must be nondecreasing");
   }
 }
 
@@ -105,6 +113,7 @@ BinomialCdf::BinomialCdf(double p) : p_(p) {
       cum += pk;
       row[k] = cdf_threshold32(cum);
     }
+    MONOHIDS_EXPECT(row_is_nondecreasing(row), "Binomial threshold row must be nondecreasing");
   }
 }
 

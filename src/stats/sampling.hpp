@@ -212,16 +212,32 @@ inline constexpr auto kInvK = [] {
 /// of the draw contract.
 inline constexpr std::size_t kCdfRowLen = 48;
 
+/// Row entries cdf_row_scan counts without a branch: one 64-byte cache
+/// line. A branch-free count over the whole row touches three lines and
+/// measured slower.
+inline constexpr std::size_t kCdfScanPrefix = 16;
+
 /// Resolves a word against one threshold row: k = #{j : w > t_j} with
 /// t_j = min(floor(P(X <= j) * 2^32), 2^32 - 1), i.e. exact inverse-CDF
 /// inversion of u = w / 2^32 (u > CDF_j iff w > t_j) with every comparison
 /// a single integer compare. Entries with CDF 1 store 2^32 - 1, which no
-/// word clears, so the scan terminates naturally at the support edge. The
-/// scan exits at the first uncleared threshold — expected probes E[X] + 1.
+/// word clears, so the count stops at the support edge.
+///
+/// Precondition: the row is nondecreasing (every CDF row is; the table
+/// constructors check it). The cleared entries are then a prefix of the
+/// row, so the count equals the index of the first uncleared entry. The
+/// scan therefore counts the first kCdfScanPrefix entries without a branch
+/// (the compiler vectorizes the sum) instead of exiting at a data-dependent
+/// point that mispredicts on most draws; only a word that clears the whole
+/// prefix continues entry by entry.
 [[nodiscard]] inline std::uint64_t cdf_row_scan(const std::uint32_t* row,
                                                std::uint32_t w) noexcept {
-  std::uint64_t k = 0;
-  while (k < kCdfRowLen && w > row[k]) ++k;
+  std::uint32_t cleared = 0;
+  for (std::size_t j = 0; j < kCdfScanPrefix; ++j) cleared += w > row[j] ? 1u : 0u;
+  std::uint64_t k = cleared;
+  if (k == kCdfScanPrefix) [[unlikely]] {
+    while (k < kCdfRowLen && w > row[k]) ++k;
+  }
   return k;
 }
 
@@ -238,9 +254,7 @@ class PoissonSumCdf {
   PoissonSumCdf(double mean_step, std::uint32_t stat_cap);
 
   [[nodiscard]] std::uint64_t sample(std::uint32_t w, std::uint64_t stat) const noexcept {
-    if (stat < stat_cap_) [[likely]] {
-      return cdf_row_scan(rows_.data() + stat * kCdfRowLen, w);
-    }
+    if (stat < stat_cap_) [[likely]] return cdf_row_scan(row(stat), w);
     const double mean = mean_step_ * static_cast<double>(stat);
     double u = to_unit32(w);
     if (u <= 0.0) u = 0x1.0p-33;
@@ -249,6 +263,11 @@ class PoissonSumCdf {
   }
 
   [[nodiscard]] std::uint32_t stat_cap() const noexcept { return stat_cap_; }
+
+  /// Threshold row of `stat` (< stat_cap()), kCdfRowLen entries.
+  [[nodiscard]] const std::uint32_t* row(std::uint64_t stat) const noexcept {
+    return rows_.data() + stat * kCdfRowLen;
+  }
 
  private:
   double mean_step_;
@@ -270,7 +289,7 @@ class BinomialCdf {
   [[nodiscard]] std::uint64_t sample(std::uint32_t w, std::uint64_t n) const noexcept {
     if (n == 0) return 0;
     if (n < n_cap_) [[likely]] {
-      return std::min<std::uint64_t>(cdf_row_scan(rows_.data() + n * kCdfRowLen, w), n);
+      return std::min<std::uint64_t>(cdf_row_scan(row(n), w), n);
     }
     const double mean = p_ * static_cast<double>(n);
     double u = to_unit32(w);
@@ -282,6 +301,11 @@ class BinomialCdf {
 
   [[nodiscard]] double p() const noexcept { return p_; }
   [[nodiscard]] std::uint32_t n_cap() const noexcept { return n_cap_; }
+
+  /// Threshold row of `n` (< n_cap()), kCdfRowLen entries.
+  [[nodiscard]] const std::uint32_t* row(std::uint64_t n) const noexcept {
+    return rows_.data() + n * kCdfRowLen;
+  }
 
  private:
   double p_;

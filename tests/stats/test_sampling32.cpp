@@ -7,11 +7,13 @@
 // suite pins semantics, not just plausibility.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "oracle/sampling.hpp"
 #include "stats/sampling.hpp"
 #include "util/rng.hpp"
 
@@ -103,6 +105,68 @@ TEST(CdfRowScan, ThresholdSemanticsAreStrictlyGreater) {
   EXPECT_EQ(batch::cdf_row_scan(row.data(), 2000), 1u);
   EXPECT_EQ(batch::cdf_row_scan(row.data(), 3001), 3u);
   EXPECT_EQ(batch::cdf_row_scan(row.data(), 0xffffffffu), 3u);
+}
+
+/// Row with t_j = (j + 1) * 1000 for j < finite and the 2^32 - 1
+/// sentinel past it.
+std::array<std::uint32_t, kCdfRowLen> stepped_row(std::size_t finite) {
+  std::array<std::uint32_t, kCdfRowLen> row;
+  row.fill(0xffffffffu);
+  for (std::size_t j = 0; j < finite; ++j) row[j] = static_cast<std::uint32_t>((j + 1) * 1000);
+  return row;
+}
+
+TEST(CdfRowScan, WordsClearingEachPrefixEdgeMatchTheOracle) {
+  // The branch-free prefix covers entries 0..15; a word that clears all of
+  // them continues entry by entry. Words that clear 0, 15, 16, 17, 47 and
+  // all 48 entries sit on either side of that hand-over and of the row end.
+  const auto row = stepped_row(kCdfRowLen);
+  for (const std::uint64_t want : {0u, 1u, 15u, 16u, 17u, 47u, 48u}) {
+    const std::uint32_t w = want == 0 ? 0u : row[want - 1] + 1;
+    ASSERT_EQ(oracle::cdf_row_scan(row.data(), w), want);
+    EXPECT_EQ(batch::cdf_row_scan(row.data(), w), want) << "w=" << w;
+    // One below: the word equals the threshold, which it does not clear.
+    if (want != 0) {
+      EXPECT_EQ(batch::cdf_row_scan(row.data(), w - 1), want - 1) << "w=" << w - 1;
+    }
+  }
+}
+
+TEST(CdfRowScan, SentinelTailIsNeverCleared) {
+  // A row that reaches CDF 1 after `finite` entries: even the largest word
+  // stops at the sentinel, on both sides of the prefix edge.
+  for (const std::size_t finite : {0u, 1u, 15u, 16u, 17u, 47u}) {
+    const auto row = stepped_row(finite);
+    for (const std::uint32_t w : {0u, 1000u, 0xfffffffeu, 0xffffffffu}) {
+      EXPECT_EQ(batch::cdf_row_scan(row.data(), w), oracle::cdf_row_scan(row.data(), w))
+          << "finite=" << finite << " w=" << w;
+    }
+    EXPECT_EQ(batch::cdf_row_scan(row.data(), 0xffffffffu), finite);
+  }
+}
+
+TEST(CdfRowScan, RandomNondecreasingRowsMatchTheOracle) {
+  // Sorted random rows with runs of equal entries and sentinel tails of
+  // random length; words drawn at random and on every threshold +-1.
+  util::Philox4x32 rng(util::derive_seed(11, "cdf-row-scan", 0), 0);
+  for (int c = 0; c < 400; ++c) {
+    std::array<std::uint32_t, kCdfRowLen> row;
+    const std::uint32_t span = c % 3 == 0 ? 0xffffffffu : 1u + rng() % 5000;
+    for (auto& t : row) t = rng() % span;
+    std::sort(row.begin(), row.end());
+    std::fill(row.begin() + static_cast<std::ptrdiff_t>(rng() % (kCdfRowLen + 1)), row.end(),
+              0xffffffffu);
+    ASSERT_TRUE(std::is_sorted(row.begin(), row.end()));
+    std::vector<std::uint32_t> words;
+    for (int i = 0; i < 32; ++i) words.push_back(rng());
+    for (const std::uint32_t t : row) {
+      words.insert(words.end(), {t - 1, t, t + 1});
+    }
+    for (const std::uint32_t w : words) {
+      ASSERT_EQ(batch::cdf_row_scan(row.data(), w), oracle::cdf_row_scan(row.data(), w))
+          << "case " << c << " w=" << w;
+    }
+  }
 }
 
 TEST(PoissonSumCdf, TabulatedRowsInvertTheExactPoissonCdf) {

@@ -13,9 +13,11 @@
 #include <utility>
 #include <vector>
 
+#include "oracle/sampling.hpp"
 #include "stats/kernels.hpp"
 #include "trace/generator.hpp"
 #include "trace/population.hpp"
+#include "trace/v2_contract.hpp"
 
 namespace monohids::trace {
 namespace {
@@ -204,6 +206,37 @@ TEST(GeneratorV2, FeatureBytesArePinned) {
   const std::vector<UserProfile> few(users.begin(), users.begin() + 8);
   EXPECT_EQ(fnv(few, 21), 12037056479667261780ULL);
   EXPECT_EQ(fnv(few, 13), 4097864595905910545ULL);
+}
+
+TEST(GeneratorV2, EveryDrawTableRowIsNondecreasing) {
+  // stats::batch::cdf_row_scan counts cleared thresholds without an early
+  // exit, which equals the first-uncleared index only on a nondecreasing
+  // row. Check every tabulated row of the footprint tables, and the scan
+  // against the early-exit oracle on each row's thresholds and neighbours.
+  // (The ParetoSumTable head binomials are checked by the BinomialCdf
+  // constructor, which every table build runs.)
+  const auto& T = detail::footprint_tables32();
+  const auto check_row = [](const std::uint32_t* row, const std::string& what) {
+    ASSERT_TRUE(std::is_sorted(row, row + stats::batch::kCdfRowLen)) << what;
+    for (std::size_t j = 0; j < stats::batch::kCdfRowLen; ++j) {
+      for (const std::uint32_t w : {row[j] - 1, row[j], row[j] + 1}) {
+        ASSERT_EQ(stats::batch::cdf_row_scan(row, w), oracle::cdf_row_scan(row, w))
+            << what << " w=" << w;
+      }
+    }
+  };
+  for (const auto* table : {&T.domain_sum, &T.dns_sum, &T.update_sum}) {
+    for (std::uint64_t s = 0; s < table->stat_cap(); ++s) {
+      check_row(table->row(s), "Poisson-sum stat " + std::to_string(s));
+    }
+  }
+  for (const auto* table :
+       {&T.https_045, &T.syn_retrans_003, &T.mail_dns_020, &T.interactive_dns_030}) {
+    for (std::uint64_t n = 0; n < table->n_cap(); ++n) {
+      check_row(table->row(n), "Binomial p=" + std::to_string(table->p()) + " n=" +
+                                   std::to_string(n));
+    }
+  }
 }
 
 }  // namespace
