@@ -352,55 +352,67 @@ void philox_fill_avx2(std::uint64_t key, std::uint64_t stream,
   }
 }
 
-std::uint64_t poisson_counts_avx2(const double* means, const std::uint32_t* words,
-                                  std::uint32_t* counts, std::size_t n) {
-  // Four-lane mirror of detail::poisson_counts_portable's inversion
-  // regime: the exp_neg12 fma chain lane-wise (_mm256_fmadd_pd is the
-  // same correctly-rounded fused op as std::fma), then the Knuth walk
-  // with the identical per-step mul/add sequence. Quads containing a
-  // normal-regime mean (>= kNormalCutoff32, rare by construction of the
-  // traffic model) fall through to the portable code so those lanes never
-  // diverge. This TU is compiled with -ffp-contract=off, so no mul/add
-  // pair here can silently fuse differently than the scalar reference.
+/// Q quads (4 * Q lanes) of poisson_counts_avx2 starting at lane 0 of
+/// means/words/counts; returns their count sum. Mirrors
+/// detail::poisson_counts_portable's inversion regime lane by lane: the
+/// exp_neg12 fma chain (_mm256_fmadd_pd is the same correctly-rounded
+/// fused op as std::fma), then the inversion walk with the identical
+/// per-step mul/add sequence. This TU is compiled with -ffp-contract=off,
+/// so no mul/add pair here can silently fuse differently than the scalar
+/// reference.
+///
+/// The quads share one walk loop that exits when no lane of any quad is
+/// live: one loop-exit mispredict per Q quads, and the quads' exp and
+/// multiply chains overlap. A lane's count does not depend on how long the
+/// loop runs past its own exit — its cum never decreases, so a lane with
+/// u <= cum stays done — which keeps quad grouping (and therefore tile
+/// partitioning) from changing any lane's result.
+template <int Q>
+inline std::uint64_t poisson_quads_avx2(const double* means, const std::uint32_t* words,
+                                        std::uint32_t* counts) noexcept {
   const __m256d cutoff = _mm256_set1_pd(batch::kNormalCutoff32);
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const __m256d log2e = _mm256_set1_pd(1.4426950408889634);
-  const __m256d ln2hi = _mm256_set1_pd(6.93147180369123816490e-01);
-  const __m256d ln2lo = _mm256_set1_pd(1.90821492927058770002e-10);
-  const __m256d half = _mm256_set1_pd(0.5);
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256i mant_hide = _mm256_set1_epi64x(0x4330000000000000ll);
   const __m256d two52 = _mm256_set1_pd(0x1.0p52);
   const __m256d scale32 = _mm256_set1_pd(0x1.0p-32);
 
-  std::uint64_t total = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d m = _mm256_loadu_pd(means + i);
+  __m256d m[Q], u[Q], dead[Q];
+  int heavy_mask[Q];
+  int all_dead = 0xF;
+  for (int q = 0; q < Q; ++q) {
+    m[q] = _mm256_loadu_pd(means + 4 * q);
     // Normal-regime lanes are masked out of the walk (their cum is pinned
     // above every u) and resolved scalar afterwards — the quad stays on
-    // the vector path, so a single heavy lane never drags its three
-    // inversion-regime neighbours through the slow portable fallback.
-    const __m256d heavy = _mm256_cmp_pd(m, cutoff, _CMP_GE_OQ);
-    const int heavy_mask = _mm256_movemask_pd(heavy);
+    // the vector path, so a single heavy lane never drags its inversion-
+    // regime neighbours through the slow portable fallback.
+    const __m256d heavy = _mm256_cmp_pd(m[q], cutoff, _CMP_GE_OQ);
+    heavy_mask[q] = _mm256_movemask_pd(heavy);
     // u = w * 2^-32 exactly (mantissa-hiding u32 -> f64 convert).
-    const __m128i w32 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(words + i));
+    const __m128i w32 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(words + 4 * q));
     const __m256d wd = _mm256_sub_pd(
         _mm256_castsi256_pd(_mm256_or_si256(_mm256_cvtepu32_epi64(w32), mant_hide)),
         two52);
-    const __m256d u = _mm256_mul_pd(wd, scale32);
+    u[q] = _mm256_mul_pd(wd, scale32);
     // Per-lane zero-draw shortcut (see poisson_counts_portable): a lane
     // with u + mean <= 1 resolves to 0 before any exp. Shortcut lanes are
-    // dead in the walk exactly like heavy lanes, so quad composition (and
-    // therefore tile partitioning) never changes a lane's result. When the
-    // whole quad is dead — the common idle stretch — the exp and the walk
-    // are skipped outright.
-    const __m256d dead = _mm256_or_pd(
-        heavy, _mm256_cmp_pd(_mm256_add_pd(u, m), one, _CMP_LE_OQ));
-    alignas(32) std::uint64_t kv[4] = {0, 0, 0, 0};
-    if (_mm256_movemask_pd(dead) != 0xF) {
+    // dead in the walk exactly like heavy lanes. When every quad is dead —
+    // the common idle stretch — the exp and the walk are skipped outright.
+    dead[q] = _mm256_or_pd(heavy, _mm256_cmp_pd(_mm256_add_pd(u[q], m[q]), one, _CMP_LE_OQ));
+    all_dead &= _mm256_movemask_pd(dead[q]);
+  }
+
+  alignas(32) std::uint64_t kv[Q][4] = {};
+  if (all_dead != 0xF) {
+    const __m256d sign = _mm256_set1_pd(-0.0);
+    const __m256d log2e = _mm256_set1_pd(1.4426950408889634);
+    const __m256d ln2hi = _mm256_set1_pd(6.93147180369123816490e-01);
+    const __m256d ln2lo = _mm256_set1_pd(1.90821492927058770002e-10);
+    const __m256d half = _mm256_set1_pd(0.5);
+    __m256d pk[Q], cum[Q];
+    __m256i k[Q];
+    for (int q = 0; q < Q; ++q) {
       // limit = exp_neg12(m), lane-wise.
-      const __m256d x = _mm256_xor_pd(m, sign);
+      const __m256d x = _mm256_xor_pd(m[q], sign);
       const __m256d kd = _mm256_floor_pd(_mm256_fmadd_pd(x, log2e, half));
       const __m256d nkd = _mm256_xor_pd(kd, sign);
       __m256d r = _mm256_fmadd_pd(nkd, ln2hi, x);
@@ -418,32 +430,59 @@ std::uint64_t poisson_counts_avx2(const double* means, const std::uint32_t* word
                            _mm256_set1_epi64x(1023)),
           52);
       const __m256d limit = _mm256_mul_pd(p, _mm256_castsi256_pd(bits));
-      // The walk: k counts the steps where the lane still has u > cum.
       // Dead lanes start with cum = 2 > any u, so they never step (and
       // whatever garbage a heavy lane's out-of-domain limit holds stays
       // inert in its own lane).
-      __m256d pk = limit, cum = _mm256_blendv_pd(limit, _mm256_set1_pd(2.0), dead);
-      __m256i k = _mm256_setzero_si256();
-      for (std::size_t kk = 1; kk < batch::kInvKSize; ++kk) {
-        const __m256d alive = _mm256_cmp_pd(u, cum, _CMP_GT_OQ);
-        if (_mm256_movemask_pd(alive) == 0) break;
-        k = _mm256_sub_epi64(k, _mm256_castpd_si256(alive));  // mask is -1 per lane
-        pk = _mm256_mul_pd(pk, _mm256_mul_pd(m, _mm256_set1_pd(batch::kInvK[kk])));
-        cum = _mm256_add_pd(cum, pk);
-      }
-      _mm256_store_si256(reinterpret_cast<__m256i*>(kv), k);
+      pk[q] = limit;
+      cum[q] = _mm256_blendv_pd(limit, _mm256_set1_pd(2.0), dead[q]);
+      k[q] = _mm256_setzero_si256();
     }
-    if (heavy_mask != 0) [[unlikely]] {
+    // The walk: k counts the steps where the lane still has u > cum.
+    for (std::size_t kk = 1; kk < batch::kInvKSize; ++kk) {
+      __m256d alive[Q];
+      __m256d any = _mm256_setzero_pd();
+      for (int q = 0; q < Q; ++q) {
+        alive[q] = _mm256_cmp_pd(u[q], cum[q], _CMP_GT_OQ);
+        any = _mm256_or_pd(any, alive[q]);
+      }
+      if (_mm256_movemask_pd(any) == 0) break;
+      const __m256d inv_k = _mm256_set1_pd(batch::kInvK[kk]);
+      for (int q = 0; q < Q; ++q) {
+        k[q] = _mm256_sub_epi64(k[q], _mm256_castpd_si256(alive[q]));  // mask is -1 per lane
+        pk[q] = _mm256_mul_pd(pk[q], _mm256_mul_pd(m[q], inv_k));
+        cum[q] = _mm256_add_pd(cum[q], pk[q]);
+      }
+    }
+    for (int q = 0; q < Q; ++q) _mm256_store_si256(reinterpret_cast<__m256i*>(kv[q]), k[q]);
+  }
+
+  std::uint64_t total = 0;
+  for (int q = 0; q < Q; ++q) {
+    if (heavy_mask[q] != 0) [[unlikely]] {
       for (int j = 0; j < 4; ++j) {
-        if ((heavy_mask >> j) & 1) {
-          kv[j] = batch::poisson_normal_word32(words[i + j], means[i + j]);
+        if ((heavy_mask[q] >> j) & 1) {
+          kv[q][j] = batch::poisson_normal_word32(words[4 * q + j], means[4 * q + j]);
         }
       }
     }
     for (int j = 0; j < 4; ++j) {
-      counts[i + j] = static_cast<std::uint32_t>(kv[j]);
-      total += kv[j];
+      counts[4 * q + j] = static_cast<std::uint32_t>(kv[q][j]);
+      total += kv[q][j];
     }
+  }
+  return total;
+}
+
+std::uint64_t poisson_counts_avx2(const double* means, const std::uint32_t* words,
+                                  std::uint32_t* counts, std::size_t n) {
+  // Eight lanes per walk; a four-lane pass takes a 4..7-lane remainder, so
+  // the portable tail only ever sees fewer than four lanes.
+  std::uint64_t total = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) total += poisson_quads_avx2<2>(means + i, words + i, counts + i);
+  if (i + 4 <= n) {
+    total += poisson_quads_avx2<1>(means + i, words + i, counts + i);
+    i += 4;
   }
   if (i < n) total += detail::poisson_counts_portable(means + i, words + i, counts + i, n - i);
   return total;

@@ -290,5 +290,53 @@ TEST(KernelDifferential, PoissonCountsBitIdenticalToScalar) {
   }
 }
 
+TEST(KernelDifferential, PoissonCountsPairDeadQuadsWithLongWalks) {
+  // The AVX2 kernel walks two quads in one loop until neither has a live
+  // lane, and a four-lane pass takes a 4..7-lane remainder. Pair an
+  // all-dead quad (zero means, shortcut lanes, heavy normal-regime lanes)
+  // with a quad whose lanes walk far (mean just below the cutoff, words
+  // near 2^32), in both orders, for every n % 8 from 0 to 7 and every
+  // start offset that shifts the quad grouping by one to seven lanes.
+  const auto simd = simd_backends();
+  if (simd.empty()) GTEST_SKIP() << "no SIMD back-end available on this host";
+  const kernels::Ops& scalar = *kernels::ops_for(Backend::Scalar);
+
+  util::Xoshiro256 rng(0xdeadbeef);
+  for (int pattern = 0; pattern < 6; ++pattern) {
+    for (std::size_t n = 8; n < 40; ++n) {
+      std::vector<double> means(n);
+      std::vector<std::uint32_t> words(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool walking_quad = ((i / 4) % 2 == 0) == (pattern % 2 == 0);
+        if (walking_quad) {
+          means[i] = 11.0 + rng.uniform01() * 0.99;
+          words[i] = 0xffffffffu - static_cast<std::uint32_t>(rng() % 4096);
+        } else {
+          switch (pattern / 2) {
+            case 0: means[i] = 0.0; words[i] = static_cast<std::uint32_t>(rng()); break;
+            case 1: means[i] = 0.01; words[i] = static_cast<std::uint32_t>(rng() % 1000); break;
+            default: means[i] = 12.0 + rng.uniform01() * 400.0;
+                     words[i] = static_cast<std::uint32_t>(rng()); break;
+          }
+        }
+      }
+      for (std::size_t offset = 0; offset < 8; ++offset) {
+        const std::size_t len = n - offset;
+        std::vector<std::uint32_t> ref(len, 0xffffffffu);
+        const std::uint64_t ref_sum = scalar.poisson_counts(
+            means.data() + offset, words.data() + offset, ref.data(), len);
+        for (Backend b : simd) {
+          std::vector<std::uint32_t> got(len, 0xffffffffu);
+          const std::uint64_t sum = kernels::ops_for(b)->poisson_counts(
+              means.data() + offset, words.data() + offset, got.data(), len);
+          ASSERT_EQ(got, ref) << "pattern " << pattern << " n=" << n << " offset=" << offset
+                              << " on " << kernels::backend_name(b);
+          ASSERT_EQ(sum, ref_sum) << "pattern " << pattern << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace monohids::stats
