@@ -1,5 +1,6 @@
 #include "trace/activity.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace monohids::trace {
@@ -14,7 +15,7 @@ double bump(double hour, double center, double width) noexcept {
 }
 }  // namespace
 
-double activity_at(const DiurnalProfile& profile, util::Timestamp t) noexcept {
+double daily_activity(const DiurnalProfile& profile, util::Timestamp t) noexcept {
   double hour = util::hour_of_day(t) - profile.phase_hours;
   if (hour < 0.0) hour += 24.0;
   if (hour >= 24.0) hour -= 24.0;
@@ -24,20 +25,26 @@ double activity_at(const DiurnalProfile& profile, util::Timestamp t) noexcept {
   const double work = profile.work_level *
                       std::min(1.0, bump(hour, 11.0, 4.5) + bump(hour, 15.5, 4.5));
   const double evening = profile.evening_level * bump(hour, 20.5, 3.0);
-  double level = profile.night_floor + std::max(work, evening);
+  return profile.night_floor + std::max(work, evening);
+}
 
+util::Timestamp weekend_clock_offset(const DiurnalProfile& profile) noexcept {
   // The phase shift translates the user's whole week, weekend included: a
   // night owl's Friday evening (already past wall-clock midnight) must not
-  // be weekend-damped. Evaluate the weekend predicate on the same shifted
-  // clock as the daily curve. One week is added before subtracting so a
-  // positive shift cannot underflow the unsigned timestamp; day-of-week is
-  // week-periodic, so the added week never changes the answer.
-  const util::Timestamp shifted =
-      t + util::kMicrosPerWeek -
-      static_cast<util::Timestamp>(
-          std::llround(profile.phase_hours * static_cast<double>(util::kMicrosPerHour)));
-  if (util::is_weekend(shifted)) level *= profile.weekend_factor;
-  return level;
+  // be weekend-damped. The weekend predicate is evaluated on the same
+  // shifted clock as the daily curve. One week is added before subtracting
+  // so a positive shift cannot underflow the unsigned timestamp;
+  // day-of-week is week-periodic, so the added week never changes the
+  // answer.
+  return util::kMicrosPerWeek -
+         static_cast<util::Timestamp>(
+             std::llround(profile.phase_hours * static_cast<double>(util::kMicrosPerHour)));
+}
+
+double activity_at(const DiurnalProfile& profile, util::Timestamp t) noexcept {
+  const double level = daily_activity(profile, t);
+  return util::is_weekend(t + weekend_clock_offset(profile)) ? level * profile.weekend_factor
+                                                             : level;
 }
 
 }  // namespace monohids::trace

@@ -25,6 +25,19 @@ struct DiurnalProfile {
 /// activity_at(profile with phase p, t) == activity_at(same profile with
 /// phase 0, t - p hours) — the weekend damping follows the shifted clock
 /// along with the daily bumps.
+/// It is the product of its two parts below, exactly:
+///   activity_at(p, t) == daily_activity(p, t) *
+///       (util::is_weekend(t + weekend_clock_offset(p)) ? p.weekend_factor : 1.0)
 [[nodiscard]] double activity_at(const DiurnalProfile& profile, util::Timestamp t) noexcept;
+
+/// The undamped daily curve of activity_at: a function of the hour of day
+/// alone (t modulo one day), so one day of bins covers any horizon whose
+/// grid divides the day.
+[[nodiscard]] double daily_activity(const DiurnalProfile& profile, util::Timestamp t) noexcept;
+
+/// The offset that moves a timestamp onto the user's phase-shifted clock,
+/// on which activity_at evaluates the weekend predicate. A function of the
+/// profile alone, so loops over many timestamps compute it once.
+[[nodiscard]] util::Timestamp weekend_clock_offset(const DiurnalProfile& profile) noexcept;
 
 }  // namespace monohids::trace

@@ -247,7 +247,8 @@ class V2Cursor {
 
 /// Session counts of a run of bins (stages 1–2.5 of the v2 renderer).
 struct V2TilePlan {
-  std::vector<double> act;
+  std::vector<double> daily;          // daily activity per bin of the day
+  std::vector<double> act;            // activity per bin of the week
   std::vector<double> boost;
   std::vector<double> means;          // session-count means, app-major
   std::vector<std::uint32_t> cw;      // count-channel words, app-major

@@ -3,8 +3,9 @@
 // A tile of bins renders in four stages:
 //
 //   1. rate tables: activity per bin-of-week (the diurnal curve is weekly
-//      periodic, so one week of activity_at calls covers any horizon) and
-//      the episode boost of every bin in the tile (plan_v2_tile);
+//      periodic, so one week covers any horizon, built from one day of
+//      daily levels when the grid divides the day) and the episode boost
+//      of every bin in the tile (plan_v2_tile);
 //   2. session-count means per (app, bin), and one count-channel word per
 //      (app, bin) resolved to a session count by the dispatched
 //      poisson_counts kernel — a bin with no sessions ends here;
@@ -44,8 +45,10 @@
 // matrix.
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -65,6 +68,43 @@ const detail::FootprintTables32& detail::footprint_tables32() {
 
 namespace {
 
+/// std::round(x), inline for +0 <= x < 2^52: there i = (int64)x is
+/// floor(x), x - i is exact, and rounding half away from zero adds one iff
+/// that fraction is at least 0.5. One unsigned compare on the bits selects
+/// exactly that range (negative doubles have the sign bit set, NaN and
+/// infinities a larger exponent); everything else defers to std::round.
+double round_nonneg(double x) noexcept {
+  if (std::bit_cast<std::uint64_t>(x) < std::bit_cast<std::uint64_t>(0x1.0p52)) [[likely]] {
+    const auto i = static_cast<std::int64_t>(x);
+    return static_cast<double>(i + (x - static_cast<double>(i) >= 0.5 ? 1 : 0));
+  }
+  return std::round(x);
+}
+
+/// pow(base, d) for small integer draw counts d: distinct-draw totals
+/// repeat heavily across bins, so memoizing them removes most of the
+/// remaining libm cost. The memo lives in the per-thread scratch and is
+/// cleared only when the base (a per-user constant) changes, so the tiles
+/// of one user share it and no tile allocates.
+struct PowMemo {
+  static constexpr std::size_t kSize = 4096;
+  double base = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values;  // -1 marks an entry not computed yet
+
+  void rebase(double new_base) {
+    if (new_base == base) return;
+    base = new_base;
+    values.assign(kSize, -1.0);
+  }
+
+  double pow(double draws) {
+    const auto d = static_cast<std::uint64_t>(draws);
+    if (draws != static_cast<double>(d) || d >= kSize) return std::pow(base, draws);
+    if (values[d] < 0.0) values[d] = std::pow(base, draws);
+    return values[d];
+  }
+};
+
 // Stage 4: widens the integer staging tallies into the matrix rows
 // [first_bin, first_bin + n) and applies the resolver-cache /
 // distinct-destination math.
@@ -75,7 +115,7 @@ void finalize_bins(const UserProfile& user, double effective_pool,
                    std::span<const std::uint32_t> st_http,
                    std::span<const std::uint32_t> st_syn,
                    std::span<const std::uint32_t> st_draws, std::uint64_t first_bin,
-                   features::FeatureMatrix& matrix) {
+                   PowMemo& pow_memo, features::FeatureMatrix& matrix) {
   using features::FeatureKind;
   const std::uint64_t n = st_tcp.size();
   // TCP/HTTP/SYN are pure widenings of their staging tallies: one
@@ -88,38 +128,25 @@ void finalize_bins(const UserProfile& user, double effective_pool,
   kernel_ops.widen_u32(st_syn, matrix.of(FeatureKind::TcpSyn).values_mut().data() + first_bin);
 
   // The resolver-cache and distinct-destination math rounds per bin, in
-  // double.
+  // double. Both rounded values are nonnegative.
   double* out_udp = matrix.of(FeatureKind::UdpConnections).values_mut().data() + first_bin;
   double* out_dns = matrix.of(FeatureKind::DnsConnections).values_mut().data() + first_bin;
   double* out_distinct =
       matrix.of(FeatureKind::DistinctConnections).values_mut().data() + first_bin;
-  const double pow_base = 1.0 - 1.0 / effective_pool;
-  // Distinct-draw totals repeat heavily across bins; memoizing the pow on
-  // small integer draw counts removes most of the remaining libm cost.
-  std::vector<double> pow_cache(4096, -1.0);
+  pow_memo.rebase(1.0 - 1.0 / effective_pool);
   for (std::uint64_t b = 0; b < n; ++b) {
     double dns = static_cast<double>(st_dns[b]);
     double udp = static_cast<double>(st_udp[b]);
     double draws = static_cast<double>(st_draws[b]);
-    const double cached = std::round(dns * user.dns_cache_hit);
+    const double cached = round_nonneg(dns * user.dns_cache_hit);
     dns -= cached;
     udp -= cached;
     draws = std::max(0.0, draws - cached);
     out_dns[b] = dns;
     out_udp[b] = udp;
     double distinct = 0.0;
-    if (draws != 0.0) {
-      double p;
-      const auto draws_int = static_cast<std::uint64_t>(draws);
-      if (draws == static_cast<double>(draws_int) && draws_int < pow_cache.size()) {
-        if (pow_cache[draws_int] < 0.0) pow_cache[draws_int] = std::pow(pow_base, draws);
-        p = pow_cache[draws_int];
-      } else {
-        p = std::pow(pow_base, draws);
-      }
-      distinct = effective_pool * (1.0 - p);
-    }
-    out_distinct[b] = std::round(distinct);
+    if (draws != 0.0) distinct = effective_pool * (1.0 - pow_memo.pow(draws));
+    out_distinct[b] = round_nonneg(distinct);
   }
 }
 
@@ -129,6 +156,7 @@ struct V2Scratch {
   detail::V2TilePlan plan;
   std::vector<std::uint32_t> words;   // cursor buffer
   std::vector<std::uint32_t> st_tcp, st_udp, st_dns, st_http, st_syn, st_draws;
+  PowMemo pow_memo;
 };
 
 V2Scratch& v2_scratch() {
@@ -152,11 +180,32 @@ std::uint64_t detail::plan_v2_tile(const GeneratorConfig& config, const UserProf
       util::kMicrosPerWeek % grid.width() == 0 ? util::kMicrosPerWeek / grid.width() : 0;
 
   // --- stage 1: rate tables ----------------------------------------------
+  // activity_at is the daily curve times the weekend damping. When the
+  // grid divides the day, bin i's midpoint has the same time of day as
+  // bin i mod bins_per_day's, so one day of daily_activity calls serves
+  // the week and only the weekend predicate runs per bin. The product is
+  // the one activity_at forms, so both paths give the same doubles.
   std::vector<double>& act = plan.act;
   act.resize(bins_per_week != 0 ? std::min(bins_per_week, bins) : bins);
-  for (std::uint64_t i = 0; i < act.size(); ++i) {
-    const util::Timestamp mid = grid.bin_start(i) + grid.width() / 2;
-    act[i] = activity_at(user.diurnal, mid);
+  const util::Duration half_bin = grid.width() / 2;
+  if (util::kMicrosPerDay % grid.width() == 0) {
+    std::vector<double>& daily = plan.daily;
+    daily.resize(std::min<std::uint64_t>(util::kMicrosPerDay / grid.width(), act.size()));
+    for (std::uint64_t d = 0; d < daily.size(); ++d) {
+      daily[d] = daily_activity(user.diurnal, grid.bin_start(d) + half_bin);
+    }
+    const util::Timestamp offset = weekend_clock_offset(user.diurnal);
+    const double weekend_factor = user.diurnal.weekend_factor;
+    std::uint64_t d = 0;
+    for (std::uint64_t i = 0; i < act.size(); ++i) {
+      const bool weekend = util::is_weekend(grid.bin_start(i) + half_bin + offset);
+      act[i] = weekend ? daily[d] * weekend_factor : daily[d];
+      if (++d == daily.size()) d = 0;
+    }
+  } else {
+    for (std::uint64_t i = 0; i < act.size(); ++i) {
+      act[i] = activity_at(user.diurnal, grid.bin_start(i) + half_bin);
+    }
   }
 
   // Episode boosts: the serial v2 episode stream stepped from bin 0 with
@@ -290,7 +339,8 @@ void TraceGenerator::render_features_v2_tile(const UserProfile& user,
 
   // --- stage 4: float post-processing (shared helper) ---------------------
   finalize_bins(user, effective_pool, scratch.st_tcp, scratch.st_udp, scratch.st_dns,
-                scratch.st_http, scratch.st_syn, scratch.st_draws, tile_begin, matrix);
+                scratch.st_http, scratch.st_syn, scratch.st_draws, tile_begin,
+                scratch.pow_memo, matrix);
 
   static obs::Counter bins_rendered =
       obs::MetricsRegistry::global().counter("tracegen.bins_rendered");

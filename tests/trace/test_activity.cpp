@@ -105,5 +105,22 @@ TEST(Activity, BoundedAboveByWorkPlusFloor) {
   }
 }
 
+TEST(Activity, IsTheDailyCurveTimesTheWeekendDamping) {
+  // The trace renderer evaluates daily_activity once per bin of the day and
+  // applies the weekend damping per bin of the week, so activity_at must be
+  // exactly that product, and the daily curve exactly day-periodic.
+  for (double phase : {-3.0, -1.37, 0.0, 0.5, 2.0, 3.0}) {
+    DiurnalProfile p;
+    p.phase_hours = phase;
+    const util::Timestamp offset = weekend_clock_offset(p);
+    for (util::Timestamp t = 0; t < 2 * util::kMicrosPerWeek; t += 7 * util::kMicrosPerMinute) {
+      const double daily = daily_activity(p, t);
+      ASSERT_EQ(daily_activity(p, t + kMicrosPerDay), daily) << "phase " << phase << " t " << t;
+      const double expected = util::is_weekend(t + offset) ? daily * p.weekend_factor : daily;
+      ASSERT_EQ(activity_at(p, t), expected) << "phase " << phase << " t " << t;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace monohids::trace
