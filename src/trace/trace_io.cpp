@@ -4,7 +4,9 @@
 #include <array>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
+#include <string>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -65,7 +67,12 @@ net::PacketRecord get_record(std::istream& in) {
   p.tuple.src_port = static_cast<std::uint16_t>(ports >> 16);
   p.tuple.dst_port = static_cast<std::uint16_t>(ports & 0xFFFF);
   const std::uint32_t tail = get_u32(in);
-  p.tuple.protocol = static_cast<net::Protocol>((tail >> 24) & 0xFF);
+  const std::uint32_t protocol = (tail >> 24) & 0xFF;
+  MONOHIDS_ENSURE(protocol == static_cast<std::uint8_t>(net::Protocol::Tcp) ||
+                      protocol == static_cast<std::uint8_t>(net::Protocol::Udp) ||
+                      protocol == static_cast<std::uint8_t>(net::Protocol::Icmp),
+                  "unknown protocol " + std::to_string(protocol) + " in trace file");
+  p.tuple.protocol = static_cast<net::Protocol>(protocol);
   p.tcp_flags = static_cast<net::TcpFlags>((tail >> 16) & 0xFF);
   p.payload_bytes = static_cast<std::uint16_t>(tail & 0xFFFF);
   return p;
@@ -129,17 +136,22 @@ net::Protocol parse_protocol(const std::string& text) {
   throw InputError("unknown protocol in packet CSV: " + text);
 }
 
-std::uint64_t parse_u64_field(const std::string& text, const char* what) {
+/// An unsigned decimal field no larger than `max`. Digits only: no sign,
+/// no blanks (std::stoull alone would read "-1" as 2^64 - 1 and skip
+/// leading blanks), and a value past `max` is an error, never a wrap.
+std::uint64_t parse_u64_field(const std::string& text, const char* what,
+                              std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   MONOHIDS_ENSURE(!text.empty(), std::string("empty ") + what + " in packet CSV");
-  std::size_t pos = 0;
+  MONOHIDS_ENSURE(std::all_of(text.begin(), text.end(),
+                              [](char c) { return c >= '0' && c <= '9'; }),
+                  std::string("malformed ") + what + " in packet CSV: " + text);
   std::uint64_t value = 0;
   try {
-    value = std::stoull(text, &pos);
+    value = std::stoull(text);
   } catch (const std::exception&) {
-    throw InputError(std::string("malformed ") + what + " in packet CSV: " + text);
+    throw InputError(std::string(what) + " out of range in packet CSV: " + text);
   }
-  MONOHIDS_ENSURE(pos == text.size(),
-                  std::string("malformed ") + what + " in packet CSV: " + text);
+  MONOHIDS_ENSURE(value <= max, std::string(what) + " out of range in packet CSV: " + text);
   return value;
 }
 
@@ -173,13 +185,11 @@ net::PacketRecord parse_packet_row(const std::vector<std::string>& row) {
   p.timestamp = parse_u64_field(row[0], "timestamp");
   p.tuple.src_ip = net::Ipv4Address::parse(row[1]);
   p.tuple.dst_ip = net::Ipv4Address::parse(row[2]);
-  p.tuple.src_port = static_cast<std::uint16_t>(parse_u64_field(row[3], "src port"));
-  p.tuple.dst_port = static_cast<std::uint16_t>(parse_u64_field(row[4], "dst port"));
+  p.tuple.src_port = static_cast<std::uint16_t>(parse_u64_field(row[3], "src port", 0xFFFF));
+  p.tuple.dst_port = static_cast<std::uint16_t>(parse_u64_field(row[4], "dst port", 0xFFFF));
   p.tuple.protocol = parse_protocol(row[5]);
-  const auto flags = parse_u64_field(row[6], "flags");
-  MONOHIDS_ENSURE(flags <= 0xFF, "TCP flags out of range in packet CSV");
-  p.tcp_flags = static_cast<net::TcpFlags>(flags);
-  p.payload_bytes = static_cast<std::uint16_t>(parse_u64_field(row[7], "payload"));
+  p.tcp_flags = static_cast<net::TcpFlags>(parse_u64_field(row[6], "TCP flags", 0xFF));
+  p.payload_bytes = static_cast<std::uint16_t>(parse_u64_field(row[7], "payload", 0xFFFF));
   return p;
 }
 

@@ -109,6 +109,25 @@ TEST(TraceIoErrors, BinaryCorruptGiantCountFailsFastWithoutAllocating) {
   expect_binary_readers_reject(bytes, "truncated trace file");
 }
 
+TEST(TraceIoErrors, BinaryUnknownProtocolIsRejected) {
+  // The protocol byte is the top byte of each record's last word. Only
+  // ICMP (1), TCP (6) and UDP (17) exist; any other byte must be rejected,
+  // not passed on as a Protocol value no other reader or writer accepts.
+  const std::string good = binary_trace_bytes();
+  constexpr std::size_t kHeader = 20, kRecord = 24;
+  for (const unsigned char protocol : {0x00, 0x02, 0x42, 0xFF}) {
+    std::string bytes = good;
+    bytes[kHeader + 3 * kRecord + kRecord - 1] = static_cast<char>(protocol);
+    expect_binary_readers_reject(bytes, "unknown protocol " + std::to_string(protocol));
+  }
+  for (const unsigned char protocol : {1, 6, 17}) {
+    std::string bytes = good;
+    bytes[kHeader + kRecord - 1] = static_cast<char>(protocol);
+    std::istringstream in(bytes);
+    EXPECT_EQ(static_cast<unsigned>(read_packet_trace(in)[0].tuple.protocol), protocol);
+  }
+}
+
 std::string packet_csv_bytes() {
   std::ostringstream out;
   write_packet_csv(out, sample_packets());
@@ -136,14 +155,27 @@ TEST(TraceIoErrors, PacketCsvMalformedRowsAreRejected) {
   const std::string good = packet_csv_bytes();
   const std::string header = good.substr(0, good.find('\n') + 1);
   // Wrong field count, garbage timestamp, trailing junk after a number,
-  // unknown protocol, out-of-range flags: each must throw, including from
-  // the streaming reader after it already accepted earlier good rows.
+  // unknown protocol, out-of-range flags, ports or payload (which a 16-bit
+  // cast would silently wrap), signs, blanks and a timestamp past 2^64:
+  // each must throw, including from the streaming reader after it already
+  // accepted earlier good rows.
   for (const std::string& bad_row :
        {std::string("1,2,3\n"),
         std::string("abc,10.0.0.1,10.0.0.2,1,2,tcp,2,0\n"),
         std::string("17x,10.0.0.1,10.0.0.2,1,2,tcp,2,0\n"),
         std::string("17,10.0.0.1,10.0.0.2,1,2,quic,2,0\n"),
-        std::string("17,10.0.0.1,10.0.0.2,1,2,tcp,999,0\n")}) {
+        std::string("17,10.0.0.1,10.0.0.2,1,2,tcp,999,0\n"),
+        std::string("17,10.0.0.1,10.0.0.2,70000,2,tcp,2,0\n"),
+        std::string("17,10.0.0.1,10.0.0.2,1,65536,tcp,2,0\n"),
+        std::string("17,10.0.0.1,10.0.0.2,1,2,tcp,2,65536\n"),
+        std::string("17,10.0.0.1,10.0.0.2,-1,2,tcp,2,0\n"),
+        std::string("17,10.0.0.1,10.0.0.2,1,2,tcp,-1,0\n"),
+        std::string("17,10.0.0.1,10.0.0.2,1,2,tcp,2,-1\n"),
+        std::string("-17,10.0.0.1,10.0.0.2,1,2,tcp,2,0\n"),
+        std::string("+17,10.0.0.1,10.0.0.2,1,2,tcp,2,0\n"),
+        std::string("17,10.0.0.1,10.0.0.2, 1,2,tcp,2,0\n"),
+        std::string("17,10.0.0.1,10.0.0.2,1,2,tcp,2, 0\n"),
+        std::string("18446744073709551616,10.0.0.1,10.0.0.2,1,2,tcp,2,0\n")}) {
     SCOPED_TRACE("row: " + bad_row);
     expect_csv_readers_reject(header + bad_row);
     expect_csv_readers_reject(good + bad_row);
