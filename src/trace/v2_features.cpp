@@ -182,30 +182,26 @@ std::uint64_t detail::plan_v2_tile(const GeneratorConfig& config, const UserProf
   // --- stage 1: rate tables ----------------------------------------------
   // activity_at is the daily curve times the weekend damping. When the
   // grid divides the day, bin i's midpoint has the same time of day as
-  // bin i mod bins_per_day's, so one day of daily_activity calls serves
-  // the week and only the weekend predicate runs per bin. The product is
-  // the one activity_at forms, so both paths give the same doubles.
+  // bin (i mod bins-per-day)'s, so one day of daily_activity calls serves
+  // the week and only the weekend predicate runs per bin; other grids
+  // evaluate the daily curve per bin. The product is the one activity_at
+  // forms, so act[i] is activity_at at bin i's midpoint either way.
   std::vector<double>& act = plan.act;
   act.resize(bins_per_week != 0 ? std::min(bins_per_week, bins) : bins);
   const util::Duration half_bin = grid.width() / 2;
-  if (util::kMicrosPerDay % grid.width() == 0) {
-    std::vector<double>& daily = plan.daily;
-    daily.resize(std::min<std::uint64_t>(util::kMicrosPerDay / grid.width(), act.size()));
-    for (std::uint64_t d = 0; d < daily.size(); ++d) {
-      daily[d] = daily_activity(user.diurnal, grid.bin_start(d) + half_bin);
-    }
-    const util::Timestamp offset = weekend_clock_offset(user.diurnal);
-    const double weekend_factor = user.diurnal.weekend_factor;
-    std::uint64_t d = 0;
-    for (std::uint64_t i = 0; i < act.size(); ++i) {
-      const bool weekend = util::is_weekend(grid.bin_start(i) + half_bin + offset);
-      act[i] = weekend ? daily[d] * weekend_factor : daily[d];
-      if (++d == daily.size()) d = 0;
-    }
-  } else {
-    for (std::uint64_t i = 0; i < act.size(); ++i) {
-      act[i] = activity_at(user.diurnal, grid.bin_start(i) + half_bin);
-    }
+  std::vector<double>& daily = plan.daily;
+  daily.resize(util::kMicrosPerDay % grid.width() == 0
+                   ? std::min<std::uint64_t>(util::kMicrosPerDay / grid.width(), act.size())
+                   : act.size());
+  for (std::uint64_t d = 0; d < daily.size(); ++d) {
+    daily[d] = daily_activity(user.diurnal, grid.bin_start(d) + half_bin);
+  }
+  const util::Timestamp weekend_offset = weekend_clock_offset(user.diurnal);
+  const double weekend_factor = user.diurnal.weekend_factor;
+  for (std::uint64_t i = 0, d = 0; i < act.size(); ++i) {
+    const bool weekend = util::is_weekend(grid.bin_start(i) + half_bin + weekend_offset);
+    act[i] = weekend ? daily[d] * weekend_factor : daily[d];
+    if (++d == daily.size()) d = 0;
   }
 
   // Episode boosts: the serial v2 episode stream stepped from bin 0 with

@@ -98,8 +98,12 @@ TEST(GeneratorV2Packets, CountedFeaturesAgreeExactlyWithTheFeaturePath) {
   // weeks of the horizon (each window renders only its own bins).
   const TraceGenerator generator(v2_config(5, 15));
   const util::Duration day = util::kMicrosPerDay;
+  // A resolver-cache share of exactly one half makes every odd lookup
+  // count a rounding tie, which both paths must break away from zero.
+  UserProfile half_hit = population()[1];
+  half_hit.dns_cache_hit = 0.5;
   std::vector<const UserProfile*> users = {&population()[0], &population()[1],
-                                           &population()[17], &extreme_host()};
+                                           &population()[17], &extreme_host(), &half_hit};
   for (const UserProfile* u : users) {
     for (const std::uint32_t week : {0u, 2u, 4u}) {
       const util::Timestamp begin = week * util::kMicrosPerWeek + 2 * day;  // a Wednesday
