@@ -352,7 +352,7 @@ void philox_fill_avx2(std::uint64_t key, std::uint64_t stream,
   }
 }
 
-/// Q quads (4 * Q lanes) of poisson_counts_avx2 starting at lane 0 of
+/// Two quads (eight lanes) of poisson_counts_avx2 starting at lane 0 of
 /// means/words/counts; returns their count sum. Mirrors
 /// detail::poisson_counts_portable's inversion regime lane by lane: the
 /// exp_neg12 fma chain (_mm256_fmadd_pd is the same correctly-rounded
@@ -361,15 +361,15 @@ void philox_fill_avx2(std::uint64_t key, std::uint64_t stream,
 /// so no mul/add pair here can silently fuse differently than the scalar
 /// reference.
 ///
-/// The quads share one walk loop that exits when no lane of any quad is
-/// live: one loop-exit mispredict per Q quads, and the quads' exp and
+/// The quads share one walk loop that exits when no lane of either quad is
+/// live: one loop-exit mispredict per two quads, and the quads' exp and
 /// multiply chains overlap. A lane's count does not depend on how long the
 /// loop runs past its own exit — its cum never decreases, so a lane with
 /// u <= cum stays done — which keeps quad grouping (and therefore tile
 /// partitioning) from changing any lane's result.
-template <int Q>
-inline std::uint64_t poisson_quads_avx2(const double* means, const std::uint32_t* words,
+inline std::uint64_t poisson_octet_avx2(const double* means, const std::uint32_t* words,
                                         std::uint32_t* counts) noexcept {
+  constexpr int Q = 2;
   const __m256d cutoff = _mm256_set1_pd(batch::kNormalCutoff32);
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256i mant_hide = _mm256_set1_epi64x(0x4330000000000000ll);
@@ -475,15 +475,10 @@ inline std::uint64_t poisson_quads_avx2(const double* means, const std::uint32_t
 
 std::uint64_t poisson_counts_avx2(const double* means, const std::uint32_t* words,
                                   std::uint32_t* counts, std::size_t n) {
-  // Eight lanes per walk; a four-lane pass takes a 4..7-lane remainder, so
-  // the portable tail only ever sees fewer than four lanes.
+  // Eight lanes per walk; the portable tail takes the last n % 8 lanes.
   std::uint64_t total = 0;
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) total += poisson_quads_avx2<2>(means + i, words + i, counts + i);
-  if (i + 4 <= n) {
-    total += poisson_quads_avx2<1>(means + i, words + i, counts + i);
-    i += 4;
-  }
+  for (; i + 8 <= n; i += 8) total += poisson_octet_avx2(means + i, words + i, counts + i);
   if (i < n) total += detail::poisson_counts_portable(means + i, words + i, counts + i, n - i);
   return total;
 }

@@ -292,7 +292,7 @@ TEST(KernelDifferential, PoissonCountsBitIdenticalToScalar) {
 
 TEST(KernelDifferential, PoissonCountsPairDeadQuadsWithLongWalks) {
   // The AVX2 kernel walks two quads in one loop until neither has a live
-  // lane, and a four-lane pass takes a 4..7-lane remainder. Pair an
+  // lane, and the portable tail takes the last n % 8 lanes. Pair an
   // all-dead quad (zero means, shortcut lanes, heavy normal-regime lanes)
   // with a quad whose lanes walk far (mean just below the cutoff, words
   // near 2^32), in both orders, for every n % 8 from 0 to 7 and every
