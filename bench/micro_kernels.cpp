@@ -1,4 +1,4 @@
-// Microbenchmark for the batched SIMD evaluation kernels (stats::kernels).
+// Microbenchmark for the batched evaluation kernels (stats::kernels).
 //
 // Measures (a) the threshold-sweep A/B on the bench scenario: every user's
 // week-0 training distribution of the bench feature plus the pooled one,
@@ -10,9 +10,9 @@
 // reports the batched figure-3a + figure-4b analysis suite
 // (utility_boxplots + resourceful_attack) as timed phases, and (b) raw
 // kernel rows: an ascending threshold sweep answered by per-call
-// std::upper_bound vs one merge-scan, and an unsorted rank batch on the
-// scalar vs dispatched back-end vs the rank table. Every row's ranks must
-// equal the per-call upper_bound ranks. Exits nonzero when any output
+// std::upper_bound vs one merge-scan, and an unsorted rank batch answered
+// by rank_unsorted's binary searches vs the rank table. Every row's ranks
+// must equal the per-call upper_bound ranks. Exits nonzero when any output
 // diverges or the sweep speedup lands below --min-speedup.
 #include <algorithm>
 #include <chrono>
@@ -71,7 +71,7 @@ std::vector<double> timed_sweep(std::span<const stats::EmpiricalDistribution> di
 
 int main(int argc, char** argv) {
   auto flags = bench::standard_flags(
-      "Microbenchmark: batched SIMD evaluation kernels vs per-call binary searches");
+      "Microbenchmark: batched evaluation kernels vs per-call binary searches");
   flags.add_double("min-speedup", 3.0,
                    "fail when the batched utility threshold sweep speedup is below this");
   flags.add_int("kernel-samples", 30000, "arena size for the raw kernel rows");
@@ -85,8 +85,6 @@ int main(int argc, char** argv) {
   const auto feature = bench::feature_from_flags(flags);
   const double min_speedup = flags.get_double("min-speedup");
   timings.config("min_speedup", util::fixed(min_speedup, 2));
-  timings.config("simd_backend",
-                 std::string(stats::kernels::backend_name(stats::kernels::active_backend())));
 
   bench::banner("micro_kernels",
                 "batched rank/exceedance kernels pick bit-identical thresholds while the "
@@ -145,9 +143,6 @@ int main(int argc, char** argv) {
     if (ranks != expected) rank_mismatches.emplace_back(row);
   };
 
-  const auto& scalar = *stats::kernels::ops_for(stats::kernels::Backend::Scalar);
-  const auto& dispatched = stats::kernels::active();
-
   const auto percall_start = Clock::now();
   for (std::size_t r = 0; r < repeat; ++r) {
     for (std::size_t j = 0; j < t; ++j) {
@@ -160,27 +155,19 @@ int main(int argc, char** argv) {
 
   const auto sweep_start = Clock::now();
   for (std::size_t r = 0; r < repeat; ++r) {
-    dispatched.rank_sorted(arena, sorted_queries, 0.0, ranks.data());
+    stats::kernels::rank_sorted(arena, sorted_queries, 0.0, ranks.data());
   }
   const double sweep_ms = ms_since(sweep_start);
   timings.record("kernel_sorted_merge_scan", sweep_ms);
   check_ranks("merge-scan", expected_sorted);
 
-  const auto unsorted_scalar_start = Clock::now();
+  const auto unsorted_start = Clock::now();
   for (std::size_t r = 0; r < repeat; ++r) {
-    scalar.rank_unsorted(arena, unsorted_queries, 0.0, ranks.data());
+    stats::kernels::rank_unsorted(arena, unsorted_queries, 0.0, ranks.data());
   }
-  const double unsorted_scalar_ms = ms_since(unsorted_scalar_start);
-  timings.record("kernel_unsorted_scalar", unsorted_scalar_ms);
-  check_ranks("unsorted scalar", expected_unsorted);
-
-  const auto unsorted_simd_start = Clock::now();
-  for (std::size_t r = 0; r < repeat; ++r) {
-    dispatched.rank_unsorted(arena, unsorted_queries, 0.0, ranks.data());
-  }
-  const double unsorted_simd_ms = ms_since(unsorted_simd_start);
-  timings.record("kernel_unsorted_dispatched", unsorted_simd_ms);
-  check_ranks("unsorted dispatched", expected_unsorted);
+  const double unsorted_ms = ms_since(unsorted_start);
+  timings.record("kernel_unsorted_binary_search", unsorted_ms);
+  check_ranks("unsorted binary search", expected_unsorted);
 
   // Rank-table row: integer-count arenas (every traffic feature) answer the
   // same unsorted batch with O(1) cumulative-table loads.
@@ -202,14 +189,9 @@ int main(int argc, char** argv) {
 
   const double sweep_speedup =
       sweep_ms > 0.0 ? percall_ms / sweep_ms : std::numeric_limits<double>::infinity();
-  const double unsorted_speedup = unsorted_simd_ms > 0.0
-                                      ? unsorted_scalar_ms / unsorted_simd_ms
-                                      : std::numeric_limits<double>::infinity();
 
   util::TextTable table({"measurement", "value"});
   table.set_alignment({util::Align::Left, util::Align::Right});
-  table.add_row({"SIMD back-end (dispatched)",
-                 std::string(stats::kernels::backend_name(stats::kernels::active_backend()))});
   table.add_row({"distributions swept (users + pooled)", std::to_string(training.size())});
   table.add_row({"utility sweep, per-call seed path (ms)", util::fixed(utility_seed_ms, 1)});
   table.add_row({"utility sweep, batched kernels (ms)", util::fixed(utility_batched_ms, 1)});
@@ -222,17 +204,14 @@ int main(int argc, char** argv) {
   table.add_row({"rank sweep x" + std::to_string(repeat) + ", merge-scan (ms)",
                  util::fixed(sweep_ms, 3)});
   table.add_row({"sorted-sweep speedup", util::fixed(sweep_speedup, 1) + "x"});
-  table.add_row({"unsorted batch x" + std::to_string(repeat) + ", scalar (ms)",
-                 util::fixed(unsorted_scalar_ms, 3)});
-  table.add_row({"unsorted batch x" + std::to_string(repeat) + ", dispatched (ms)",
-                 util::fixed(unsorted_simd_ms, 3)});
-  table.add_row({"unsorted-batch speedup", util::fixed(unsorted_speedup, 2) + "x"});
+  table.add_row({"unsorted batch x" + std::to_string(repeat) + ", binary search (ms)",
+                 util::fixed(unsorted_ms, 3)});
   if (table_ok) {
-    const double table_speedup = table_ms > 0.0 ? unsorted_scalar_ms / table_ms
+    const double table_speedup = table_ms > 0.0 ? unsorted_ms / table_ms
                                                 : std::numeric_limits<double>::infinity();
     table.add_row({"unsorted batch x" + std::to_string(repeat) + ", rank table (ms)",
                    util::fixed(table_ms, 3)});
-    table.add_row({"rank-table speedup vs scalar", util::fixed(table_speedup, 1) + "x"});
+    table.add_row({"rank-table speedup vs binary search", util::fixed(table_speedup, 1) + "x"});
   }
   table.add_row({"kernel ranks == per-call upper_bound", rank_mismatches.empty() ? "yes" : "NO"});
   std::cout << table.render();

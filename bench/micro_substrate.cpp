@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "features/pipeline.hpp"
+#include "hids/detector.hpp"
 #include "hids/evaluator.hpp"
 #include "sim/scenario.hpp"
 #include "stats/gk_sketch.hpp"
@@ -143,7 +144,6 @@ void BM_StormGeneration(benchmark::State& state) {
 BENCHMARK(BM_StormGeneration)->Unit(benchmark::kMillisecond);
 
 // --- stats::kernels rows ----------------------------------------------------
-// Arg(0): scalar back-end; Arg(1): dispatched (best available) back-end.
 // Count-valued arenas mirror real traffic features (heavy ties).
 
 std::vector<double> kernel_arena(std::size_t n) {
@@ -154,11 +154,6 @@ std::vector<double> kernel_arena(std::size_t n) {
   return arena;
 }
 
-const stats::kernels::Ops& kernel_backend(std::int64_t arg) {
-  return arg == 0 ? *stats::kernels::ops_for(stats::kernels::Backend::Scalar)
-                  : stats::kernels::active();
-}
-
 void BM_KernelRankSortedSweep(benchmark::State& state) {
   const auto arena = kernel_arena(30'000);
   util::Xoshiro256 rng(11);
@@ -166,15 +161,13 @@ void BM_KernelRankSortedSweep(benchmark::State& state) {
   for (double& q : queries) q = rng.uniform01() * 420.0 - 10.0;
   std::sort(queries.begin(), queries.end());
   std::vector<std::uint32_t> ranks(queries.size());
-  const auto& ops = kernel_backend(state.range(0));
-  state.SetLabel(ops.name);
   for (auto _ : state) {
-    ops.rank_sorted(arena, queries, 0.0, ranks.data());
+    stats::kernels::rank_sorted(arena, queries, 0.0, ranks.data());
     benchmark::DoNotOptimize(ranks.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * queries.size()));
 }
-BENCHMARK(BM_KernelRankSortedSweep)->Arg(0)->Arg(1);
+BENCHMARK(BM_KernelRankSortedSweep);
 
 void BM_KernelRankUnsortedBatch(benchmark::State& state) {
   const auto arena = kernel_arena(30'000);
@@ -182,15 +175,13 @@ void BM_KernelRankUnsortedBatch(benchmark::State& state) {
   std::vector<double> queries(4000);
   for (double& q : queries) q = rng.uniform01() * 420.0 - 10.0;
   std::vector<std::uint32_t> ranks(queries.size());
-  const auto& ops = kernel_backend(state.range(0));
-  state.SetLabel(ops.name);
   for (auto _ : state) {
-    ops.rank_unsorted(arena, queries, 0.0, ranks.data());
+    stats::kernels::rank_unsorted(arena, queries, 0.0, ranks.data());
     benchmark::DoNotOptimize(ranks.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * queries.size()));
 }
-BENCHMARK(BM_KernelRankUnsortedBatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_KernelRankUnsortedBatch);
 
 void BM_KernelRankGrid(benchmark::State& state) {
   const auto arena = kernel_arena(10'000);
@@ -201,29 +192,26 @@ void BM_KernelRankGrid(benchmark::State& state) {
   std::vector<double> sizes(64);
   for (std::size_t i = 0; i < sizes.size(); ++i) sizes[i] = static_cast<double>(i + 1);
   std::vector<std::uint32_t> ranks(thresholds.size() * sizes.size());
-  const auto& ops = kernel_backend(state.range(0));
-  state.SetLabel(ops.name);
   for (auto _ : state) {
-    ops.rank_grid(arena, thresholds, sizes, ranks.data());
+    stats::kernels::rank_grid(arena, thresholds, sizes, ranks.data());
     benchmark::DoNotOptimize(ranks.data());
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * ranks.size()));
 }
-BENCHMARK(BM_KernelRankGrid)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelRankGrid)->Unit(benchmark::kMillisecond);
 
-void BM_KernelCountExceed(benchmark::State& state) {
+void BM_DetectorCountAlarms(benchmark::State& state) {
   util::Xoshiro256 rng(19);
   std::vector<double> bins(100'000);
   for (double& v : bins) v = static_cast<double>(rng() % 50);
-  const auto& ops = kernel_backend(state.range(0));
-  state.SetLabel(ops.name);
+  const hids::ThresholdDetector detector(40.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ops.count_exceed(bins, 40.0));
+    benchmark::DoNotOptimize(detector.count_alarms(bins));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * bins.size()));
 }
-BENCHMARK(BM_KernelCountExceed)->Arg(0)->Arg(1);
+BENCHMARK(BM_DetectorCountAlarms);
 
 }  // namespace
 

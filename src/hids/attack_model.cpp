@@ -21,14 +21,7 @@ double AttackModel::mean_fn(const stats::EmpiricalDistribution& g, double t) con
     queries.resize(sizes.size());
     ranks.resize(sizes.size());
     for (std::size_t i = 0; i < sizes.size(); ++i) queries[i] = t - sizes[i];
-    if (const auto table = g.rank_table(); !table.empty()) {
-      const auto n32 = static_cast<std::uint32_t>(g.size());
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        ranks[i] = stats::kernels::rank_from_table(table, n32, queries[i]);
-      }
-    } else {
-      stats::kernels::active().rank_unsorted(g.samples(), queries, 0.0, ranks.data());
-    }
+    g.rank_batch(queries, ranks);
     const auto n = static_cast<double>(g.size());
     double acc = 0.0;
     for (std::size_t i = 0; i < sizes.size(); ++i) {
@@ -86,7 +79,7 @@ void AttackModel::mean_fn_batch(const stats::EmpiricalDistribution& g,
   }
   thread_local std::vector<std::uint32_t> ranks;
   ranks.resize(T * S);
-  stats::kernels::active().rank_grid(g.samples(), thresholds, sizes, ranks.data());
+  stats::kernels::rank_grid(g.samples(), thresholds, sizes, ranks.data());
   std::fill(out.begin(), out.end(), 0.0);
   // Per-threshold accumulation in size order — the same floating-point
   // operation sequence as the per-call loop, so sums match bit-for-bit.

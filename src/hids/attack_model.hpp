@@ -21,7 +21,7 @@ struct AttackModel {
 
   /// Mean false-negative rate of threshold `t` against this sweep, under
   /// benign behavior `g`: mean over sizes of P(g + b <= t). Internally
-  /// batches the per-size rank queries through stats::kernels once the sweep
+  /// batches the per-size rank queries through rank_batch once the sweep
   /// has 8 or more sizes (bit-identical to the per-size shifted_cdf loop,
   /// which smaller sweeps run directly).
   [[nodiscard]] double mean_fn(const stats::EmpiricalDistribution& g, double t) const;
@@ -31,10 +31,10 @@ struct AttackModel {
   /// every shifted rank is a table load, the table's K+1 rank/n quotients
   /// are formed once per call, and (threshold, size) cells below every
   /// sample are skipped as the exact +0.0 they add; otherwise the attack-size x
-  /// threshold grid of shifted ranks comes from a single tiled pass over
-  /// g's arena (stats::kernels rank_grid). Accumulation runs in the same
-  /// size order over the same rank/n quotients as the per-call path, so
-  /// results are bit-identical on every SIMD back-end.
+  /// threshold grid of shifted ranks comes from stats::kernels::rank_grid
+  /// over g's arena. Accumulation runs in the same size order over the same
+  /// rank/n quotients as the per-call path, so results are bit-identical to
+  /// it.
   void mean_fn_batch(const stats::EmpiricalDistribution& g,
                      std::span<const double> thresholds, std::span<double> out) const;
 };

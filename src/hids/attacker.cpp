@@ -1,10 +1,8 @@
 #include "hids/attacker.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "stats/kernels.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -27,8 +25,9 @@ std::vector<double> naive_detection_curve(
   // One batched rank call per user fills a user x size probability matrix;
   // the reduction over users then runs in the seed's user order with the
   // seed's 1 - rank/n values, so the curve is bit-identical. An ascending
-  // size sweep makes the shifted queries t_u - b descending, so reversing
-  // them unlocks the O(n + S) merge-scan.
+  // size sweep makes the shifted queries t_u - b descending, so building
+  // them in reverse lets arenas without a rank table take the O(n + S)
+  // merge-scan.
   const std::size_t U = test_users.size();
   const std::size_t S = sizes.size();
   std::vector<double> prob(U * S);
@@ -43,19 +42,11 @@ std::vector<double> naive_detection_curve(
         for (std::size_t s = 0; s < S; ++s) {
           queries[s] = thresholds[u] - sizes[S - 1 - s];
         }
-        const auto& ops = stats::kernels::active();
-        const bool ascending = std::is_sorted(queries.begin(), queries.end());
-        if (ascending) {
-          ops.rank_sorted(test_users[u].samples(), queries, 0.0, ranks.data());
-        } else {
-          for (std::size_t s = 0; s < S; ++s) queries[s] = thresholds[u] - sizes[s];
-          ops.rank_unsorted(test_users[u].samples(), queries, 0.0, ranks.data());
-        }
+        test_users[u].rank_batch(queries, ranks);
         const auto n = static_cast<double>(test_users[u].size());
         double* row = prob.data() + u * S;
         for (std::size_t s = 0; s < S; ++s) {
-          const std::uint32_t rank = ascending ? ranks[S - 1 - s] : ranks[s];
-          row[s] = 1.0 - static_cast<double>(rank) / n;
+          row[s] = 1.0 - static_cast<double>(ranks[S - 1 - s]) / n;
         }
       },
       threads);

@@ -1,12 +1,15 @@
 #include "hids/detector.hpp"
 
-#include "stats/kernels.hpp"
 #include "util/error.hpp"
 
 namespace monohids::hids {
 
 std::uint64_t ThresholdDetector::count_alarms(std::span<const double> bins) const noexcept {
-  return stats::kernels::active().count_exceed(bins, threshold());
+  std::uint64_t count = 0;
+  for (double v : bins) {
+    if (alarms(v)) ++count;
+  }
+  return count;
 }
 
 double ThresholdDetector::alarm_rate(std::span<const double> bins) const noexcept {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "stats/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/error.hpp"
@@ -170,8 +169,14 @@ ReplayOutcome evaluate_replay(std::span<const double> benign_test_bins,
   std::uint64_t benign_alarms = 0;
   std::uint64_t attacked_bins = 0;
   std::uint64_t detected = 0;
-  stats::kernels::active().replay_detect(benign_test_bins, attack_bins, threshold,
-                                         benign_alarms, attacked_bins, detected);
+  for (std::size_t i = 0; i < benign_test_bins.size(); ++i) {
+    const double benign = benign_test_bins[i];
+    if (benign > threshold) ++benign_alarms;
+    if (attack_bins[i] > 0.0) {
+      ++attacked_bins;
+      if (benign + attack_bins[i] > threshold) ++detected;
+    }
+  }
   ReplayOutcome out;
   out.fp_rate = static_cast<double>(benign_alarms) /
                 static_cast<double>(benign_test_bins.size());
@@ -196,8 +201,16 @@ JointAlarmOutcome joint_alarm_rate(
 
   std::uint64_t joint = 0;
   std::array<std::uint64_t, features::kFeatureCount> marginal{};
-  stats::kernels::active().joint_exceed(slices.data(), thresholds.data(),
-                                        features::kFeatureCount, bins, marginal.data(), joint);
+  for (std::size_t b = 0; b < bins; ++b) {
+    bool any = false;
+    for (std::size_t f = 0; f < features::kFeatureCount; ++f) {
+      if (slices[f][b] > thresholds[f]) {
+        ++marginal[f];
+        any = true;
+      }
+    }
+    if (any) ++joint;
+  }
   outcome.joint_fp_rate = static_cast<double>(joint) / static_cast<double>(bins);
   for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
     outcome.per_feature[i] = static_cast<double>(marginal[i]) / static_cast<double>(bins);

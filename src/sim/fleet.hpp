@@ -10,8 +10,8 @@
 //     as flattened (user, week-tile) items through util::parallel_for)
 //     → per-user GkSketch of each week's bin counts (stats::GkSketch::
 //       from_sorted on the sorted week slice)
-//     → an m-point quantile-grid row (GkSketch::quantile_batch through the
-//       stats::kernels dispatch), stored as float32
+//     → an m-point quantile-grid row (GkSketch::quantile_batch, one
+//       stats::kernels merge-scan), stored as float32
 //     → pooled per-(feature, week) sketches folded in user-index order
 //       (GkSketch::merge — the fold order, not the shard layout, defines
 //       the result, so any shard count produces the same pooled summary).

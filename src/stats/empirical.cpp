@@ -110,11 +110,10 @@ void EmpiricalDistribution::rank_batch(std::span<const double> xs,
     }
     return;
   }
-  const auto& ops = kernels::active();
   if (std::is_sorted(xs.begin(), xs.end())) {
-    ops.rank_sorted(sorted_, xs, 0.0, out.data());
+    kernels::rank_sorted(sorted_, xs, 0.0, out.data());
   } else {
-    ops.rank_unsorted(sorted_, xs, 0.0, out.data());
+    kernels::rank_unsorted(sorted_, xs, 0.0, out.data());
   }
 }
 

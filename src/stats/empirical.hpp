@@ -69,17 +69,19 @@ class EmpiricalDistribution {
   [[nodiscard]] double exceedance(double x) const;
 
   /// Batched exceedance: out[j] = exceedance(xs[j]) for the whole query
-  /// batch at once. Answered by one merge-scan over the arena when `xs` is
-  /// ascending (O(n + T) for a threshold sweep instead of O(T log n)) and
-  /// by branchless vectorized rank queries otherwise (stats::kernels). The
-  /// results are bit-identical to per-call exceedance() on every SIMD
-  /// back-end — ranks are exact integers and the 1.0 - rank/n arithmetic is
-  /// the same operation the scalar path performs.
+  /// batch at once, from rank_batch's ranks. The results are bit-identical
+  /// to per-call exceedance() — ranks are exact integers and the
+  /// 1.0 - rank/n arithmetic is the same operation the per-call path
+  /// performs.
   void exceedance_batch(std::span<const double> xs, std::span<double> out) const;
 
   /// Batched upper-bound ranks: out[j] = #samples <= xs[j], the integer
   /// primitive behind exceedance_batch (exposed for consumers that
-  /// post-process ranks themselves, e.g. AttackModel::mean_fn_batch).
+  /// post-process ranks themselves, e.g. AttackModel::mean_fn and
+  /// hids::naive_detection_curve). Answered from the rank table when there
+  /// is one, else by one merge-scan over the arena when `xs` is ascending
+  /// (O(n + T) for a threshold sweep instead of O(T log n)) and by one
+  /// binary search per query otherwise (stats::kernels).
   void rank_batch(std::span<const double> xs, std::span<std::uint32_t> out) const;
 
   /// Cumulative rank table cum[k] = #samples <= k, present when the samples

@@ -143,8 +143,7 @@ void GkSketch::quantile_batch(std::span<const double> qs, std::span<double> out)
   // The per-call scan stops at the first tuple whose max possible rank
   // exceeds target + tolerance. Its prefix maximum is a monotone envelope
   // with the same first crossing, so the whole ascending query batch is one
-  // rank_sorted merge-scan (#{envelope <= target + tol} = crossing index)
-  // on the dispatched back-end.
+  // rank_sorted merge-scan (#{envelope <= target + tol} = crossing index).
   std::vector<double> envelope(tuples_.size());
   std::uint64_t min_rank = 0;
   double running_max = 0.0;
@@ -167,7 +166,7 @@ void GkSketch::quantile_batch(std::span<const double> qs, std::span<double> out)
   }
 
   std::vector<std::uint32_t> crossing(qs.size());
-  kernels::active().rank_sorted(envelope, limits, 0.0, crossing.data());
+  kernels::rank_sorted(envelope, limits, 0.0, crossing.data());
   for (std::size_t j = 0; j < qs.size(); ++j) {
     const std::size_t idx = crossing[j] == 0 ? 0 : crossing[j] - 1;
     out[j] = tuples_[idx].value;

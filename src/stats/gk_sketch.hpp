@@ -10,7 +10,7 @@
 // counts with from_sorted(), the console folds host summaries into pooled
 // group sketches with merge() (the ε-rank guarantee survives any merge
 // tree — see the differential suite), sweeps quantile grids with
-// quantile_batch() (one kernels-dispatched merge-scan over the rank
+// quantile_batch() (one stats::kernels merge-scan over the rank
 // envelope instead of a scan per query), and ships summaries across
 // processes with serialize()/deserialize().
 #pragma once
@@ -45,8 +45,8 @@ class GkSketch {
 
   /// Batched quantile(): out[j] = quantile(qs[j]) for an ascending batch,
   /// answered by one merge-scan of the query ranks against the sketch's
-  /// monotone rank envelope through the stats::kernels dispatch table
-  /// (rank_sorted) — O(tuples + |qs|) instead of O(tuples·|qs|). Results
+  /// monotone rank envelope (stats::kernels::rank_sorted) —
+  /// O(tuples + |qs|) instead of O(tuples·|qs|). Results
   /// are identical to per-call quantile() query for query.
   void quantile_batch(std::span<const double> qs, std::span<double> out) const;
 

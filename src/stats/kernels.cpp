@@ -1,6 +1,8 @@
 #include "stats/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -14,7 +16,6 @@ namespace {
 std::atomic<const Ops*> g_active{nullptr};
 
 const Ops* best_available() noexcept {
-  if (const Ops* neon = ops_for(Backend::Neon)) return neon;
   if (const Ops* avx2 = ops_for(Backend::Avx2)) return avx2;
   return detail::scalar_ops();
 }
@@ -29,7 +30,6 @@ const Ops* detect() noexcept {
     bool known = true;
     if (requested == "scalar") backend = Backend::Scalar;
     else if (requested == "avx2") backend = Backend::Avx2;
-    else if (requested == "neon") backend = Backend::Neon;
     else known = false;
     if (known) {
       if (const Ops* ops = ops_for(backend)) return ops;
@@ -40,7 +40,7 @@ const Ops* detect() noexcept {
     } else {
       MONOHIDS_LOG(Warn, "kernels")
           << "unknown MONOHIDS_SIMD value '" << requested
-          << "' (want scalar|avx2|neon); using runtime detection";
+          << "' (want scalar|avx2); using runtime detection";
     }
   }
   return best_available();
@@ -62,7 +62,6 @@ const Ops& active() noexcept {
 Backend active_backend() noexcept {
   const Ops* ops = &active();
   if (ops == detail::avx2_ops() && ops != nullptr) return Backend::Avx2;
-  if (ops == detail::neon_ops() && ops != nullptr) return Backend::Neon;
   return Backend::Scalar;
 }
 
@@ -72,8 +71,6 @@ const Ops* ops_for(Backend backend) noexcept {
       return detail::scalar_ops();
     case Backend::Avx2:
       return detail::cpu_supports_avx2() ? detail::avx2_ops() : nullptr;
-    case Backend::Neon:
-      return detail::neon_ops();
   }
   return nullptr;
 }
@@ -86,8 +83,6 @@ std::string_view backend_name(Backend backend) noexcept {
       return "scalar";
     case Backend::Avx2:
       return "avx2";
-    case Backend::Neon:
-      return "neon";
   }
   return "unknown";
 }
@@ -100,6 +95,55 @@ bool force_backend(Backend backend) noexcept {
 }
 
 void reset_backend() noexcept { g_active.store(detect(), std::memory_order_release); }
+
+namespace {
+
+/// Ascending-sweep strategy crossover of rank_sorted and rank_grid: a
+/// merge-scan touches ~n + t samples, per-query binary search ~t*(log2 n +
+/// 1) dependent loads. Binary wins for sparse sweeps over large arenas —
+/// e.g. a few hundred candidate thresholds against a 200k-sample pooled
+/// arena — while the merge-scan wins on dense per-user sweeps. Both
+/// strategies return the same exact integer ranks; this is purely a cost
+/// model and never changes results.
+constexpr bool sweep_prefers_binary(std::size_t n, std::size_t t) noexcept {
+  if (n < 2048) return false;  // small arenas stay cache-resident either way
+  const auto log2n = static_cast<std::size_t>(std::bit_width(n));
+  return t * (log2n + 1) < n;
+}
+
+}  // namespace
+
+void rank_sorted(std::span<const double> arena, std::span<const double> xs, double shift,
+                 std::uint32_t* out) {
+  if (sweep_prefers_binary(arena.size(), xs.size())) {
+    rank_unsorted(arena, xs, shift, out);
+    return;
+  }
+  const double* a = arena.data();
+  const std::size_t n = arena.size();
+  std::size_t i = 0;
+  for (std::size_t j = 0; j < xs.size(); ++j) {
+    const double q = xs[j] - shift;
+    while (i < n && a[i] <= q) ++i;
+    out[j] = static_cast<std::uint32_t>(i);
+  }
+}
+
+void rank_unsorted(std::span<const double> arena, std::span<const double> xs, double shift,
+                   std::uint32_t* out) {
+  for (std::size_t j = 0; j < xs.size(); ++j) {
+    const auto it = std::upper_bound(arena.begin(), arena.end(), xs[j] - shift);
+    out[j] = static_cast<std::uint32_t>(it - arena.begin());
+  }
+}
+
+void rank_grid(std::span<const double> arena, std::span<const double> thresholds,
+               std::span<const double> sizes, std::uint32_t* ranks) {
+  const std::size_t T = thresholds.size();
+  for (std::size_t s = 0; s < sizes.size(); ++s) {
+    rank_sorted(arena, thresholds, sizes[s], ranks + s * T);
+  }
+}
 
 namespace {
 

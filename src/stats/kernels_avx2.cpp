@@ -1,12 +1,12 @@
-// AVX2 back-end. This translation unit is compiled with -mavx2 (see
-// src/stats/CMakeLists.txt); its functions are only ever reached through
-// the dispatch table after a runtime cpuid check, so the binary stays safe
-// on pre-AVX2 hardware.
+// AVX2 synthesis back-end. This translation unit is compiled with -mavx2
+// (see src/stats/CMakeLists.txt); its functions are only ever reached
+// through the dispatch table after a runtime cpuid check, so the binary
+// stays safe on pre-AVX2 hardware.
 //
-// Exactness: every function here computes integer ranks/counts from IEEE
-// comparisons (and one vector add in replay_detect whose lanes are the
-// exact scalar additions), so results are bit-identical to the scalar
-// back-end by construction — no reassociated floating-point reductions.
+// Exactness: philox_fill is pure lane-independent integer arithmetic, and
+// poisson_counts repeats the scalar reference's floating-point steps lane
+// by lane in the same order (exact fused ops only where written), so both
+// are bit-identical to the scalar back-end by construction.
 #include "stats/kernels.hpp"
 #include "stats/sampling.hpp"
 #include "util/rng.hpp"
@@ -15,243 +15,10 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <span>
 
 namespace monohids::stats::kernels {
 namespace {
-
-/// Advances `i` over ascending a[i..limit) while a[i] <= q, four lanes at a
-/// time. Ascending order makes each 4-lane <=-mask a run of ones followed
-/// by zeros, so countr_one gives the exact advance when the run breaks.
-inline std::size_t advance_le(const double* a, std::size_t i, std::size_t limit,
-                              double q) noexcept {
-  const __m256d qv = _mm256_set1_pd(q);
-  while (i + 4 <= limit) {
-    const __m256d v = _mm256_loadu_pd(a + i);
-    const auto le =
-        static_cast<unsigned>(_mm256_movemask_pd(_mm256_cmp_pd(v, qv, _CMP_LE_OQ)));
-    if (le == 0xFu) {
-      i += 4;
-      continue;
-    }
-    return i + std::countr_one(le);  // a[result] > q
-  }
-  while (i < limit && a[i] <= q) ++i;
-  return i;
-}
-
-/// Branchless upper bound (conditional-move binary search) for sparse
-/// queries against large arenas.
-inline std::uint32_t upper_bound_branchless(const double* a, std::size_t n,
-                                            double q) noexcept {
-  if (n == 0) return 0;
-  const double* base = a;
-  while (n > 1) {
-    const std::size_t half = n / 2;
-    base += (base[half - 1] <= q) ? half : 0;
-    n -= half;
-  }
-  return static_cast<std::uint32_t>((base - a) + (*base <= q ? 1 : 0));
-}
-
-void rank_sorted_avx2(std::span<const double> arena, std::span<const double> xs,
-                      double shift, std::uint32_t* out) {
-  const double* a = arena.data();
-  const std::size_t n = arena.size();
-  if (detail::sweep_prefers_binary(n, xs.size())) {
-    for (std::size_t j = 0; j < xs.size(); ++j) {
-      out[j] = upper_bound_branchless(a, n, xs[j] - shift);
-    }
-    return;
-  }
-  std::size_t i = 0;
-  for (std::size_t j = 0; j < xs.size(); ++j) {
-    i = advance_le(a, i, n, xs[j] - shift);
-    out[j] = static_cast<std::uint32_t>(i);
-  }
-}
-
-/// Partition count: #{v <= q} by accumulating 4-lane compare masks (each
-/// all-ones lane is -1 as int64, so mask subtraction counts).
-inline std::uint32_t partition_count_le(const double* a, std::size_t n,
-                                        double q) noexcept {
-  const __m256d qv = _mm256_set1_pd(q);
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(a + i);
-    acc = _mm256_sub_epi64(acc, _mm256_castpd_si256(_mm256_cmp_pd(v, qv, _CMP_LE_OQ)));
-  }
-  alignas(32) std::int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::int64_t count = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) count += a[i] <= q ? 1 : 0;
-  return static_cast<std::uint32_t>(count);
-}
-
-void rank_unsorted_avx2(std::span<const double> arena, std::span<const double> xs,
-                        double shift, std::uint32_t* out) {
-  const double* a = arena.data();
-  const std::size_t n = arena.size();
-  // Tiny arenas: the branchless streaming count (n/4 independent vector
-  // compares) beats ~log2(n) dependent loads. Anywhere past ~2 cache lines
-  // per lane the binary search wins.
-  constexpr std::size_t kPartitionCountMax = 96;
-  if (n <= kPartitionCountMax) {
-    for (std::size_t j = 0; j < xs.size(); ++j) {
-      out[j] = partition_count_le(a, n, xs[j] - shift);
-    }
-  } else {
-    for (std::size_t j = 0; j < xs.size(); ++j) {
-      out[j] = upper_bound_branchless(a, n, xs[j] - shift);
-    }
-  }
-}
-
-void rank_grid_avx2(std::span<const double> arena, std::span<const double> thresholds,
-                    std::span<const double> sizes, std::uint32_t* ranks) {
-  const std::size_t n = arena.size();
-  const std::size_t T = thresholds.size();
-  const std::size_t S = sizes.size();
-  if (T == 0 || S == 0) return;
-  if (n == 0) {
-    std::fill(ranks, ranks + T * S, 0u);
-    return;
-  }
-  const double* a = arena.data();
-  if (detail::sweep_prefers_binary(n, T)) {
-    // Sparse grid over a large (pooled) arena: S*T binary searches touch
-    // far fewer samples than S merge-scans of the whole arena.
-    for (std::size_t s = 0; s < S; ++s) {
-      const double shift = sizes[s];
-      std::uint32_t* row = ranks + s * T;
-      for (std::size_t j = 0; j < T; ++j) {
-        row[j] = upper_bound_branchless(a, n, thresholds[j] - shift);
-      }
-    }
-    return;
-  }
-  // One tiled pass: walk the arena in L1-resident tiles and run every
-  // size's merge-scan segment over the tile before moving on, so the arena
-  // is streamed from memory once instead of once per attack size.
-  constexpr std::size_t kTile = 4096;  // 32 KiB of samples
-  thread_local std::vector<std::size_t> arena_cursor, query_cursor;
-  arena_cursor.assign(S, 0);
-  query_cursor.assign(S, 0);
-  for (std::size_t lo = 0; lo < n; lo += kTile) {
-    const std::size_t hi = std::min(n, lo + kTile);
-    const bool last_tile = hi == n;
-    for (std::size_t s = 0; s < S; ++s) {
-      std::size_t j = query_cursor[s];
-      if (j >= T) continue;
-      std::size_t i = arena_cursor[s];
-      const double shift = sizes[s];
-      std::uint32_t* row = ranks + s * T;
-      while (j < T) {
-        i = advance_le(a, i, hi, thresholds[j] - shift);
-        if (i == hi && !last_tile) break;  // query reaches into the next tile
-        row[j] = static_cast<std::uint32_t>(i);
-        ++j;
-      }
-      arena_cursor[s] = i;
-      query_cursor[s] = j;
-    }
-  }
-}
-
-std::uint64_t count_exceed_avx2(std::span<const double> values, double threshold) {
-  const double* a = values.data();
-  const std::size_t n = values.size();
-  const __m256d tv = _mm256_set1_pd(threshold);
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(a + i);
-    acc = _mm256_sub_epi64(acc, _mm256_castpd_si256(_mm256_cmp_pd(v, tv, _CMP_GT_OQ)));
-  }
-  alignas(32) std::int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint64_t count = static_cast<std::uint64_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-  for (; i < n; ++i) count += a[i] > threshold ? 1 : 0;
-  return count;
-}
-
-void replay_detect_avx2(std::span<const double> benign, std::span<const double> attack,
-                        double threshold, std::uint64_t& benign_alarms,
-                        std::uint64_t& attacked_bins, std::uint64_t& detected) {
-  const double* b = benign.data();
-  const double* at = attack.data();
-  const std::size_t n = benign.size();
-  const __m256d tv = _mm256_set1_pd(threshold);
-  const __m256d zero = _mm256_setzero_pd();
-  __m256i acc_alarm = _mm256_setzero_si256();
-  __m256i acc_attacked = _mm256_setzero_si256();
-  __m256i acc_hit = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d bv = _mm256_loadu_pd(b + i);
-    const __m256d av = _mm256_loadu_pd(at + i);
-    const __m256d m_alarm = _mm256_cmp_pd(bv, tv, _CMP_GT_OQ);
-    const __m256d m_attacked = _mm256_cmp_pd(av, zero, _CMP_GT_OQ);
-    const __m256d m_hit =
-        _mm256_and_pd(_mm256_cmp_pd(_mm256_add_pd(bv, av), tv, _CMP_GT_OQ), m_attacked);
-    acc_alarm = _mm256_sub_epi64(acc_alarm, _mm256_castpd_si256(m_alarm));
-    acc_attacked = _mm256_sub_epi64(acc_attacked, _mm256_castpd_si256(m_attacked));
-    acc_hit = _mm256_sub_epi64(acc_hit, _mm256_castpd_si256(m_hit));
-  }
-  alignas(32) std::int64_t lanes[4];
-  const auto reduce = [&lanes](__m256i acc) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    return static_cast<std::uint64_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-  };
-  std::uint64_t alarms = reduce(acc_alarm);
-  std::uint64_t attacked = reduce(acc_attacked);
-  std::uint64_t hits = reduce(acc_hit);
-  for (; i < n; ++i) {
-    if (b[i] > threshold) ++alarms;
-    if (at[i] > 0.0) {
-      ++attacked;
-      if (b[i] + at[i] > threshold) ++hits;
-    }
-  }
-  benign_alarms = alarms;
-  attacked_bins = attacked;
-  detected = hits;
-}
-
-void joint_exceed_avx2(const std::span<const double>* slices, const double* thresholds,
-                       std::size_t feature_count, std::size_t bins,
-                       std::uint64_t* marginal, std::uint64_t& joint) {
-  for (std::size_t f = 0; f < feature_count; ++f) marginal[f] = 0;
-  std::uint64_t any_count = 0;
-  std::size_t b = 0;
-  for (; b + 4 <= bins; b += 4) {
-    __m256d any = _mm256_setzero_pd();
-    for (std::size_t f = 0; f < feature_count; ++f) {
-      const __m256d v = _mm256_loadu_pd(slices[f].data() + b);
-      const __m256d m = _mm256_cmp_pd(v, _mm256_set1_pd(thresholds[f]), _CMP_GT_OQ);
-      marginal[f] += static_cast<unsigned>(std::popcount(
-          static_cast<unsigned>(_mm256_movemask_pd(m))));
-      any = _mm256_or_pd(any, m);
-    }
-    any_count += static_cast<unsigned>(
-        std::popcount(static_cast<unsigned>(_mm256_movemask_pd(any))));
-  }
-  for (; b < bins; ++b) {
-    bool any = false;
-    for (std::size_t f = 0; f < feature_count; ++f) {
-      if (slices[f][b] > thresholds[f]) {
-        ++marginal[f];
-        any = true;
-      }
-    }
-    if (any) ++any_count;
-  }
-  joint = any_count;
-}
 
 /// One pass of G independent 4-block Philox groups: each 64-bit lane of a
 /// ymm register carries one block's 32-bit state word zero-extended to 64
@@ -483,29 +250,12 @@ std::uint64_t poisson_counts_avx2(const double* means, const std::uint32_t* word
   return total;
 }
 
-void widen_u32_avx2(std::span<const std::uint32_t> values, double* out) {
-  // Staging tallies are < 2^31 (the op's contract), so the signed 32->64
-  // float convert is the exact unsigned conversion.
-  const std::uint32_t* v = values.data();
-  const std::size_t n = values.size();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i lanes = _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i));
-    _mm256_storeu_pd(out + i, _mm256_cvtepi32_pd(lanes));
-  }
-  for (; i < n; ++i) out[i] = static_cast<double>(v[i]);
-}
-
 }  // namespace
 
 namespace detail {
 
 const Ops* avx2_ops() noexcept {
-  static const Ops ops = {
-      "avx2",            rank_sorted_avx2,  rank_unsorted_avx2, rank_grid_avx2,
-      count_exceed_avx2, replay_detect_avx2, joint_exceed_avx2, widen_u32_avx2,
-      philox_fill_avx2,  poisson_counts_avx2,
-  };
+  static const Ops ops = {"avx2", philox_fill_avx2, poisson_counts_avx2};
   return &ops;
 }
 

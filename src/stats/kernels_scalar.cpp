@@ -1,10 +1,6 @@
-// Portable scalar back-end: the reference implementation every SIMD
-// back-end must match integer-for-integer. rank_unsorted deliberately uses
-// the same std::upper_bound the seed per-call path used, so "scalar
-// back-end + batch plumbing" is exactly the seed math in batch clothing.
-#include <algorithm>
+// Portable scalar synthesis back-end: the reference the AVX2 back-end must
+// match word for word and count for count.
 #include <cstdint>
-#include <span>
 
 #include "stats/kernels.hpp"
 #include "stats/sampling.hpp"
@@ -12,92 +8,6 @@
 
 namespace monohids::stats::kernels {
 namespace {
-
-void rank_sorted_scalar(std::span<const double> arena, std::span<const double> xs,
-                        double shift, std::uint32_t* out) {
-  const double* a = arena.data();
-  const std::size_t n = arena.size();
-  if (detail::sweep_prefers_binary(n, xs.size())) {
-    // Sparse sweep over a large arena: per-query binary search touches far
-    // fewer samples than a front-to-back merge-scan would.
-    for (std::size_t j = 0; j < xs.size(); ++j) {
-      const auto it = std::upper_bound(arena.begin(), arena.end(), xs[j] - shift);
-      out[j] = static_cast<std::uint32_t>(it - arena.begin());
-    }
-    return;
-  }
-  std::size_t i = 0;
-  for (std::size_t j = 0; j < xs.size(); ++j) {
-    const double q = xs[j] - shift;
-    while (i < n && a[i] <= q) ++i;
-    out[j] = static_cast<std::uint32_t>(i);
-  }
-}
-
-void rank_unsorted_scalar(std::span<const double> arena, std::span<const double> xs,
-                          double shift, std::uint32_t* out) {
-  for (std::size_t j = 0; j < xs.size(); ++j) {
-    const double q = xs[j] - shift;
-    const auto it = std::upper_bound(arena.begin(), arena.end(), q);
-    out[j] = static_cast<std::uint32_t>(it - arena.begin());
-  }
-}
-
-void rank_grid_scalar(std::span<const double> arena, std::span<const double> thresholds,
-                      std::span<const double> sizes, std::uint32_t* ranks) {
-  const std::size_t T = thresholds.size();
-  for (std::size_t s = 0; s < sizes.size(); ++s) {
-    rank_sorted_scalar(arena, thresholds, sizes[s], ranks + s * T);
-  }
-}
-
-std::uint64_t count_exceed_scalar(std::span<const double> values, double threshold) {
-  std::uint64_t count = 0;
-  for (double v : values) {
-    if (v > threshold) ++count;
-  }
-  return count;
-}
-
-void replay_detect_scalar(std::span<const double> benign, std::span<const double> attack,
-                          double threshold, std::uint64_t& benign_alarms,
-                          std::uint64_t& attacked_bins, std::uint64_t& detected) {
-  std::uint64_t alarms = 0, attacked = 0, hits = 0;
-  for (std::size_t i = 0; i < benign.size(); ++i) {
-    if (benign[i] > threshold) ++alarms;
-    if (attack[i] > 0.0) {
-      ++attacked;
-      if (benign[i] + attack[i] > threshold) ++hits;
-    }
-  }
-  benign_alarms = alarms;
-  attacked_bins = attacked;
-  detected = hits;
-}
-
-void joint_exceed_scalar(const std::span<const double>* slices, const double* thresholds,
-                         std::size_t feature_count, std::size_t bins,
-                         std::uint64_t* marginal, std::uint64_t& joint) {
-  for (std::size_t f = 0; f < feature_count; ++f) marginal[f] = 0;
-  std::uint64_t any_count = 0;
-  for (std::size_t b = 0; b < bins; ++b) {
-    bool any = false;
-    for (std::size_t f = 0; f < feature_count; ++f) {
-      if (slices[f][b] > thresholds[f]) {
-        ++marginal[f];
-        any = true;
-      }
-    }
-    if (any) ++any_count;
-  }
-  joint = any_count;
-}
-
-void widen_u32_scalar(std::span<const std::uint32_t> values, double* out) {
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out[i] = static_cast<double>(values[i]);
-  }
-}
 
 void philox_fill_scalar(std::uint64_t key, std::uint64_t stream,
                         std::uint64_t first_block, std::uint32_t* out,
@@ -134,11 +44,7 @@ std::uint64_t poisson_counts_portable(const double* means, const std::uint32_t* 
 }
 
 const Ops* scalar_ops() noexcept {
-  static const Ops ops = {
-      "scalar",           rank_sorted_scalar,  rank_unsorted_scalar, rank_grid_scalar,
-      count_exceed_scalar, replay_detect_scalar, joint_exceed_scalar, widen_u32_scalar,
-      philox_fill_scalar,  poisson_counts_portable,
-  };
+  static const Ops ops = {"scalar", philox_fill_scalar, poisson_counts_portable};
   return &ops;
 }
 

@@ -95,23 +95,40 @@ void write_packet_trace(std::ostream& out, const std::vector<net::PacketRecord>&
   }
 }
 
-std::vector<net::PacketRecord> read_packet_trace(std::istream& in) {
+namespace {
+
+/// The shared decode loop behind read_packet_trace and stream_packet_trace:
+/// validates the header, hands its (untrusted) record count to `on_count`,
+/// then decodes every record into `on_packet`.
+template <typename OnCount, typename OnPacket>
+void parse_packet_trace(std::istream& in, OnCount&& on_count, OnPacket&& on_packet) {
   const std::uint64_t count = read_trace_header(in);
+  on_count(count);
+  for (std::uint64_t i = 0; i < count; ++i) on_packet(get_record(in));
+}
+
+}  // namespace
+
+std::vector<net::PacketRecord> read_packet_trace(std::istream& in) {
   std::vector<net::PacketRecord> packets;
-  // The header's count is untrusted input: reserve only a bounded prefix so
-  // a corrupt count fails with "truncated trace file" at the first missing
-  // record instead of a gigantic up-front allocation.
-  constexpr std::uint64_t kMaxTrustedReserve = 1u << 20;
-  packets.reserve(static_cast<std::size_t>(std::min(count, kMaxTrustedReserve)));
-  for (std::uint64_t i = 0; i < count; ++i) packets.push_back(get_record(in));
+  parse_packet_trace(
+      in,
+      [&](std::uint64_t count) {
+        // The header's count is untrusted input: reserve only a bounded
+        // prefix so a corrupt count fails with "truncated trace file" at the
+        // first missing record instead of a gigantic up-front allocation.
+        constexpr std::uint64_t kMaxTrustedReserve = 1u << 20;
+        packets.reserve(static_cast<std::size_t>(std::min(count, kMaxTrustedReserve)));
+      },
+      [&](const net::PacketRecord& p) { packets.push_back(p); });
   return packets;
 }
 
 std::uint64_t stream_packet_trace(std::istream& in, features::PacketSink& sink,
                                   std::size_t max_batch) {
-  const std::uint64_t count = read_trace_header(in);
   features::BatchingAdapter batches(sink, max_batch);
-  for (std::uint64_t i = 0; i < count; ++i) batches.push(get_record(in));
+  parse_packet_trace(
+      in, [](std::uint64_t) {}, [&](const net::PacketRecord& p) { batches.push(p); });
   return batches.finish();
 }
 
@@ -195,36 +212,39 @@ net::PacketRecord parse_packet_row(const std::vector<std::string>& row) {
 
 }  // namespace
 
-std::vector<net::PacketRecord> read_packet_csv(std::istream& in) {
-  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  const auto rows = util::csv_parse(text);
-  MONOHIDS_ENSURE(!rows.empty(), "packet CSV is empty");
-  MONOHIDS_ENSURE(is_packet_csv_header(rows[0]),
-                  "packet CSV header does not match the expected format");
+namespace {
 
-  std::vector<net::PacketRecord> packets;
-  packets.reserve(rows.size() - 1);
-  for (std::size_t r = 1; r < rows.size(); ++r) packets.push_back(parse_packet_row(rows[r]));
-  return packets;
-}
-
-std::uint64_t stream_packet_csv(std::istream& in, features::PacketSink& sink,
-                                std::size_t max_batch) {
+/// The shared row loop behind read_packet_csv and stream_packet_csv: checks
+/// the header line, then parses every non-blank row into `on_packet`.
+template <typename OnPacket>
+void parse_packet_csv(std::istream& in, OnPacket&& on_packet) {
   std::string line;
   MONOHIDS_ENSURE(static_cast<bool>(std::getline(in, line)), "packet CSV is empty");
   if (!line.empty() && line.back() == '\r') line.pop_back();
   MONOHIDS_ENSURE(is_packet_csv_header(util::csv_parse_line(line)),
                   "packet CSV header does not match the expected format");
-
-  features::BatchingAdapter batches(sink, max_batch);
   while (std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;  // trailing newline / blank line
-    batches.push(parse_packet_row(util::csv_parse_line(line)));
+    on_packet(parse_packet_row(util::csv_parse_line(line)));
   }
   // getline must have stopped at end-of-file; stopping on a stream error
   // (badbit mid-file) would otherwise silently truncate the trace.
-  MONOHIDS_ENSURE(in.eof(), "I/O error while streaming packet CSV");
+  MONOHIDS_ENSURE(in.eof(), "I/O error while reading packet CSV");
+}
+
+}  // namespace
+
+std::vector<net::PacketRecord> read_packet_csv(std::istream& in) {
+  std::vector<net::PacketRecord> packets;
+  parse_packet_csv(in, [&](const net::PacketRecord& p) { packets.push_back(p); });
+  return packets;
+}
+
+std::uint64_t stream_packet_csv(std::istream& in, features::PacketSink& sink,
+                                std::size_t max_batch) {
+  features::BatchingAdapter batches(sink, max_batch);
+  parse_packet_csv(in, [&](const net::PacketRecord& p) { batches.push(p); });
   return batches.finish();
 }
 

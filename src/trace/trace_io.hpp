@@ -36,17 +36,18 @@ std::uint64_t stream_packet_trace(std::istream& in, features::PacketSink& sink,
 /// (timestamp_us,src,dst,sport,dport,proto,flags,payload).
 void write_packet_csv(std::ostream& out, const std::vector<net::PacketRecord>& packets);
 
-/// Reads the packet-CSV format back (header required, fields as written by
-/// write_packet_csv; protocol accepts "tcp"/"udp"/"icmp"). This is the
-/// import path for external traces — convert a pcap with tshark/tcpdump to
-/// this CSV shape and the whole pipeline (flows, features, policies) runs
-/// on real traffic. Throws InputError on malformed rows.
+/// Reads the packet-CSV format back (header required on the first line,
+/// fields as written by write_packet_csv; protocol accepts
+/// "tcp"/"udp"/"icmp"; multi-line quoted fields are not supported — the
+/// packet CSV shape never produces them). This is the import path for
+/// external traces — convert a pcap with tshark/tcpdump to this CSV shape
+/// and the whole pipeline (flows, features, policies) runs on real traffic.
+/// Throws InputError on malformed rows and on a stream error mid-file.
 [[nodiscard]] std::vector<net::PacketRecord> read_packet_csv(std::istream& in);
 
 /// Streaming form of read_packet_csv: parses row by row into `sink` in
-/// batches of at most `max_batch` packets. Same format and validation as
-/// read_packet_csv (multi-line quoted fields are not supported — the packet
-/// CSV shape never produces them). Returns the packet count.
+/// batches of at most `max_batch` packets. Same row loop, format and
+/// validation as read_packet_csv. Returns the packet count.
 std::uint64_t stream_packet_csv(std::istream& in, features::PacketSink& sink,
                                 std::size_t max_batch = features::kDefaultIngestBatch);
 

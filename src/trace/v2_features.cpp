@@ -11,9 +11,8 @@
 //      poisson_counts kernel — a bin with no sessions ends here;
 //   3. per active bin, the merged totals drawn from the bin's own stream
 //      (draw_v2_bin_totals), tallied into integer staging rows;
-//   4. float post-processing: widening through the stats::kernels dispatch
-//      layer, then the resolver-cache / distinct-destination math per bin
-//      (finalize_bins).
+//   4. float post-processing: widening the staging rows, then the
+//      resolver-cache / distinct-destination math per bin (finalize_bins).
 //
 // Draw-key contract (see also trace/v2_contract.hpp). All streams share
 // one key, derive_seed(user.seed, "v2/bins", 0), and EVERY draw consumes
@@ -118,14 +117,14 @@ void finalize_bins(const UserProfile& user, double effective_pool,
                    PowMemo& pow_memo, features::FeatureMatrix& matrix) {
   using features::FeatureKind;
   const std::uint64_t n = st_tcp.size();
-  // TCP/HTTP/SYN are pure widenings of their staging tallies: one
-  // dispatched kernel pass each (exact, so back-end invariant).
-  const auto& kernel_ops = stats::kernels::active();
-  kernel_ops.widen_u32(st_tcp,
-                       matrix.of(FeatureKind::TcpConnections).values_mut().data() + first_bin);
-  kernel_ops.widen_u32(
-      st_http, matrix.of(FeatureKind::HttpConnections).values_mut().data() + first_bin);
-  kernel_ops.widen_u32(st_syn, matrix.of(FeatureKind::TcpSyn).values_mut().data() + first_bin);
+  // TCP/HTTP/SYN are pure (exact) widenings of their staging tallies.
+  const auto widen = [&](std::span<const std::uint32_t> tallies, FeatureKind feature) {
+    double* out = matrix.of(feature).values_mut().data() + first_bin;
+    for (std::uint64_t i = 0; i < n; ++i) out[i] = static_cast<double>(tallies[i]);
+  };
+  widen(st_tcp, FeatureKind::TcpConnections);
+  widen(st_http, FeatureKind::HttpConnections);
+  widen(st_syn, FeatureKind::TcpSyn);
 
   // The resolver-cache and distinct-destination math rounds per bin, in
   // double. Both rounded values are nonnegative.

@@ -8,7 +8,6 @@
 
 #include "oracle/per_call.hpp"
 #include "stats/classification.hpp"
-#include "stats/kernels.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -207,31 +206,23 @@ TEST(OperatingCurve, PointsMatchPerThresholdCallsAtExactSize) {
 }
 
 TEST(OperatingCurve, MeanFnBatchMatchesPerCallOnEveryBackend) {
-  namespace kernels = stats::kernels;
-  struct DispatchGuard {  // restores startup dispatch however the test exits
-    ~DispatchGuard() { kernels::reset_backend(); }
-  } guard;
+  // The rank functions have one portable implementation, so one pass
+  // covers every back-end.
   const Trainings trainings;
-  for (kernels::Backend b :
-       {kernels::Backend::Scalar, kernels::Backend::Avx2, kernels::Backend::Neon}) {
-    if (!kernels::backend_available(b)) continue;
-    ASSERT_TRUE(kernels::force_backend(b));
-    for (const EmpiricalDistribution* g : trainings.all()) {
-      for (const AttackModel& attack : sweeps()) {
-        // Candidates plus off-grid queries: fractional, negative and past
-        // every shifted sample (all three rank-table cases).
-        auto thresholds = candidate_thresholds(*g);
-        thresholds.insert(thresholds.begin(), {-5.0, 0.5});
-        thresholds.push_back(1e6);
-        std::sort(thresholds.begin(), thresholds.end());
-        std::vector<double> batched(thresholds.size());
-        attack.mean_fn_batch(*g, thresholds, batched);
-        for (std::size_t j = 0; j < thresholds.size(); ++j) {
-          ASSERT_EQ(batched[j], attack.mean_fn(*g, thresholds[j]))
-              << kernels::backend_name(b) << " t=" << thresholds[j];
-          ASSERT_EQ(batched[j], oracle::mean_fn(attack, *g, thresholds[j]))
-              << kernels::backend_name(b) << " t=" << thresholds[j];
-        }
+  for (const EmpiricalDistribution* g : trainings.all()) {
+    for (const AttackModel& attack : sweeps()) {
+      // Candidates plus off-grid queries: fractional, negative and past
+      // every shifted sample (all three rank-table cases).
+      auto thresholds = candidate_thresholds(*g);
+      thresholds.insert(thresholds.begin(), {-5.0, 0.5});
+      thresholds.push_back(1e6);
+      std::sort(thresholds.begin(), thresholds.end());
+      std::vector<double> batched(thresholds.size());
+      attack.mean_fn_batch(*g, thresholds, batched);
+      for (std::size_t j = 0; j < thresholds.size(); ++j) {
+        ASSERT_EQ(batched[j], attack.mean_fn(*g, thresholds[j])) << "t=" << thresholds[j];
+        ASSERT_EQ(batched[j], oracle::mean_fn(attack, *g, thresholds[j]))
+            << "t=" << thresholds[j];
       }
     }
   }

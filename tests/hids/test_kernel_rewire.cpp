@@ -3,8 +3,7 @@
 // passes and counting sorts; the seed's per-call loops live in
 // tests/oracle. Bitwise-equal results here are the contract that keeps
 // AnalysisCache memoization valid: a cached artifact must not depend on
-// which path — or which SIMD back-end — produced it. Every check runs once
-// per available back-end, forced in-process.
+// which path produced it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,29 +18,12 @@
 #include "hids/roc.hpp"
 #include "oracle/per_call.hpp"
 #include "stats/empirical.hpp"
-#include "stats/kernels.hpp"
 #include "util/rng.hpp"
 
 namespace monohids::hids {
 namespace {
 
-namespace kernels = stats::kernels;
-using kernels::Backend;
 using stats::EmpiricalDistribution;
-
-std::vector<Backend> available_backends() {
-  std::vector<Backend> out;
-  for (Backend b : {Backend::Scalar, Backend::Avx2, Backend::Neon}) {
-    if (kernels::backend_available(b)) out.push_back(b);
-  }
-  return out;
-}
-
-/// Restores startup dispatch however a test exits.
-class DispatchGuard {
- public:
-  ~DispatchGuard() { kernels::reset_backend(); }
-};
 
 /// Count-like traffic samples (small integers, heavy ties) — the regime the
 /// counting fast paths trigger on, same as real bin counts.
@@ -61,18 +43,10 @@ std::vector<double> continuous_samples(std::uint64_t seed, std::size_t n) {
   return v;
 }
 
-/// Runs `oracle` once and `library` once per available back-end, asserting
-/// bitwise-equal results.
+/// Runs `library` and `oracle` once each, asserting bitwise-equal results.
 template <typename Library, typename Oracle>
 void expect_oracle_identity(Library&& library, Oracle&& oracle, const char* what) {
-  DispatchGuard guard;
-  const auto reference = oracle();
-  for (Backend b : available_backends()) {
-    ASSERT_TRUE(kernels::force_backend(b));
-    const auto batched = library();
-    EXPECT_EQ(batched, reference)
-        << what << " diverges on " << kernels::backend_name(b);
-  }
+  EXPECT_EQ(library(), oracle()) << what << " diverges from the per-call oracle";
 }
 
 std::vector<double> samples_of(const EmpiricalDistribution& d) {

@@ -1,8 +1,9 @@
-// Unit tests for the batched SIMD kernel layer: dispatch-table behavior,
-// the tie-handling contract at exact sample values (alarms fire strictly
-// above the threshold, so rank queries are upper bounds), degenerate arenas,
-// and the counting sort/merge fast paths. Cross-back-end bit-identity over
-// randomized inputs lives in test_kernels_differential.cpp.
+// Unit tests for the kernel layer: the synthesis dispatch table's
+// behavior, the tie-handling contract at exact sample values (alarms fire
+// strictly above the threshold, so rank queries are upper bounds),
+// degenerate arenas, and the counting sort/merge fast paths. Randomized
+// checks against the per-call oracles and across synthesis back-ends live
+// in test_kernels_differential.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,11 +12,12 @@
 #include <string>
 #include <vector>
 
-#include "stats/empirical.hpp"
+#include "hids/detector.hpp"
+#include "hids/evaluator.hpp"
 #include "oracle/per_call.hpp"
+#include "stats/empirical.hpp"
 #include "stats/kernels.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace monohids::stats {
 namespace {
@@ -30,7 +32,7 @@ class DispatchGuard {
 
 std::vector<Backend> available_backends() {
   std::vector<Backend> out;
-  for (Backend b : {Backend::Scalar, Backend::Avx2, Backend::Neon}) {
+  for (Backend b : {Backend::Scalar, Backend::Avx2}) {
     if (kernels::backend_available(b)) out.push_back(b);
   }
   return out;
@@ -66,9 +68,8 @@ TEST(KernelDispatch, ForceBackendSwitchesAndResetRestores) {
 TEST(KernelDispatch, ForcingUnavailableBackendFailsWithoutSideEffects) {
   DispatchGuard guard;
   const Backend before = kernels::active_backend();
-  for (Backend b : {Backend::Avx2, Backend::Neon}) {
-    if (kernels::backend_available(b)) continue;
-    EXPECT_FALSE(kernels::force_backend(b));
+  if (!kernels::backend_available(Backend::Avx2)) {
+    EXPECT_FALSE(kernels::force_backend(Backend::Avx2));
     EXPECT_EQ(kernels::active_backend(), before);
   }
 }
@@ -76,7 +77,6 @@ TEST(KernelDispatch, ForcingUnavailableBackendFailsWithoutSideEffects) {
 TEST(KernelDispatch, BackendNamesMatchTables) {
   EXPECT_EQ(kernels::backend_name(Backend::Scalar), "scalar");
   EXPECT_EQ(kernels::backend_name(Backend::Avx2), "avx2");
-  EXPECT_EQ(kernels::backend_name(Backend::Neon), "neon");
   for (Backend b : available_backends()) {
     EXPECT_EQ(std::string(kernels::ops_for(b)->name), kernels::backend_name(b));
   }
@@ -91,20 +91,15 @@ TEST(KernelDispatch, BackendNamesMatchTables) {
 // query is the regression case.
 
 TEST(KernelTieHandling, RankAtExactSampleValueCountsAllTies) {
-  DispatchGuard guard;
   const std::vector<double> arena{1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 5.0};
   const std::vector<double> queries{0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
   const std::vector<std::uint32_t> expected{0, 1, 4, 6, 6, 7, 7};
-  for (Backend b : available_backends()) {
-    ASSERT_TRUE(kernels::force_backend(b));
-    const kernels::Ops& ops = kernels::active();
-    std::vector<std::uint32_t> sorted_out(queries.size(), 0xffffffffu);
-    std::vector<std::uint32_t> unsorted_out(queries.size(), 0xffffffffu);
-    ops.rank_sorted(arena, queries, 0.0, sorted_out.data());
-    ops.rank_unsorted(arena, queries, 0.0, unsorted_out.data());
-    EXPECT_EQ(sorted_out, expected) << "rank_sorted on " << kernels::backend_name(b);
-    EXPECT_EQ(unsorted_out, expected) << "rank_unsorted on " << kernels::backend_name(b);
-  }
+  std::vector<std::uint32_t> sorted_out(queries.size(), 0xffffffffu);
+  std::vector<std::uint32_t> unsorted_out(queries.size(), 0xffffffffu);
+  kernels::rank_sorted(arena, queries, 0.0, sorted_out.data());
+  kernels::rank_unsorted(arena, queries, 0.0, unsorted_out.data());
+  EXPECT_EQ(sorted_out, expected) << "rank_sorted";
+  EXPECT_EQ(unsorted_out, expected) << "rank_unsorted";
 }
 
 TEST(KernelTieHandling, ExceedanceBatchMatchesStrictAlarmAtThresholdOnSample) {
@@ -118,69 +113,47 @@ TEST(KernelTieHandling, ExceedanceBatchMatchesStrictAlarmAtThresholdOnSample) {
 }
 
 TEST(KernelTieHandling, CountExceedIsStrictAtThreshold) {
-  DispatchGuard guard;
   const std::vector<double> bins{3.0, 5.0, 5.0, 5.0, 5.5, 8.0};
-  for (Backend b : available_backends()) {
-    ASSERT_TRUE(kernels::force_backend(b));
-    EXPECT_EQ(kernels::active().count_exceed(bins, 5.0), 2u)
-        << kernels::backend_name(b);
-  }
+  EXPECT_EQ(hids::ThresholdDetector(5.0).count_alarms(bins), 2u);
 }
 
 TEST(KernelTieHandling, ReplayDetectIsStrictAtThreshold) {
-  DispatchGuard guard;
   // benign + attack lands exactly on the threshold in bin 1: no detection.
   const std::vector<double> benign{6.0, 3.0, 4.0, 5.0};
   const std::vector<double> attack{0.0, 2.0, 3.0, 0.0};
-  for (Backend b : available_backends()) {
-    ASSERT_TRUE(kernels::force_backend(b));
-    std::uint64_t benign_alarms = 99, attacked = 99, detected = 99;
-    kernels::active().replay_detect(benign, attack, 5.0, benign_alarms, attacked,
-                                    detected);
-    EXPECT_EQ(benign_alarms, 1u) << kernels::backend_name(b);  // only 6.0
-    EXPECT_EQ(attacked, 2u) << kernels::backend_name(b);
-    EXPECT_EQ(detected, 1u) << kernels::backend_name(b);  // 4+3 > 5, not 3+2
-  }
+  const hids::ReplayOutcome out = hids::evaluate_replay(benign, attack, 5.0);
+  EXPECT_EQ(out.fp_rate, 1.0 / 4.0);         // only 6.0 alarms
+  EXPECT_EQ(out.detection_rate, 1.0 / 2.0);  // 4+3 > 5, not 3+2, of 2 attacked bins
 }
 
 // --- Degenerate arenas ------------------------------------------------------
 
 TEST(KernelEdgeCases, EmptyArenaRanksAreZero) {
-  DispatchGuard guard;
   const std::span<const double> empty;
   const std::vector<double> queries{-1.0, 0.0, 1.0};
-  for (Backend b : available_backends()) {
-    ASSERT_TRUE(kernels::force_backend(b));
-    const kernels::Ops& ops = kernels::active();
-    std::vector<std::uint32_t> out(queries.size(), 0xffffffffu);
-    ops.rank_sorted(empty, queries, 0.0, out.data());
-    EXPECT_EQ(out, (std::vector<std::uint32_t>{0, 0, 0})) << kernels::backend_name(b);
-    std::fill(out.begin(), out.end(), 0xffffffffu);
-    ops.rank_unsorted(empty, queries, 0.0, out.data());
-    EXPECT_EQ(out, (std::vector<std::uint32_t>{0, 0, 0})) << kernels::backend_name(b);
-    std::vector<std::uint32_t> grid(queries.size() * 2, 0xffffffffu);
-    const std::vector<double> sizes{1.0, 2.0};
-    ops.rank_grid(empty, queries, sizes, grid.data());
-    EXPECT_EQ(grid, std::vector<std::uint32_t>(6, 0)) << kernels::backend_name(b);
-    EXPECT_EQ(ops.count_exceed(empty, 0.0), 0u);
-  }
+  std::vector<std::uint32_t> out(queries.size(), 0xffffffffu);
+  kernels::rank_sorted(empty, queries, 0.0, out.data());
+  EXPECT_EQ(out, (std::vector<std::uint32_t>{0, 0, 0}));
+  std::fill(out.begin(), out.end(), 0xffffffffu);
+  kernels::rank_unsorted(empty, queries, 0.0, out.data());
+  EXPECT_EQ(out, (std::vector<std::uint32_t>{0, 0, 0}));
+  std::vector<std::uint32_t> grid(queries.size() * 2, 0xffffffffu);
+  const std::vector<double> sizes{1.0, 2.0};
+  kernels::rank_grid(empty, queries, sizes, grid.data());
+  EXPECT_EQ(grid, std::vector<std::uint32_t>(6, 0));
+  EXPECT_EQ(hids::ThresholdDetector(0.0).count_alarms(empty), 0u);
 }
 
 TEST(KernelEdgeCases, SingleSampleArena) {
-  DispatchGuard guard;
   const std::vector<double> arena{2.0};
   const std::vector<double> queries{1.0, 2.0, 3.0};
   const std::vector<std::uint32_t> expected{0, 1, 1};
-  for (Backend b : available_backends()) {
-    ASSERT_TRUE(kernels::force_backend(b));
-    const kernels::Ops& ops = kernels::active();
-    std::vector<std::uint32_t> out(3, 0xffffffffu);
-    ops.rank_sorted(arena, queries, 0.0, out.data());
-    EXPECT_EQ(out, expected) << kernels::backend_name(b);
-    std::fill(out.begin(), out.end(), 0xffffffffu);
-    ops.rank_unsorted(arena, queries, 0.0, out.data());
-    EXPECT_EQ(out, expected) << kernels::backend_name(b);
-  }
+  std::vector<std::uint32_t> out(3, 0xffffffffu);
+  kernels::rank_sorted(arena, queries, 0.0, out.data());
+  EXPECT_EQ(out, expected);
+  std::fill(out.begin(), out.end(), 0xffffffffu);
+  kernels::rank_unsorted(arena, queries, 0.0, out.data());
+  EXPECT_EQ(out, expected);
 }
 
 TEST(KernelEdgeCases, CdfBatchOnEmptyDistributionThrows) {
@@ -191,24 +164,18 @@ TEST(KernelEdgeCases, CdfBatchOnEmptyDistributionThrows) {
 }
 
 TEST(KernelEdgeCases, RankGridMatchesPerSizeQueries) {
-  DispatchGuard guard;
   const std::vector<double> arena{0.0, 1.0, 1.0, 2.0, 4.0, 4.0, 4.0, 7.0, 9.0};
   const std::vector<double> thresholds{0.0, 1.0, 2.0, 4.5, 7.0, 10.0};
   const std::vector<double> sizes{0.5, 1.0, 3.0};
   const std::size_t T = thresholds.size();
-  for (Backend b : available_backends()) {
-    ASSERT_TRUE(kernels::force_backend(b));
-    const kernels::Ops& ops = kernels::active();
-    std::vector<std::uint32_t> grid(T * sizes.size(), 0xffffffffu);
-    ops.rank_grid(arena, thresholds, sizes, grid.data());
-    for (std::size_t s = 0; s < sizes.size(); ++s) {
-      std::vector<std::uint32_t> row(T, 0xffffffffu);
-      ops.rank_sorted(arena, thresholds, sizes[s], row.data());
-      for (std::size_t j = 0; j < T; ++j) {
-        EXPECT_EQ(grid[s * T + j], row[j])
-            << kernels::backend_name(b) << " size " << sizes[s] << " threshold "
-            << thresholds[j];
-      }
+  std::vector<std::uint32_t> grid(T * sizes.size(), 0xffffffffu);
+  kernels::rank_grid(arena, thresholds, sizes, grid.data());
+  for (std::size_t s = 0; s < sizes.size(); ++s) {
+    std::vector<std::uint32_t> row(T, 0xffffffffu);
+    kernels::rank_sorted(arena, thresholds, sizes[s], row.data());
+    for (std::size_t j = 0; j < T; ++j) {
+      EXPECT_EQ(grid[s * T + j], row[j]) << "size " << sizes[s] << " threshold "
+                                         << thresholds[j];
     }
   }
 }
@@ -345,30 +312,6 @@ TEST(KernelRankTable, EmpiricalDistributionBuildsAndUsesTable) {
   dist.exceedance_batch(queries, batched);
   for (std::size_t j = 0; j < queries.size(); ++j) {
     EXPECT_EQ(batched[j], dist.exceedance(queries[j])) << "q=" << queries[j];
-  }
-}
-
-TEST(KernelWiden, WidenU32IsExactOnEveryBackend) {
-  // widen_u32 feeds the batched trace generator's SoA staging buffers into
-  // feature series; it must be an exact conversion on every back-end
-  // (values < 2^31 always fit the 53-bit mantissa) including awkward tails.
-  util::Xoshiro256 rng(7);
-  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
-                        std::size_t{17}, std::size_t{1024}, std::size_t{1031}}) {
-    std::vector<std::uint32_t> values(n);
-    for (auto& v : values) v = static_cast<std::uint32_t>(rng() >> 33);  // < 2^31
-    if (n > 2) {
-      values[0] = 0;
-      values[1] = (1u << 31) - 1;
-    }
-    for (Backend b : available_backends()) {
-      std::vector<double> out(n, -1.0);
-      kernels::ops_for(b)->widen_u32(values, out.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(out[i], static_cast<double>(values[i]))
-            << kernels::backend_name(b) << " i=" << i;
-      }
-    }
   }
 }
 

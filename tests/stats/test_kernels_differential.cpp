@@ -1,19 +1,26 @@
-// Randomized differential suite for the SIMD kernel layer: every available
-// back-end, forced in-process, must produce bit-identical results to the
-// scalar reference on the same inputs. Ranks and counts are integers, so
-// "bit-identical" here is literal equality — any divergence is a kernel bug,
-// not numerical noise. 500+ seeded cases sweep arena shapes (uniform,
-// heavy-tailed, few-distinct-values/massive ties, empty, single-sample,
-// extreme magnitudes) crossed with sorted and unsorted query batches whose
-// values are deliberately pinned onto arena samples to stress tie handling.
+// Randomized differential suite for the kernel layer. The rank functions
+// and the detector/evaluator alarm loops must match the per-call oracles in
+// tests/oracle (one std::upper_bound per query, one compare per bin) on
+// the same inputs, and every available synthesis back-end, called through
+// its table, must reproduce the scalar reference. Ranks and counts are
+// integers, so "bit-identical" here is literal equality — any divergence is
+// a kernel bug, not numerical noise. 500+ seeded cases sweep arena shapes
+// (uniform, heavy-tailed, few-distinct-values/massive ties, empty,
+// single-sample, extreme magnitudes) crossed with sorted and unsorted query
+// batches whose values are deliberately pinned onto arena samples to stress
+// tie handling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "hids/detector.hpp"
+#include "hids/evaluator.hpp"
+#include "oracle/per_call.hpp"
 #include "stats/kernels.hpp"
 #include "stats/sampling.hpp"
 #include "util/rng.hpp"
@@ -27,9 +34,7 @@ constexpr std::uint64_t kCases = 520;
 
 std::vector<Backend> simd_backends() {
   std::vector<Backend> out;
-  for (Backend b : {Backend::Avx2, Backend::Neon}) {
-    if (kernels::backend_available(b)) out.push_back(b);
-  }
+  if (kernels::backend_available(Backend::Avx2)) out.push_back(Backend::Avx2);
   return out;
 }
 
@@ -102,11 +107,15 @@ std::vector<double> make_queries(const std::vector<double>& arena, std::uint64_t
   return xs;
 }
 
-TEST(KernelDifferential, AllBackendsBitIdenticalToScalar) {
-  const auto simd = simd_backends();
-  if (simd.empty()) GTEST_SKIP() << "no SIMD back-end available on this host";
-  const kernels::Ops& scalar = *kernels::ops_for(Backend::Scalar);
+/// `xs` shifted the way the rank functions shift their queries (xs[j] -
+/// shift, the same IEEE subtraction), for the per-call oracle.
+std::vector<double> shifted(const std::vector<double>& xs, double shift) {
+  std::vector<double> out(xs.size());
+  for (std::size_t j = 0; j < xs.size(); ++j) out[j] = xs[j] - shift;
+  return out;
+}
 
+TEST(KernelDifferential, RankAndAlarmCountsMatchPerCallOracle) {
   std::uint64_t executed = 0;
   for (std::uint64_t c = 0; c < kCases; ++c) {
     util::Xoshiro256 rng(0x5eed0000 + c);
@@ -122,41 +131,29 @@ TEST(KernelDifferential, AllBackendsBitIdenticalToScalar) {
         std::to_string(arena.size()) + ", t=" + std::to_string(xs.size()) +
         (sorted ? ", sorted)" : ", unsorted)");
 
-    // Scalar reference answers.
-    std::vector<std::uint32_t> ref(xs.size());
+    std::vector<std::uint32_t> got(xs.size(), 0xffffffffu);
     if (sorted) {
-      scalar.rank_sorted(arena, xs, shift, ref.data());
+      kernels::rank_sorted(arena, xs, shift, got.data());
     } else {
-      scalar.rank_unsorted(arena, xs, shift, ref.data());
+      kernels::rank_unsorted(arena, xs, shift, got.data());
     }
-    const double threshold = xs[c % xs.size()];
-    const std::uint64_t ref_exceed = scalar.count_exceed(xs, threshold);
+    ASSERT_EQ(got, oracle::upper_bound_ranks(arena, shifted(xs, shift))) << label;
 
-    // Grid reference (sorted query batches double as ascending thresholds).
+    const hids::ThresholdDetector detector(xs[c % xs.size()]);
+    ASSERT_EQ(detector.count_alarms(xs), oracle::count_alarms(detector, xs))
+        << label << " count_alarms";
+
+    // Sorted query batches double as ascending grid thresholds.
     std::vector<double> sizes(1 + rng() % 40);
     for (double& s : sizes) s = rng.uniform01() * 20.0;
-    std::vector<std::uint32_t> ref_grid;
     if (sorted) {
-      ref_grid.resize(xs.size() * sizes.size());
-      scalar.rank_grid(arena, xs, sizes, ref_grid.data());
-    }
-
-    for (Backend b : simd) {
-      const kernels::Ops& ops = *kernels::ops_for(b);
-      std::vector<std::uint32_t> got(xs.size(), 0xffffffffu);
-      if (sorted) {
-        ops.rank_sorted(arena, xs, shift, got.data());
-      } else {
-        ops.rank_unsorted(arena, xs, shift, got.data());
-      }
-      ASSERT_EQ(got, ref) << label << " on " << kernels::backend_name(b);
-      ASSERT_EQ(ops.count_exceed(xs, threshold), ref_exceed)
-          << label << " count_exceed on " << kernels::backend_name(b);
-      if (sorted) {
-        std::vector<std::uint32_t> grid(ref_grid.size(), 0xffffffffu);
-        ops.rank_grid(arena, xs, sizes, grid.data());
-        ASSERT_EQ(grid, ref_grid) << label << " rank_grid on "
-                                  << kernels::backend_name(b);
+      std::vector<std::uint32_t> grid(xs.size() * sizes.size(), 0xffffffffu);
+      kernels::rank_grid(arena, xs, sizes, grid.data());
+      for (std::size_t s = 0; s < sizes.size(); ++s) {
+        const std::vector<std::uint32_t> row(grid.begin() + s * xs.size(),
+                                             grid.begin() + (s + 1) * xs.size());
+        ASSERT_EQ(row, oracle::upper_bound_ranks(arena, shifted(xs, sizes[s])))
+            << label << " rank_grid size " << sizes[s];
       }
     }
     ++executed;
@@ -164,11 +161,7 @@ TEST(KernelDifferential, AllBackendsBitIdenticalToScalar) {
   EXPECT_GE(executed, 500u);
 }
 
-TEST(KernelDifferential, ReplayAndJointKernelsBitIdenticalToScalar) {
-  const auto simd = simd_backends();
-  if (simd.empty()) GTEST_SKIP() << "no SIMD back-end available on this host";
-  const kernels::Ops& scalar = *kernels::ops_for(Backend::Scalar);
-
+TEST(KernelDifferential, ReplayAndJointLoopsMatchPerCallOracle) {
   for (std::uint64_t c = 0; c < 200; ++c) {
     util::Xoshiro256 rng(0xab5eed + c);
     const std::size_t bins = 1 + rng() % 2000;
@@ -178,41 +171,25 @@ TEST(KernelDifferential, ReplayAndJointKernelsBitIdenticalToScalar) {
       attack[i] = (rng() % 3 == 0) ? static_cast<double>(rng() % 10) : 0.0;
     }
     const double threshold = static_cast<double>(rng() % 25);
+    const hids::ReplayOutcome replay = hids::evaluate_replay(benign, attack, threshold);
+    const hids::ReplayOutcome ref_replay = oracle::evaluate_replay(benign, attack, threshold);
+    ASSERT_EQ(replay.fp_rate, ref_replay.fp_rate) << "case " << c;
+    ASSERT_EQ(replay.detection_rate, ref_replay.detection_rate) << "case " << c;
 
-    std::uint64_t ref_ba = 0, ref_ab = 0, ref_d = 0;
-    scalar.replay_detect(benign, attack, threshold, ref_ba, ref_ab, ref_d);
-
-    constexpr std::size_t kFeatures = 4;
-    std::vector<std::vector<double>> series(kFeatures);
-    std::vector<std::span<const double>> slices;
-    std::vector<double> thresholds;
-    for (std::size_t f = 0; f < kFeatures; ++f) {
-      series[f].resize(bins);
-      for (double& v : series[f]) v = static_cast<double>(rng() % 20);
-      slices.push_back(series[f]);
-      thresholds.push_back(static_cast<double>(rng() % 15));
+    // One-minute bins keep every case (at most 2000 bins) inside week 0.
+    features::FeatureMatrix matrix;
+    for (auto& series : matrix.series) {
+      series = features::BinnedSeries(util::BinGrid::minutes(1),
+                                      bins * util::BinGrid::minutes(1).width());
+      for (std::size_t b = 0; b < bins; ++b) series.set(b, static_cast<double>(rng() % 20));
     }
-    std::vector<std::uint64_t> ref_marginal(kFeatures, 0);
-    std::uint64_t ref_joint = 0;
-    scalar.joint_exceed(slices.data(), thresholds.data(), kFeatures, bins,
-                        ref_marginal.data(), ref_joint);
-
-    for (Backend b : simd) {
-      const kernels::Ops& ops = *kernels::ops_for(b);
-      std::uint64_t ba = 99, ab = 99, d = 99;
-      ops.replay_detect(benign, attack, threshold, ba, ab, d);
-      ASSERT_EQ(ba, ref_ba) << "case " << c << " on " << kernels::backend_name(b);
-      ASSERT_EQ(ab, ref_ab) << "case " << c << " on " << kernels::backend_name(b);
-      ASSERT_EQ(d, ref_d) << "case " << c << " on " << kernels::backend_name(b);
-
-      std::vector<std::uint64_t> marginal(kFeatures, 99);
-      std::uint64_t joint = 99;
-      ops.joint_exceed(slices.data(), thresholds.data(), kFeatures, bins,
-                       marginal.data(), joint);
-      ASSERT_EQ(marginal, ref_marginal) << "case " << c << " on "
-                                        << kernels::backend_name(b);
-      ASSERT_EQ(joint, ref_joint) << "case " << c << " on " << kernels::backend_name(b);
-    }
+    std::array<double, features::kFeatureCount> thresholds{};
+    for (double& t : thresholds) t = static_cast<double>(rng() % 15);
+    const hids::JointAlarmOutcome joint = hids::joint_alarm_rate(matrix, 0, thresholds);
+    const hids::JointAlarmOutcome ref_joint = oracle::joint_alarm_rate(matrix, 0, thresholds);
+    ASSERT_EQ(joint.per_feature, ref_joint.per_feature) << "case " << c;
+    ASSERT_EQ(joint.joint_fp_rate, ref_joint.joint_fp_rate) << "case " << c;
+    ASSERT_EQ(joint.sum_of_marginals, ref_joint.sum_of_marginals) << "case " << c;
   }
 }
 

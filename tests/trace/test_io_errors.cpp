@@ -215,6 +215,35 @@ TEST(TraceIoErrors, PacketCsvStreamFaultIsAnErrorNotATruncatedTrace) {
   }
 }
 
+TEST(TraceIoErrors, PacketCsvMidFileFaultThrowsFromBothReaders) {
+  // The stream dies in the middle of a row, after the header and a few
+  // complete rows. Both readers share one row loop, so both must report
+  // the fault as an InputError rather than return the rows before it.
+  const std::string good = packet_csv_bytes();
+  const std::string prefix = good.substr(0, good.size() / 2);
+  ASSERT_NE(prefix.back(), '\n');
+  const auto expect_io_error = [](const auto& read, const char* reader) {
+    try {
+      read();
+      ADD_FAILURE() << reader << " returned a truncated trace on a stream fault";
+    } catch (const InputError& e) {
+      EXPECT_NE(std::string(e.what()).find("I/O error"), std::string::npos)
+          << reader << " message: " << e.what();
+    }
+  };
+  {
+    FailingAfterPrefixBuf buf(prefix);
+    std::istream in(&buf);
+    expect_io_error([&] { (void)read_packet_csv(in); }, "read_packet_csv");
+  }
+  {
+    FailingAfterPrefixBuf buf(prefix);
+    std::istream in(&buf);
+    CountingSink sink;
+    expect_io_error([&] { (void)stream_packet_csv(in, sink); }, "stream_packet_csv");
+  }
+}
+
 TEST(TraceIoErrors, FeatureCsvStructuralProblemsAreRejected) {
   const util::BinGrid grid = util::BinGrid::minutes(15);
   for (const std::string& text :
