@@ -192,25 +192,30 @@ void Daemon::ingest(std::span<const net::PacketRecord> batch) {
 
   // Order filter: the feature pipeline requires time-ordered input; a live
   // capture can deliver the odd regressed timestamp (e.g. after a clock
-  // step). Those packets are skipped and counted, never fatal.
+  // step). Those packets are skipped and counted, never fatal. Only a batch
+  // with a regression is copied, minus its regressions; a clean batch (the
+  // usual case) goes to the session as it came.
   std::uint64_t out_of_order = 0;
-  filtered_.clear();
-  for (const net::PacketRecord& packet : batch) {
-    if (saw_packet_ && packet.timestamp < last_ts_) {
-      ++out_of_order;
-      continue;
-    }
-    last_ts_ = packet.timestamp;
-    saw_packet_ = true;
-    filtered_.push_back(packet);
+  util::Timestamp last = last_ts_;
+  std::size_t clean = 0;
+  while (clean < batch.size() && batch[clean].timestamp >= last) {
+    last = batch[clean++].timestamp;
   }
-  if (!filtered_.empty()) {
-    if (out_of_order == 0) {
-      session_.on_batch(batch);
-    } else {
-      session_.on_batch(filtered_);
+  if (clean == batch.size()) {
+    if (clean != 0) session_.on_batch(batch);
+  } else {
+    filtered_.assign(batch.begin(), batch.begin() + static_cast<std::ptrdiff_t>(clean));
+    for (const net::PacketRecord& packet : batch.subspan(clean)) {
+      if (packet.timestamp < last) {
+        ++out_of_order;
+        continue;
+      }
+      last = packet.timestamp;
+      filtered_.push_back(packet);
     }
+    if (!filtered_.empty()) session_.on_batch(filtered_);
   }
+  last_ts_ = last;
   const std::uint64_t ingested = batch.size() - out_of_order;
   m_packets_.add(ingested);
   if (out_of_order != 0) m_out_of_order_.add(out_of_order);

@@ -199,8 +199,9 @@ class Daemon final : public features::PacketSink {
   std::unique_ptr<OnlineThresholdLearner> week_learner_;  // WeeklyRollover
   std::vector<RollingThresholdLearner> rolling_;          // Rolling (one per feature)
   AlertBatcher batcher_;
-  util::Timestamp last_ts_ = 0;   ///< order filter watermark
-  bool saw_packet_ = false;
+  /// Order filter watermark: the last accepted timestamp (0 before any, which
+  /// no unsigned timestamp regresses below).
+  util::Timestamp last_ts_ = 0;
   std::vector<net::PacketRecord> filtered_;  ///< reused order-filter scratch
   std::uint64_t scanned_bins_ = 0;
   std::uint32_t learner_week_ = 0;  ///< week the weekly learner is observing

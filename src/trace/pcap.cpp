@@ -2,10 +2,23 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <istream>
+#include <locale>
 #include <ostream>
 #include <streambuf>
+#include <typeinfo>
+
+#if defined(__GLIBCXX__) && defined(__unix__)
+#define MONOHIDS_PCAP_MAPPED 1
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+#else
+#define MONOHIDS_PCAP_MAPPED 0
+#endif
 
 #include "util/error.hpp"
 
@@ -237,31 +250,146 @@ constexpr std::size_t kGlobalHeader = 24;
 constexpr std::size_t kRecordHeader = 16;
 constexpr std::uint32_t kMaxRecordBytes = 10 * 1024 * 1024;
 constexpr std::size_t kBlockBytes = 64 * 1024;
+// Mapped source: how far ahead of the cursor to prefetch, and how many
+// consumed bytes to let pile up before returning their pages.
+constexpr std::size_t kPrefetchAhead = 2 * 1024;
+constexpr std::size_t kReleaseBytes = 256 * 1024;
 
-/// Pulls a stream buffer through one reusable block: the parser looks at the
-/// next bytes in place and skips past them, so no frame is copied out.
+#if MONOHIDS_PCAP_MAPPED
+/// The descriptor behind a libstdc++ filebuf, reached through its protected
+/// `_M_file` member (C++26's basic_filebuf::native_handle() replaces this).
+struct FilebufDescriptor : std::filebuf {
+  static int of(std::filebuf& buf) { return (buf.*&FilebufDescriptor::_M_file).fd(); }
+};
+#endif
+
+/// A read-only private mapping of a regular file, from the stream's logical
+/// position to the file's size at open. `bytes` stays null when `in` is not
+/// exactly a std::filebuf on a regular file, nothing is left to read, or
+/// anything fails: the caller then reads the stream block by block.
+class FileMapping {
+ public:
+  explicit FileMapping(std::istream& in) {
+#if MONOHIDS_PCAP_MAPPED
+    // Exactly a filebuf: a subclass may transform the bytes it reads.
+    std::streambuf* source = in.rdbuf();
+    if (!in.good() || source == nullptr || typeid(*source) != typeid(std::filebuf)) return;
+    auto& buf = static_cast<std::filebuf&>(*source);
+    if (!std::use_facet<std::codecvt<char, char, std::mbstate_t>>(buf.getloc())
+             .always_noconv()) {
+      return;
+    }
+    // Pending output is flushed first, as a read through the filebuf would;
+    // the logical position then accounts for the bytes it has buffered.
+    if (buf.pubsync() != 0) return;
+    const std::streamoff start = buf.pubseekoff(0, std::ios::cur, std::ios::in);
+    const int fd = FilebufDescriptor::of(buf);
+    struct stat st {};
+    if (start < 0 || fd < 0 || ::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) return;
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const auto offset = static_cast<std::size_t>(start);
+    const auto file_size = static_cast<std::size_t>(st.st_size);
+    const std::size_t aligned = offset / page * page;
+    if (offset >= file_size) return;  // nothing to map; the block path reads it as empty
+    void* mapped = ::mmap(nullptr, file_size - aligned, PROT_READ, MAP_PRIVATE, fd,
+                          static_cast<off_t>(aligned));
+    if (mapped == MAP_FAILED) return;
+    base_ = static_cast<std::uint8_t*>(mapped);
+    length_ = file_size - aligned;
+    lead_ = offset - aligned;
+    page_bytes_ = page;
+    bytes = base_ + lead_;
+    size = file_size - offset;
+#else
+    (void)in;
+#endif
+  }
+  ~FileMapping() {
+#if MONOHIDS_PCAP_MAPPED
+    if (base_ != nullptr) ::munmap(base_, length_);
+#endif
+  }
+  FileMapping(const FileMapping&) = delete;
+  FileMapping& operator=(const FileMapping&) = delete;
+
+  /// Returns the pages wholly below `done` (an offset into `bytes`) that are
+  /// not returned yet: mapped file pages count in the resident set.
+  void release_before(std::size_t done) {
+#if MONOHIDS_PCAP_MAPPED
+    const std::size_t upto = (lead_ + done) / page_bytes_ * page_bytes_;
+    if (upto > released_) {
+      ::madvise(base_ + released_, upto - released_, MADV_DONTNEED);
+      released_ = upto;
+    }
+#else
+    (void)done;
+#endif
+  }
+
+  const std::uint8_t* bytes = nullptr;  ///< the stream's next byte
+  std::size_t size = 0;                 ///< bytes from there to end of file
+
+ private:
+  std::uint8_t* base_ = nullptr;  ///< page-aligned start of the mapping
+  std::size_t length_ = 0;
+  std::size_t lead_ = 0;          ///< bytes between base_ and the stream position
+  std::size_t page_bytes_ = 1;
+  std::size_t released_ = 0;      ///< mapping bytes already returned
+};
+
+/// The parser's byte source: looks at the next bytes in place and skips past
+/// them, so no frame is copied out. A regular file behind exactly a
+/// std::filebuf is read straight from a mapping (see FileMapping); any other
+/// stream buffer is pulled through one reusable 64 KiB block.
 class BlockReader {
  public:
-  explicit BlockReader(std::streambuf* source) : source_(source), block_(kBlockBytes) {}
+  explicit BlockReader(std::istream& in) : mapping_(in) {
+    if (mapping_.bytes != nullptr) {
+      data_ = mapping_.bytes;
+      end_ = mapping_.size;
+      release_at_ = kReleaseBytes;
+    } else {
+      // A stream already in a failed state reads as empty, as
+      // istream::read would.
+      source_ = in.good() ? in.rdbuf() : nullptr;
+      block_.resize(kBlockBytes);
+      data_ = block_.data();
+    }
+  }
 
   /// Makes the next `n` bytes contiguous at data() and returns how many are
   /// there: fewer than `n` only at end of input. A record larger than the
-  /// block grows it to fit.
+  /// block grows it to fit. Invalidates what earlier data() calls returned.
   std::size_t peek(std::size_t n) {
+    if (pos_ >= release_at_) {
+      mapping_.release_before(pos_);
+      release_at_ = pos_ + kReleaseBytes;
+    }
     if (end_ - pos_ < n) refill(n);
     return std::min(n, end_ - pos_);
   }
-  [[nodiscard]] const std::uint8_t* data() const { return block_.data() + pos_; }
-  void skip(std::size_t n) { pos_ += n; }
+  [[nodiscard]] const std::uint8_t* data() const { return data_ + pos_; }
+  void skip(std::size_t n) {
+    pos_ += n;
+    // On the mapping, the next record's address depends on this one's
+    // length, so without a prefetch every record waits on memory.
+    if (mapping_.bytes != nullptr) {
+      __builtin_prefetch(data_ + std::min(pos_ + kPrefetchAhead, end_));
+    }
+  }
 
  private:
   void refill(std::size_t n) {
+    if (source_ == nullptr) return;  // the mapping (or a failed stream) has no more
     // The unread tail moves to the front; the source tops the block up.
     std::memmove(block_.data(), block_.data() + pos_, end_ - pos_);
     end_ -= pos_;
     pos_ = 0;
-    if (n > block_.size()) block_.resize(n);
-    while (end_ < n && source_ != nullptr) {
+    if (n > block_.size()) {
+      block_.resize(n);
+      data_ = block_.data();
+    }
+    while (end_ < n) {
       const std::streamsize got =
           source_->sgetn(reinterpret_cast<char*>(block_.data() + end_),
                          static_cast<std::streamsize>(block_.size() - end_));
@@ -270,10 +398,13 @@ class BlockReader {
     }
   }
 
-  std::streambuf* source_;
+  FileMapping mapping_;
+  std::streambuf* source_ = nullptr;  ///< the block path's source
   std::vector<std::uint8_t> block_;
+  const std::uint8_t* data_ = nullptr;  ///< the mapping, or the block
   std::size_t pos_ = 0;  ///< first unread byte
-  std::size_t end_ = 0;  ///< one past the last byte read from the source
+  std::size_t end_ = 0;  ///< one past the last byte available
+  std::size_t release_at_ = SIZE_MAX;  ///< next drop-behind point (mapping only)
 };
 
 struct Cursor {
@@ -316,8 +447,7 @@ std::uint32_t load_u32(const std::uint8_t* b, bool swapped) {
 template <typename OnPacket>
 void parse_pcap_stream(std::istream& in, PcapReadResult& result, OnPacket&& on_packet,
                        bool recover = false) {
-  // A stream already in a failed state reads as empty, as istream::read would.
-  BlockReader reader(in.good() ? in.rdbuf() : nullptr);
+  BlockReader reader(in);
   const std::size_t global = reader.peek(kGlobalHeader);
   MONOHIDS_ENSURE(global >= 4, "pcap stream is empty");
   bool swapped = false;

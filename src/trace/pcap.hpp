@@ -42,12 +42,20 @@ void write_pcap(std::ostream& out, const std::vector<net::PacketRecord>& packets
 /// Parses a pcap stream. Throws InputError on malformed files; tolerates
 /// unknown upper protocols by skipping (counted in the result).
 ///
-/// All three readers consume `in.rdbuf()` directly, in blocks of 64 KiB (or
-/// one record, if larger), and decode the headers in place. After they
-/// return or throw, the stream's position is unspecified (it may be past
-/// the last record parsed) and none of its state flags are set: nothing may
-/// read the stream past the capture. A stream that is not good() on entry
-/// reads as empty.
+/// All three readers decode the headers in place, from one of two sources:
+///  - A regular file behind exactly a std::filebuf (what std::ifstream
+///    holds; not a subclass, which may transform its bytes) is mapped
+///    read-only from the stream's current position. Its size is fixed when
+///    the reader starts: bytes appended later are not read. A file that
+///    another process truncates while it is read can raise SIGBUS; the live
+///    daemon's on_batch/offer path never maps anything.
+///  - Any other stream buffer (pipes, stdin, string streams, and a file the
+///    mapping fails on) is read through `in.rdbuf()` in blocks of 64 KiB,
+///    or one record, if larger.
+/// After they return or throw, the stream's position is unspecified (it may
+/// be anywhere from where it stood to past the last record parsed) and none
+/// of its state flags are set: nothing may read the stream past the
+/// capture. A stream that is not good() on entry reads as empty.
 [[nodiscard]] PcapReadResult read_pcap(std::istream& in);
 
 /// Streaming form of read_pcap: pushes parsed packets into `sink` in batches

@@ -267,8 +267,14 @@ void write_feature_csv(std::ostream& out, const features::FeatureMatrix& matrix)
 }
 
 features::FeatureMatrix read_feature_csv(std::istream& in, util::BinGrid grid) {
-  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  const auto rows = util::csv_parse(text);
+  std::vector<std::vector<std::string>> rows;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line == "\r") continue;  // trailing newline / blank line
+    rows.push_back(util::csv_parse_line(line));
+  }
+  // As for the packet CSV: a stream error mid-file must not read as the end.
+  MONOHIDS_ENSURE(in.eof(), "I/O error while reading feature CSV");
   MONOHIDS_ENSURE(rows.size() >= 2, "feature CSV has no data rows");
   MONOHIDS_ENSURE(rows[0].size() == 1 + features::kFeatureCount,
                   "feature CSV has the wrong column count");

@@ -78,19 +78,4 @@ std::vector<std::string> csv_parse_line(std::string_view line) {
   return fields;
 }
 
-std::vector<std::vector<std::string>> csv_parse(std::string_view text) {
-  std::vector<std::vector<std::string>> rows;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(start, end - start);
-    if (!line.empty() && !(line.size() == 1 && line[0] == '\r')) {
-      rows.push_back(csv_parse_line(line));
-    }
-    start = end + 1;
-  }
-  return rows;
-}
-
 }  // namespace monohids::util

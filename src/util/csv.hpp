@@ -37,7 +37,4 @@ class CsvWriter {
 /// fields are not supported — the experiment outputs never produce them.
 [[nodiscard]] std::vector<std::string> csv_parse_line(std::string_view line);
 
-/// Parses a whole CSV document into rows of fields.
-[[nodiscard]] std::vector<std::vector<std::string>> csv_parse(std::string_view text);
-
 }  // namespace monohids::util

@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 #include <vector>
 
 #include "hids/daemon.hpp"
+#include "stats/sampling.hpp"
 #include "trace/generator.hpp"
 #include "trace/population.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace monohids::hids {
 namespace {
@@ -188,6 +191,91 @@ TEST(DaemonFaults, RegressionAcrossBatchBoundariesIsAlsoCaught) {
   const DaemonResult result = daemon.finish();
   EXPECT_EQ(result.stats.packets_ingested + result.stats.packets_out_of_order, 3000u);
   EXPECT_GE(result.stats.packets_out_of_order, 1000u - 1);
+}
+
+/// The order filter packet by packet: a packet is skipped when its
+/// timestamp is strictly below the last accepted one.
+struct FilteredSequence {
+  std::vector<net::PacketRecord> accepted;
+  std::uint64_t regressed = 0;
+};
+
+FilteredSequence reference_order_filter(std::span<const net::PacketRecord> offered) {
+  FilteredSequence out;
+  for (const net::PacketRecord& packet : offered) {
+    if (!out.accepted.empty() && packet.timestamp < out.accepted.back().timestamp) {
+      ++out.regressed;
+    } else {
+      out.accepted.push_back(packet);
+    }
+  }
+  return out;
+}
+
+TEST(DaemonFaults, OrderFilterMatchesAPerPacketReference) {
+  // Two days of traffic with stale packets spliced in: singly and in runs,
+  // at random and at the first and last index of 137- and 4096-packet
+  // batches, plus repeats of the last timestamp, which are not regressions.
+  // The last packet offered is stale too.
+  const trace::TraceGenerator generator{trace::GeneratorConfig{}};
+  const std::vector<net::PacketRecord> clean =
+      generator.generate_packets(fixture_user(), 0, 2 * util::kMicrosPerDay);
+  constexpr std::array<std::size_t, 7> kForced{136, 137, 273, 274, 4095, 4096, 8191};
+  util::Xoshiro256 rng(2113);
+  std::vector<net::PacketRecord> offered;
+  util::Timestamp high = 0;
+  const auto push_stale = [&] {
+    net::PacketRecord p = clean[stats::sample_uniform_int(rng, 0, clean.size() - 1)];
+    p.timestamp = stats::sample_uniform_int(rng, 0, high - 1);
+    offered.push_back(p);
+  };
+  for (std::size_t next = 0; next < clean.size();) {
+    const std::size_t at = offered.size();
+    const bool forced = std::find(kForced.begin(), kForced.end(), at) != kForced.end();
+    const std::uint64_t roll = stats::sample_uniform_int(rng, 0, 99);
+    if (high > 0 && (forced || roll < 3)) {
+      const std::uint64_t run = forced ? 1 : stats::sample_uniform_int(rng, 1, 4);
+      for (std::uint64_t r = 0; r < run; ++r) push_stale();
+    } else if (next > 0 && roll < 5) {
+      offered.push_back(clean[next - 1]);  // the last accepted timestamp again
+    } else {
+      offered.push_back(clean[next++]);
+      high = std::max(high, offered.back().timestamp);
+    }
+  }
+  push_stale();
+  ASSERT_GT(offered.size(), 2 * 4096u);
+
+  const FilteredSequence expected = reference_order_filter(offered);
+  ASSERT_GT(expected.regressed, 100u);
+  const DaemonConfig config = fixture_config();
+  Daemon reference_daemon(config);
+  reference_daemon.on_batch(expected.accepted);
+  const DaemonResult reference = reference_daemon.finish();
+  ASSERT_EQ(reference.stats.packets_out_of_order, 0u);
+
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{137}, std::size_t{4096},
+                                  offered.size()}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    Daemon daemon(config);
+    for (std::size_t off = 0; off < offered.size(); off += batch) {
+      daemon.on_batch(std::span<const net::PacketRecord>(offered).subspan(
+          off, std::min(batch, offered.size() - off)));
+    }
+    const DaemonResult result = daemon.finish();
+    EXPECT_EQ(result.stats.packets_ingested, expected.accepted.size());
+    EXPECT_EQ(result.stats.packets_out_of_order, expected.regressed);
+    EXPECT_EQ(result.stats.packets_ingested + result.stats.packets_out_of_order,
+              offered.size());
+    for (features::FeatureKind f : features::kAllFeatures) {
+      const auto a = result.pipeline.matrix.of(f).values();
+      const auto b = reference.pipeline.matrix.of(f).values();
+      ASSERT_EQ(a.size(), b.size()) << features::name_of(f);
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i], b[i]) << features::name_of(f) << " bin " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -244,6 +244,30 @@ TEST(TraceIoErrors, PacketCsvMidFileFaultThrowsFromBothReaders) {
   }
 }
 
+TEST(TraceIoErrors, FeatureCsvMidFileFaultThrowsInputError) {
+  // The same fault under the feature CSV reader: the streambuf's own
+  // exception must not escape, and the rows before it must not read as a
+  // complete (shorter) matrix.
+  std::string good = "bin_start_us,a,b,c,d,e,f\n";
+  for (int bin = 0; bin < 8; ++bin) {
+    good += std::to_string(bin * 900'000'000LL) + ",1,2,3,4,5,6\n";
+  }
+  for (const std::size_t cut : {good.size() / 2, good.size()}) {
+    SCOPED_TRACE("fault after " + std::to_string(cut) + " bytes");
+    FailingAfterPrefixBuf buf(good.substr(0, cut));
+    std::istream in(&buf);
+    try {
+      (void)read_feature_csv(in, util::BinGrid::minutes(15));
+      ADD_FAILURE() << "read_feature_csv returned a matrix on a stream fault";
+    } catch (const InputError& e) {
+      EXPECT_NE(std::string(e.what()).find("I/O error"), std::string::npos)
+          << "actual message: " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "the stream's own exception escaped: " << e.what();
+    }
+  }
+}
+
 TEST(TraceIoErrors, FeatureCsvStructuralProblemsAreRejected) {
   const util::BinGrid grid = util::BinGrid::minutes(15);
   for (const std::string& text :

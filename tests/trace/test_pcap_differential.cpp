@@ -9,15 +9,30 @@
 // stream_error. The block-boundary tests feed the readers through a
 // streambuf that hands out 1-7 bytes per call, a record larger than the
 // 64 KiB block, and records that straddle the block's end.
+//
+// Every case also runs from a temporary file through std::ifstream, which
+// the readers map instead of reading block by block. Truncation at every
+// offset through a file is what shows that the mapped source never reads
+// past end of file: the sanitizers cannot see a read into the zero-filled
+// tail of the last mapped page. The file-source tests add captures that
+// start mid-page, a capture of a few MiB (drop-behind and prefetch reach
+// end of file), and a FIFO and a filebuf subclass, which must take the
+// block path.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <streambuf>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -209,6 +224,8 @@ class CollectingSink final : public features::PacketSink {
 };
 
 enum class Reader { Strict, Streamed, Recovering };
+constexpr std::array<Reader, 3> kReaders{Reader::Strict, Reader::Streamed,
+                                         Reader::Recovering};
 
 /// Runs one library reader over `in`. Streamed and recovering results carry
 /// the packets their sink received.
@@ -237,6 +254,50 @@ Outcome run_library(std::istream& in, Reader reader) {
 Outcome run_library(const std::string& bytes, Reader reader) {
   std::istringstream in(bytes);
   return run_library(in, reader);
+}
+
+/// A private temporary directory, removed when the test program exits.
+const std::filesystem::path& scratch_dir() {
+  struct Dir {
+    Dir() {
+      std::string pattern =
+          (std::filesystem::temp_directory_path() / "monohids-pcap-XXXXXX").string();
+      if (::mkdtemp(pattern.data()) == nullptr) throw std::runtime_error("mkdtemp failed");
+      path = pattern;
+    }
+    ~Dir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+    std::filesystem::path path;
+  };
+  static const Dir dir;
+  return dir.path;
+}
+
+/// Writes `bytes` to the scratch capture file, replacing what was there.
+std::filesystem::path write_capture(const std::string& bytes) {
+  const std::filesystem::path path = scratch_dir() / "capture.pcap";
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  EXPECT_TRUE(out.good()) << "cannot write " << path;
+  return path;
+}
+
+/// Runs one library reader over the file at `path` through std::ifstream,
+/// after reading past its first `prefix` bytes through the stream itself.
+Outcome run_library_from_file(const std::filesystem::path& path, Reader reader,
+                              std::size_t prefix = 0) {
+  std::ifstream in(path, std::ios::binary);
+  std::string skipped(prefix, '\0');
+  in.read(skipped.data(), static_cast<std::streamsize>(prefix));
+  EXPECT_TRUE(in.good());
+  return run_library(in, reader);
+}
+
+Outcome run_library_from_file(const std::string& bytes, Reader reader) {
+  return run_library_from_file(write_capture(bytes), reader);
 }
 
 Outcome run_library_dripped(const std::string& bytes, Reader reader, std::uint64_t seed) {
@@ -296,6 +357,12 @@ void expect_readers_match_oracle(const std::string& bytes, std::uint64_t drip_se
   if (drip_seed != 0) {
     SCOPED_TRACE("stream_pcap_recovering, dripped");
     expect_same(run_library_dripped(bytes, Reader::Recovering, drip_seed), recovering);
+  }
+  SCOPED_TRACE("from a file");
+  const std::filesystem::path path = write_capture(bytes);
+  for (Reader reader : kReaders) {
+    expect_same(run_library_from_file(path, reader),
+                reader == Reader::Recovering ? recovering : strict);
   }
 }
 
@@ -441,10 +508,14 @@ TEST(PcapDifferential, StreamNotGoodOnEntryReadsAsEmpty) {
       seed.error = diagnostic(e.what());
     }
     EXPECT_EQ(seed.error, "pcap stream is empty");
-    for (Reader reader : {Reader::Strict, Reader::Streamed, Reader::Recovering}) {
+    const std::filesystem::path path = write_capture(bytes);
+    for (Reader reader : kReaders) {
       std::istringstream in(bytes);
       in.setstate(state);
       expect_same(run_library(in, reader), seed);
+      std::ifstream file(path, std::ios::binary);
+      file.setstate(state);
+      expect_same(run_library(file, reader), seed);
     }
   }
 }
@@ -460,9 +531,10 @@ TEST(PcapDifferential, DripFedStreamMatchesWholeStream) {
     ASSERT_GT(bytes.size(), 2 * kBlockBytes);
     const Outcome seed = run_oracle(bytes, false);
     ASSERT_EQ(seed.result.packets.size(), 400u);
-    for (Reader reader : {Reader::Strict, Reader::Streamed, Reader::Recovering}) {
+    for (Reader reader : kReaders) {
       expect_same(run_library_dripped(bytes, reader, 21), seed);
       expect_same(run_library(bytes, reader), seed);
+      expect_same(run_library_from_file(bytes, reader), seed);
     }
     // And a cut mid-body of the last record through the drip.
     expect_readers_match_oracle(bytes.substr(0, bytes.size() - 3), 22);
@@ -482,9 +554,10 @@ TEST(PcapDifferential, RecordLargerThanTheBlock) {
     const Outcome seed = run_oracle(bytes, false);
     ASSERT_EQ(seed.error, "");
     ASSERT_EQ(seed.result.packets.size(), 6u);
-    for (Reader reader : {Reader::Strict, Reader::Streamed, Reader::Recovering}) {
+    for (Reader reader : kReaders) {
       expect_same(run_library(bytes, reader), seed);
       expect_same(run_library_dripped(bytes, reader, 31), seed);
+      expect_same(run_library_from_file(bytes, reader), seed);
     }
     // Cut inside the big record: the strict readers throw, the recovering
     // one keeps the two records before it.
@@ -492,6 +565,7 @@ TEST(PcapDifferential, RecordLargerThanTheBlock) {
     const std::string cut = bytes.substr(0, big + 100'000);
     expect_readers_match_oracle(cut, 32);
     EXPECT_EQ(run_library(cut, Reader::Recovering).result.packets.size(), 2u);
+    EXPECT_EQ(run_library_from_file(cut, Reader::Recovering).result.packets.size(), 2u);
   }
 }
 
@@ -514,14 +588,138 @@ TEST(PcapDifferential, RecordsStraddleTheBlockEnd) {
       const std::string bytes = reheader(padded, flavor);
       const Outcome seed = run_oracle(bytes, false);
       ASSERT_EQ(seed.result.packets.size(), 8u);
-      for (Reader reader : {Reader::Strict, Reader::Streamed, Reader::Recovering}) {
+      const std::filesystem::path path = write_capture(bytes);
+      for (Reader reader : kReaders) {
         expect_same(run_library(bytes, reader), seed);
+        expect_same(run_library_from_file(path, reader), seed);
       }
       expect_same(run_library_dripped(bytes, Reader::Strict, k + 41), seed);
       // The capture ending exactly at, or just past, the block's end.
       expect_readers_match_oracle(bytes.substr(0, kBlockBytes), k + 42);
       expect_readers_match_oracle(bytes.substr(0, kBlockBytes + 1), k + 43);
     }
+  }
+}
+
+// ------------------------------------------------------------ file source
+
+/// A filebuf subclass: it could transform the bytes it reads, so the readers
+/// must pull it block by block rather than map its file.
+class SubclassedFilebuf final : public std::filebuf {};
+
+TEST(PcapDifferential, FileSourceStartsWhereTheStreamStands) {
+  // The mapping starts at the stream's logical position: not page-aligned,
+  // and behind whatever the filebuf has already buffered past it.
+  for (const Flavor& flavor : kFlavors) {
+    const std::string bytes = reheader(base_capture(9, 30), flavor);
+    const std::string cut = bytes.substr(0, bytes.size() - 5);
+    const Outcome strict = run_oracle(bytes, false);
+    const Outcome cut_recovering = run_oracle(cut, true);
+    ASSERT_EQ(strict.result.packets.size(), 30u);
+    ASSERT_EQ(cut_recovering.result.packets.size(), 29u);
+    for (const std::size_t prefix : {1, 4095, 4096, 4097}) {
+      SCOPED_TRACE(std::string(flavor.name) + ", prefix " + std::to_string(prefix));
+      const std::string junk(prefix, '\xA5');
+      const std::filesystem::path whole = write_capture(junk + bytes);
+      for (Reader reader : kReaders) {
+        expect_same(run_library_from_file(whole, reader, prefix), strict);
+      }
+      const std::filesystem::path truncated = write_capture(junk + cut);
+      expect_same(run_library_from_file(truncated, Reader::Recovering, prefix),
+                  cut_recovering);
+    }
+  }
+}
+
+TEST(PcapDifferential, FileSourceCaptureOfSeveralMebibytes) {
+  // Pages behind the cursor are returned every 256 KiB, and the prefetch
+  // cursor runs into end of file; cuts near the end, through the file, show
+  // that neither reads past it.
+  const std::string bytes = reheader(base_capture(10, 6000), kFlavors[3]);
+  ASSERT_GT(bytes.size(), std::size_t{4} << 20);
+  for (const std::size_t short_by : {0, 1, 5, 17, 2000}) {
+    SCOPED_TRACE("short by " + std::to_string(short_by));
+    expect_readers_match_oracle(bytes.substr(0, bytes.size() - short_by));
+  }
+}
+
+TEST(PcapDifferential, FifoAndFilebufSubclassTakeTheBlockPath) {
+  const std::string bytes = reheader(base_capture(11, 200), kFlavors[1]);
+  ASSERT_GT(bytes.size(), 2 * kBlockBytes);
+  const Outcome strict = run_oracle(bytes, false);
+  const Outcome recovering = run_oracle(bytes, true);
+  const std::filesystem::path fifo = scratch_dir() / "capture.fifo";
+  std::filesystem::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const std::filesystem::path file = write_capture(bytes);
+  for (Reader reader : kReaders) {
+    const Outcome& seed = reader == Reader::Recovering ? recovering : strict;
+    {
+      SCOPED_TRACE("FIFO");
+      // The capture is whole, so every reader drains the pipe to its end
+      // and the writer never blocks on a closed reader.
+      std::thread writer([&] {
+        std::ofstream out(fifo, std::ios::binary);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      });
+      Outcome got;
+      {
+        std::ifstream in(fifo, std::ios::binary);
+        got = run_library(in, reader);
+      }
+      writer.join();
+      expect_same(got, seed);
+    }
+    {
+      SCOPED_TRACE("filebuf subclass");
+      SubclassedFilebuf buf;
+      ASSERT_NE(buf.open(file, std::ios::in | std::ios::binary), nullptr);
+      std::istream in(&buf);
+      expect_same(run_library(in, reader), seed);
+    }
+  }
+}
+
+/// Appends `tail` to the file at `path` once, on the first batch it sees.
+class AppendingSink final : public features::PacketSink {
+ public:
+  AppendingSink(std::filesystem::path path, std::string tail)
+      : path_(std::move(path)), tail_(std::move(tail)) {}
+  void on_batch(std::span<const PacketRecord> batch) override {
+    if (count == 0) {
+      std::ofstream out(path_, std::ios::binary | std::ios::app);
+      out.write(tail_.data(), static_cast<std::streamsize>(tail_.size()));
+    }
+    count += batch.size();
+  }
+  std::size_t count = 0;
+
+ private:
+  std::filesystem::path path_;
+  std::string tail_;
+};
+
+TEST(PcapDifferential, FileSourceEndsAtTheSizeTheReaderOpened) {
+  // Records appended while a reader runs: a mapped std::ifstream stops at
+  // the size the file had when the reader started, while a filebuf
+  // subclass, read block by block, reads on. This is also what shows that
+  // std::ifstream takes the mapped source at all.
+  const std::string first = base_capture(12, 20);
+  const std::string appended = base_capture(13, 20).substr(kGlobalHeader);
+  {
+    AppendingSink sink(write_capture(first), appended);
+    std::ifstream in(scratch_dir() / "capture.pcap", std::ios::binary);
+    EXPECT_EQ(stream_pcap(in, sink, 7).packet_count, 20u);
+    EXPECT_EQ(sink.count, 20u);
+  }
+  {
+    AppendingSink sink(write_capture(first), appended);
+    SubclassedFilebuf buf;
+    ASSERT_NE(buf.open(scratch_dir() / "capture.pcap", std::ios::in | std::ios::binary),
+              nullptr);
+    std::istream in(&buf);
+    EXPECT_EQ(stream_pcap(in, sink, 7).packet_count, 40u);
+    EXPECT_EQ(sink.count, 40u);
   }
 }
 

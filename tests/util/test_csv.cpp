@@ -81,12 +81,6 @@ TEST(CsvParse, MidFieldQuoteIsAnError) {
   EXPECT_THROW(csv_parse_line("ab\"c\""), InputError);
 }
 
-TEST(CsvParse, DocumentSplitsLines) {
-  const auto rows = csv_parse("h1,h2\n1,2\n3,4\n");
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[2][1], "4");
-}
-
 TEST(CsvRoundTrip, EscapeThenParse) {
   const std::vector<std::string> original{"plain", "with,comma", "with \"quote\"", ""};
   std::ostringstream os;
