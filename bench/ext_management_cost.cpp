@@ -64,9 +64,9 @@ int main(int argc, char** argv) {
   const auto train = hids::week_distributions(scenario.matrices, feature, 0);
   std::vector<hids::QuantileSummary> summaries;
   summaries.reserve(train.size());
-  for (const auto& d : train) {
-    summaries.push_back(
-        hids::QuantileSummary::from_samples(d.samples(), cost_config.summary_points));
+  for (const auto& matrix : scenario.matrices) {
+    summaries.push_back(hids::QuantileSummary::from_samples(
+        matrix.of(feature).week_slice(0), cost_config.summary_points));
   }
 
   const auto exact_pool = stats::EmpiricalDistribution::merge(train);

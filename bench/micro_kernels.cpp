@@ -1,19 +1,22 @@
-// Microbenchmark for the batched evaluation kernels (stats::kernels).
+// Microbenchmark for the batched evaluation paths.
 //
 // Measures (a) the threshold-sweep A/B on the bench scenario: every user's
 // week-0 training distribution of the bench feature plus the pooled one,
-// each answered by hids::UtilityHeuristic(0.4) (one exceedance merge-scan
-// plus one attack-size x threshold rank grid per distribution) and by the
-// seed's per-call sweep from tests/oracle (one exceedance call and one
-// per-size shifted_cdf loop per candidate threshold). Every threshold must
-// match, and the ratio is gated by --min-speedup (default 3x). It then
+// each answered by hids::UtilityHeuristic(0.4) (one operating curve: false
+// positives read off the cumulative counts, one run walk per attack size)
+// and by the seed's per-call sweep from tests/oracle (one exceedance call
+// and one per-size shifted_cdf loop per candidate threshold). Every
+// threshold must match, and the ratio is gated by --min-speedup (default
+// 3x). It then
 // reports the batched figure-3a + figure-4b analysis suite
 // (utility_boxplots + resourceful_attack) as timed phases, and (b) raw
-// kernel rows: an ascending threshold sweep answered by per-call
-// std::upper_bound vs one merge-scan, and an unsorted rank batch answered
-// by rank_unsorted's binary searches vs the rank table. Every row's ranks
-// must equal the per-call upper_bound ranks. Exits nonzero when any output
-// diverges or the sweep speedup lands below --min-speedup.
+// rank rows: an ascending threshold sweep answered by per-call
+// std::upper_bound over the sorted samples vs one
+// EmpiricalDistribution::rank_batch merge-scan over the runs, and an
+// unsorted rank batch answered by rank_batch's binary searches over the
+// runs. Every row's ranks must equal the per-call upper_bound ranks. Exits
+// nonzero when any output diverges or the sweep speedup lands below
+// --min-speedup.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -26,7 +29,6 @@
 #include "hids/heuristics.hpp"
 #include "oracle/per_call.hpp"
 #include "sim/analysis_cache.hpp"
-#include "stats/kernels.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -74,7 +76,7 @@ int main(int argc, char** argv) {
       "Microbenchmark: batched evaluation kernels vs per-call binary searches");
   flags.add_double("min-speedup", 3.0,
                    "fail when the batched utility threshold sweep speedup is below this");
-  flags.add_int("kernel-samples", 30000, "arena size for the raw kernel rows");
+  flags.add_int("kernel-samples", 30000, "sample count for the raw kernel rows");
   flags.add_int("kernel-queries", 4000, "query batch size for the raw kernel rows");
   flags.add_int("kernel-repeat", 50, "repetitions of each raw kernel row");
   if (!flags.parse(argc, argv)) return 0;
@@ -129,6 +131,7 @@ int main(int argc, char** argv) {
   util::Xoshiro256 rng(42);
   std::vector<double> arena(n);
   for (double& v : arena) v = static_cast<double>(rng() % 400);
+  const stats::EmpiricalDistribution dist(arena);
   std::sort(arena.begin(), arena.end());
   std::vector<double> sorted_queries(t), unsorted_queries(t);
   for (double& q : unsorted_queries) q = rng.uniform01() * 420.0 - 10.0;
@@ -154,38 +157,16 @@ int main(int argc, char** argv) {
   timings.record("kernel_sorted_percall_upper_bound", percall_ms);
 
   const auto sweep_start = Clock::now();
-  for (std::size_t r = 0; r < repeat; ++r) {
-    stats::kernels::rank_sorted(arena, sorted_queries, 0.0, ranks.data());
-  }
+  for (std::size_t r = 0; r < repeat; ++r) dist.rank_batch(sorted_queries, ranks);
   const double sweep_ms = ms_since(sweep_start);
   timings.record("kernel_sorted_merge_scan", sweep_ms);
   check_ranks("merge-scan", expected_sorted);
 
   const auto unsorted_start = Clock::now();
-  for (std::size_t r = 0; r < repeat; ++r) {
-    stats::kernels::rank_unsorted(arena, unsorted_queries, 0.0, ranks.data());
-  }
+  for (std::size_t r = 0; r < repeat; ++r) dist.rank_batch(unsorted_queries, ranks);
   const double unsorted_ms = ms_since(unsorted_start);
   timings.record("kernel_unsorted_binary_search", unsorted_ms);
   check_ranks("unsorted binary search", expected_unsorted);
-
-  // Rank-table row: integer-count arenas (every traffic feature) answer the
-  // same unsorted batch with O(1) cumulative-table loads.
-  std::vector<std::uint32_t> cum;
-  const bool table_ok = stats::kernels::build_rank_table(arena, cum);
-  double table_ms = 0.0;
-  if (table_ok) {
-    const auto n32 = static_cast<std::uint32_t>(arena.size());
-    const auto table_start = Clock::now();
-    for (std::size_t r = 0; r < repeat; ++r) {
-      for (std::size_t j = 0; j < t; ++j) {
-        ranks[j] = stats::kernels::rank_from_table(cum, n32, unsorted_queries[j]);
-      }
-    }
-    table_ms = ms_since(table_start);
-    timings.record("kernel_unsorted_rank_table", table_ms);
-    check_ranks("rank table", expected_unsorted);
-  }
 
   const double sweep_speedup =
       sweep_ms > 0.0 ? percall_ms / sweep_ms : std::numeric_limits<double>::infinity();
@@ -206,13 +187,6 @@ int main(int argc, char** argv) {
   table.add_row({"sorted-sweep speedup", util::fixed(sweep_speedup, 1) + "x"});
   table.add_row({"unsorted batch x" + std::to_string(repeat) + ", binary search (ms)",
                  util::fixed(unsorted_ms, 3)});
-  if (table_ok) {
-    const double table_speedup = table_ms > 0.0 ? unsorted_ms / table_ms
-                                                : std::numeric_limits<double>::infinity();
-    table.add_row({"unsorted batch x" + std::to_string(repeat) + ", rank table (ms)",
-                   util::fixed(table_ms, 3)});
-    table.add_row({"rank-table speedup vs binary search", util::fixed(table_speedup, 1) + "x"});
-  }
   table.add_row({"kernel ranks == per-call upper_bound", rank_mismatches.empty() ? "yes" : "NO"});
   std::cout << table.render();
 

@@ -9,7 +9,6 @@
 #include "hids/evaluator.hpp"
 #include "sim/scenario.hpp"
 #include "stats/gk_sketch.hpp"
-#include "stats/kernels.hpp"
 #include "stats/p2_quantile.hpp"
 #include "stats/quantile.hpp"
 #include "trace/generator.hpp"
@@ -143,26 +142,26 @@ void BM_StormGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_StormGeneration)->Unit(benchmark::kMillisecond);
 
-// --- stats::kernels rows ----------------------------------------------------
-// Count-valued arenas mirror real traffic features (heavy ties).
+// --- rank rows -------------------------------------------------------------
+// Count-valued samples mirror real traffic features (heavy ties); every
+// rank query goes through EmpiricalDistribution's runs.
 
-std::vector<double> kernel_arena(std::size_t n) {
+stats::EmpiricalDistribution kernel_distribution(std::size_t n) {
   util::Xoshiro256 rng(7);
-  std::vector<double> arena(n);
-  for (double& v : arena) v = static_cast<double>(rng() % 400);
-  std::sort(arena.begin(), arena.end());
-  return arena;
+  std::vector<double> samples(n);
+  for (double& v : samples) v = static_cast<double>(rng() % 400);
+  return stats::EmpiricalDistribution(std::move(samples));
 }
 
 void BM_KernelRankSortedSweep(benchmark::State& state) {
-  const auto arena = kernel_arena(30'000);
+  const auto dist = kernel_distribution(30'000);
   util::Xoshiro256 rng(11);
   std::vector<double> queries(4000);
   for (double& q : queries) q = rng.uniform01() * 420.0 - 10.0;
   std::sort(queries.begin(), queries.end());
   std::vector<std::uint32_t> ranks(queries.size());
   for (auto _ : state) {
-    stats::kernels::rank_sorted(arena, queries, 0.0, ranks.data());
+    dist.rank_batch(queries, ranks);
     benchmark::DoNotOptimize(ranks.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * queries.size()));
@@ -170,36 +169,36 @@ void BM_KernelRankSortedSweep(benchmark::State& state) {
 BENCHMARK(BM_KernelRankSortedSweep);
 
 void BM_KernelRankUnsortedBatch(benchmark::State& state) {
-  const auto arena = kernel_arena(30'000);
+  const auto dist = kernel_distribution(30'000);
   util::Xoshiro256 rng(13);
   std::vector<double> queries(4000);
   for (double& q : queries) q = rng.uniform01() * 420.0 - 10.0;
   std::vector<std::uint32_t> ranks(queries.size());
   for (auto _ : state) {
-    stats::kernels::rank_unsorted(arena, queries, 0.0, ranks.data());
+    dist.rank_batch(queries, ranks);
     benchmark::DoNotOptimize(ranks.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * queries.size()));
 }
 BENCHMARK(BM_KernelRankUnsortedBatch);
 
-void BM_KernelRankGrid(benchmark::State& state) {
-  const auto arena = kernel_arena(10'000);
+void BM_AttackMeanFnBatch(benchmark::State& state) {
+  const auto dist = kernel_distribution(10'000);
   util::Xoshiro256 rng(17);
   std::vector<double> thresholds(600);
   for (double& t : thresholds) t = rng.uniform01() * 400.0;
   std::sort(thresholds.begin(), thresholds.end());
-  std::vector<double> sizes(64);
-  for (std::size_t i = 0; i < sizes.size(); ++i) sizes[i] = static_cast<double>(i + 1);
-  std::vector<std::uint32_t> ranks(thresholds.size() * sizes.size());
+  hids::AttackModel attack;
+  for (std::size_t i = 0; i < 64; ++i) attack.sizes.push_back(static_cast<double>(i + 1));
+  std::vector<double> fn(thresholds.size());
   for (auto _ : state) {
-    stats::kernels::rank_grid(arena, thresholds, sizes, ranks.data());
-    benchmark::DoNotOptimize(ranks.data());
+    attack.mean_fn_batch(dist, thresholds, fn);
+    benchmark::DoNotOptimize(fn.data());
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * ranks.size()));
+      static_cast<std::int64_t>(state.iterations() * thresholds.size() * attack.sizes.size()));
 }
-BENCHMARK(BM_KernelRankGrid)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AttackMeanFnBatch)->Unit(benchmark::kMillisecond);
 
 void BM_DetectorCountAlarms(benchmark::State& state) {
   util::Xoshiro256 rng(19);

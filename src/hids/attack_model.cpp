@@ -4,33 +4,30 @@
 #include <cassert>
 #include <cmath>
 
-#include "stats/kernels.hpp"
 #include "util/error.hpp"
 
 namespace monohids::hids {
 
 double AttackModel::mean_fn(const stats::EmpiricalDistribution& g, double t) const {
   MONOHIDS_EXPECT(!sizes.empty(), "attack model has no sizes");
-  if (!g.empty() && sizes.size() >= 8) {
-    // One batched rank call for the whole sweep instead of one binary
-    // search per size. The shifted queries t - b are the exact subtractions
-    // the per-call path feeds to cdf, and ranks are exact integers, so the
-    // size-ordered accumulation below reproduces the seed sum bit-for-bit.
-    thread_local std::vector<double> queries;
-    thread_local std::vector<std::uint32_t> ranks;
-    queries.resize(sizes.size());
-    ranks.resize(sizes.size());
-    for (std::size_t i = 0; i < sizes.size(); ++i) queries[i] = t - sizes[i];
-    g.rank_batch(queries, ranks);
-    const auto n = static_cast<double>(g.size());
-    double acc = 0.0;
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-      acc += static_cast<double>(ranks[i]) / n;
-    }
-    return acc / static_cast<double>(sizes.size());
-  }
+  MONOHIDS_EXPECT(!g.empty(), "cdf of empty distribution");
+  // One walk over g's runs for the whole sweep: k = #runs at or below the
+  // shifted query t - b, moved from the previous size's position (a sweep's
+  // sizes ascend, so it only moves down). Each rank is exact and divided
+  // by n as the per-call shifted_cdf does, and sizes below every sample
+  // add the exact +0.0 of rank 0 and are skipped, so the size-ordered sum
+  // is bit-identical to the per-call loop.
+  const auto values = g.values();
+  const auto cum = g.cumulative_counts();
+  const auto n = static_cast<double>(g.size());
+  std::size_t k = values.size();
   double acc = 0.0;
-  for (double b : sizes) acc += g.shifted_cdf(b, t);
+  for (const double b : sizes) {
+    const double q = t - b;
+    while (k > 0 && values[k - 1] > q) --k;
+    while (k < values.size() && values[k] <= q) ++k;
+    if (k != 0) acc += static_cast<double>(cum[k - 1]) / n;
+  }
   return acc / static_cast<double>(sizes.size());
 }
 
@@ -43,52 +40,39 @@ void AttackModel::mean_fn_batch(const stats::EmpiricalDistribution& g,
   assert(std::is_sorted(thresholds.begin(), thresholds.end()));
   if (thresholds.empty()) return;
   const std::size_t T = thresholds.size();
-  const std::size_t S = sizes.size();
+  const auto values = g.values();
+  const auto cum = g.cumulative_counts();
+  const std::size_t last = values.size() - 1;
+  // Divide the cumulative counts by n once: frac[k] is exactly the quotient
+  // the per-call path forms for rank cum[k], and the last run's is n/n = 1.
   const auto n = static_cast<double>(g.size());
-  const auto count = static_cast<double>(S);
-  if (const auto table = g.rank_table(); !table.empty()) {
-    // Integer-count samples: every rank is a table load, so divide the K+1
-    // cumulative counts by n once (frac[k] is exactly the quotient the
-    // per-call path forms for rank cum[k]; ranks 0 and n divide to exactly
-    // 0 and 1) and add each size's quotient to every threshold's sum, in
-    // size order — the same additions as the per-call loop, bit-for-bit.
-    thread_local std::vector<double> frac;
-    frac.resize(table.size());
-    for (std::size_t k = 0; k < table.size(); ++k) {
-      frac[k] = static_cast<double>(table[k]) / n;
-    }
-    const auto table_end = static_cast<double>(table.size());
-    std::fill(out.begin(), out.end(), 0.0);
-    for (const double b : sizes) {
-      // The shifted query t - b ascends with t. Thresholds below b rank 0
-      // and would add +0.0, which leaves every sum (never -0.0) unchanged,
-      // so they are skipped; once t - b passes the table, rank n adds 1.0.
-      std::size_t j = static_cast<std::size_t>(
-          std::partition_point(thresholds.begin(), thresholds.end(),
-                               [b](double t) { return !(t - b >= 0.0); }) -
-          thresholds.begin());
-      for (; j < T; ++j) {
-        const double q = thresholds[j] - b;
-        if (q >= table_end) break;
-        out[j] += frac[static_cast<std::size_t>(q)];
-      }
-      for (; j < T; ++j) out[j] += 1.0;
-    }
-    for (std::size_t j = 0; j < T; ++j) out[j] /= count;
-    return;
+  thread_local std::vector<double> frac;
+  frac.resize(values.size());
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    frac[k] = static_cast<double>(cum[k]) / n;
   }
-  thread_local std::vector<std::uint32_t> ranks;
-  ranks.resize(T * S);
-  stats::kernels::rank_grid(g.samples(), thresholds, sizes, ranks.data());
   std::fill(out.begin(), out.end(), 0.0);
-  // Per-threshold accumulation in size order — the same floating-point
-  // operation sequence as the per-call loop, so sums match bit-for-bit.
-  for (std::size_t s = 0; s < S; ++s) {
-    const std::uint32_t* row = ranks.data() + s * T;
-    for (std::size_t j = 0; j < T; ++j) {
-      out[j] += static_cast<double>(row[j]) / n;
+  for (const double b : sizes) {
+    // The shifted query t - b ascends with t. Thresholds whose query lies
+    // below the smallest value rank 0 and would add +0.0, which leaves
+    // every sum (never -0.0) unchanged, so the walk starts past them; once
+    // the query reaches the last run, rank n adds 1.0. In between, k is
+    // the last run at or below the query.
+    std::size_t j = static_cast<std::size_t>(
+        std::partition_point(thresholds.begin(), thresholds.end(),
+                             [&](double t) { return !(t - b >= values[0]); }) -
+        thresholds.begin());
+    std::size_t k = 0;
+    for (; j < T; ++j) {
+      const double q = thresholds[j] - b;
+      if (q >= values[last]) break;
+      while (values[k + 1] <= q) ++k;
+      out[j] += frac[k];
     }
+    for (; j < T; ++j) out[j] += 1.0;
   }
+  // Sums ran in size order, as in the per-call loop.
+  const auto count = static_cast<double>(sizes.size());
   for (std::size_t j = 0; j < T; ++j) out[j] /= count;
 }
 

@@ -27,14 +27,13 @@ struct AttackModel {
   [[nodiscard]] double mean_fn(const stats::EmpiricalDistribution& g, double t) const;
 
   /// Batched mean_fn over a whole ascending threshold sweep: out[j] =
-  /// mean_fn(g, thresholds[j]). With a rank table (small integer counts)
-  /// every shifted rank is a table load, the table's K+1 rank/n quotients
-  /// are formed once per call, and (threshold, size) cells below every
-  /// sample are skipped as the exact +0.0 they add; otherwise the attack-size x
-  /// threshold grid of shifted ranks comes from stats::kernels::rank_grid
-  /// over g's arena. Accumulation runs in the same size order over the same
-  /// rank/n quotients as the per-call path, so results are bit-identical to
-  /// it.
+  /// mean_fn(g, thresholds[j]). Per attack size, one walk over g's runs
+  /// answers every threshold's shifted rank, starting at the first
+  /// threshold whose query reaches g's smallest value (lower thresholds
+  /// add the exact +0.0 of rank 0) and adding 1.0 once the query passes
+  /// the last run. Each run's rank/n quotient is formed once per call, and
+  /// accumulation runs in the same size order as the per-call path, so
+  /// results are bit-identical to it.
   void mean_fn_batch(const stats::EmpiricalDistribution& g,
                      std::span<const double> thresholds, std::span<double> out) const;
 };

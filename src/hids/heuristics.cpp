@@ -11,34 +11,35 @@
 namespace monohids::hids {
 std::vector<double> candidate_thresholds(const stats::EmpiricalDistribution& training) {
   MONOHIDS_EXPECT(!training.empty(), "cannot derive candidates from empty training data");
+  const auto values = training.values();
+  // Exactly sized: memoized operating curves keep this vector.
   std::vector<double> candidates;
-  const auto samples = training.samples();
-  // Count first so the vector is exactly sized: a pooled arena holds
-  // ~10^5 samples but only ~10^3 distinct values, and memoized operating
-  // curves keep this vector.
-  std::size_t distinct = 1;
-  for (std::size_t i = 1; i < samples.size(); ++i) distinct += samples[i] != samples[i - 1];
-  candidates.reserve(distinct + 1);
-  for (double v : samples) {
-    if (candidates.empty() || candidates.back() != v) candidates.push_back(v);
-  }
+  candidates.reserve(values.size() + 1);
+  candidates.assign(values.begin(), values.end());
   candidates.push_back(training.max() + 1.0);  // "never alarm" endpoint
   return candidates;
 }
 
-// Candidate thresholds are ascending (candidate_thresholds emits distinct
-// training values in order), so one exceedance merge-scan plus one batched
-// FN sweep replaces the 2 * |candidates| binary-search calls of the
-// per-threshold loop. Both fill-ins are bit-identical to the per-call
-// operations, so select() picks the same threshold as the per-threshold
-// seed loop (kept as a test oracle in tests/oracle).
+// Candidate j < K is the training distribution's j-th run value, so its
+// false-positive rate is 1 - cum[j]/n, and the "never alarm" endpoint is
+// past every sample (1 - n/n). These are the exact operations per-call
+// exceedance() performs; with one batched FN sweep they replace the
+// 2 * |candidates| binary-search calls of the per-threshold loop, so
+// select() picks the same threshold as the per-threshold seed loop (kept
+// as a test oracle in tests/oracle).
 OperatingCurve operating_curve(const stats::EmpiricalDistribution& training,
                                const AttackModel& attack) {
   OperatingCurve curve;
   curve.thresholds = candidate_thresholds(training);
-  curve.fp.resize(curve.thresholds.size());
-  curve.fn.resize(curve.thresholds.size());
-  training.exceedance_batch(curve.thresholds, curve.fp);
+  const std::size_t count = curve.thresholds.size();
+  curve.fp.resize(count);
+  curve.fn.resize(count);
+  const auto cum = training.cumulative_counts();
+  const auto n = static_cast<double>(training.size());
+  for (std::size_t j = 0; j < cum.size(); ++j) {
+    curve.fp[j] = 1.0 - static_cast<double>(cum[j]) / n;
+  }
+  curve.fp[count - 1] = 1.0 - n / n;
   attack.mean_fn_batch(training, curve.thresholds, curve.fn);
   return curve;
 }

@@ -14,8 +14,9 @@ std::vector<RocPoint> roc_curve(const stats::EmpiricalDistribution& benign,
   MONOHIDS_EXPECT(!attack.sizes.empty(), "ROC needs an attack model");
 
   // Compute on the ascending candidate sweep (one exceedance merge-scan +
-  // one rank_grid pass), then emit points descending as the curve expects.
-  // Each point's rates are bit-identical to the per-threshold calls.
+  // one run walk per attack size), then emit points descending as the
+  // curve expects. Each point's rates are bit-identical to the
+  // per-threshold calls.
   const auto ascending = candidate_thresholds(benign);
   std::vector<double> fp(ascending.size());
   std::vector<double> fn(ascending.size());

@@ -19,22 +19,15 @@ GroupAssignment group_population(std::span<const stats::EmpiricalDistribution> t
   return groups;
 }
 
-/// The pooled distribution of `members`: their already-sorted sample spans
-/// k-way-merged into this thread's scratch buffer — no per-member copies,
-/// no re-sort — behind a non-owning view, valid until this thread's next
-/// call. A plain function, so every caller shares one buffer per thread.
+/// The pooled distribution of `members`: their runs merged into one owning
+/// distribution (copies of the members are pointer copies).
 stats::EmpiricalDistribution pool_members(
     std::span<const stats::EmpiricalDistribution> training_users,
     std::span<const std::uint32_t> members) {
-  thread_local std::vector<std::span<const double>> spans;
-  thread_local std::vector<double> pooled_buffer;
-  spans.clear();
-  spans.reserve(members.size());
-  for (std::uint32_t u : members) spans.push_back(training_users[u].samples());
-  stats::merge_sorted_spans(spans, pooled_buffer);
-  // The FN-aware heuristics sweep a dense threshold x attack-size grid over
-  // the pool, so the O(n + K) rank table pays for itself immediately.
-  return stats::EmpiricalDistribution::view_of_sorted(pooled_buffer, /*with_rank_table=*/true);
+  std::vector<stats::EmpiricalDistribution> parts;
+  parts.reserve(members.size());
+  for (std::uint32_t u : members) parts.push_back(training_users[u]);
+  return stats::EmpiricalDistribution::merge(parts);
 }
 
 /// groups.members(), with every group checked to be non-empty.

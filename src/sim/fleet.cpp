@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "stats/kernels.hpp"
 #include "util/error.hpp"
 #include "util/rss.hpp"
 #include "util/thread_pool.hpp"
@@ -147,17 +146,14 @@ FleetScenario build_fleet_scenario(const FleetConfig& config) {
     // Reduce one rendered user into their row slots and sketch slot.
     const auto reduce_user = [&](std::uint32_t id, std::uint32_t local,
                                  const features::FeatureMatrix& matrix) {
-      std::vector<double> scratch;
       std::vector<double> row(m);
       for (features::FeatureKind feature : features::kAllFeatures) {
         for (std::uint32_t week = 0; week < weeks; ++week) {
           const auto slice = matrix.of(feature).week_slice(week);
           MONOHIDS_EXPECT(!slice.empty(), "week beyond the generated horizon");
-          scratch.assign(slice.begin(), slice.end());
-          if (!stats::kernels::sort_counts(scratch)) {
-            std::sort(scratch.begin(), scratch.end());
-          }
-          stats::GkSketch sketch = stats::GkSketch::from_sorted(scratch, eps);
+          stats::GkSketch sketch = stats::GkSketch::from_distribution(
+              stats::EmpiricalDistribution(std::vector<double>(slice.begin(), slice.end())),
+              eps);
           sketch.quantile_batch(qs, row);
           const std::size_t cell = std::size_t{features::index_of(feature)} * weeks + week;
           float* out = fleet.store_[cell].data() + std::size_t{id} * m;
@@ -238,38 +234,28 @@ std::shared_ptr<const hids::DistributionCache::DistributionSet> FleetAnalysisCac
   const std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = resident_.begin(); it != resident_.end(); ++it) {
     if (it->first == key) {
-      auto holder = it->second;  // refresh LRU position (most recent last)
+      auto set = it->second;  // refresh LRU position (most recent last)
       resident_.erase(it);
-      resident_.emplace_back(key, holder);
-      return {holder, &holder->set};
+      resident_.emplace_back(key, set);
+      return set;
     }
   }
 
-  // Expand the float rows into one shared double arena with per-user views.
-  // Rank tables make the downstream threshold sweeps O(1) per query.
+  // Build every user's distribution from their float row.
   const std::span<const float> rows = fleet_.rows(feature, week);
-  const std::uint32_t users = fleet_.user_count();
   const std::uint32_t m = fleet_.grid_points();
-  auto holder = std::make_shared<Expansion>();
-  holder->arena.resize(rows.size());
-  holder->set.resize(users);
-  std::vector<double>& arena = holder->arena;
-  DistributionSet& set = holder->set;
+  auto set = std::make_shared<DistributionSet>(fleet_.user_count());
   util::parallel_for(
-      users,
+      set->size(),
       [&](std::size_t u) {
-        const std::size_t offset = u * m;
-        for (std::uint32_t k = 0; k < m; ++k) {
-          arena[offset + k] = static_cast<double>(rows[offset + k]);
-        }
-        set[u] = stats::EmpiricalDistribution::view_of_sorted(
-            std::span<const double>(arena.data() + offset, m), true);
+        const auto row = rows.subspan(u * m, m);
+        (*set)[u] = stats::EmpiricalDistribution(std::vector<double>(row.begin(), row.end()));
       },
       threads);
 
-  resident_.emplace_back(key, holder);
+  resident_.emplace_back(key, set);
   if (resident_.size() > max_resident_) resident_.erase(resident_.begin());
-  return {holder, &holder->set};
+  return set;
 }
 
 std::shared_ptr<const hids::ThresholdAssignment> FleetAnalysisCache::thresholds(

@@ -1,6 +1,6 @@
 // Fleet mode: bounded-memory scenario pipeline for 100k–1M hosts.
 //
-// The exact pipeline keeps every user's full sorted week arenas resident —
+// The exact pipeline keeps every user's full week distributions resident —
 // fine at the paper's 350 users, hopeless at enterprise fleet scale
 // (1M users × 5 weeks × 672 bins × 8 B ≈ 27 GB). Fleet mode streams the
 // population through memory one shard at a time and keeps only a compact
@@ -9,7 +9,7 @@
 //   shard generation (waves of users bounded by a matrix budget, rendered
 //     as flattened (user, week-tile) items through util::parallel_for)
 //     → per-user GkSketch of each week's bin counts (stats::GkSketch::
-//       from_sorted on the sorted week slice)
+//       from_distribution on the week slice's runs)
 //     → an m-point quantile-grid row (GkSketch::quantile_batch, one
 //       stats::kernels merge-scan), stored as float32
 //     → pooled per-(feature, week) sketches folded in user-index order
@@ -19,8 +19,8 @@
 // Everything downstream — assign_thresholds, the heuristics, attacker
 // curves, evaluate_policy — runs unmodified: FleetAnalysisCache implements
 // hids::DistributionCache by expanding one (feature, week) of the compact
-// store into arena-backed EmpiricalDistribution views on demand, keeping at
-// most a couple of weeks resident (each expansion is users × m doubles).
+// store into per-user EmpiricalDistributions on demand, keeping at most a
+// couple of weeks resident (each expansion holds at most users × m runs).
 //
 // Error model (documented bound, asserted by tests and the CI gate): a grid
 // row read as an empirical distribution answers rank/CDF queries within
@@ -155,10 +155,10 @@ class FleetScenario {
 [[nodiscard]] FleetScenario build_fleet_scenario(const FleetConfig& config);
 
 /// hids::DistributionCache over a FleetScenario: week() expands one
-/// (feature, week) of the compact store into a shared double arena with
-/// per-user EmpiricalDistribution views (rank tables included), keeping an
-/// LRU of `max_resident_weeks` expansions; thresholds() runs the stock
-/// assign_thresholds over those views. Callers' shared_ptrs keep evicted
+/// (feature, week) of the compact store into one EmpiricalDistribution per
+/// user (built from the user's grid row), keeping an LRU of
+/// `max_resident_weeks` expansions; thresholds() runs the stock
+/// assign_thresholds over them. Callers' shared_ptrs keep evicted
 /// expansions alive, so handing out references is always safe.
 class FleetAnalysisCache final : public hids::DistributionCache {
  public:
@@ -180,21 +180,16 @@ class FleetAnalysisCache final : public hids::DistributionCache {
       std::uint32_t steps = 64, unsigned threads = 0);
 
  private:
-  struct Expansion {
-    std::vector<double> arena;  ///< users × grid_points doubles, user-major
-    DistributionSet set;        ///< views into arena
-  };
-
   const FleetScenario& fleet_;
   std::size_t max_resident_;
   std::mutex mutex_;
   /// Small LRU, most recent last: (feature index * weeks + week, expansion).
-  std::vector<std::pair<std::size_t, std::shared_ptr<Expansion>>> resident_;
+  std::vector<std::pair<std::size_t, std::shared_ptr<const DistributionSet>>> resident_;
 };
 
 /// One policy × one train→test round over the fleet, through the stock
-/// evaluation pipeline (assign_thresholds + evaluate_policy on the compact
-/// views). UserOutcome::weekly_false_alarms is rescaled to real weeks:
+/// evaluation pipeline (assign_thresholds + evaluate_policy on the
+/// distributions of the compact rows). UserOutcome::weekly_false_alarms is rescaled to real weeks:
 /// llround(fp_rate × bins_per_week) — a compact row has grid_points
 /// samples, so the stock per-sample count would undercount the console
 /// volume ~28x.

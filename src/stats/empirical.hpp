@@ -3,15 +3,23 @@
 // The paper treats each time-bin count as a sample of the per-host feature
 // distribution P(g_i^j) and derives everything — thresholds, false-positive
 // rates P(g > T), mimicry head-room — from the empirical CDF. This class is
-// that CDF: it answers quantile / (c)CDF / convolution-style queries exactly
-// over a sorted sample sequence.
+// that CDF: it answers quantile / (c)CDF / convolution-style queries exactly.
 //
-// Ownership model: the sorted samples live in an immutable, shared arena
-// (a reference-counted vector). Copying an EmpiricalDistribution copies a
-// pointer + span, never the samples, so the same per-user distributions can
-// be handed to many experiments zero-copy (the sim::AnalysisCache relies on
-// this). Non-owning views over externally sorted buffers are available via
-// view_of_sorted() for transient pooled distributions.
+// Representation: the samples as runs — the ascending distinct values and,
+// per value, the cumulative count #samples <= value. That is the smallest
+// exact form of an empirical CDF and it is exact for any finite doubles: a
+// host-week of 672 traffic-count bins holds about 50 distinct values, and
+// every rank query is a search over those values. Samples that compare
+// equal share one run, so -0.0 and +0.0 fall into one zero run, stored as
+// +0.0.
+//
+// Ownership model: the runs live in one immutable, shared block (a
+// reference-counted pair of vectors). Copying an EmpiricalDistribution
+// copies a pointer, never the runs, so the same per-user distributions can
+// be handed to many experiments zero-copy (sim::AnalysisCache relies on
+// this). Every distribution owns (a share of) its runs; there are no
+// views, and spans returned by values()/cumulative_counts() stay valid for
+// as long as any copy of the distribution lives.
 #pragma once
 
 #include <cstdint>
@@ -25,36 +33,36 @@ class EmpiricalDistribution {
  public:
   EmpiricalDistribution() = default;
 
-  /// Builds from raw samples (moved into the arena and sorted). Samples
-  /// must be finite.
+  /// Builds from raw samples in any order. Samples must be finite and at
+  /// most 2^32 - 1 of them. Small non-negative integer samples (traffic
+  /// counts) are counted into runs by one histogram sweep; any other input
+  /// is sorted and run-length encoded. Both give the same runs.
   explicit EmpiricalDistribution(std::vector<double> samples);
 
-  /// Builds from already-sorted samples without re-sorting (moved into the
-  /// arena). The caller vouches for ascending order; debug builds assert it.
-  [[nodiscard]] static EmpiricalDistribution from_sorted(std::vector<double> sorted);
-
-  /// Non-owning view over an externally owned ascending buffer. The view
-  /// answers every query of an owning distribution but holds no arena: it
-  /// is valid only while `sorted` outlives it and is not reallocated or
-  /// reordered. Used for scratch pooled distributions whose backing buffer
-  /// is reused (see hids::assign_thresholds). Pass `with_rank_table` when
-  /// the view is about to absorb a dense rank workload (threshold sweeps);
-  /// the O(n + K) table build is amortized by O(1) lookups afterwards.
-  [[nodiscard]] static EmpiricalDistribution view_of_sorted(std::span<const double> sorted,
-                                                            bool with_rank_table = false);
-
-  [[nodiscard]] bool empty() const noexcept { return sorted_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return sorted_.size(); }
-  /// True when this instance (co-)owns its samples; false for views.
-  [[nodiscard]] bool owns_samples() const noexcept { return storage_ != nullptr || sorted_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return runs_ == nullptr; }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return runs_ == nullptr ? 0 : runs_->cum.back();
+  }
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
+  /// Mean and population variance, accumulated sample by sample in
+  /// ascending order (each run's value added once per sample), so they are
+  /// bit-identical to the same sums over the sorted samples.
   [[nodiscard]] double mean() const;
-  [[nodiscard]] double variance() const;  ///< population variance
+  [[nodiscard]] double variance() const;
   [[nodiscard]] double stddev() const;
 
-  /// Sorted sample view (ascending).
-  [[nodiscard]] std::span<const double> samples() const noexcept { return sorted_; }
+  /// Ascending distinct sample values, one per run (empty when empty()).
+  [[nodiscard]] std::span<const double> values() const noexcept {
+    return runs_ == nullptr ? std::span<const double>{} : std::span<const double>(runs_->values);
+  }
+
+  /// cumulative_counts()[k] = #samples <= values()[k]: strictly increasing,
+  /// and the last entry is size().
+  [[nodiscard]] std::span<const std::uint32_t> cumulative_counts() const noexcept {
+    return runs_ == nullptr ? std::span<const std::uint32_t>{}
+                            : std::span<const std::uint32_t>(runs_->cum);
+  }
 
   /// Nearest-rank quantile (see quantile.hpp). Distribution must be non-empty.
   [[nodiscard]] double quantile(double q) const;
@@ -69,30 +77,18 @@ class EmpiricalDistribution {
   [[nodiscard]] double exceedance(double x) const;
 
   /// Batched exceedance: out[j] = exceedance(xs[j]) for the whole query
-  /// batch at once, from rank_batch's ranks. The results are bit-identical
-  /// to per-call exceedance() — ranks are exact integers and the
-  /// 1.0 - rank/n arithmetic is the same operation the per-call path
-  /// performs.
+  /// batch at once, from rank_batch's ranks. Bit-identical to per-call
+  /// exceedance() — ranks are exact integers and the 1.0 - rank/n
+  /// arithmetic is the same operation the per-call path performs.
   void exceedance_batch(std::span<const double> xs, std::span<double> out) const;
 
   /// Batched upper-bound ranks: out[j] = #samples <= xs[j], the integer
   /// primitive behind exceedance_batch (exposed for consumers that
   /// post-process ranks themselves, e.g. AttackModel::mean_fn and
-  /// hids::naive_detection_curve). Answered from the rank table when there
-  /// is one, else by one merge-scan over the arena when `xs` is ascending
-  /// (O(n + T) for a threshold sweep instead of O(T log n)) and by one
-  /// binary search per query otherwise (stats::kernels).
+  /// hids::naive_detection_curve). An ascending batch is answered by one
+  /// merge-scan over the run values (stats::kernels::rank_sorted), any
+  /// other order by one binary search per query.
   void rank_batch(std::span<const double> xs, std::span<std::uint32_t> out) const;
-
-  /// Cumulative rank table cum[k] = #samples <= k, present when the samples
-  /// are small integer counts (stats::kernels::build_rank_table) and the
-  /// distribution owns them or is a view_of_sorted(..., true); empty
-  /// otherwise. Each rank query against it is one O(1) load with the same
-  /// exact integer result as a binary search over the samples.
-  [[nodiscard]] std::span<const std::uint32_t> rank_table() const noexcept {
-    return rank_table_ != nullptr ? std::span<const std::uint32_t>(*rank_table_)
-                                  : std::span<const std::uint32_t>{};
-  }
 
   /// P(X + shift <= t): miss probability of an additive attack of size
   /// `shift` against threshold `t` (the paper's FN = P(g + b < T); with
@@ -106,28 +102,23 @@ class EmpiricalDistribution {
   [[nodiscard]] double max_hidden_shift(double t, double target_mass) const;
 
   /// Merges several distributions into the pooled (global) distribution the
-  /// paper's homogeneous policy builds at the central console. Implemented
-  /// as a k-way merge of the parts' already-sorted samples (no re-sort).
+  /// paper's homogeneous policy builds at the central console: the parts'
+  /// (value, count) runs concatenated, sorted by value and coalesced.
   [[nodiscard]] static EmpiricalDistribution merge(
       std::span<const EmpiricalDistribution> parts);
 
  private:
-  struct sorted_tag {};
-  EmpiricalDistribution(std::vector<double> sorted, sorted_tag);
+  struct Runs {
+    std::vector<double> values;       ///< ascending, distinct
+    std::vector<std::uint32_t> cum;   ///< cum[k] = #samples <= values[k]
+  };
 
-  void maybe_build_rank_table();
+  /// #samples <= x.
+  [[nodiscard]] std::uint32_t rank(double x) const noexcept;
+  /// The sample at 0-based position i of the ascending sample order.
+  [[nodiscard]] double sample_at(std::size_t i) const noexcept;
 
-  std::shared_ptr<const std::vector<double>> storage_;  ///< arena (null for views)
-  std::span<const double> sorted_;                      ///< ascending samples
-  /// Shared like the arena: copies reuse one table. Null when the samples
-  /// are not small integer counts or the table was never requested.
-  std::shared_ptr<const std::vector<std::uint32_t>> rank_table_;
+  std::shared_ptr<const Runs> runs_;  ///< null when empty
 };
-
-/// K-way merges ascending spans into `out` (cleared first, capacity reused
-/// across calls). The result is the ascending multiset union of the parts —
-/// element-for-element what sorting their concatenation produces.
-void merge_sorted_spans(std::span<const std::span<const double>> parts,
-                        std::vector<double>& out);
 
 }  // namespace monohids::stats

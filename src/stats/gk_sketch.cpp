@@ -56,41 +56,31 @@ void GkSketch::add(double value) {
   if (n_ % period == 0) compress();
 }
 
-GkSketch GkSketch::from_sorted(std::span<const double> sorted, double epsilon) {
+GkSketch GkSketch::from_distribution(const EmpiricalDistribution& dist, double epsilon) {
   GkSketch sketch(epsilon);
-  if (sorted.empty()) return sketch;
-  // Run-length tuples over the sorted stream: every tuple's rank is exact
-  // (delta = 0), so the pre-compression summary is a lossless rank map and
-  // one compress() lands it inside the ε band. Tie runs longer than the
-  // band are split across several tuples of the same value — the query
-  // guarantee needs g + delta <= 2εn for every tuple, and a split run still
-  // lets the scan stop *inside* the run and answer with the run's value.
-  const auto n = static_cast<std::uint64_t>(sorted.size());
+  if (dist.empty()) return sketch;
+  // One tuple per run: every tuple's rank is exact (delta = 0), so the
+  // pre-compression summary is a lossless rank map and one compress()
+  // lands it inside the ε band. Runs longer than the band are split across
+  // several tuples of the same value — the query guarantee needs
+  // g + delta <= 2εn for every tuple, and a split run still lets the scan
+  // stop *inside* the run and answer with the run's value.
+  const auto n = static_cast<std::uint64_t>(dist.size());
   const auto band = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(std::floor(2.0 * epsilon * static_cast<double>(n))));
-  const auto emit_run = [&](double value, std::uint64_t run) {
+  const auto values = dist.values();
+  const auto cum = dist.cumulative_counts();
+  sketch.tuples_.reserve(64);
+  std::uint64_t previous = 0;
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    std::uint64_t run = cum[k] - previous;
+    previous = cum[k];
     while (run > band) {
-      sketch.tuples_.push_back(Tuple{value, band, 0});
+      sketch.tuples_.push_back(Tuple{values[k], band, 0});
       run -= band;
     }
-    sketch.tuples_.push_back(Tuple{value, run, 0});
-  };
-  sketch.tuples_.reserve(64);
-  double current = sorted.front();
-  MONOHIDS_EXPECT(std::isfinite(current), "GK values must be finite");
-  std::uint64_t run = 0;
-  for (const double v : sorted) {
-    MONOHIDS_EXPECT(std::isfinite(v), "GK values must be finite");
-    MONOHIDS_EXPECT(v >= current, "from_sorted requires ascending input");
-    if (v == current) {
-      ++run;
-      continue;
-    }
-    emit_run(current, run);
-    current = v;
-    run = 1;
+    sketch.tuples_.push_back(Tuple{values[k], run, 0});
   }
-  emit_run(current, run);
   sketch.n_ = n;
   sketch.compress();
   return sketch;
@@ -166,7 +156,7 @@ void GkSketch::quantile_batch(std::span<const double> qs, std::span<double> out)
   }
 
   std::vector<std::uint32_t> crossing(qs.size());
-  kernels::rank_sorted(envelope, limits, 0.0, crossing.data());
+  kernels::rank_sorted(envelope, limits, crossing.data());
   for (std::size_t j = 0; j < qs.size(); ++j) {
     const std::size_t idx = crossing[j] == 0 ? 0 : crossing[j] - 1;
     out[j] = tuples_[idx].value;
@@ -253,7 +243,7 @@ GkSketch GkSketch::deserialize(std::istream& in) {
   MONOHIDS_ENSURE((n == 0) == (tuple_count == 0),
                   "GK sketch image: observation/tuple count mismatch");
 
-  // Every tuple of a sketch built by add(), from_sorted() or merge() keeps
+  // Every tuple of a sketch built by add(), from_distribution() or merge() keeps
   // g + delta within the ε band; quantile() relies on it for its rank bound.
   const auto band = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(std::floor(2.0 * epsilon * static_cast<double>(n))));

@@ -7,7 +7,7 @@
 // full distributions.
 //
 // Fleet-mode surface (sim/fleet.hpp): hosts summarize each week's bin
-// counts with from_sorted(), the console folds host summaries into pooled
+// counts with from_distribution(), the console folds host summaries into pooled
 // group sketches with merge() (the ε-rank guarantee survives any merge
 // tree — see the differential suite), sweeps quantile grids with
 // quantile_batch() (one stats::kernels merge-scan over the rank
@@ -20,6 +20,8 @@
 #include <span>
 #include <vector>
 
+#include "stats/empirical.hpp"
+
 namespace monohids::stats {
 
 class GkSketch {
@@ -29,12 +31,13 @@ class GkSketch {
 
   void add(double value);
 
-  /// Builds a sketch of an already-sorted (ascending) stream in one pass:
-  /// run-length tuples with zero rank uncertainty, compressed once to the
-  /// ε band. Orders of magnitude faster than add()-ing value by value (no
-  /// per-insert search) and tighter (delta = 0 everywhere), with the same
-  /// ε-rank guarantee. The fleet reducer's construction path.
-  [[nodiscard]] static GkSketch from_sorted(std::span<const double> sorted, double epsilon);
+  /// Builds a sketch of a distribution's samples from its runs in one
+  /// pass: one tuple per run with zero rank uncertainty, compressed once to
+  /// the ε band. Orders of magnitude faster than add()-ing value by value
+  /// (no per-insert search) and tighter (delta = 0 everywhere), with the
+  /// same ε-rank guarantee. The fleet reducer's construction path.
+  [[nodiscard]] static GkSketch from_distribution(const EmpiricalDistribution& dist,
+                                                  double epsilon);
 
   [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
   [[nodiscard]] std::size_t tuple_count() const noexcept { return tuples_.size(); }

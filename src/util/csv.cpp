@@ -43,6 +43,9 @@ std::string CsvWriter::format(std::int64_t value) { return std::to_string(value)
 std::string CsvWriter::format(std::uint64_t value) { return std::to_string(value); }
 
 std::vector<std::string> csv_parse_line(std::string_view line) {
+  // A CRLF file leaves one carriage return at the end of each line; any
+  // other '\r' is field data (and makes a numeric cell malformed).
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
   std::vector<std::string> fields;
   std::string current;
   bool in_quotes = false;
@@ -66,8 +69,6 @@ std::vector<std::string> csv_parse_line(std::string_view line) {
     } else if (c == ',') {
       fields.push_back(std::move(current));
       current.clear();
-    } else if (c == '\r') {
-      // tolerate trailing CR from CRLF files
     } else {
       current.push_back(c);
     }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "oracle/per_call.hpp"
+#include "oracle/sorted_distribution.hpp"
 #include "stats/classification.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -153,21 +154,29 @@ std::vector<double> count_samples(std::uint64_t seed, std::size_t n) {
   return v;
 }
 
-/// Training sets covering both mean_fn_batch branches: an owned count
-/// distribution and a pooled view_of_sorted(..., true) (rank table), and a
-/// continuous one (rank grid).
+/// Training sets of every build path — a histogram-built count
+/// distribution, a merged pool and a sort-built continuous one — each with
+/// its sorted-sample reference.
 struct Trainings {
   EmpiricalDistribution counts{count_samples(31, 3000)};
-  std::vector<double> pooled_arena;
   EmpiricalDistribution pooled;
   EmpiricalDistribution continuous = uniform_0_100(1500);
+  std::vector<oracle::SortedDistribution> references;
 
   Trainings() {
-    const EmpiricalDistribution a(count_samples(32, 900));
-    const EmpiricalDistribution b(count_samples(33, 1100));
-    const std::vector<std::span<const double>> parts = {a.samples(), b.samples()};
-    pooled_arena = oracle::merge_sorted(parts);
-    pooled = EmpiricalDistribution::view_of_sorted(pooled_arena, /*with_rank_table=*/true);
+    const std::vector<EmpiricalDistribution> parts = {
+        EmpiricalDistribution(count_samples(32, 900)),
+        EmpiricalDistribution(count_samples(33, 1100))};
+    pooled = EmpiricalDistribution::merge(parts);
+    std::vector<double> pooled_samples = count_samples(32, 900);
+    const std::vector<double> second = count_samples(33, 1100);
+    pooled_samples.insert(pooled_samples.end(), second.begin(), second.end());
+    std::vector<double> continuous_samples;
+    util::Xoshiro256 rng(71);
+    for (int i = 0; i < 1500; ++i) continuous_samples.push_back(rng.uniform01() * 100.0);
+    references.emplace_back(count_samples(31, 3000));
+    references.emplace_back(std::move(pooled_samples));
+    references.emplace_back(std::move(continuous_samples));
   }
 
   [[nodiscard]] std::vector<const EmpiricalDistribution*> all() const {
@@ -185,10 +194,10 @@ const std::vector<double> kWeights = {0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0};
 
 TEST(OperatingCurve, PointsMatchPerThresholdCallsAtExactSize) {
   const Trainings trainings;
-  ASSERT_FALSE(trainings.counts.rank_table().empty());
-  ASSERT_FALSE(trainings.pooled.rank_table().empty());
-  ASSERT_TRUE(trainings.continuous.rank_table().empty());
-  for (const EmpiricalDistribution* g : trainings.all()) {
+  const auto all = trainings.all();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const EmpiricalDistribution* g = all[i];
+    const oracle::SortedDistribution& reference = trainings.references[i];
     for (const AttackModel& attack : sweeps()) {
       const OperatingCurve curve = operating_curve(*g, attack);
       EXPECT_EQ(curve.thresholds, candidate_thresholds(*g));
@@ -198,21 +207,25 @@ TEST(OperatingCurve, PointsMatchPerThresholdCallsAtExactSize) {
       for (std::size_t j = 0; j < curve.thresholds.size(); ++j) {
         const double t = curve.thresholds[j];
         ASSERT_EQ(curve.fp[j], g->exceedance(t)) << "t=" << t;
+        ASSERT_EQ(curve.fp[j], reference.exceedance(t)) << "t=" << t;
         ASSERT_EQ(curve.fn[j], attack.mean_fn(*g, t)) << "t=" << t;
         ASSERT_EQ(curve.fn[j], oracle::mean_fn(attack, *g, t)) << "t=" << t;
+        ASSERT_EQ(curve.fn[j], reference.mean_fn(attack, t)) << "t=" << t;
       }
     }
   }
 }
 
 TEST(OperatingCurve, MeanFnBatchMatchesPerCallOnEveryBackend) {
-  // The rank functions have one portable implementation, so one pass
-  // covers every back-end.
+  // The run walk has one portable implementation, so one pass covers
+  // every back-end.
   const Trainings trainings;
-  for (const EmpiricalDistribution* g : trainings.all()) {
+  const auto all = trainings.all();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const EmpiricalDistribution* g = all[i];
     for (const AttackModel& attack : sweeps()) {
-      // Candidates plus off-grid queries: fractional, negative and past
-      // every shifted sample (all three rank-table cases).
+      // Candidates plus off-grid queries: fractional, below every shifted
+      // sample and past every shifted sample (all three run-walk cases).
       auto thresholds = candidate_thresholds(*g);
       thresholds.insert(thresholds.begin(), {-5.0, 0.5});
       thresholds.push_back(1e6);
@@ -222,6 +235,8 @@ TEST(OperatingCurve, MeanFnBatchMatchesPerCallOnEveryBackend) {
       for (std::size_t j = 0; j < thresholds.size(); ++j) {
         ASSERT_EQ(batched[j], attack.mean_fn(*g, thresholds[j])) << "t=" << thresholds[j];
         ASSERT_EQ(batched[j], oracle::mean_fn(attack, *g, thresholds[j]))
+            << "t=" << thresholds[j];
+        ASSERT_EQ(batched[j], trainings.references[i].mean_fn(attack, thresholds[j]))
             << "t=" << thresholds[j];
       }
     }

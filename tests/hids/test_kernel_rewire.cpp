@@ -1,13 +1,14 @@
-// Library-vs-oracle identity for every consumer rewired onto the
-// stats::kernels layer. The library answers sweeps with merge scans, grid
-// passes and counting sorts; the seed's per-call loops live in
-// tests/oracle. Bitwise-equal results here are the contract that keeps
+// Library-vs-oracle identity for every consumer of the batched evaluation
+// paths. The library answers sweeps with merge scans and run walks over
+// run-length distributions; the seed's per-call loops and its sorted-sample
+// distribution live in tests/oracle. Bitwise-equal results here are the contract that keeps
 // AnalysisCache memoization valid: a cached artifact must not depend on
 // which path produced it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "hids/attack_model.hpp"
@@ -17,6 +18,7 @@
 #include "hids/heuristics.hpp"
 #include "hids/roc.hpp"
 #include "oracle/per_call.hpp"
+#include "oracle/sorted_distribution.hpp"
 #include "stats/empirical.hpp"
 #include "util/rng.hpp"
 
@@ -26,7 +28,7 @@ namespace {
 using stats::EmpiricalDistribution;
 
 /// Count-like traffic samples (small integers, heavy ties) — the regime the
-/// counting fast paths trigger on, same as real bin counts.
+/// histogram build triggers on, same as real bin counts.
 std::vector<double> count_samples(std::uint64_t seed, std::size_t n) {
   util::Xoshiro256 rng(seed);
   std::vector<double> v(n);
@@ -34,8 +36,8 @@ std::vector<double> count_samples(std::uint64_t seed, std::size_t n) {
   return v;
 }
 
-/// Continuous samples — exercises the comparison-sort / heap-merge fallback
-/// alongside the batched rank kernels.
+/// Continuous samples — exercises the sort + run-length build alongside the
+/// batched rank paths.
 std::vector<double> continuous_samples(std::uint64_t seed, std::size_t n) {
   util::Xoshiro256 rng(seed);
   std::vector<double> v(n);
@@ -49,8 +51,17 @@ void expect_oracle_identity(Library&& library, Oracle&& oracle, const char* what
   EXPECT_EQ(library(), oracle()) << what << " diverges from the per-call oracle";
 }
 
-std::vector<double> samples_of(const EmpiricalDistribution& d) {
-  return std::vector<double>(d.samples().begin(), d.samples().end());
+/// A distribution's runs, flattened for comparison.
+std::pair<std::vector<double>, std::vector<std::uint32_t>> runs_of(
+    const EmpiricalDistribution& d) {
+  return {std::vector<double>(d.values().begin(), d.values().end()),
+          std::vector<std::uint32_t>(d.cumulative_counts().begin(),
+                                     d.cumulative_counts().end())};
+}
+
+std::pair<std::vector<double>, std::vector<std::uint32_t>> runs_of(
+    const oracle::SortedDistribution& d) {
+  return {d.distinct_values(), d.cumulative_counts()};
 }
 
 std::vector<double> flatten(const std::vector<RocPoint>& curve) {
@@ -66,26 +77,26 @@ std::vector<double> flatten(const std::vector<RocPoint>& curve) {
 TEST(KernelRewire, ArenaSortIsBitIdentical) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     expect_oracle_identity(
-        [&] { return samples_of(EmpiricalDistribution(count_samples(seed, 700))); },
-        [&] { return oracle::sort_samples(count_samples(seed, 700)); },
-        "EmpiricalDistribution counting sort");
+        [&] { return runs_of(EmpiricalDistribution(count_samples(seed, 700))); },
+        [&] { return runs_of(oracle::SortedDistribution(count_samples(seed, 700))); },
+        "EmpiricalDistribution histogram build");
     expect_oracle_identity(
-        [&] { return samples_of(EmpiricalDistribution(continuous_samples(seed, 700))); },
-        [&] { return oracle::sort_samples(continuous_samples(seed, 700)); },
-        "EmpiricalDistribution comparison sort");
+        [&] { return runs_of(EmpiricalDistribution(continuous_samples(seed, 700))); },
+        [&] { return runs_of(oracle::SortedDistribution(continuous_samples(seed, 700))); },
+        "EmpiricalDistribution sort build");
   }
 }
 
 TEST(KernelRewire, PooledMergeIsBitIdentical) {
   std::vector<EmpiricalDistribution> parts;
+  std::vector<oracle::SortedDistribution> reference;
   for (std::uint64_t s = 0; s < 6; ++s) {
     parts.emplace_back(count_samples(100 + s, 300));
+    reference.emplace_back(count_samples(100 + s, 300));
   }
-  std::vector<std::span<const double>> spans;
-  for (const auto& p : parts) spans.push_back(p.samples());
-  expect_oracle_identity([&] { return samples_of(EmpiricalDistribution::merge(parts)); },
-                         [&] { return oracle::merge_sorted(spans); },
-                         "pooled counting merge");
+  expect_oracle_identity([&] { return runs_of(EmpiricalDistribution::merge(parts)); },
+                         [&] { return runs_of(oracle::SortedDistribution::merge(reference)); },
+                         "pooled merge");
 }
 
 TEST(KernelRewire, MeanFnIsBitIdentical) {
@@ -97,10 +108,15 @@ TEST(KernelRewire, MeanFnIsBitIdentical) {
     for (double t : thresholds) out.push_back(fn(t));
     return out;
   };
+  const oracle::SortedDistribution reference(count_samples(7, 2000));
   expect_oracle_identity(
       [&] { return sweep([&](double t) { return attack.mean_fn(g, t); }); },
       [&] { return sweep([&](double t) { return oracle::mean_fn(attack, g, t); }); },
       "AttackModel::mean_fn");
+  expect_oracle_identity(
+      [&] { return sweep([&](double t) { return attack.mean_fn(g, t); }); },
+      [&] { return sweep([&](double t) { return reference.mean_fn(attack, t); }); },
+      "AttackModel::mean_fn against the sorted samples");
 }
 
 TEST(KernelRewire, MeanFnBatchMatchesPerCallSeedPath) {

@@ -95,11 +95,9 @@ std::vector<EmpiricalDistribution> count_population(std::size_t users) {
 /// heuristic for a group of several members.
 EmpiricalDistribution pool_of(std::span<const EmpiricalDistribution> users,
                               std::span<const std::uint32_t> members) {
-  std::vector<double> samples;
-  for (std::uint32_t u : members) {
-    samples.insert(samples.end(), users[u].samples().begin(), users[u].samples().end());
-  }
-  return EmpiricalDistribution(std::move(samples));
+  std::vector<EmpiricalDistribution> parts;
+  for (std::uint32_t u : members) parts.push_back(users[u]);
+  return EmpiricalDistribution::merge(parts);
 }
 
 TEST(PooledCurves, EveryGroupHoldsItsCurvesHull) {

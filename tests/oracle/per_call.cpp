@@ -9,11 +9,6 @@
 
 namespace monohids::oracle {
 
-std::vector<double> sort_samples(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples;
-}
-
 std::vector<double> merge_sorted(std::span<const std::span<const double>> parts) {
   std::vector<double> merged;
   std::vector<double> next;

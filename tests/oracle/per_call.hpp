@@ -1,7 +1,7 @@
 // Per-call seed loops: the test oracles for every batched evaluation path.
 //
 // The library answers threshold sweeps and detector loops with batched
-// kernels (merge-scans, rank grids, rank tables, counting sorts). Each
+// paths (merge-scans, run walks over cumulative counts). Each
 // function here is the seed computation those paths replaced, written only
 // with the library's per-call API — EmpiricalDistribution::cdf,
 // exceedance and shifted_cdf, ThresholdDetector::alarms — one call per
@@ -25,13 +25,9 @@
 
 namespace monohids::oracle {
 
-/// Ascending comparison sort: the arena order EmpiricalDistribution builds.
-[[nodiscard]] std::vector<double> sort_samples(std::vector<double> samples);
-
-/// Merge of ascending parts by pairwise std::merge: the pooled arena
-/// stats::merge_sorted_spans builds. Any correct merge is bitwise determined
-/// except for the relative order of tied -0.0/+0.0, which count data never
-/// holds.
+/// Merge of ascending parts by pairwise std::merge: the pooled samples
+/// whose runs EmpiricalDistribution::merge builds. Any correct merge is
+/// bitwise determined except for the relative order of tied -0.0/+0.0.
 [[nodiscard]] std::vector<double> merge_sorted(std::span<const std::span<const double>> parts);
 
 /// out[j] = #{v in sorted : v <= xs[j]}, one std::upper_bound per query.

@@ -5,6 +5,7 @@
 // concurrent lookups.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -19,6 +20,14 @@ namespace monohids::sim {
 namespace {
 
 using features::FeatureKind;
+
+/// True when two distributions hold the same runs.
+bool same_runs(const stats::EmpiricalDistribution& a, const stats::EmpiricalDistribution& b) {
+  const auto va = a.values(), vb = b.values();
+  const auto ca = a.cumulative_counts(), cb = b.cumulative_counts();
+  return std::equal(va.begin(), va.end(), vb.begin(), vb.end()) &&
+         std::equal(ca.begin(), ca.end(), cb.begin(), cb.end());
+}
 
 const Scenario& shared_scenario() {
   static const Scenario scenario = [] {
@@ -39,9 +48,7 @@ TEST(AnalysisCache, WeekMatchesDirectComputation) {
       hids::week_distributions(scenario.matrices, FeatureKind::TcpConnections, 0);
   ASSERT_EQ(cached->size(), direct.size());
   for (std::size_t u = 0; u < direct.size(); ++u) {
-    const auto a = (*cached)[u].samples();
-    const auto b = direct[u].samples();
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << "user " << u;
+    ASSERT_TRUE(same_runs((*cached)[u], direct[u])) << "user " << u;
   }
 }
 
@@ -129,9 +136,7 @@ TEST(AnalysisCache, BypassRecomputesEveryCall) {
   const auto b = cache.week(FeatureKind::TcpConnections, 0);
   EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(cache.counters().hits, 0u);
-  const auto sa = (*a)[0].samples();
-  const auto sb = (*b)[0].samples();
-  EXPECT_TRUE(std::equal(sa.begin(), sa.end(), sb.begin(), sb.end()));
+  EXPECT_TRUE(same_runs((*a)[0], (*b)[0]));
 }
 
 TEST(AnalysisCache, ClearDropsEntriesButKeepsHandlesValid) {
@@ -140,7 +145,7 @@ TEST(AnalysisCache, ClearDropsEntriesButKeepsHandlesValid) {
   cache.clear();
   const auto after = cache.week(FeatureKind::TcpConnections, 0);
   EXPECT_NE(before.get(), after.get());
-  EXPECT_FALSE((*before)[0].samples().empty());  // old handle still alive
+  EXPECT_FALSE((*before)[0].values().empty());  // old handle still alive
 }
 
 TEST(AnalysisCache, ScenarioAccessorIsStableAndInvalidatesOnCopy) {
@@ -252,13 +257,16 @@ TEST(AnalysisCache, CurveMemoMatchesUncachedAndTheOracle) {
         EXPECT_EQ(cached->threshold_of_group, direct.threshold_of_group) << what;
         EXPECT_EQ(cached->groups.group_of_user, direct.groups.group_of_user) << what;
         // Every group against the oracle on its own training data: the
-        // merged pool, or a one-member group's own distribution.
+        // members' raw week samples pooled into one flat build, or a
+        // one-member group's own distribution.
         const auto members = cached->groups.members();
         for (std::size_t g = 0; g < members.size(); ++g) {
-          std::vector<std::span<const double>> parts;
-          for (std::uint32_t u : members[g]) parts.push_back(train[u].samples());
-          const auto pool =
-              stats::EmpiricalDistribution::from_sorted(oracle::merge_sorted(parts));
+          std::vector<double> samples;
+          for (std::uint32_t u : members[g]) {
+            const auto slice = scenario.matrices[u].of(kFeature).week_slice(0);
+            samples.insert(samples.end(), slice.begin(), slice.end());
+          }
+          const stats::EmpiricalDistribution pool(std::move(samples));
           EXPECT_EQ(cached->threshold_of_group[g], oracle_threshold(pool, attack))
               << what << " group " << g;
         }

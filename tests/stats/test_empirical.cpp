@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -13,6 +15,14 @@ namespace {
 
 EmpiricalDistribution dist(std::vector<double> v) {
   return EmpiricalDistribution(std::move(v));
+}
+
+std::vector<double> values_of(const EmpiricalDistribution& d) {
+  return {d.values().begin(), d.values().end()};
+}
+
+std::vector<std::uint32_t> counts_of(const EmpiricalDistribution& d) {
+  return {d.cumulative_counts().begin(), d.cumulative_counts().end()};
 }
 
 TEST(Empirical, BasicStatistics) {
@@ -26,9 +36,9 @@ TEST(Empirical, BasicStatistics) {
 }
 
 TEST(Empirical, SamplesAreSorted) {
-  const auto d = dist({3, 1, 2});
-  const auto s = d.samples();
-  EXPECT_TRUE(std::is_sorted(s.begin(), s.end()));
+  const auto d = dist({3, 1, 2, 3});
+  EXPECT_EQ(values_of(d), (std::vector<double>{1, 2, 3}));
+  EXPECT_EQ(counts_of(d), (std::vector<std::uint32_t>{1, 2, 4}));
 }
 
 TEST(Empirical, NonFiniteSamplesAreAnError) {
@@ -130,15 +140,20 @@ TEST(Empirical, MergeSkipsEmptyParts) {
   EXPECT_EQ(merged.size(), 2u);
   EXPECT_DOUBLE_EQ(merged.min(), 1.0);
   EXPECT_DOUBLE_EQ(merged.max(), 2.0);
+
+  const auto a = dist({1, 3});
+  const std::vector<EmpiricalDistribution> twice{a, EmpiricalDistribution{}, a};
+  const auto doubled = EmpiricalDistribution::merge(twice);
+  EXPECT_EQ(values_of(doubled), (std::vector<double>{1, 3}));
+  EXPECT_EQ(counts_of(doubled), (std::vector<std::uint32_t>{2, 4}));
 }
 
 TEST(Empirical, MergeKeepsSamplesSortedWithDuplicates) {
   const std::vector<EmpiricalDistribution> parts{dist({5, 1, 5}), dist({3, 5, 1})};
   const auto merged = EmpiricalDistribution::merge(parts);
   ASSERT_EQ(merged.size(), 6u);
-  const auto s = merged.samples();
-  EXPECT_TRUE(std::is_sorted(s.begin(), s.end()));
-  EXPECT_EQ(std::count(s.begin(), s.end(), 5.0), 3);
+  EXPECT_EQ(values_of(merged), (std::vector<double>{1, 3, 5}));
+  EXPECT_EQ(counts_of(merged), (std::vector<std::uint32_t>{2, 3, 6}));
   // Pooled queries agree with a flat rebuild from the concatenated samples.
   const auto flat = dist({5, 1, 5, 3, 5, 1});
   for (double q : {0.25, 0.5, 0.9, 0.99}) {
@@ -153,9 +168,8 @@ TEST(Empirical, MergeIsOrderInsensitive) {
   const std::vector<EmpiricalDistribution> ba{dist({2, 3}), dist({1, 4})};
   const auto m1 = EmpiricalDistribution::merge(ab);
   const auto m2 = EmpiricalDistribution::merge(ba);
-  const auto s1 = m1.samples();
-  const auto s2 = m2.samples();
-  ASSERT_TRUE(std::equal(s1.begin(), s1.end(), s2.begin(), s2.end()));
+  EXPECT_EQ(values_of(m1), values_of(m2));
+  EXPECT_EQ(counts_of(m1), counts_of(m2));
 }
 
 TEST(Empirical, QuantileMatchesNearestRankDefinition) {
@@ -167,87 +181,42 @@ TEST(Empirical, QuantileMatchesNearestRankDefinition) {
 
 TEST(Empirical, CopySharesSortedArena) {
   const auto original = dist({3, 1, 2});
-  const auto copy = original;  // zero-copy: pointer + span, not samples
-  EXPECT_EQ(copy.samples().data(), original.samples().data());
-  EXPECT_TRUE(copy.owns_samples());
+  const auto copy = original;  // zero-copy: a pointer, not the runs
+  EXPECT_EQ(copy.values().data(), original.values().data());
+  EXPECT_EQ(copy.cumulative_counts().data(), original.cumulative_counts().data());
 }
 
 TEST(Empirical, FromSortedMatchesSortingConstructor) {
-  const auto sorted = EmpiricalDistribution::from_sorted({1, 2, 2, 7});
+  const auto sorted = dist({1, 2, 2, 7});
   const auto resorted = dist({7, 2, 1, 2});
-  const auto a = sorted.samples();
-  const auto b = resorted.samples();
-  ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+  EXPECT_EQ(values_of(sorted), values_of(resorted));
+  EXPECT_EQ(counts_of(sorted), counts_of(resorted));
   EXPECT_DOUBLE_EQ(sorted.quantile(0.5), resorted.quantile(0.5));
 }
 
-TEST(Empirical, ViewOfSortedAnswersOwningQueries) {
-  const std::vector<double> buffer{1, 2, 2, 5, 9};
-  const auto view = EmpiricalDistribution::view_of_sorted(buffer);
-  const auto owning = dist({9, 5, 2, 2, 1});
-  EXPECT_FALSE(view.owns_samples());
-  EXPECT_EQ(view.samples().data(), buffer.data());
-  for (double q : {0.1, 0.5, 0.9, 0.99}) {
-    EXPECT_DOUBLE_EQ(view.quantile(q), owning.quantile(q));
-  }
-  for (double x : {0.0, 2.0, 5.5, 9.0}) {
-    EXPECT_DOUBLE_EQ(view.cdf(x), owning.cdf(x));
-    EXPECT_DOUBLE_EQ(view.exceedance(x), owning.exceedance(x));
-  }
-  EXPECT_DOUBLE_EQ(view.mean(), owning.mean());
-  EXPECT_DOUBLE_EQ(view.max_hidden_shift(5.0, 0.8), owning.max_hidden_shift(5.0, 0.8));
-}
-
-TEST(Empirical, MergeSortedSpansMatchesMergeOnRandomizedInputs) {
+TEST(Empirical, MergeMatchesFlatBuildOnRandomizedInputs) {
   util::Xoshiro256 rng(12345);
-  std::vector<double> buffer;
   for (int trial = 0; trial < 50; ++trial) {
     const std::size_t part_count = 1 + static_cast<std::size_t>(rng.uniform01() * 7.0);
     std::vector<EmpiricalDistribution> parts;
+    std::vector<double> concat;
     for (std::size_t p = 0; p < part_count; ++p) {
       const auto n = static_cast<std::size_t>(rng.uniform01() * 40.0);
       std::vector<double> samples;
       samples.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
-        // Coarse grid forces cross-part duplicates, the k-way merge's
-        // interesting case.
+        // Coarse grid forces cross-part duplicates, which the merge must
+        // coalesce into one run.
         samples.push_back(std::floor(rng.uniform01() * 20.0));
       }
+      concat.insert(concat.end(), samples.begin(), samples.end());
       parts.emplace_back(std::move(samples));
     }
-    std::vector<std::span<const double>> spans;
-    for (const auto& p : parts) spans.push_back(p.samples());
-    merge_sorted_spans(spans, buffer);  // buffer deliberately reused across trials
-
-    const auto reference = EmpiricalDistribution::merge(parts);
-    const auto expected = reference.samples();
-    ASSERT_EQ(buffer.size(), expected.size()) << "trial " << trial;
-    ASSERT_TRUE(std::equal(buffer.begin(), buffer.end(), expected.begin(), expected.end()))
-        << "trial " << trial;
-
-    // And merge() itself equals concatenate-then-sort.
-    std::vector<double> concat;
-    for (const auto& p : parts) {
-      const auto s = p.samples();
-      concat.insert(concat.end(), s.begin(), s.end());
-    }
-    const auto flat_dist = EmpiricalDistribution(std::move(concat));
-    const auto flat = flat_dist.samples();
-    ASSERT_TRUE(std::equal(flat.begin(), flat.end(), expected.begin(), expected.end()))
-        << "trial " << trial;
+    const auto merged = EmpiricalDistribution::merge(parts);
+    const auto flat = dist(std::move(concat));
+    ASSERT_EQ(values_of(merged), values_of(flat)) << "trial " << trial;
+    ASSERT_EQ(counts_of(merged), counts_of(flat)) << "trial " << trial;
   }
-}
-
-TEST(Empirical, MergeSortedSpansHandlesEmptyParts) {
-  std::vector<double> buffer{99, 98};  // stale contents must be cleared
-  merge_sorted_spans({}, buffer);
-  EXPECT_TRUE(buffer.empty());
-
-  const std::vector<double> a{1, 3};
-  const std::vector<double> empty;
-  const std::vector<std::span<const double>> spans{a, empty, a};
-  merge_sorted_spans(spans, buffer);
-  EXPECT_EQ(buffer, (std::vector<double>{1, 1, 3, 3}));
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Differential suite for the fleet-mode GkSketch surface: from_sorted(),
+// Differential suite for the fleet-mode GkSketch surface: from_distribution(),
 // merge(), quantile_batch(), and serialize()/deserialize(). The oracle is
 // the same as test_gk_differential.cpp — the fully-sorted pooled sample and
 // a rank-space check — because the GK contract is a rank guarantee. Merge
@@ -20,6 +20,13 @@
 
 namespace monohids::stats {
 namespace {
+
+/// The fleet reducer's construction path: a sketch from the runs of the
+/// samples' distribution.
+GkSketch sketch_of(std::vector<double> samples, double epsilon) {
+  return GkSketch::from_distribution(EmpiricalDistribution(std::move(samples)), epsilon);
+}
+
 
 double rank_error(const std::vector<double>& sorted, double answer, double q) {
   const auto lo = std::lower_bound(sorted.begin(), sorted.end(), answer) - sorted.begin();
@@ -66,7 +73,7 @@ TEST(GkFromSorted, MatchesTheRankGuaranteeAndTightensTuples) {
     std::sort(samples.begin(), samples.end());
 
     const double epsilon = (case_index % 2 == 0) ? 1.0 / 48.0 : 0.01;
-    const GkSketch sketch = GkSketch::from_sorted(samples, epsilon);
+    const GkSketch sketch = sketch_of(samples, epsilon);
     ASSERT_EQ(sketch.count(), n);
 
     const double allowed = epsilon * static_cast<double>(n);
@@ -84,16 +91,22 @@ TEST(GkFromSorted, MatchesTheRankGuaranteeAndTightensTuples) {
   }
 }
 
-TEST(GkFromSorted, RejectsDescendingAndNonFiniteInput) {
-  const std::vector<double> descending = {3.0, 2.0, 1.0};
-  EXPECT_THROW(GkSketch::from_sorted(descending, 0.05), PreconditionError);
-  const std::vector<double> with_nan = {1.0, std::nan(""), 2.0};
-  EXPECT_THROW(GkSketch::from_sorted(with_nan, 0.05), PreconditionError);
-  EXPECT_EQ(GkSketch::from_sorted({}, 0.05).count(), 0u);
+TEST(GkFromSorted, NonFiniteInputIsRejectedAndSampleOrderIsIrrelevant) {
+  // The distribution sorts its samples, so any sample order gives the
+  // same sketch image; a non-finite sample never reaches the sketch.
+  const auto image = [](const GkSketch& sketch) {
+    std::stringstream buffer;
+    sketch.serialize(buffer);
+    return buffer.str();
+  };
+  EXPECT_EQ(image(sketch_of({3.0, 2.0, 1.0, 2.0}, 0.05)),
+            image(sketch_of({1.0, 2.0, 2.0, 3.0}, 0.05)));
+  EXPECT_THROW(sketch_of({1.0, std::nan(""), 2.0}, 0.05), PreconditionError);
+  EXPECT_EQ(sketch_of({}, 0.05).count(), 0u);
 }
 
 TEST(GkMerge, LeftFoldOverShardsKeepsTheRankGuarantee) {
-  // The fleet console's exact shape: per-shard from_sorted() summaries
+  // The fleet console's exact shape: per-shard from_distribution() summaries
   // folded left-to-right into one pooled sketch, vs the exact pooled sort.
   for (std::uint64_t case_index = 0; case_index < 60; ++case_index) {
     util::Xoshiro256 rng(util::derive_seed(777, "gk-merge-fold", case_index));
@@ -108,7 +121,7 @@ TEST(GkMerge, LeftFoldOverShardsKeepsTheRankGuarantee) {
       fill_case(case_index + s, rng, shard);
       std::sort(shard.begin(), shard.end());
       all.insert(all.end(), shard.begin(), shard.end());
-      pooled.merge(GkSketch::from_sorted(shard, epsilon));
+      pooled.merge(sketch_of(shard, epsilon));
     }
     std::sort(all.begin(), all.end());
     ASSERT_EQ(pooled.count(), all.size());
@@ -137,7 +150,7 @@ TEST(GkMerge, BalancedTreeFoldKeepsTheRankGuarantee) {
       fill_case(case_index + s, rng, shard);
       std::sort(shard.begin(), shard.end());
       all.insert(all.end(), shard.begin(), shard.end());
-      level.push_back(GkSketch::from_sorted(shard, epsilon));
+      level.push_back(sketch_of(shard, epsilon));
     }
     while (level.size() > 1) {
       std::vector<GkSketch> next;
@@ -165,7 +178,7 @@ TEST(GkMerge, EmptyAndMismatchedEpsilonEdges) {
   EXPECT_EQ(a.count(), 0u);
 
   const std::vector<double> vals = {1.0, 2.0, 3.0};
-  b = GkSketch::from_sorted(vals, 0.05);
+  b = sketch_of(vals, 0.05);
   a.merge(b);  // non-empty into empty adopts the other summary
   EXPECT_EQ(a.count(), 3u);
   EXPECT_EQ(a.quantile(0.5), b.quantile(0.5));
@@ -189,7 +202,7 @@ TEST(GkQuantileBatch, MatchesPerCallQuantileBitForBit) {
     GkSketch sketch(epsilon);
     if (case_index % 2 == 0) {
       std::sort(samples.begin(), samples.end());
-      sketch = GkSketch::from_sorted(samples, epsilon);
+      sketch = sketch_of(samples, epsilon);
     } else {
       for (double v : samples) sketch.add(v);
     }
@@ -209,7 +222,7 @@ TEST(GkQuantileBatch, MatchesPerCallQuantileBitForBit) {
 
 TEST(GkQuantileBatch, RejectsBadBatches) {
   const std::vector<double> vals = {1.0, 2.0, 3.0};
-  const GkSketch sketch = GkSketch::from_sorted(vals, 0.05);
+  const GkSketch sketch = sketch_of(vals, 0.05);
   std::vector<double> out(2);
   const std::vector<double> descending = {0.9, 0.1};
   EXPECT_THROW(sketch.quantile_batch(descending, out), PreconditionError);
@@ -249,7 +262,7 @@ TEST(GkSerde, RoundTripAnswersEveryQueryIdentically) {
 
 TEST(GkSerde, RejectsCorruptImages) {
   const std::vector<double> vals = {1.0, 2.0, 2.0, 3.0, 9.0};
-  GkSketch sketch = GkSketch::from_sorted(vals, 0.1);
+  GkSketch sketch = sketch_of(vals, 0.1);
 
   {  // bad magic
     std::stringstream buffer;

@@ -1,5 +1,5 @@
 // Hostile-input suite for GkSketch::deserialize, which reads fleet state
-// from disk. Valid images come from sketches built by add(), from_sorted()
+// from disk. Valid images come from sketches built by add(), from_distribution()
 // and merge trees; each is then mutated by seeded bit flips, field
 // overwrites at tuple boundaries, truncations and n / tuple-count skew.
 // The oracle is an independent parser of the image format that checks
@@ -23,6 +23,13 @@
 
 namespace monohids::stats {
 namespace {
+
+/// The fleet reducer's construction path: a sketch from the runs of the
+/// samples' distribution.
+GkSketch sketch_of(std::vector<double> samples, double epsilon) {
+  return GkSketch::from_distribution(EmpiricalDistribution(std::move(samples)), epsilon);
+}
+
 
 // Image layout: magic u32, epsilon f64, n u64, tuple count u64, then per
 // tuple value f64, g u64, delta u64.
@@ -93,7 +100,7 @@ std::vector<double> stream(std::uint64_t seed, std::size_t n) {
 }
 
 /// Valid images from every construction path: add() at several ε,
-/// from_sorted(), a left fold and a balanced merge tree, plus a
+/// from_distribution(), a left fold and a balanced merge tree, plus a
 /// one-observation sketch.
 std::vector<std::string> source_images() {
   std::vector<std::string> images;
@@ -105,13 +112,13 @@ std::vector<std::string> source_images() {
   for (std::uint64_t seed : {20u, 21u}) {
     auto sorted = stream(seed, 900);
     std::sort(sorted.begin(), sorted.end());
-    images.push_back(image_of(GkSketch::from_sorted(sorted, 0.02)));
+    images.push_back(image_of(sketch_of(sorted, 0.02)));
   }
   std::vector<GkSketch> shards;
   for (std::uint64_t s = 0; s < 8; ++s) {
     auto sorted = stream(30 + s, 100 + 40 * s);
     std::sort(sorted.begin(), sorted.end());
-    shards.push_back(GkSketch::from_sorted(sorted, 0.05));
+    shards.push_back(sketch_of(sorted, 0.05));
   }
   GkSketch fold = shards.front();
   for (std::size_t s = 1; s < shards.size(); ++s) fold.merge(shards[s]);
@@ -163,7 +170,7 @@ TEST(GkSerdeMutation, EveryConstructionPathKeepsTheBand) {
 TEST(GkSerdeMutation, TupleOutsideTheBandIsRejected) {
   auto sorted = stream(40, 500);
   std::sort(sorted.begin(), sorted.end());
-  const GkSketch sketch = GkSketch::from_sorted(sorted, 0.05);
+  const GkSketch sketch = sketch_of(sorted, 0.05);
   const std::string image = image_of(sketch);
   ASSERT_GE(sketch.tuple_count(), 3u);
   const std::uint64_t n = sketch.count();

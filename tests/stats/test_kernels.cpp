@@ -1,20 +1,23 @@
 // Unit tests for the kernel layer: the synthesis dispatch table's
 // behavior, the tie-handling contract at exact sample values (alarms fire
 // strictly above the threshold, so rank queries are upper bounds),
-// degenerate arenas, and the counting sort/merge fast paths. Randomized
-// checks against the per-call oracles and across synthesis back-ends live
-// in test_kernels_differential.cpp.
+// degenerate distributions, and the two ways EmpiricalDistribution builds
+// its runs (histogram sweep for small counts, sort + run-length encoding
+// otherwise). Randomized checks against the sorted-sample and per-call
+// oracles and across synthesis back-ends live in
+// test_kernels_differential.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
+#include "hids/attack_model.hpp"
 #include "hids/detector.hpp"
 #include "hids/evaluator.hpp"
-#include "oracle/per_call.hpp"
+#include "oracle/sorted_distribution.hpp"
 #include "stats/empirical.hpp"
 #include "stats/kernels.hpp"
 #include "util/error.hpp"
@@ -94,12 +97,18 @@ TEST(KernelTieHandling, RankAtExactSampleValueCountsAllTies) {
   const std::vector<double> arena{1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 5.0};
   const std::vector<double> queries{0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
   const std::vector<std::uint32_t> expected{0, 1, 4, 6, 6, 7, 7};
-  std::vector<std::uint32_t> sorted_out(queries.size(), 0xffffffffu);
-  std::vector<std::uint32_t> unsorted_out(queries.size(), 0xffffffffu);
-  kernels::rank_sorted(arena, queries, 0.0, sorted_out.data());
-  kernels::rank_unsorted(arena, queries, 0.0, unsorted_out.data());
-  EXPECT_EQ(sorted_out, expected) << "rank_sorted";
-  EXPECT_EQ(unsorted_out, expected) << "rank_unsorted";
+  std::vector<std::uint32_t> out(queries.size(), 0xffffffffu);
+  kernels::rank_sorted(arena, queries, out.data());
+  EXPECT_EQ(out, expected) << "rank_sorted";
+
+  const EmpiricalDistribution dist{std::vector<double>(arena)};
+  std::fill(out.begin(), out.end(), 0xffffffffu);
+  dist.rank_batch(queries, out);
+  EXPECT_EQ(out, expected) << "rank_batch, ascending";
+  const std::vector<double> reversed(queries.rbegin(), queries.rend());
+  dist.rank_batch(reversed, out);
+  EXPECT_EQ(out, std::vector<std::uint32_t>(expected.rbegin(), expected.rend()))
+      << "rank_batch, descending";
 }
 
 TEST(KernelTieHandling, ExceedanceBatchMatchesStrictAlarmAtThresholdOnSample) {
@@ -132,15 +141,11 @@ TEST(KernelEdgeCases, EmptyArenaRanksAreZero) {
   const std::span<const double> empty;
   const std::vector<double> queries{-1.0, 0.0, 1.0};
   std::vector<std::uint32_t> out(queries.size(), 0xffffffffu);
-  kernels::rank_sorted(empty, queries, 0.0, out.data());
+  kernels::rank_sorted(empty, queries, out.data());
   EXPECT_EQ(out, (std::vector<std::uint32_t>{0, 0, 0}));
   std::fill(out.begin(), out.end(), 0xffffffffu);
-  kernels::rank_unsorted(empty, queries, 0.0, out.data());
+  EmpiricalDistribution{}.rank_batch(queries, out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{0, 0, 0}));
-  std::vector<std::uint32_t> grid(queries.size() * 2, 0xffffffffu);
-  const std::vector<double> sizes{1.0, 2.0};
-  kernels::rank_grid(empty, queries, sizes, grid.data());
-  EXPECT_EQ(grid, std::vector<std::uint32_t>(6, 0));
   EXPECT_EQ(hids::ThresholdDetector(0.0).count_alarms(empty), 0u);
 }
 
@@ -149,11 +154,15 @@ TEST(KernelEdgeCases, SingleSampleArena) {
   const std::vector<double> queries{1.0, 2.0, 3.0};
   const std::vector<std::uint32_t> expected{0, 1, 1};
   std::vector<std::uint32_t> out(3, 0xffffffffu);
-  kernels::rank_sorted(arena, queries, 0.0, out.data());
+  kernels::rank_sorted(arena, queries, out.data());
   EXPECT_EQ(out, expected);
+  const EmpiricalDistribution dist{std::vector<double>(arena)};
   std::fill(out.begin(), out.end(), 0xffffffffu);
-  kernels::rank_unsorted(arena, queries, 0.0, out.data());
+  dist.rank_batch(queries, out);
   EXPECT_EQ(out, expected);
+  const std::vector<double> shuffled{3.0, 1.0, 2.0};
+  dist.rank_batch(shuffled, out);
+  EXPECT_EQ(out, (std::vector<std::uint32_t>{1, 0, 1}));
 }
 
 TEST(KernelEdgeCases, CdfBatchOnEmptyDistributionThrows) {
@@ -164,94 +173,85 @@ TEST(KernelEdgeCases, CdfBatchOnEmptyDistributionThrows) {
 }
 
 TEST(KernelEdgeCases, RankGridMatchesPerSizeQueries) {
-  const std::vector<double> arena{0.0, 1.0, 1.0, 2.0, 4.0, 4.0, 4.0, 7.0, 9.0};
+  // Every cell of the attack-size x threshold grid the run walk sums over:
+  // a one-size attack model's mean_fn_batch is that size's row of shifted
+  // ranks over n, including thresholds below every shifted sample and past
+  // the last run.
+  const EmpiricalDistribution dist(
+      std::vector<double>{0.0, 1.0, 1.0, 2.0, 4.0, 4.0, 4.0, 7.0, 9.0});
   const std::vector<double> thresholds{0.0, 1.0, 2.0, 4.5, 7.0, 10.0};
-  const std::vector<double> sizes{0.5, 1.0, 3.0};
-  const std::size_t T = thresholds.size();
-  std::vector<std::uint32_t> grid(T * sizes.size(), 0xffffffffu);
-  kernels::rank_grid(arena, thresholds, sizes, grid.data());
-  for (std::size_t s = 0; s < sizes.size(); ++s) {
-    std::vector<std::uint32_t> row(T, 0xffffffffu);
-    kernels::rank_sorted(arena, thresholds, sizes[s], row.data());
-    for (std::size_t j = 0; j < T; ++j) {
-      EXPECT_EQ(grid[s * T + j], row[j]) << "size " << sizes[s] << " threshold "
-                                         << thresholds[j];
+  for (double size : {0.5, 1.0, 3.0}) {
+    hids::AttackModel attack;
+    attack.sizes = {size};
+    std::vector<double> row(thresholds.size(), -1.0);
+    attack.mean_fn_batch(dist, thresholds, row);
+    std::vector<std::uint32_t> ranks(thresholds.size());
+    const std::vector<double> shifted_queries = [&] {
+      std::vector<double> q;
+      for (double t : thresholds) q.push_back(t - size);
+      return q;
+    }();
+    dist.rank_batch(shifted_queries, ranks);
+    for (std::size_t j = 0; j < thresholds.size(); ++j) {
+      EXPECT_EQ(row[j], static_cast<double>(ranks[j]) / 9.0)
+          << "size " << size << " threshold " << thresholds[j];
+      EXPECT_EQ(row[j], dist.shifted_cdf(size, thresholds[j]));
     }
   }
 }
 
-// --- Counting sort / merge fast paths --------------------------------------
+// --- Run construction -------------------------------------------------------
+//
+// Small non-negative integer samples are counted into runs by one histogram
+// sweep; everything else is sorted and run-length encoded. Both must give
+// exactly the runs of the sorted samples.
+
+void expect_runs_of_sorted_samples(const std::vector<double>& samples) {
+  const EmpiricalDistribution dist{std::vector<double>(samples)};
+  const oracle::SortedDistribution reference(samples);
+  const auto values = dist.values();
+  const auto cum = dist.cumulative_counts();
+  EXPECT_EQ(std::vector<double>(values.begin(), values.end()), reference.distinct_values());
+  EXPECT_EQ(std::vector<std::uint32_t>(cum.begin(), cum.end()),
+            reference.cumulative_counts());
+  EXPECT_EQ(dist.size(), samples.size());
+}
 
 TEST(KernelCountingPaths, SortCountsMatchesStdSort) {
   std::vector<double> data;
   for (int i = 0; i < 300; ++i) data.push_back(static_cast<double>((i * 37) % 11));
-  std::vector<double> expected = data;
-  std::sort(expected.begin(), expected.end());
-  ASSERT_TRUE(kernels::sort_counts(data));
-  EXPECT_EQ(data, expected);
+  expect_runs_of_sorted_samples(data);
+  // Gaps in the value range leave no empty runs behind.
+  std::vector<double> sparse(100, 0.0);
+  sparse[7] = 65535.0;
+  sparse[9] = 12.0;
+  expect_runs_of_sorted_samples(sparse);
 }
 
 TEST(KernelCountingPaths, SortCountsRejectsNonCountData) {
+  // Each input leaves the histogram path and takes sort + run-length
+  // encoding; the runs must be the same either way.
   const std::vector<double> base(100, 1.0);
-  {
+  for (double odd : {-1.0, 2.5, 70000.0}) {
     std::vector<double> v = base;
-    v[40] = -1.0;
-    const std::vector<double> untouched = v;
-    EXPECT_FALSE(kernels::sort_counts(v));
-    EXPECT_EQ(v, untouched);  // a rejected buffer is left exactly as given
+    v[40] = odd;
+    SCOPED_TRACE(odd);
+    expect_runs_of_sorted_samples(v);
   }
-  {
-    std::vector<double> v = base;
-    v[40] = 2.5;
-    EXPECT_FALSE(kernels::sort_counts(v));
-  }
-  {
-    std::vector<double> v = base;
-    v[40] = 70000.0;
-    EXPECT_FALSE(kernels::sort_counts(v));
-  }
-  {
-    std::vector<double> v = base;
-    v[40] = -0.0;  // bitwise-distinct from the +0.0 a counting emit produces
-    EXPECT_FALSE(kernels::sort_counts(v));
-  }
-  {
-    std::vector<double> tiny(10, 1.0);  // below the crossover, std::sort wins
-    EXPECT_FALSE(kernels::sort_counts(tiny));
-  }
-}
-
-TEST(KernelCountingPaths, CountingMergeMatchesHeapMerge) {
-  std::vector<std::vector<double>> parts_storage;
-  for (int p = 0; p < 5; ++p) {
-    std::vector<double> part;
-    for (int i = 0; i < 100; ++i) {
-      part.push_back(static_cast<double>((i * (p + 3)) % 23));
-    }
-    std::sort(part.begin(), part.end());
-    parts_storage.push_back(std::move(part));
-  }
-  std::vector<std::span<const double>> parts(parts_storage.begin(), parts_storage.end());
-
-  std::vector<double> counted;
-  ASSERT_TRUE(kernels::counting_merge(parts, counted));
-
-  EXPECT_EQ(counted, oracle::merge_sorted(parts));
-}
-
-TEST(KernelCountingPaths, CountingMergeRejectsNonCountData) {
-  std::vector<double> a(200, 1.0);
-  std::vector<double> b(200, 2.5);  // fractional part
-  std::vector<std::span<const double>> parts{a, b};
-  std::vector<double> out;
-  EXPECT_FALSE(kernels::counting_merge(parts, out));
-
-  std::vector<double> tiny_a{1.0}, tiny_b{2.0};  // below the crossover
-  std::vector<std::span<const double>> tiny{tiny_a, tiny_b};
-  EXPECT_FALSE(kernels::counting_merge(tiny, out));
+  expect_runs_of_sorted_samples(std::vector<double>(10, 1.0));  // below the crossover
+  // -0.0 joins the zero run, which keeps +0.0 (pinned in the differential
+  // suite for every mix of zeros).
+  std::vector<double> zeros(100, 0.0);
+  zeros[40] = -0.0;
+  const EmpiricalDistribution dist{std::vector<double>(zeros)};
+  ASSERT_EQ(dist.values().size(), 1u);
+  EXPECT_FALSE(std::signbit(dist.values()[0]));
+  EXPECT_EQ(dist.cumulative_counts()[0], 100u);
 }
 
 TEST(KernelRankTable, MatchesUpperBoundIncludingTiesAndOutOfRange) {
+  // The cumulative counts are the rank table: each rank is the count of
+  // the last run at or below the query.
   std::vector<double> arena;
   for (int i = 0; i < 40; ++i) {
     arena.push_back(0.0);
@@ -259,45 +259,21 @@ TEST(KernelRankTable, MatchesUpperBoundIncludingTiesAndOutOfRange) {
     arena.push_back(3.0);
     arena.push_back(static_cast<double>(i % 7));
   }
+  const EmpiricalDistribution dist{std::vector<double>(arena)};
   std::sort(arena.begin(), arena.end());
 
-  std::vector<std::uint32_t> cum;
-  ASSERT_TRUE(kernels::build_rank_table(arena, cum));
-  const auto n = static_cast<std::uint32_t>(arena.size());
-
-  const std::vector<double> queries = {-10.0, -0.5,  0.0, 0.5, 2.999, 3.0,
-                                       3.5,   6.0,   6.5, 7.0, 1e9};
-  for (double q : queries) {
-    const auto expected = static_cast<std::uint32_t>(
-        std::upper_bound(arena.begin(), arena.end(), q) - arena.begin());
-    EXPECT_EQ(kernels::rank_from_table(cum, n, q), expected) << "q=" << q;
+  std::vector<double> queries = {-10.0, -0.5, 0.0, 0.5, 2.999, 3.0,
+                                 3.5,   6.0,  6.5, 7.0, 1e9};
+  std::vector<std::uint32_t> ranks(queries.size());
+  for (int order = 0; order < 2; ++order) {
+    dist.rank_batch(queries, ranks);
+    for (std::size_t j = 0; j < queries.size(); ++j) {
+      const auto expected = static_cast<std::uint32_t>(
+          std::upper_bound(arena.begin(), arena.end(), queries[j]) - arena.begin());
+      EXPECT_EQ(ranks[j], expected) << "q=" << queries[j];
+    }
+    std::reverse(queries.begin(), queries.end());
   }
-  // NaN queries rank below every count (upper_bound on NaN is unspecified,
-  // so the table pins the answer instead of comparing against it).
-  EXPECT_EQ(kernels::rank_from_table(cum, n, std::numeric_limits<double>::quiet_NaN()),
-            0u);
-}
-
-TEST(KernelRankTable, RejectsNonCountData) {
-  std::vector<std::uint32_t> cum;
-
-  std::vector<double> fractional(100, 1.5);
-  EXPECT_FALSE(kernels::build_rank_table(fractional, cum));
-  EXPECT_TRUE(cum.empty());
-
-  std::vector<double> negative(100, 2.0);
-  negative.front() = -1.0;
-  EXPECT_FALSE(kernels::build_rank_table(negative, cum));
-
-  std::vector<double> oversized(100, 70000.0);
-  EXPECT_FALSE(kernels::build_rank_table(oversized, cum));
-
-  std::vector<double> tiny(16, 1.0);  // below the crossover
-  EXPECT_FALSE(kernels::build_rank_table(tiny, cum));
-
-  std::vector<double> negative_zero(100, 0.0);
-  negative_zero.front() = -0.0;
-  EXPECT_FALSE(kernels::build_rank_table(negative_zero, cum));
 }
 
 TEST(KernelRankTable, EmpiricalDistributionBuildsAndUsesTable) {
@@ -305,7 +281,8 @@ TEST(KernelRankTable, EmpiricalDistributionBuildsAndUsesTable) {
   for (int i = 0; i < 200; ++i) samples.push_back(static_cast<double>(i % 13));
 
   const EmpiricalDistribution dist{std::vector<double>(samples)};
-  ASSERT_FALSE(dist.rank_table().empty());
+  ASSERT_EQ(dist.values().size(), 13u);
+  ASSERT_EQ(dist.cumulative_counts().back(), 200u);
 
   const std::vector<double> queries = {-1.0, 0.0, 4.0, 4.5, 12.0, 13.0};
   std::vector<double> batched(queries.size());
@@ -313,17 +290,6 @@ TEST(KernelRankTable, EmpiricalDistributionBuildsAndUsesTable) {
   for (std::size_t j = 0; j < queries.size(); ++j) {
     EXPECT_EQ(batched[j], dist.exceedance(queries[j])) << "q=" << queries[j];
   }
-}
-
-TEST(KernelRankTable, ViewBuildsTableOnlyWhenRequested) {
-  std::vector<double> sorted(128);
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    sorted[i] = static_cast<double>(i / 4);
-  }
-  EXPECT_TRUE(EmpiricalDistribution::view_of_sorted(sorted).rank_table().empty());
-  const auto view = EmpiricalDistribution::view_of_sorted(sorted, /*with_rank_table=*/true);
-  ASSERT_FALSE(view.rank_table().empty());
-  EXPECT_EQ(view.rank_table().back(), static_cast<std::uint32_t>(sorted.size()));
 }
 
 }  // namespace

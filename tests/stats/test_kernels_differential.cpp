@@ -1,27 +1,35 @@
-// Randomized differential suite for the kernel layer. The rank functions
-// and the detector/evaluator alarm loops must match the per-call oracles in
-// tests/oracle (one std::upper_bound per query, one compare per bin) on
-// the same inputs, and every available synthesis back-end, called through
-// its table, must reproduce the scalar reference. Ranks and counts are
-// integers, so "bit-identical" here is literal equality — any divergence is
-// a kernel bug, not numerical noise. 500+ seeded cases sweep arena shapes
-// (uniform, heavy-tailed, few-distinct-values/massive ties, empty,
-// single-sample, extreme magnitudes) crossed with sorted and unsorted query
-// batches whose values are deliberately pinned onto arena samples to stress
-// tie handling.
+// Randomized differential suite for the kernel layer. The rank paths, the
+// run-length EmpiricalDistribution and the detector/evaluator alarm loops
+// must match the oracles in tests/oracle (the sorted-sample distribution,
+// one std::upper_bound per query, one compare per bin) on the same inputs,
+// and every available synthesis back-end, called through its table, must
+// reproduce the scalar reference. Ranks and counts are integers and every
+// floating-point answer is compared by bit pattern, so any divergence is a
+// bug, not numerical noise. 520 seeded cases sweep arena shapes (uniform,
+// heavy-tailed, few-distinct-values/massive ties, small counts, extreme
+// magnitudes, constant, negative values, mixed -0.0/+0.0 zeros, and
+// non-integers above the histogram range) and sizes (empty, single-sample,
+// up to 3000) crossed with sorted and unsorted query batches whose values
+// are deliberately pinned onto arena samples to stress tie handling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "hids/attack_model.hpp"
 #include "hids/detector.hpp"
 #include "hids/evaluator.hpp"
 #include "oracle/per_call.hpp"
+#include "oracle/sorted_distribution.hpp"
+#include "stats/empirical.hpp"
 #include "stats/kernels.hpp"
+#include "stats/ks.hpp"
 #include "stats/sampling.hpp"
 #include "util/rng.hpp"
 
@@ -38,51 +46,70 @@ std::vector<Backend> simd_backends() {
   return out;
 }
 
-/// Draws one arena shape; returns its name for failure messages. Arenas are
-/// returned sorted (the kernels' contract).
+/// Draws one arena shape into `out` in sample (unsorted) order; returns its
+/// name for failure messages.
 std::string fill_arena(std::uint64_t case_index, util::Xoshiro256& rng,
                        std::vector<double>& out) {
   const std::size_t n = case_index % 7 == 0   ? 0
                         : case_index % 7 == 1 ? 1
                                               : 1 + rng() % 3000;
   out.resize(n);
-  std::string name;
-  switch (case_index % 6) {
+  switch (case_index % 9) {
     case 0:
       for (double& v : out) v = rng.uniform01() * 100.0;
-      name = "uniform";
-      break;
+      return "uniform";
     case 1: {
       const LogNormalSampler lognormal(0.0, 2.0);
       for (double& v : out) v = lognormal.sample(rng);
-      name = "lognormal";
-      break;
+      return "lognormal";
     }
     case 2:
       // Few distinct values: the tie regime every traffic-count feature
       // lives in, and the case where upper-bound vs lower-bound confusion
       // shows up immediately.
       for (double& v : out) v = static_cast<double>(rng() % 5);
-      name = "five-values";
-      break;
+      return "five-values";
     case 3:
       for (double& v : out) v = static_cast<double>(rng() % 200);
-      name = "counts";
-      break;
+      return "counts";
     case 4:
       // Extreme magnitudes: denormal-adjacent and huge values in one arena.
       for (std::size_t i = 0; i < out.size(); ++i) {
         out[i] = (i % 2 == 0) ? rng.uniform01() * 1e-300 : rng.uniform01() * 1e300;
       }
-      name = "extremes";
-      break;
-    default:
+      return "extremes";
+    case 5:
       out.assign(out.size(), 42.0);
-      name = "constant";
-      break;
+      return "constant";
+    case 6:
+      // Negative counts and fractions: never the histogram path.
+      for (double& v : out) {
+        v = rng() % 2 == 0 ? static_cast<double>(rng() % 40) - 30.0
+                           : (rng.uniform01() - 0.8) * 50.0;
+      }
+      return "negative";
+    case 7:
+      // Small counts with -0.0 mixed into the +0.0 zeros: one zero run.
+      for (double& v : out) {
+        const auto r = rng() % 4;
+        v = r == 0 ? -0.0 : static_cast<double>(r - 1);
+      }
+      return "signed-zeros";
+    default:
+      // Non-integers above the histogram's 65535 cap, tied in pairs.
+      for (double& v : out) v = 65535.0 + std::floor(rng.uniform01() * 500.0) * 0.75;
+      return "above-65535";
   }
-  std::sort(out.begin(), out.end());
-  return name;
+}
+
+/// The sorted-sample reference of `samples`. std::sort leaves tied
+/// -0.0/+0.0 in unspecified order, so zeros are canonicalized to +0.0, the
+/// representative the run representation keeps (pinned separately).
+oracle::SortedDistribution reference_of(std::vector<double> samples) {
+  for (double& v : samples) {
+    if (v == 0.0) v = 0.0;
+  }
+  return oracle::SortedDistribution(std::move(samples));
 }
 
 /// Query batch: half fresh random values, half pinned exactly onto arena
@@ -107,20 +134,41 @@ std::vector<double> make_queries(const std::vector<double>& arena, std::uint64_t
   return xs;
 }
 
-/// `xs` shifted the way the rank functions shift their queries (xs[j] -
-/// shift, the same IEEE subtraction), for the per-call oracle.
+/// `xs` shifted by one IEEE subtraction each (xs[j] - shift), the way
+/// shifted attack queries are formed.
 std::vector<double> shifted(const std::vector<double>& xs, double shift) {
   std::vector<double> out(xs.size());
   for (std::size_t j = 0; j < xs.size(); ++j) out[j] = xs[j] - shift;
   return out;
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::vector<std::uint64_t> bits(std::span<const double> vs) {
+  std::vector<std::uint64_t> out;
+  out.reserve(vs.size());
+  for (double v : vs) out.push_back(bits(v));
+  return out;
+}
+
+/// Asserts that `dist` holds exactly the runs of `reference`.
+void expect_same_runs(const EmpiricalDistribution& dist,
+                      const oracle::SortedDistribution& reference, const std::string& label) {
+  ASSERT_EQ(bits(dist.values()), bits(reference.distinct_values())) << label << " values";
+  const auto cum = dist.cumulative_counts();
+  ASSERT_EQ(std::vector<std::uint32_t>(cum.begin(), cum.end()), reference.cumulative_counts())
+      << label << " cumulative counts";
+}
+
 TEST(KernelDifferential, RankAndAlarmCountsMatchPerCallOracle) {
   std::uint64_t executed = 0;
   for (std::uint64_t c = 0; c < kCases; ++c) {
     util::Xoshiro256 rng(0x5eed0000 + c);
-    std::vector<double> arena;
-    const std::string arena_name = fill_arena(c, rng, arena);
+    std::vector<double> samples;
+    const std::string arena_name = fill_arena(c, rng, samples);
+    const EmpiricalDistribution dist{std::vector<double>(samples)};
+    const oracle::SortedDistribution reference = reference_of(samples);
+    const std::vector<double> arena(reference.samples().begin(), reference.samples().end());
     bool sorted = false;
     const std::vector<double> xs = make_queries(arena, c, rng, sorted);
     // Zero shift on every third case keeps the pinned queries exactly tied
@@ -131,34 +179,145 @@ TEST(KernelDifferential, RankAndAlarmCountsMatchPerCallOracle) {
         std::to_string(arena.size()) + ", t=" + std::to_string(xs.size()) +
         (sorted ? ", sorted)" : ", unsorted)");
 
+    const std::vector<double> queries = shifted(xs, shift);
+    const std::vector<std::uint32_t> expected = oracle::upper_bound_ranks(arena, queries);
     std::vector<std::uint32_t> got(xs.size(), 0xffffffffu);
+    dist.rank_batch(queries, got);
+    ASSERT_EQ(got, expected) << label << " rank_batch";
     if (sorted) {
-      kernels::rank_sorted(arena, xs, shift, got.data());
-    } else {
-      kernels::rank_unsorted(arena, xs, shift, got.data());
+      std::fill(got.begin(), got.end(), 0xffffffffu);
+      kernels::rank_sorted(arena, queries, got.data());
+      ASSERT_EQ(got, expected) << label << " rank_sorted";
     }
-    ASSERT_EQ(got, oracle::upper_bound_ranks(arena, shifted(xs, shift))) << label;
 
     const hids::ThresholdDetector detector(xs[c % xs.size()]);
     ASSERT_EQ(detector.count_alarms(xs), oracle::count_alarms(detector, xs))
         << label << " count_alarms";
 
-    // Sorted query batches double as ascending grid thresholds.
-    std::vector<double> sizes(1 + rng() % 40);
-    for (double& s : sizes) s = rng.uniform01() * 20.0;
-    if (sorted) {
-      std::vector<std::uint32_t> grid(xs.size() * sizes.size(), 0xffffffffu);
-      kernels::rank_grid(arena, xs, sizes, grid.data());
-      for (std::size_t s = 0; s < sizes.size(); ++s) {
-        const std::vector<std::uint32_t> row(grid.begin() + s * xs.size(),
-                                             grid.begin() + (s + 1) * xs.size());
-        ASSERT_EQ(row, oracle::upper_bound_ranks(arena, shifted(xs, sizes[s])))
-            << label << " rank_grid size " << sizes[s];
+    // Mean FN over an attack sweep in arbitrary size order (ascending on
+    // every other case), per threshold and, for sorted query batches, as
+    // one ascending threshold sweep.
+    if (!dist.empty()) {
+      hids::AttackModel attack;
+      attack.sizes.resize(1 + rng() % 40);
+      for (double& s : attack.sizes) {
+        // Whole sizes land shifted queries exactly on integer samples.
+        s = rng() % 2 == 0 ? static_cast<double>(1 + rng() % 20) : rng.uniform01() * 20.0;
+      }
+      if (c % 4 < 2) std::sort(attack.sizes.begin(), attack.sizes.end());
+      std::vector<double> per_call, sorted_samples, single;
+      for (double t : xs) {
+        per_call.push_back(oracle::mean_fn(attack, dist, t));
+        sorted_samples.push_back(reference.mean_fn(attack, t));
+        single.push_back(attack.mean_fn(dist, t));
+      }
+      ASSERT_EQ(bits(single), bits(sorted_samples)) << label << " mean_fn vs sorted samples";
+      ASSERT_EQ(bits(per_call), bits(sorted_samples)) << label << " per-call vs sorted samples";
+      if (sorted) {
+        std::vector<double> fn(xs.size());
+        attack.mean_fn_batch(dist, xs, fn);
+        ASSERT_EQ(bits(fn), bits(sorted_samples)) << label << " mean_fn_batch vs sorted samples";
       }
     }
     ++executed;
   }
   EXPECT_GE(executed, 500u);
+}
+
+TEST(KernelDifferential, DistributionMatchesSortedSamplesOracle) {
+  // The same 520 arenas, built into distributions and queried through every
+  // entry point, against the sorted-sample reference.
+  const std::vector<double> fixed_qs = {0.0,  1e-9, 0.01, 0.25,  0.5,
+                                        0.75, 0.9,  0.99, 0.999, 1.0};
+  std::uint64_t signed_zero_arenas = 0;
+  for (std::uint64_t c = 0; c < kCases; ++c) {
+    util::Xoshiro256 rng(0x5eed0000 + c);
+    std::vector<double> samples;
+    const std::string arena_name = fill_arena(c, rng, samples);
+    const std::string label =
+        "case " + std::to_string(c) + " (" + arena_name + ", n=" +
+        std::to_string(samples.size()) + ")";
+    const EmpiricalDistribution dist{std::vector<double>(samples)};
+    const oracle::SortedDistribution reference = reference_of(samples);
+    if (samples.empty()) {
+      ASSERT_TRUE(dist.empty()) << label;
+      continue;
+    }
+    expect_same_runs(dist, reference, label);
+    ASSERT_EQ(dist.size(), samples.size()) << label;
+
+    // A run of zeros keeps +0.0 whichever signs its samples carry.
+    const bool has_negative_zero = std::any_of(samples.begin(), samples.end(), [](double v) {
+      return v == 0.0 && std::signbit(v);
+    });
+    if (has_negative_zero) {
+      ++signed_zero_arenas;
+      const auto values = dist.values();
+      const auto zero = std::find(values.begin(), values.end(), 0.0);
+      ASSERT_NE(zero, values.end()) << label;
+      ASSERT_FALSE(std::signbit(*zero)) << label << " zero run keeps -0.0";
+    }
+
+    ASSERT_EQ(bits(dist.min()), bits(reference.samples().front())) << label;
+    ASSERT_EQ(bits(dist.max()), bits(reference.samples().back())) << label;
+    ASSERT_EQ(bits(dist.mean()), bits(reference.mean())) << label << " mean";
+    ASSERT_EQ(bits(dist.variance()), bits(reference.variance())) << label << " variance";
+
+    std::vector<double> qs = fixed_qs;
+    for (int i = 0; i < 20; ++i) qs.push_back(rng.uniform01());
+    for (double q : qs) {
+      ASSERT_EQ(bits(dist.quantile(q)), bits(reference.quantile(q))) << label << " q=" << q;
+      ASSERT_EQ(bits(dist.quantile_interpolated(q)), bits(reference.quantile_interpolated(q)))
+          << label << " interpolated q=" << q;
+    }
+
+    bool sorted = false;
+    const std::vector<double> xs = make_queries(
+        std::vector<double>(reference.samples().begin(), reference.samples().end()), c, rng,
+        sorted);
+    const double shift = (rng.uniform01() - 0.3) * 10.0;
+    std::vector<double> batched(xs.size());
+    dist.exceedance_batch(xs, batched);
+    for (std::size_t j = 0; j < xs.size(); ++j) {
+      const double x = xs[j];
+      ASSERT_EQ(bits(dist.cdf(x)), bits(reference.cdf(x))) << label << " cdf x=" << x;
+      ASSERT_EQ(bits(dist.exceedance(x)), bits(reference.exceedance(x))) << label << " x=" << x;
+      ASSERT_EQ(bits(batched[j]), bits(reference.exceedance(x))) << label << " batch x=" << x;
+      ASSERT_EQ(bits(dist.shifted_cdf(shift, x)), bits(reference.shifted_cdf(shift, x)))
+          << label << " shifted_cdf x=" << x;
+      const double mass = qs[j % qs.size()] == 0.0 ? 1.0 : qs[j % qs.size()];
+      ASSERT_EQ(bits(dist.max_hidden_shift(x, mass)), bits(reference.max_hidden_shift(x, mass)))
+          << label << " max_hidden_shift t=" << x << " mass=" << mass;
+    }
+
+    // Merge of 1, 2 and k parts: the samples dealt into parts at random.
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2}, 3 + c % 6}) {
+      std::vector<std::vector<double>> dealt(k);
+      for (double v : samples) dealt[rng() % k].push_back(v);
+      std::vector<EmpiricalDistribution> parts;
+      std::vector<oracle::SortedDistribution> reference_parts;
+      for (auto& part : dealt) {
+        parts.emplace_back(part);
+        reference_parts.push_back(reference_of(part));
+      }
+      const EmpiricalDistribution merged = EmpiricalDistribution::merge(parts);
+      const std::string what = label + " merge of " + std::to_string(k);
+      expect_same_runs(merged, oracle::SortedDistribution::merge(reference_parts), what);
+      ASSERT_EQ(bits(merged.mean()), bits(reference.mean())) << what;
+    }
+
+    // KS against another arena of the same shape (in another size class),
+    // both overloads.
+    std::vector<double> other;
+    (void)fill_arena(c + 9, rng, other);
+    if (!other.empty()) {
+      const EmpiricalDistribution other_dist{std::vector<double>(other)};
+      ASSERT_EQ(bits(stats::ks_statistic(dist, other_dist)),
+                bits(stats::ks_statistic(samples, other)))
+          << label << " ks_statistic";
+    }
+  }
+  EXPECT_GT(signed_zero_arenas, 30u);
 }
 
 TEST(KernelDifferential, ReplayAndJointLoopsMatchPerCallOracle) {

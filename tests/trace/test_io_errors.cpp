@@ -175,6 +175,8 @@ TEST(TraceIoErrors, PacketCsvMalformedRowsAreRejected) {
         std::string("+17,10.0.0.1,10.0.0.2,1,2,tcp,2,0\n"),
         std::string("17,10.0.0.1,10.0.0.2, 1,2,tcp,2,0\n"),
         std::string("17,10.0.0.1,10.0.0.2,1,2,tcp,2, 0\n"),
+        std::string("1\r7,10.0.0.1,10.0.0.2,1,2,tcp,2,0\n"),
+        std::string("17,10.0.0.1,10.0.0.2,1\r5,2,tcp,2,0\r\n"),
         std::string("18446744073709551616,10.0.0.1,10.0.0.2,1,2,tcp,2,0\n")}) {
     SCOPED_TRACE("row: " + bad_row);
     expect_csv_readers_reject(header + bad_row);
@@ -282,7 +284,9 @@ TEST(TraceIoErrors, FeatureCsvStructuralProblemsAreRejected) {
 
 TEST(TraceIoErrors, FeatureCsvMalformedValuesNameTheCell) {
   const util::BinGrid grid = util::BinGrid::minutes(15);
-  for (const std::string& cell : {std::string("abc"), std::string("1.5junk"), std::string("")}) {
+  // "1\r5" must not read as 15: only a line-ending CR is dropped.
+  for (const std::string& cell : {std::string("abc"), std::string("1.5junk"), std::string(""),
+                                  std::string("1\r5")}) {
     SCOPED_TRACE("cell: \"" + cell + "\"");
     std::istringstream in("bin_start_us,a,b,c,d,e,f\n0,1,2," + cell + ",4,5,6\n");
     try {

@@ -122,6 +122,34 @@ TEST(TraceIo, PacketCsvImportsExternalTraces) {
   EXPECT_TRUE(has_flag(packets[1].tcp_flags, TcpFlags::Syn));
 }
 
+TEST(TraceIo, CrlfCsvFilesParse) {
+  // Files written on Windows end every line in "\r\n"; both CSV readers
+  // take them as the plain-LF bytes.
+  const auto crlf = [](const std::string& text) {
+    std::string out;
+    for (char c : text) {
+      if (c == '\n') out.push_back('\r');
+      out.push_back(c);
+    }
+    return out;
+  };
+  std::ostringstream packets_lf;
+  write_packet_csv(packets_lf, sample_packets());
+  std::istringstream packets_in(crlf(packets_lf.str()));
+  EXPECT_EQ(read_packet_csv(packets_in), sample_packets());
+
+  features::FeatureMatrix m;
+  const auto grid = util::BinGrid::minutes(15);
+  for (auto& s : m.series) s = features::BinnedSeries(grid, util::kMicrosPerWeek);
+  m.of(features::FeatureKind::DnsConnections).set(3, 11.0);
+  std::ostringstream features_lf;
+  write_feature_csv(features_lf, m);
+  std::istringstream features_in(crlf(features_lf.str()));
+  const auto restored = read_feature_csv(features_in, grid);
+  EXPECT_EQ(restored.of(features::FeatureKind::DnsConnections).at(3), 11.0);
+  EXPECT_EQ(restored.of(features::FeatureKind::DnsConnections).bin_count(), 672u);
+}
+
 TEST(TraceIo, PacketCsvRejectsMalformedInput) {
   const auto parse = [](const std::string& text) {
     std::stringstream in(text);

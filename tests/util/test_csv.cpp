@@ -73,6 +73,26 @@ TEST(CsvParse, ToleratesTrailingCarriageReturn) {
   EXPECT_EQ(fields[1], "b");
 }
 
+TEST(CsvParse, OnlyTheLineEndingCarriageReturnIsDropped) {
+  // A '\r' inside an unquoted field is data, not a line ending, so the
+  // cell "1\r5" stays three characters (and no numeric reader takes it
+  // as 15); only the final CR of a CRLF line goes.
+  const auto fields = csv_parse_line("1\r5,b\r");
+  ASSERT_EQ(fields.size(), 2u);
+  EXPECT_EQ(fields[0], "1\r5");
+  EXPECT_EQ(fields[1], "b");
+  const auto doubled = csv_parse_line("a\r\r");
+  ASSERT_EQ(doubled.size(), 1u);
+  EXPECT_EQ(doubled[0], "a\r");
+}
+
+TEST(CsvParse, QuotedFieldKeepsEmbeddedCarriageReturn) {
+  const auto fields = csv_parse_line("\"x\ry\",z\r");
+  ASSERT_EQ(fields.size(), 2u);
+  EXPECT_EQ(fields[0], "x\ry");
+  EXPECT_EQ(fields[1], "z");
+}
+
 TEST(CsvParse, UnterminatedQuoteIsAnError) {
   EXPECT_THROW(csv_parse_line("\"oops"), InputError);
 }
