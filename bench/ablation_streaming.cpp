@@ -1,15 +1,15 @@
-// Ablation (deployment): on-host streaming threshold learning. The
-// full-diversity policy computes thresholds "all done locally"; a real
-// agent would use bounded-memory quantile estimators rather than buffering
-// a week of bins. This driver quantifies what P² and Greenwald-Khanna cost
-// in threshold accuracy and realized FP against the exact learner — and
-// what they save in memory.
+// Ablation (deployment): on-host threshold learning. The full-diversity
+// policy computes thresholds "all done locally"; this driver compares the
+// daemon's exact learner (a week of bins as (value, count) runs) with a
+// Greenwald-Khanna sketch fed the same bins: threshold error, realized FP
+// on the next week, and memory per host.
 #include "bench/common.hpp"
 
 #include <algorithm>
 #include <cmath>
 
 #include "hids/online_learner.hpp"
+#include "stats/gk_sketch.hpp"
 
 int main(int argc, char** argv) {
   using namespace monohids;
@@ -30,40 +30,54 @@ int main(int argc, char** argv) {
   table.set_alignment({util::Align::Left, util::Align::Right, util::Align::Right,
                        util::Align::Right, util::Align::Right});
 
-  for (hids::EstimatorKind kind :
-       {hids::EstimatorKind::Exact, hids::EstimatorKind::P2, hids::EstimatorKind::Gk}) {
+  // One row per estimator: its threshold and its resident memory after one
+  // training week of a host.
+  struct Learned {
+    double threshold;
+    std::size_t memory_bytes;
+  };
+  const auto add_row = [&](const std::string& name, auto&& learn) {
     std::vector<double> rel_errors;
     double fp_sum = 0;
     double memory_sum = 0;
     for (std::uint32_t u = 0; u < scenario.user_count(); ++u) {
       const auto train_bins = scenario.matrices[u].of(feature).week_slice(0);
-
-      hids::OnlineThresholdLearner learner(0.99, kind, flags.get_double("gk-epsilon"));
-      learner.observe_series(feature, train_bins);
-      const double streamed_t = learner.threshold(feature);
+      const Learned learned = learn(train_bins);
 
       const stats::EmpiricalDistribution train(
           std::vector<double>(train_bins.begin(), train_bins.end()));
       const double exact_t = train.quantile(0.99);
 
-      rel_errors.push_back(std::abs(streamed_t - exact_t) / std::max(1.0, exact_t));
-      fp_sum += test[u].exceedance(streamed_t);
-      memory_sum += static_cast<double>(learner.memory_footprint_bytes());
+      rel_errors.push_back(std::abs(learned.threshold - exact_t) / std::max(1.0, exact_t));
+      fp_sum += test[u].exceedance(learned.threshold);
+      memory_sum += static_cast<double>(learned.memory_bytes);
     }
     std::sort(rel_errors.begin(), rel_errors.end());
     const auto n = scenario.user_count();
-    table.add_row({std::string(name_of(kind)),
-                   util::fixed(rel_errors[n / 2] * 100, 2) + "%",
+    table.add_row({name, util::fixed(rel_errors[n / 2] * 100, 2) + "%",
                    util::fixed(rel_errors[n * 95 / 100] * 100, 2) + "%",
                    util::fixed(fp_sum / n * 100, 3) + "%",
                    util::fixed(memory_sum / n / 1024.0, 1) + " KiB"});
-  }
+  };
+
+  add_row("exact", [&](std::span<const double> bins) {
+    hids::OnlineThresholdLearner learner(0.99);
+    learner.observe_series(feature, bins);
+    return Learned{learner.threshold(feature), learner.memory_footprint_bytes()};
+  });
+  add_row("gk", [&](std::span<const double> bins) {
+    stats::GkSketch sketch(flags.get_double("gk-epsilon"));
+    for (double v : bins) sketch.add(v);
+    return Learned{sketch.quantile(0.99), sketch.memory_bytes()};
+  });
+
   std::cout << table.render()
-            << "\nreading: GK tracks the exact learner's realized FP closely; P2's\n"
-               "five-marker interpolation biases thresholds low on heavy-tailed\n"
-               "streams (its FP overshoots). At one week of 15-minute bins (672\n"
-               "samples) exact buffering is still cheap — the streaming estimators\n"
-               "pay off on 5-minute bins, multi-week windows, or sub-bin event\n"
-               "streams, where GK memory stays logarithmic.\n";
+            << "\nreading: the exact learner keeps a host-week as (value, count) runs.\n"
+               "Traffic-count bins repeat heavily, so a week of 15-minute bins holds\n"
+               "tens of distinct values per feature (a few hundred at most, under a\n"
+               "thousand on 5-minute bins): the runs cost less memory than the GK\n"
+               "sketch and give the batch pipeline's threshold bit for bit. GK's\n"
+               "eps-rank band still moves some heavy-tailed hosts' thresholds far\n"
+               "from their exact percentile (the p95 error column).\n";
   return 0;
 }

@@ -9,7 +9,6 @@
 #include "hids/evaluator.hpp"
 #include "sim/scenario.hpp"
 #include "stats/gk_sketch.hpp"
-#include "stats/p2_quantile.hpp"
 #include "stats/quantile.hpp"
 #include "trace/generator.hpp"
 #include "trace/population.hpp"
@@ -76,20 +75,6 @@ void BM_ExactQuantile(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
 }
 BENCHMARK(BM_ExactQuantile)->Arg(672)->Arg(672 * 5)->Arg(100000);
-
-void BM_P2Quantile(benchmark::State& state) {
-  util::Xoshiro256 rng(6);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<double> samples;
-  for (std::size_t i = 0; i < n; ++i) samples.push_back(rng.uniform01() * 1e6);
-  for (auto _ : state) {
-    stats::P2Quantile sketch(0.99);
-    for (double v : samples) sketch.add(v);
-    benchmark::DoNotOptimize(sketch.value());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
-}
-BENCHMARK(BM_P2Quantile)->Arg(672 * 5)->Arg(100000);
 
 void BM_GkSketch(benchmark::State& state) {
   util::Xoshiro256 rng(7);

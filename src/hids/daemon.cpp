@@ -26,6 +26,7 @@ std::uint32_t console_weeks(util::Duration horizon) {
 Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)),
       session_(config_.monitored, config_.pipeline),
+      week_learner_(config_.percentile),
       batcher_(config_.user_id, config_.alert_batch_interval,
                [this](const AlertBatch& batch) { console_.ingest(batch); }),
       console_(config_.user_id + 1, console_weeks(config_.pipeline.horizon)) {
@@ -36,14 +37,9 @@ Daemon::Daemon(DaemonConfig config)
   MONOHIDS_EXPECT(bins_per_week_ > 0, "daemon bin grid has no bins per week");
   horizon_bins_ = grid.bin_count(config_.pipeline.horizon);
   MONOHIDS_EXPECT(config_.queue_capacity > 0, "daemon queue capacity must be positive");
-  MONOHIDS_EXPECT(config_.percentile > 0.0 && config_.percentile < 1.0,
-                  "daemon percentile must lie in (0, 1)");
 
   active_thresholds_.fill(kInf);  // week 0 / warm-up: never alarm
-  if (config_.mode == ThresholdMode::WeeklyRollover) {
-    week_learner_ = std::make_unique<OnlineThresholdLearner>(
-        config_.percentile, config_.estimator, config_.gk_epsilon);
-  } else {
+  if (config_.mode == ThresholdMode::Rolling) {
     rolling_.reserve(features::kFeatureCount);
     for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
       rolling_.emplace_back(config_.rolling);
@@ -261,7 +257,7 @@ void Daemon::scan_bins(const features::FeatureMatrix& matrix, std::uint64_t limi
         if (value > threshold_in_force) {
           emit_alert(features::kAllFeatures[i], bin, value, threshold_in_force);
         }
-        week_learner_->observe(features::kAllFeatures[i], value);
+        week_learner_.observe(features::kAllFeatures[i], value);
       } else {
         threshold_in_force = rolling_[i].threshold();
         if (value > threshold_in_force) {
@@ -295,12 +291,11 @@ void Daemon::roll_week(std::uint32_t completed_week) {
     for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
       const features::FeatureKind f = features::kAllFeatures[i];
       update.thresholds[i] =
-          week_learner_->observations(f) > 0 ? week_learner_->threshold(f) : kInf;
+          week_learner_.observations(f) > 0 ? week_learner_.threshold(f) : kInf;
     }
     // Fresh learner for the week now starting: the batch policy trains on
     // exactly one week, so the incremental learner must too.
-    week_learner_ = std::make_unique<OnlineThresholdLearner>(
-        config_.percentile, config_.estimator, config_.gk_epsilon);
+    week_learner_ = OnlineThresholdLearner(config_.percentile);
   } else {
     for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
       update.thresholds[i] = rolling_[i].threshold();

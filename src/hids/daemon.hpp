@@ -6,13 +6,13 @@
 // incrementally (pcap import, live capture shim, or a replayed synthetic
 // trace), drives features::IngestSession batches through the
 // net::FlowTable, alarm-checks every *completed* feature bin against the
-// thresholds in force, feeds the same bins into the streaming threshold
-// learners (hids::OnlineThresholdLearner / hids::RollingThresholdLearner),
-// re-derives thresholds at week rollover exactly the way the batch policy
-// pipeline trains week k and tests week k+1, and ships alerts through an
-// AlertBatcher into a CentralConsole. Process telemetry goes to the obs
-// registry (daemon.* metrics); obs::write_global_prometheus is the scrape
-// surface.
+// thresholds in force, feeds the same bins into a threshold learner
+// (hids::OnlineThresholdLearner, which keeps the week as exact (value,
+// count) runs, or hids::RollingThresholdLearner), re-derives thresholds at
+// week rollover exactly the way the batch policy pipeline trains week k
+// and tests week k+1, and ships alerts through an AlertBatcher into a
+// CentralConsole. Process telemetry goes to the obs registry (daemon.*
+// metrics); obs::write_global_prometheus is the scrape surface.
 //
 // Concurrency model: one capture side (any thread) and one worker thread.
 // The capture side never blocks on ingest — offer() enqueues a batch into a
@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -74,10 +73,6 @@ struct DaemonConfig {
   ThresholdMode mode = ThresholdMode::WeeklyRollover;
   /// Training percentile for WeeklyRollover (the IT-survey 99th).
   double percentile = 0.99;
-  /// Estimator backing the weekly learner. Exact reproduces the batch
-  /// thresholds bit for bit; Gk/P2 bound memory on huge weeks.
-  EstimatorKind estimator = EstimatorKind::Exact;
-  double gk_epsilon = 0.005;
   /// Rolling-mode learner parameters (window, percentile, alarm guard).
   RollingLearnerConfig rolling;
 
@@ -196,8 +191,8 @@ class Daemon final : public features::PacketSink {
 
   // ---- consumer-side state (worker thread, or caller when inline) ----
   features::IngestSession session_;
-  std::unique_ptr<OnlineThresholdLearner> week_learner_;  // WeeklyRollover
-  std::vector<RollingThresholdLearner> rolling_;          // Rolling (one per feature)
+  OnlineThresholdLearner week_learner_;           // WeeklyRollover
+  std::vector<RollingThresholdLearner> rolling_;  // Rolling (one per feature)
   AlertBatcher batcher_;
   /// Order filter watermark: the last accepted timestamp (0 before any, which
   /// no unsigned timestamp regresses below).

@@ -48,9 +48,9 @@ struct OperatingCurve {
   std::vector<double> fn;  ///< fn[j] = attack.mean_fn(training, thresholds[j])
 };
 
-/// Builds the operating curve in one exceedance merge-scan plus one batched
-/// FN sweep (AttackModel::mean_fn_batch); every point is bit-identical to
-/// the per-threshold exceedance / mean_fn calls.
+/// Builds the operating curve from the training runs' cumulative counts
+/// plus one batched FN sweep (AttackModel::mean_fn_batch); every point is
+/// bit-identical to the per-threshold exceedance / mean_fn calls.
 [[nodiscard]] OperatingCurve operating_curve(const stats::EmpiricalDistribution& training,
                                              const AttackModel& attack);
 

@@ -1,51 +1,28 @@
 #include "hids/online_learner.hpp"
 
-#include "stats/quantile.hpp"
+#include <algorithm>
+#include <cmath>
+
 #include "util/error.hpp"
 
 namespace monohids::hids {
 
-std::string_view name_of(EstimatorKind kind) noexcept {
-  switch (kind) {
-    case EstimatorKind::Exact: return "exact";
-    case EstimatorKind::P2: return "p2";
-    case EstimatorKind::Gk: return "gk";
-  }
-  return "unknown";
-}
-
-OnlineThresholdLearner::OnlineThresholdLearner(double percentile, EstimatorKind kind,
-                                               double gk_epsilon)
-    : percentile_(percentile), kind_(kind) {
+OnlineThresholdLearner::OnlineThresholdLearner(double percentile) : percentile_(percentile) {
   MONOHIDS_EXPECT(percentile > 0.0 && percentile < 1.0, "percentile must be in (0,1)");
-  for (auto& s : state_) {
-    switch (kind_) {
-      case EstimatorKind::Exact:
-        break;
-      case EstimatorKind::P2:
-        s.p2 = std::make_unique<stats::P2Quantile>(percentile);
-        break;
-      case EstimatorKind::Gk:
-        s.gk = std::make_unique<stats::GkSketch>(gk_epsilon);
-        break;
-    }
-  }
 }
 
 void OnlineThresholdLearner::observe(features::FeatureKind feature, double bin_count) {
+  MONOHIDS_EXPECT(std::isfinite(bin_count), "learner bin counts must be finite");
   PerFeature& s = state_[features::index_of(feature)];
-  ++s.count;
-  switch (kind_) {
-    case EstimatorKind::Exact:
-      s.exact.push_back(bin_count);
-      break;
-    case EstimatorKind::P2:
-      s.p2->add(bin_count);
-      break;
-    case EstimatorKind::Gk:
-      s.gk->add(bin_count);
-      break;
+  const auto it = std::lower_bound(s.runs.begin(), s.runs.end(), bin_count,
+                                   [](const Run& r, double v) { return r.value < v; });
+  if (it != s.runs.end() && it->value == bin_count) {
+    ++it->count;
+  } else {
+    // -0.0 == +0.0, so a zero run is inserted once and stores +0.0.
+    s.runs.insert(it, Run{bin_count == 0.0 ? 0.0 : bin_count, 1});
   }
+  ++s.count;
 }
 
 void OnlineThresholdLearner::observe_series(features::FeatureKind feature,
@@ -56,15 +33,16 @@ void OnlineThresholdLearner::observe_series(features::FeatureKind feature,
 double OnlineThresholdLearner::threshold(features::FeatureKind feature) const {
   const PerFeature& s = state_[features::index_of(feature)];
   MONOHIDS_EXPECT(s.count > 0, "no observations for this feature yet");
-  switch (kind_) {
-    case EstimatorKind::Exact:
-      return stats::quantile_nearest_rank(s.exact, percentile_);
-    case EstimatorKind::P2:
-      return s.p2->value();
-    case EstimatorKind::Gk:
-      return s.gk->quantile(percentile_);
+  // The smallest value with at least ceil(p * n) bins <= it: the rank
+  // arithmetic of EmpiricalDistribution::quantile, walked over the counts.
+  const auto rank =
+      static_cast<std::uint64_t>(std::ceil(percentile_ * static_cast<double>(s.count)));
+  std::uint64_t at_most = 0;
+  for (const Run& r : s.runs) {
+    at_most += r.count;
+    if (at_most >= rank) return r.value;
   }
-  return 0.0;
+  return s.runs.back().value;  // rank <= n, so the walk always returns
 }
 
 std::uint64_t OnlineThresholdLearner::observations(features::FeatureKind feature) const {
@@ -73,20 +51,7 @@ std::uint64_t OnlineThresholdLearner::observations(features::FeatureKind feature
 
 std::size_t OnlineThresholdLearner::memory_footprint_bytes() const {
   std::size_t total = sizeof(*this);
-  for (const auto& s : state_) {
-    switch (kind_) {
-      case EstimatorKind::Exact:
-        total += s.exact.capacity() * sizeof(double);
-        break;
-      case EstimatorKind::P2:
-        total += sizeof(stats::P2Quantile);
-        break;
-      case EstimatorKind::Gk:
-        // three 64-bit fields per retained tuple
-        total += sizeof(stats::GkSketch) + s.gk->tuple_count() * 3 * sizeof(std::uint64_t);
-        break;
-    }
-  }
+  for (const auto& s : state_) total += s.runs.capacity() * sizeof(Run);
   return total;
 }
 

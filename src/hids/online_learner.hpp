@@ -1,65 +1,58 @@
-// On-host streaming threshold learning.
+// On-host threshold learning.
 //
 // The paper's full-diversity policy computes thresholds "all done locally"
-// on the end host. A deployed agent should not buffer a week of bin counts
-// per feature; this learner tracks the target percentile of all six
-// features online with bounded memory, using either the exact buffer (the
-// reference), a P² estimator (five markers per feature), or a
-// Greenwald-Khanna sketch (ε-approximate, answers any percentile).
-// bench/ablation_streaming quantifies the accuracy/memory trade-off.
+// on the end host. This learner keeps each feature's bins as runs: the
+// ascending distinct values and a count per value. Traffic-count bins
+// repeat heavily (a synthetic host-week of 672 15-minute bins holds 26-64
+// distinct values per feature on average, at most 581; 2,016 5-minute bins
+// at most 992), so the runs take less memory than a buffer of the bins or
+// a GK sketch, and the threshold is exact: bit-identical to
+// stats::EmpiricalDistribution(bins).quantile(percentile).
+// bench/ablation_streaming reports the memory next to a GK sketch's.
 #pragma once
 
 #include <array>
-#include <memory>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "features/time_series.hpp"
-#include "stats/gk_sketch.hpp"
-#include "stats/p2_quantile.hpp"
 
 namespace monohids::hids {
 
-enum class EstimatorKind : std::uint8_t {
-  Exact,  ///< buffer everything (reference; O(n) memory)
-  P2,     ///< Jain-Chlamtac P² (O(1) memory, fixed percentile)
-  Gk,     ///< Greenwald-Khanna (O((1/eps) log(eps n)) memory, any percentile)
-};
-
-[[nodiscard]] std::string_view name_of(EstimatorKind kind) noexcept;
-
 class OnlineThresholdLearner {
  public:
-  /// Learns the `percentile` threshold of each feature. `gk_epsilon` only
-  /// applies to the Gk estimator.
-  OnlineThresholdLearner(double percentile, EstimatorKind kind, double gk_epsilon = 0.005);
+  /// Learns the `percentile` threshold of each feature.
+  explicit OnlineThresholdLearner(double percentile);
 
-  /// Feeds one finished bin's count for a feature.
+  /// Feeds one finished bin's count for a feature. The count must be finite
+  /// (PreconditionError otherwise, as for EmpiricalDistribution).
   void observe(features::FeatureKind feature, double bin_count);
 
   /// Feeds a whole series (e.g. a training week) for a feature.
   void observe_series(features::FeatureKind feature, std::span<const double> bins);
 
-  /// Current threshold estimate; requires at least one observation.
+  /// Nearest-rank percentile of the observed bins; requires at least one
+  /// observation.
   [[nodiscard]] double threshold(features::FeatureKind feature) const;
 
   [[nodiscard]] std::uint64_t observations(features::FeatureKind feature) const;
-  [[nodiscard]] EstimatorKind kind() const noexcept { return kind_; }
   [[nodiscard]] double percentile() const noexcept { return percentile_; }
 
-  /// Approximate resident memory of the estimator state, in bytes — the
-  /// deployment cost the streaming estimators exist to bound.
+  /// Resident memory of the learner and its runs, in bytes.
   [[nodiscard]] std::size_t memory_footprint_bytes() const;
 
  private:
+  struct Run {
+    double value;  ///< a zero run holds +0.0 whichever zeros it counts
+    std::uint64_t count;
+  };
   struct PerFeature {
-    std::vector<double> exact;
-    std::unique_ptr<stats::P2Quantile> p2;
-    std::unique_ptr<stats::GkSketch> gk;
+    std::vector<Run> runs;  ///< ascending by value, values distinct
     std::uint64_t count = 0;
   };
 
   double percentile_;
-  EstimatorKind kind_;
   std::array<PerFeature, features::kFeatureCount> state_;
 };
 

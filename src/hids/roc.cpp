@@ -1,8 +1,5 @@
 #include "hids/roc.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "hids/heuristics.hpp"
 #include "util/error.hpp"
 
@@ -13,23 +10,15 @@ std::vector<RocPoint> roc_curve(const stats::EmpiricalDistribution& benign,
   MONOHIDS_EXPECT(!benign.empty(), "ROC needs benign observations");
   MONOHIDS_EXPECT(!attack.sizes.empty(), "ROC needs an attack model");
 
-  // Compute on the ascending candidate sweep (one exceedance merge-scan +
-  // one run walk per attack size), then emit points descending as the
-  // curve expects. Each point's rates are bit-identical to the
-  // per-threshold calls.
-  const auto ascending = candidate_thresholds(benign);
-  std::vector<double> fp(ascending.size());
-  std::vector<double> fn(ascending.size());
-  benign.exceedance_batch(ascending, fp);
-  attack.mean_fn_batch(benign, ascending, fn);
-
+  // The operating curve ascends by threshold; the ROC emits it descending.
+  const OperatingCurve ascending = operating_curve(benign, attack);
   std::vector<RocPoint> curve;
-  curve.reserve(ascending.size());
-  for (std::size_t j = ascending.size(); j-- > 0;) {
+  curve.reserve(ascending.thresholds.size());
+  for (std::size_t j = ascending.thresholds.size(); j-- > 0;) {
     RocPoint p;
-    p.threshold = ascending[j];
-    p.fp_rate = fp[j];
-    p.tp_rate = 1.0 - fn[j];
+    p.threshold = ascending.thresholds[j];
+    p.fp_rate = ascending.fp[j];
+    p.tp_rate = 1.0 - ascending.fn[j];
     curve.push_back(p);
   }
   return curve;

@@ -20,8 +20,9 @@ struct RocPoint {
   double tp_rate = 0.0;  ///< mean over the attack sweep of P(attacked bin alarms)
 };
 
-/// Points ordered by descending threshold, so FP/TP rise monotonically from
-/// (0,0)-ish toward (1,1). Includes the "never alarm" sentinel endpoint.
+/// operating_curve(benign, attack) emitted by descending threshold with
+/// tp = 1 - fn, so FP/TP rise monotonically from (0,0)-ish toward (1,1).
+/// Includes the "never alarm" sentinel endpoint.
 [[nodiscard]] std::vector<RocPoint> roc_curve(const stats::EmpiricalDistribution& benign,
                                               const AttackModel& attack);
 

@@ -175,19 +175,6 @@ void EmpiricalDistribution::rank_batch(std::span<const double> xs,
   for (std::uint32_t& r : out) r = r == 0 ? 0 : cum[r - 1];
 }
 
-void EmpiricalDistribution::exceedance_batch(std::span<const double> xs,
-                                             std::span<double> out) const {
-  MONOHIDS_EXPECT(!empty(), "cdf of empty distribution");
-  MONOHIDS_EXPECT(xs.size() == out.size(), "exceedance_batch output size mismatch");
-  thread_local std::vector<std::uint32_t> ranks;
-  ranks.resize(xs.size());
-  rank_batch(xs, ranks);
-  const auto n = static_cast<double>(size());
-  for (std::size_t j = 0; j < xs.size(); ++j) {
-    out[j] = 1.0 - static_cast<double>(ranks[j]) / n;
-  }
-}
-
 double EmpiricalDistribution::shifted_cdf(double shift, double t) const {
   return cdf(t - shift);
 }

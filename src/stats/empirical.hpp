@@ -76,15 +76,8 @@ class EmpiricalDistribution {
   /// P(X > x): the false-positive rate of a detector thresholded at x.
   [[nodiscard]] double exceedance(double x) const;
 
-  /// Batched exceedance: out[j] = exceedance(xs[j]) for the whole query
-  /// batch at once, from rank_batch's ranks. Bit-identical to per-call
-  /// exceedance() — ranks are exact integers and the 1.0 - rank/n
-  /// arithmetic is the same operation the per-call path performs.
-  void exceedance_batch(std::span<const double> xs, std::span<double> out) const;
-
-  /// Batched upper-bound ranks: out[j] = #samples <= xs[j], the integer
-  /// primitive behind exceedance_batch (exposed for consumers that
-  /// post-process ranks themselves, e.g. AttackModel::mean_fn and
+  /// Batched upper-bound ranks: out[j] = #samples <= xs[j], for consumers
+  /// that post-process ranks themselves (e.g. AttackModel::mean_fn and
   /// hids::naive_detection_curve). An ascending batch is answered by one
   /// merge-scan over the run values (stats::kernels::rank_sorted), any
   /// other order by one binary search per query.

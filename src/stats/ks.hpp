@@ -7,16 +7,12 @@
 // summary next to the threshold spread.
 #pragma once
 
-#include <span>
-
 #include "stats/empirical.hpp"
 
 namespace monohids::stats {
 
-/// D statistic over two sorted-or-not sample sets (both non-empty).
-[[nodiscard]] double ks_statistic(std::span<const double> a, std::span<const double> b);
-
-/// Convenience overload for empirical distributions.
+/// D statistic of two non-empty empirical distributions, from one merge
+/// walk over their runs.
 [[nodiscard]] double ks_statistic(const EmpiricalDistribution& a,
                                   const EmpiricalDistribution& b);
 

@@ -3,15 +3,12 @@
 // same training window — nearest-rank quantiles over whole week slices for
 // WeeklyRollover, the sliding-window quantile for Rolling mode. Also pins
 // the warm-up contract (week 0 never alarms) and the strict value>threshold
-// alarm predicate, and checks the streaming estimators (GK, P2) in rank
-// space.
+// alarm predicate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "hids/daemon.hpp"
@@ -134,66 +131,6 @@ TEST(DaemonRollover, RollingThresholdAfterNWeeksMatchesTheBatchWindow) {
     EXPECT_EQ(daemon.threshold(features::kAllFeatures[i]), expected)
         << features::name_of(features::kAllFeatures[i]);
   }
-}
-
-/// How far `value` sits from the nearest-rank `percentile` of `slice`, in
-/// ranks: the value occupies ranks (#below, #below + #equal], and the error
-/// is the distance from the target rank ceil(percentile * n) to that span
-/// (0 when the span covers it).
-double rank_error(std::span<const double> slice, double value, double percentile) {
-  const double target = std::ceil(percentile * static_cast<double>(slice.size()));
-  const auto below = static_cast<double>(
-      std::count_if(slice.begin(), slice.end(), [&](double x) { return x < value; }));
-  const auto at_most = static_cast<double>(
-      std::count_if(slice.begin(), slice.end(), [&](double x) { return x <= value; }));
-  return std::max({0.0, target - at_most, below + 1 - target});
-}
-
-/// Runs the fixture with `kind` and calls check(rank_error, n, what) for
-/// every weekly threshold against its training week.
-template <typename Check>
-void for_each_rank_error(EstimatorKind kind, Check&& check) {
-  DaemonConfig config = fixture_config();
-  config.estimator = kind;
-  const DaemonResult result = run(config);
-  const auto batch =
-      features::extract_features(config.monitored, fixture_packets(), config.pipeline);
-  ASSERT_EQ(result.rollovers.size(), kWeeks - 1);
-  for (const ThresholdUpdate& update : result.rollovers) {
-    for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
-      const auto slice =
-          batch.matrix.of(features::kAllFeatures[i]).week_slice(update.week - 1);
-      ASSERT_TRUE(std::isfinite(update.thresholds[i]));
-      check(rank_error(slice, update.thresholds[i], config.percentile),
-            static_cast<double>(slice.size()),
-            "week " + std::to_string(update.week) + " " +
-                std::string(features::name_of(features::kAllFeatures[i])));
-    }
-  }
-}
-
-TEST(DaemonRollover, GkThresholdsKeepTheirRankGuarantee) {
-  // Each weekly GK threshold must sit within eps * n ranks of the exact
-  // nearest-rank p99 of the training week (GkSketch's guarantee).
-  const double eps = fixture_config().gk_epsilon;
-  for_each_rank_error(EstimatorKind::Gk, [&](double error, double n, const std::string& what) {
-    EXPECT_LE(error, eps * n) << what;
-  });
-}
-
-TEST(DaemonRollover, P2ThresholdsStayInTheirRankBand) {
-  // P2 has no worst-case guarantee: its markers track their desired ranks
-  // to within one position, but the estimate is an interpolated marker
-  // height, not an order statistic. The band is therefore operational:
-  // 2 * (1 - p) * n ranks of the nearest-rank p99 keeps the threshold in
-  // the training week's top 3(1 - p) of bins, so a P2 learner spends at
-  // most three times the false-alarm budget the percentile promises. It is
-  // checked in rank space, where it does not depend on how far apart a
-  // week's top bins lie. (Measured worst on this fixture: 7 of 672 ranks.)
-  const double p = fixture_config().percentile;
-  for_each_rank_error(EstimatorKind::P2, [&](double error, double n, const std::string& what) {
-    EXPECT_LE(error, 2.0 * (1.0 - p) * n) << what;
-  });
 }
 
 }  // namespace

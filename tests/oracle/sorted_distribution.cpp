@@ -1,10 +1,12 @@
 #include "oracle/sorted_distribution.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "oracle/per_call.hpp"
 #include "stats/quantile.hpp"
+#include "util/error.hpp"
 
 namespace monohids::oracle {
 
@@ -79,6 +81,27 @@ double SortedDistribution::mean_fn(const hids::AttackModel& attack, double t) co
   double acc = 0.0;
   for (double b : attack.sizes) acc += shifted_cdf(b, t);
   return acc / static_cast<double>(attack.sizes.size());
+}
+
+double ks_statistic(std::span<const double> a, std::span<const double> b) {
+  MONOHIDS_EXPECT(!a.empty() && !b.empty(), "KS needs two non-empty samples");
+  std::vector<double> sa(a.begin(), a.end());
+  std::vector<double> sb(b.begin(), b.end());
+  std::sort(sa.begin(), sa.end());
+  std::sort(sb.begin(), sb.end());
+
+  const double na = static_cast<double>(sa.size());
+  const double nb = static_cast<double>(sb.size());
+  std::size_t ia = 0, ib = 0;
+  double d = 0.0;
+  while (ia < sa.size() && ib < sb.size()) {
+    const double x = std::min(sa[ia], sb[ib]);
+    while (ia < sa.size() && sa[ia] <= x) ++ia;
+    while (ib < sb.size() && sb[ib] <= x) ++ib;
+    d = std::max(d, std::fabs(static_cast<double>(ia) / na -
+                              static_cast<double>(ib) / nb));
+  }
+  return d;
 }
 
 }  // namespace monohids::oracle

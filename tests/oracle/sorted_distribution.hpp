@@ -50,4 +50,10 @@ class SortedDistribution {
   std::vector<double> sorted_;
 };
 
+/// stats::ks_statistic over raw samples: sorts copies of both and walks
+/// them sample by sample, tracking the CDF gap at every step. The run walk
+/// of the distribution overload must give the same bits. Both samples must
+/// be non-empty.
+[[nodiscard]] double ks_statistic(std::span<const double> a, std::span<const double> b);
+
 }  // namespace monohids::oracle

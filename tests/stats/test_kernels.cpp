@@ -111,14 +111,10 @@ TEST(KernelTieHandling, RankAtExactSampleValueCountsAllTies) {
       << "rank_batch, descending";
 }
 
-TEST(KernelTieHandling, ExceedanceBatchMatchesStrictAlarmAtThresholdOnSample) {
+TEST(KernelTieHandling, ExceedanceIsStrictAtThresholdOnSample) {
   const EmpiricalDistribution dist(std::vector<double>{4.0, 7.0, 7.0, 7.0, 9.0});
   // Thresholded exactly on the tied value: only the 9.0 bin alarms.
-  std::vector<double> xs{7.0};
-  std::vector<double> out{-1.0};
-  dist.exceedance_batch(xs, out);
-  EXPECT_DOUBLE_EQ(out[0], dist.exceedance(7.0));
-  EXPECT_DOUBLE_EQ(out[0], 1.0 / 5.0);
+  EXPECT_DOUBLE_EQ(dist.exceedance(7.0), 1.0 / 5.0);
 }
 
 TEST(KernelTieHandling, CountExceedIsStrictAtThreshold) {
@@ -165,11 +161,10 @@ TEST(KernelEdgeCases, SingleSampleArena) {
   EXPECT_EQ(out, (std::vector<std::uint32_t>{1, 0, 1}));
 }
 
-TEST(KernelEdgeCases, CdfBatchOnEmptyDistributionThrows) {
+TEST(KernelEdgeCases, CdfOnEmptyDistributionThrows) {
   const EmpiricalDistribution d;
-  std::vector<double> xs{1.0};
-  std::vector<double> out(1);
-  EXPECT_THROW(d.exceedance_batch(xs, out), PreconditionError);
+  EXPECT_THROW((void)d.cdf(1.0), PreconditionError);
+  EXPECT_THROW((void)d.exceedance(1.0), PreconditionError);
 }
 
 TEST(KernelEdgeCases, RankGridMatchesPerSizeQueries) {
@@ -284,11 +279,11 @@ TEST(KernelRankTable, EmpiricalDistributionBuildsAndUsesTable) {
   ASSERT_EQ(dist.values().size(), 13u);
   ASSERT_EQ(dist.cumulative_counts().back(), 200u);
 
-  const std::vector<double> queries = {-1.0, 0.0, 4.0, 4.5, 12.0, 13.0};
-  std::vector<double> batched(queries.size());
-  dist.exceedance_batch(queries, batched);
-  for (std::size_t j = 0; j < queries.size(); ++j) {
-    EXPECT_EQ(batched[j], dist.exceedance(queries[j])) << "q=" << queries[j];
+  std::sort(samples.begin(), samples.end());
+  for (const double q : {-1.0, 0.0, 4.0, 4.5, 12.0, 13.0}) {
+    const auto at_most = static_cast<double>(
+        std::upper_bound(samples.begin(), samples.end(), q) - samples.begin());
+    EXPECT_EQ(dist.exceedance(q), 1.0 - at_most / 200.0) << "q=" << q;
   }
 }
 
