@@ -14,7 +14,7 @@ namespace {
 
 std::string_view trim(std::string_view s) {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
+  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
     s.remove_suffix(1);
   }
   return s;
@@ -157,8 +157,14 @@ ScenarioConfig parse_scenario_config(std::string_view text) {
   while (start < text.size()) {
     std::size_t end = text.find('\n', start);
     if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = trim(text.substr(start, end - start));
+    std::string_view raw = text.substr(start, end - start);
     start = end + 1;
+    // A CRLF ending drops its CR. Any other CR is an error: with lone-CR
+    // line endings the whole file would read as its first comment line.
+    if (!raw.empty() && raw.back() == '\r') raw.remove_suffix(1);
+    MONOHIDS_ENSURE(raw.find('\r') == std::string_view::npos,
+                    "carriage return inside a config line: " + std::string(raw));
+    const std::string_view line = trim(raw);
     if (line.empty() || line.front() == '#') continue;
 
     const auto eq = line.find('=');

@@ -27,6 +27,100 @@ inline bool is_small_count(double v, std::uint32_t& out) noexcept {
 
 constexpr std::size_t kMaxSamples = std::numeric_limits<std::uint32_t>::max();
 
+/// A merge whose histogram (largest value + 1 slots) would hold this many
+/// slots per input run or more sorts its runs instead, like the
+/// constructor's 64-sample rule: clearing, counting and sweeping a slot
+/// costs 1-2 ns and sorting a run 20-30 ns (measured on pools of random
+/// runs), so the two break even near 12 slots per run and a sparse
+/// histogram — two 3-run parts that reach 60000, say — loses to the sort.
+/// Pooled host-weeks of traffic counts need about 2 slots per run.
+constexpr std::size_t kMergeSlotsPerRun = 8;
+
+/// The per-thread histogram the constructor and merge count into.
+std::vector<std::uint32_t>& histogram_scratch() {
+  thread_local std::vector<std::uint32_t> hist;
+  return hist;
+}
+
+/// The runs of a histogram of small counts: one run per non-zero slot, in
+/// slot order. The last slot holds the largest value, so it is non-zero,
+/// and the caller has checked that the counts sum below 2^32. Every slot
+/// is written at the next free run and the cursor advances only past a
+/// non-zero one, so the sweep has no data-dependent branch (sparse pooled
+/// histograms would mispredict on most slots); since the last slot is
+/// non-zero, no write lands past the runs.
+void runs_of_histogram(std::span<const std::uint32_t> hist, std::vector<double>& values,
+                       std::vector<std::uint32_t>& cum) {
+  const auto distinct = static_cast<std::size_t>(
+      hist.size() - static_cast<std::size_t>(std::count(hist.begin(), hist.end(), 0u)));
+  values.resize(distinct);
+  cum.resize(distinct);
+  std::size_t next = 0;
+  std::uint32_t acc = 0;
+  for (std::size_t value = 0; value < hist.size(); ++value) {
+    acc += hist[value];
+    values[next] = static_cast<double>(value);
+    cum[next] = acc;
+    next += hist[value] != 0 ? 1 : 0;
+  }
+}
+
+/// Adds every part's run counts (cum[k] - cum[k-1]) into `hist`, which
+/// has a slot for each part's largest value. Returns false, with `hist`
+/// half filled, at the first value that is not a small count.
+bool count_runs(std::span<const EmpiricalDistribution> parts, std::vector<std::uint32_t>& hist) {
+  for (const auto& p : parts) {
+    const auto values = p.values();
+    const auto cum = p.cumulative_counts();
+    std::uint32_t previous = 0;
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      std::uint32_t value = 0;
+      if (!is_small_count(values[k], value)) return false;
+      hist[value] += cum[k] - previous;
+      previous = cum[k];
+    }
+  }
+  return true;
+}
+
+/// The pooled runs of `parts` for any finite values: their (value, count)
+/// runs concatenated, sorted by value and coalesced.
+void sort_runs(std::span<const EmpiricalDistribution> parts, std::size_t run_count,
+               std::vector<double>& values, std::vector<std::uint32_t>& cum) {
+  struct Run {
+    double value;
+    std::uint32_t count;
+  };
+  thread_local std::vector<Run> all;
+  all.clear();
+  all.reserve(run_count);
+  for (const auto& p : parts) {
+    const auto part_values = p.values();
+    const auto part_cum = p.cumulative_counts();
+    std::uint32_t previous = 0;
+    for (std::size_t k = 0; k < part_values.size(); ++k) {
+      all.push_back({part_values[k], part_cum[k] - previous});
+      previous = part_cum[k];
+    }
+  }
+  std::sort(all.begin(), all.end(), [](const Run& a, const Run& b) { return a.value < b.value; });
+  std::size_t distinct = 1;
+  for (std::size_t i = 1; i < all.size(); ++i) distinct += all[i].value != all[i - 1].value;
+
+  values.reserve(distinct);
+  cum.reserve(distinct);
+  std::uint32_t acc = 0;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    acc += all[i].count;
+    if (i == 0 || all[i].value != values.back()) {
+      values.push_back(all[i].value);
+      cum.push_back(acc);
+    } else {
+      cum.back() = acc;
+    }
+  }
+}
+
 }  // namespace
 
 EmpiricalDistribution::EmpiricalDistribution(std::vector<double> samples) {
@@ -46,20 +140,10 @@ EmpiricalDistribution::EmpiricalDistribution(std::vector<double> samples) {
   }
   auto runs = std::make_shared<Runs>();
   if (counts) {
-    thread_local std::vector<std::uint32_t> hist;
+    std::vector<std::uint32_t>& hist = histogram_scratch();
     hist.assign(std::size_t{max_value} + 1, 0);
     for (double v : samples) ++hist[static_cast<std::uint32_t>(v)];
-    const auto distinct = static_cast<std::size_t>(
-        hist.size() - static_cast<std::size_t>(std::count(hist.begin(), hist.end(), 0u)));
-    runs->values.reserve(distinct);
-    runs->cum.reserve(distinct);
-    std::uint32_t acc = 0;
-    for (std::size_t value = 0; value < hist.size(); ++value) {
-      if (hist[value] == 0) continue;
-      acc += hist[value];
-      runs->values.push_back(static_cast<double>(value));
-      runs->cum.push_back(acc);
-    }
+    runs_of_histogram(hist, runs->values, runs->cum);
   } else {
     std::sort(samples.begin(), samples.end());
     std::size_t distinct = 1;
@@ -196,48 +280,34 @@ EmpiricalDistribution EmpiricalDistribution::merge(
   std::size_t nonempty = 0;
   std::size_t run_count = 0;
   std::size_t total = 0;
+  // Runs ascend, so each part's ends bound its values; whether every value
+  // is a small count is settled run by run while counting.
+  bool counts = true;
+  std::uint32_t max_value = 0;
   for (const auto& p : parts) {
     if (p.empty()) continue;
     last = &p;
     ++nonempty;
     run_count += p.runs_->values.size();
     total += p.size();
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    counts = counts && is_small_count(p.runs_->values.front(), lo) &&
+             is_small_count(p.runs_->values.back(), hi);
+    max_value = std::max(max_value, hi);
   }
   if (nonempty <= 1) return last == nullptr ? EmpiricalDistribution{} : *last;
   MONOHIDS_EXPECT(total <= kMaxSamples, "too many samples for one distribution");
 
-  struct Run {
-    double value;
-    std::uint32_t count;
-  };
-  thread_local std::vector<Run> all;
-  all.clear();
-  all.reserve(run_count);
-  for (const auto& p : parts) {
-    if (p.empty()) continue;
-    std::uint32_t previous = 0;
-    for (std::size_t k = 0; k < p.runs_->values.size(); ++k) {
-      all.push_back({p.runs_->values[k], p.runs_->cum[k] - previous});
-      previous = p.runs_->cum[k];
-    }
-  }
-  std::sort(all.begin(), all.end(), [](const Run& a, const Run& b) { return a.value < b.value; });
-  std::size_t distinct = 1;
-  for (std::size_t i = 1; i < all.size(); ++i) distinct += all[i].value != all[i - 1].value;
-
   auto runs = std::make_shared<Runs>();
-  runs->values.reserve(distinct);
-  runs->cum.reserve(distinct);
-  std::uint32_t acc = 0;
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    acc += all[i].count;
-    if (i == 0 || all[i].value != runs->values.back()) {
-      runs->values.push_back(all[i].value);
-      runs->cum.push_back(acc);
-    } else {
-      runs->cum.back() = acc;
-    }
+  bool counted = false;
+  if (counts && std::size_t{max_value} < kMergeSlotsPerRun * run_count) {
+    std::vector<std::uint32_t>& hist = histogram_scratch();
+    hist.assign(std::size_t{max_value} + 1, 0);
+    counted = count_runs(parts, hist);
+    if (counted) runs_of_histogram(hist, runs->values, runs->cum);
   }
+  if (!counted) sort_runs(parts, run_count, runs->values, runs->cum);
   EmpiricalDistribution merged;
   merged.runs_ = std::move(runs);
   return merged;

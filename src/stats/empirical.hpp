@@ -95,8 +95,13 @@ class EmpiricalDistribution {
   [[nodiscard]] double max_hidden_shift(double t, double target_mass) const;
 
   /// Merges several distributions into the pooled (global) distribution the
-  /// paper's homogeneous policy builds at the central console: the parts'
-  /// (value, count) runs concatenated, sorted by value and coalesced.
+  /// paper's homogeneous policy builds at the central console. When every
+  /// value is a small non-negative integer (traffic counts), the parts' run
+  /// counts are summed into one histogram and the runs read off it; other
+  /// values, and tiny merges whose histogram would dwarf their run count,
+  /// have their (value, count) runs concatenated, sorted and coalesced.
+  /// Both give the same runs. A single non-empty part is returned as a
+  /// pointer copy.
   [[nodiscard]] static EmpiricalDistribution merge(
       std::span<const EmpiricalDistribution> parts);
 

@@ -59,12 +59,14 @@ struct Ops {
   /// fused session-count sweep: counts[i] resolves words[i] against mean
   /// means[i] (exp via stats::batch::exp_neg12 then exact inversion below
   /// the normal cutoff, stats::batch::poisson_normal_word32 above; mean 0
-  /// yields 0). Returns the sum of counts. Every floating-point step is
+  /// yields 0), and active[i] |= (counts[i] != 0), so a caller sweeping
+  /// several rows into one flag row gets each bin's any-count flag without
+  /// a second pass. Returns the sum of counts. Every floating-point step is
   /// either an exact fused multiply-add or a single IEEE op in fixed
   /// order, so all back-ends produce bit-identical counts (the v2
   /// SIMD-invariance contract).
   std::uint64_t (*poisson_counts)(const double* means, const std::uint32_t* words,
-                                  std::uint32_t* counts, std::size_t n);
+                                  std::uint32_t* counts, std::uint8_t* active, std::size_t n);
 };
 
 /// The dispatched table: resolved once on first use from runtime CPU
@@ -94,7 +96,8 @@ namespace detail {
 /// funnels its n % 8 tail through, so both back-ends' tail lanes run
 /// literally the same compiled code).
 std::uint64_t poisson_counts_portable(const double* means, const std::uint32_t* words,
-                                      std::uint32_t* counts, std::size_t n);
+                                      std::uint32_t* counts, std::uint8_t* active,
+                                      std::size_t n);
 
 /// Per-back-end tables; nullptr when compiled out or unsupported at
 /// runtime-detection level (checked by kernels.cpp before exposure).

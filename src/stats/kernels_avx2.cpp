@@ -120,7 +120,7 @@ void philox_fill_avx2(std::uint64_t key, std::uint64_t stream,
 }
 
 /// Two quads (eight lanes) of poisson_counts_avx2 starting at lane 0 of
-/// means/words/counts; returns their count sum. Mirrors
+/// means/words/counts/active; returns their count sum. Mirrors
 /// detail::poisson_counts_portable's inversion regime lane by lane: the
 /// exp_neg12 fma chain (_mm256_fmadd_pd is the same correctly-rounded
 /// fused op as std::fma), then the inversion walk with the identical
@@ -135,7 +135,7 @@ void philox_fill_avx2(std::uint64_t key, std::uint64_t stream,
 /// u <= cum stays done — which keeps quad grouping (and therefore tile
 /// partitioning) from changing any lane's result.
 inline std::uint64_t poisson_octet_avx2(const double* means, const std::uint32_t* words,
-                                        std::uint32_t* counts) noexcept {
+                                        std::uint32_t* counts, std::uint8_t* active) noexcept {
   constexpr int Q = 2;
   const __m256d cutoff = _mm256_set1_pd(batch::kNormalCutoff32);
   const __m256d one = _mm256_set1_pd(1.0);
@@ -234,6 +234,7 @@ inline std::uint64_t poisson_octet_avx2(const double* means, const std::uint32_t
     }
     for (int j = 0; j < 4; ++j) {
       counts[4 * q + j] = static_cast<std::uint32_t>(kv[q][j]);
+      active[4 * q + j] |= static_cast<std::uint8_t>(kv[q][j] != 0);
       total += kv[q][j];
     }
   }
@@ -241,12 +242,16 @@ inline std::uint64_t poisson_octet_avx2(const double* means, const std::uint32_t
 }
 
 std::uint64_t poisson_counts_avx2(const double* means, const std::uint32_t* words,
-                                  std::uint32_t* counts, std::size_t n) {
+                                  std::uint32_t* counts, std::uint8_t* active, std::size_t n) {
   // Eight lanes per walk; the portable tail takes the last n % 8 lanes.
   std::uint64_t total = 0;
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) total += poisson_octet_avx2(means + i, words + i, counts + i);
-  if (i < n) total += detail::poisson_counts_portable(means + i, words + i, counts + i, n - i);
+  for (; i + 8 <= n; i += 8) {
+    total += poisson_octet_avx2(means + i, words + i, counts + i, active + i);
+  }
+  if (i < n) {
+    total += detail::poisson_counts_portable(means + i, words + i, counts + i, active + i, n - i);
+  }
   return total;
 }
 

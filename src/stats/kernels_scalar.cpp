@@ -20,7 +20,8 @@ void philox_fill_scalar(std::uint64_t key, std::uint64_t stream,
 namespace detail {
 
 std::uint64_t poisson_counts_portable(const double* means, const std::uint32_t* words,
-                                      std::uint32_t* counts, std::size_t n) {
+                                      std::uint32_t* counts, std::uint8_t* active,
+                                      std::size_t n) {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const double mean = means[i];
@@ -38,6 +39,7 @@ std::uint64_t poisson_counts_portable(const double* means, const std::uint32_t* 
       k = batch::poisson_normal_word32(words[i], mean);
     }
     counts[i] = static_cast<std::uint32_t>(k);
+    active[i] |= static_cast<std::uint8_t>(k != 0);
     total += k;
   }
   return total;

@@ -269,16 +269,11 @@ std::uint64_t detail::plan_v2_tile(const GeneratorConfig& config, const UserProf
   active.assign(tile_bins, 0);
   cnt.resize(tile_bins * kAppCount);
   std::uint64_t total_sessions = 0;
+  // Each app's sweep ORs its non-zero counts into the bin's active flag.
   for (std::size_t a = 0; a < kAppCount; ++a) {
     total_sessions +=
         ops.poisson_counts(means.data() + a * tile_bins, cw.data() + a * cw_stride + cw_offset,
-                           cnt.data() + a * tile_bins, tile_bins);
-  }
-  for (std::size_t a = 0; a < kAppCount; ++a) {
-    const std::uint32_t* ca = cnt.data() + a * tile_bins;
-    for (std::uint64_t i = 0; i < tile_bins; ++i) {
-      active[i] |= static_cast<std::uint8_t>(ca[i] != 0);
-    }
+                           cnt.data() + a * tile_bins, active.data(), tile_bins);
   }
   return total_sessions;
 }

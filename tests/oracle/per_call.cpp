@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <iterator>
 
 #include "hids/heuristics.hpp"
 #include "stats/classification.hpp"
@@ -10,15 +9,22 @@
 namespace monohids::oracle {
 
 std::vector<double> merge_sorted(std::span<const std::span<const double>> parts) {
-  std::vector<double> merged;
-  std::vector<double> next;
-  for (const auto& part : parts) {
-    next.clear();
-    std::merge(merged.begin(), merged.end(), part.begin(), part.end(),
-               std::back_inserter(next));
-    merged.swap(next);
+  // Rounds of adjacent pairs, so a pool of k parts costs log2(k) passes
+  // over its samples rather than k.
+  std::vector<std::vector<double>> level;
+  for (const auto& part : parts) level.emplace_back(part.begin(), part.end());
+  if (level.empty()) return {};
+  while (level.size() > 1) {
+    std::vector<std::vector<double>> next;
+    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
+      auto& merged = next.emplace_back(level[i].size() + level[i + 1].size());
+      std::merge(level[i].begin(), level[i].end(), level[i + 1].begin(), level[i + 1].end(),
+                 merged.begin());
+    }
+    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
+    level.swap(next);
   }
-  return merged;
+  return std::move(level.front());
 }
 
 std::vector<std::uint32_t> upper_bound_ranks(std::span<const double> sorted,

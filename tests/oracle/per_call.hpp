@@ -25,7 +25,7 @@
 
 namespace monohids::oracle {
 
-/// Merge of ascending parts by pairwise std::merge: the pooled samples
+/// Merge of ascending parts by rounds of pairwise std::merge: the pooled samples
 /// whose runs EmpiricalDistribution::merge builds. Any correct merge is
 /// bitwise determined except for the relative order of tied -0.0/+0.0.
 [[nodiscard]] std::vector<double> merge_sorted(std::span<const std::span<const double>> parts);

@@ -182,6 +182,14 @@ TEST(ConfigIo, ScenarioVersionOneIsRejected) {
   EXPECT_THROW((void)parse_scenario_config("scenario_version = 0\n"), InputError);
 }
 
+TEST(ConfigIo, CrlfEndingsParseAndLoneCarriageReturnsThrow) {
+  EXPECT_EQ(parse_scenario_config("users = 20\r\nweeks = 2\r\n").population.weeks, 2u);
+  // With CR-only endings the file is one line; starting with a comment, it
+  // used to parse silently to the defaults.
+  EXPECT_THROW((void)parse_scenario_config("# config\rusers = 20\rweeks = 2\r"), InputError);
+  EXPECT_THROW((void)parse_scenario_config("users\r = 20\n"), InputError);
+}
+
 TEST(ConfigIo, SubnetBaseParses) {
   const ScenarioConfig config = parse_scenario_config("subnet_base = 192.168.0.0\n");
   EXPECT_EQ(config.population.subnet_base.to_string(), "192.168.0.0");

@@ -384,10 +384,11 @@ TEST(KernelDifferential, PoissonCountsBitIdenticalToScalar) {
   // zero-draw shortcut lanes (word + mean clears nothing), inversion-walk
   // lanes below the normal cutoff, and heavy normal-regime lanes above it.
   // Cases deliberately pack mixed quads so the AVX2 per-lane masking and
-  // the scalar funnel for heavy lanes are both exercised; counts and the
-  // returned sum must match the scalar reference exactly.
+  // the scalar funnel for heavy lanes are both exercised; counts, active
+  // flags and the returned sum must match the scalar reference exactly, and
+  // the reference's flags must be the OR of its counts into the flags it
+  // was handed.
   const auto simd = simd_backends();
-  if (simd.empty()) GTEST_SKIP() << "no SIMD back-end available on this host";
   const kernels::Ops& scalar = *kernels::ops_for(Backend::Scalar);
 
   for (std::uint64_t c = 0; c < 120; ++c) {
@@ -407,17 +408,28 @@ TEST(KernelDifferential, PoissonCountsBitIdenticalToScalar) {
     std::vector<std::uint32_t> words(((n + 3) / 4) * 4);
     util::Philox4x32::fill_blocks(rng(), c, 0, words.data(), (n + 3) / 4);
     words.resize(n);
+    // A flag already set stays set: the kernel ORs into the row.
+    std::vector<std::uint8_t> initial_flags(n);
+    for (std::uint8_t& f : initial_flags) f = rng() % 4 == 0 ? 1 : 0;
 
     std::vector<std::uint32_t> ref(n, 0xffffffffu);
+    std::vector<std::uint8_t> ref_flags = initial_flags;
     const std::uint64_t ref_sum = scalar.poisson_counts(means.data(), words.data(),
-                                                        ref.data(), n);
+                                                        ref.data(), ref_flags.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(ref_flags[i], initial_flags[i] | (ref[i] != 0 ? 1 : 0))
+          << "case " << c << " lane " << i << " on scalar";
+    }
 
     for (Backend b : simd) {
       std::vector<std::uint32_t> got(n, 0xffffffffu);
+      std::vector<std::uint8_t> got_flags = initial_flags;
       const std::uint64_t sum = kernels::ops_for(b)->poisson_counts(
-          means.data(), words.data(), got.data(), n);
+          means.data(), words.data(), got.data(), got_flags.data(), n);
       ASSERT_EQ(got, ref) << "case " << c << " (n=" << n << ") on "
                           << kernels::backend_name(b);
+      ASSERT_EQ(got_flags, ref_flags) << "case " << c << " (n=" << n << ") on "
+                                      << kernels::backend_name(b);
       ASSERT_EQ(sum, ref_sum) << "case " << c << " on " << kernels::backend_name(b);
     }
   }
@@ -456,14 +468,23 @@ TEST(KernelDifferential, PoissonCountsPairDeadQuadsWithLongWalks) {
       for (std::size_t offset = 0; offset < 8; ++offset) {
         const std::size_t len = n - offset;
         std::vector<std::uint32_t> ref(len, 0xffffffffu);
+        std::vector<std::uint8_t> ref_flags(len, 0);
         const std::uint64_t ref_sum = scalar.poisson_counts(
-            means.data() + offset, words.data() + offset, ref.data(), len);
+            means.data() + offset, words.data() + offset, ref.data(), ref_flags.data(), len);
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(ref_flags[i], ref[i] != 0 ? 1 : 0)
+              << "pattern " << pattern << " n=" << n << " lane " << i << " on scalar";
+        }
         for (Backend b : simd) {
           std::vector<std::uint32_t> got(len, 0xffffffffu);
+          std::vector<std::uint8_t> got_flags(len, 0);
           const std::uint64_t sum = kernels::ops_for(b)->poisson_counts(
-              means.data() + offset, words.data() + offset, got.data(), len);
+              means.data() + offset, words.data() + offset, got.data(), got_flags.data(), len);
           ASSERT_EQ(got, ref) << "pattern " << pattern << " n=" << n << " offset=" << offset
                               << " on " << kernels::backend_name(b);
+          ASSERT_EQ(got_flags, ref_flags) << "pattern " << pattern << " n=" << n
+                                          << " offset=" << offset << " on "
+                                          << kernels::backend_name(b);
           ASSERT_EQ(sum, ref_sum) << "pattern " << pattern << " n=" << n;
         }
       }
