@@ -20,20 +20,23 @@ struct AttackModel {
   std::vector<double> sizes;  ///< candidate per-bin attack magnitudes (> 0)
 
   /// Mean false-negative rate of threshold `t` against this sweep, under
-  /// benign behavior `g`: mean over sizes of P(g + b <= t). Internally
-  /// batches the per-size rank queries through rank_batch once the sweep
-  /// has 8 or more sizes (bit-identical to the per-size shifted_cdf loop,
-  /// which smaller sweeps run directly).
+  /// benign behavior `g`: mean over sizes of P(g + b <= t), with sizes in
+  /// any order. One walk over g's runs serves the whole sweep, its cursor
+  /// moved from the previous size's query; each size adds the quotient the
+  /// per-call shifted_cdf forms, in size order, so results are
+  /// bit-identical to it.
   [[nodiscard]] double mean_fn(const stats::EmpiricalDistribution& g, double t) const;
 
   /// Batched mean_fn over a whole ascending threshold sweep: out[j] =
-  /// mean_fn(g, thresholds[j]). Per attack size, one walk over g's runs
-  /// answers every threshold's shifted rank, starting at the first
-  /// threshold whose query reaches g's smallest value (lower thresholds
-  /// add the exact +0.0 of rank 0) and adding 1.0 once the query passes
-  /// the last run. Each run's rank/n quotient is formed once per call, and
-  /// accumulation runs in the same size order as the per-call path, so
-  /// results are bit-identical to it.
+  /// mean_fn(g, thresholds[j]). Per attack size, the sweep starts at the
+  /// first threshold whose query reaches g's smallest value (lower
+  /// thresholds add the exact +0.0 of rank 0) and adds 1.0 once the query
+  /// passes the last run. In between, small-count distributions (every
+  /// value a non-negative integer, at most 65535) read each rank quotient
+  /// from a per-thread table over 0..max(), unless it would hold more than
+  /// 2 slots per lookup; others walk the runs. Each quotient is
+  /// formed once per call and accumulation runs in the same size order as
+  /// the per-call path, so results are bit-identical to it.
   void mean_fn_batch(const stats::EmpiricalDistribution& g,
                      std::span<const double> thresholds, std::span<double> out) const;
 };

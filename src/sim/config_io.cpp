@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -153,6 +154,7 @@ ScenarioConfig parse_scenario_config(std::string_view text) {
            }},
       };
 
+  std::set<std::string_view> seen;
   std::size_t start = 0;
   while (start < text.size()) {
     std::size_t end = text.find('\n', start);
@@ -174,6 +176,10 @@ ScenarioConfig parse_scenario_config(std::string_view text) {
     const std::string_view value = trim(line.substr(eq + 1));
     const auto it = setters.find(key);
     MONOHIDS_ENSURE(it != setters.end(), "unknown config key: " + std::string(key));
+    // A second line for a key would silently override the first, so an
+    // archived config with a stray appended line would replay a scenario
+    // other than the one its first line names.
+    MONOHIDS_ENSURE(seen.insert(it->first).second, "repeated config key: " + std::string(key));
     it->second(key, value);
   }
   return config;

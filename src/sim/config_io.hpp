@@ -3,9 +3,9 @@
 // Experiments are reproducible from (config, seed); this module writes and
 // reads the full ScenarioConfig as a simple `key = value` text format so a
 // run's exact parameters can be archived next to its outputs and replayed
-// later (`build_scenario(parse_scenario_config(file))`). Unknown keys are
-// an error — silent typos in archived configs are how irreproducible
-// results happen.
+// later (`build_scenario(parse_scenario_config(file))`). Unknown and
+// repeated keys are errors — silent typos and overrides in archived configs
+// are how irreproducible results happen.
 #pragma once
 
 #include <string>
@@ -20,7 +20,8 @@ namespace monohids::sim {
 [[nodiscard]] std::string serialize_scenario_config(const ScenarioConfig& config);
 
 /// Parses the format back. Missing keys keep their defaults; unknown keys,
-/// malformed numbers and out-of-range values throw InputError.
+/// a key given twice, malformed numbers and out-of-range values throw
+/// InputError.
 [[nodiscard]] ScenarioConfig parse_scenario_config(std::string_view text);
 
 }  // namespace monohids::sim

@@ -178,13 +178,21 @@ bool is_packet_csv_header(const std::vector<std::string>& row) {
 
 /// stod with the full diagnostic contract: garbage, trailing junk and empty
 /// cells all surface as InputError naming the offending cell, never as a
-/// bare std::invalid_argument (or a silently half-parsed value).
+/// bare std::invalid_argument (or a silently half-parsed value). Feature
+/// values are finite, non-negative decimals as write_feature_csv prints
+/// them: a sign, blanks, hex digits or nan/inf text is malformed.
 double parse_double_field(const std::string& text, std::size_t row, std::size_t column) {
   const auto fail = [&]() -> InputError {
     return InputError("malformed value in feature CSV at row " + std::to_string(row) +
                       ", column " + std::to_string(column) + ": \"" + text + '"');
   };
-  if (text.empty()) throw fail();
+  const auto decimal = [](char c) { return (c >= '0' && c <= '9') || c == '.'; };
+  if (text.empty() || !decimal(text.front()) ||
+      !std::all_of(text.begin(), text.end(), [&](char c) {
+        return decimal(c) || c == 'e' || c == 'E' || c == '+' || c == '-';
+      })) {
+    throw fail();
+  }
   std::size_t pos = 0;
   double value = 0.0;
   try {
@@ -271,6 +279,9 @@ features::FeatureMatrix read_feature_csv(std::istream& in, util::BinGrid grid) {
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line == "\r") continue;  // trailing newline / blank line
+    // The writer ends every row in a newline; a last row without one was
+    // cut short, and its last cell may have lost digits.
+    MONOHIDS_ENSURE(!in.eof(), "feature CSV ends inside a row: " + line);
     rows.push_back(util::csv_parse_line(line));
   }
   // As for the packet CSV: a stream error mid-file must not read as the end.
@@ -287,6 +298,11 @@ features::FeatureMatrix read_feature_csv(std::istream& in, util::BinGrid grid) {
   for (std::size_t r = 1; r < rows.size(); ++r) {
     MONOHIDS_ENSURE(rows[r].size() == 1 + features::kFeatureCount,
                     "feature CSV row has the wrong column count");
+    // Rows are bins in order: a dropped, repeated or reordered row would
+    // shift every later bin, so each row must start where its bin does.
+    MONOHIDS_ENSURE(rows[r][0] == std::to_string(grid.bin_start(r - 1)),
+                    "feature CSV row " + std::to_string(r) + " starts at \"" + rows[r][0] +
+                        "\", not at bin " + std::to_string(r - 1) + " of the grid");
     for (std::size_t c = 0; c < features::kFeatureCount; ++c) {
       matrix.series[c].set(r - 1, parse_double_field(rows[r][c + 1], r, c + 1));
     }

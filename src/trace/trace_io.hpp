@@ -54,7 +54,10 @@ std::uint64_t stream_packet_csv(std::istream& in, features::PacketSink& sink,
 /// Writes a feature matrix as CSV: bin_start_us then one column per feature.
 void write_feature_csv(std::ostream& out, const features::FeatureMatrix& matrix);
 
-/// Reads a feature-matrix CSV produced by write_feature_csv.
+/// Reads a feature-matrix CSV produced by write_feature_csv. Each row's
+/// bin_start_us must be the start of its bin on `grid` (rows in bin order,
+/// none missing), every value a finite non-negative decimal, and the last
+/// row newline-terminated; anything else throws InputError.
 [[nodiscard]] features::FeatureMatrix read_feature_csv(std::istream& in, util::BinGrid grid);
 
 }  // namespace monohids::trace

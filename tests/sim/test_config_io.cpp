@@ -85,6 +85,19 @@ TEST(ConfigIo, UnknownKeyIsAnError) {
   EXPECT_THROW((void)parse_scenario_config("userz = 10\n"), InputError);
 }
 
+TEST(ConfigIo, RepeatedKeyIsAnErrorNamingTheKey) {
+  try {
+    (void)parse_scenario_config("users = 20\nweeks = 2\nusers = 30\n");
+    ADD_FAILURE() << "a repeated key was accepted";
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find("repeated config key: users"), std::string::npos)
+        << e.what();
+  }
+  // The same value twice is still a repeat; a commented-out line is not.
+  EXPECT_THROW((void)parse_scenario_config("seed = 7\nseed = 7\n"), InputError);
+  EXPECT_EQ(parse_scenario_config("# users = 5\nusers = 20\n").population.user_count, 20u);
+}
+
 TEST(ConfigIo, MalformedLinesAreErrors) {
   EXPECT_THROW((void)parse_scenario_config("users\n"), InputError);
   EXPECT_THROW((void)parse_scenario_config("users = ten\n"), InputError);

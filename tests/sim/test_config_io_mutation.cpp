@@ -6,9 +6,9 @@
 // bytes). The contract for every mutant: parse throws InputError, or it
 // returns a config whose serialization parses back to the same text. No
 // other exception may escape. Mutants whose fate is known also pin it: a
-// typo'd key, a dropped '=', a NUL, a lone CR or an out-of-range integer
-// must throw; blanks around tokens and CRLF endings must parse to the
-// original config.
+// typo'd key, a duplicated key, a dropped '=', a NUL, a lone CR or an
+// out-of-range integer must throw; blanks around tokens and CRLF endings
+// must parse to the original config.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -193,8 +193,7 @@ TEST(ConfigIoMutation, EveryMutantThrowsInputErrorOrRoundTrips) {
         std::vector<std::string> dup = lines;
         dup.insert(dup.begin() + static_cast<std::ptrdiff_t>(settings[rng() % settings.size()]),
                    donor);
-        run.check(join_lines(dup), donor == line ? Fate::SameConfig : Fate::Either, base,
-                  "duplicated key");
+        run.check(join_lines(dup), Fate::Throws, base, "duplicated key");
       }
       {  // Dropped '='.
         std::string dropped = line;
@@ -254,10 +253,21 @@ TEST(ConfigIoMutation, EveryMutantThrowsInputErrorOrRoundTrips) {
       }
       {  // scenario_version values: only 2, blanks aside, is built.
         const std::string& version = kVersions[rng() % kVersions.size()];
-        std::vector<std::string> versioned = lines;
-        versioned.insert(versioned.begin() +
-                             static_cast<std::ptrdiff_t>(settings[rng() % settings.size()]),
-                         "scenario_version = " + version);
+        // The serialized text names its version once: the mutant moves
+        // that line to a random settings position with the new value (a
+        // second version line would be a repeated key).
+        const std::size_t pos = settings[rng() % settings.size()];
+        std::vector<std::string> versioned;
+        std::size_t originals = 0;
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+          if (i == pos) versioned.push_back("scenario_version = " + version);
+          if (key_of(lines[i]) == "scenario_version") {
+            ++originals;
+          } else {
+            versioned.push_back(lines[i]);
+          }
+        }
+        ASSERT_EQ(originals, 1u);
         // Leading zeros read as decimal, so "02" is 2 as well.
         const bool two = version == "2" || version == " 2\t" || version == "02";
         run.check(join_lines(versioned), two ? Fate::SameConfig : Fate::Throws, base,
@@ -299,6 +309,7 @@ TEST(ConfigIoMutation, EveryMutantThrowsInputErrorOrRoundTrips) {
   EXPECT_GT(run.rejected("dropped ="), 500u);
   EXPECT_GT(run.rejected("NUL"), 500u);
   EXPECT_GT(run.rejected("past range"), 100u);
+  EXPECT_GT(run.rejected("duplicated key"), 500u);
   EXPECT_GT(run.mutants().at("CRLF"), 100u);
 }
 
