@@ -39,7 +39,7 @@ std::vector<stats::EmpiricalDistribution> week_distributions(
       [&](std::size_t u) {
         const auto slice = users[u].of(feature).week_slice(week);
         MONOHIDS_EXPECT(!slice.empty(), "requested week is outside the trace horizon");
-        return stats::EmpiricalDistribution(std::vector<double>(slice.begin(), slice.end()));
+        return stats::EmpiricalDistribution(slice);
       },
       threads);
 }

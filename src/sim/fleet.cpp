@@ -151,9 +151,8 @@ FleetScenario build_fleet_scenario(const FleetConfig& config) {
         for (std::uint32_t week = 0; week < weeks; ++week) {
           const auto slice = matrix.of(feature).week_slice(week);
           MONOHIDS_EXPECT(!slice.empty(), "week beyond the generated horizon");
-          stats::GkSketch sketch = stats::GkSketch::from_distribution(
-              stats::EmpiricalDistribution(std::vector<double>(slice.begin(), slice.end())),
-              eps);
+          stats::GkSketch sketch =
+              stats::GkSketch::from_distribution(stats::EmpiricalDistribution(slice), eps);
           sketch.quantile_batch(qs, row);
           const std::size_t cell = std::size_t{features::index_of(feature)} * weeks + week;
           float* out = fleet.store_[cell].data() + std::size_t{id} * m;

@@ -11,20 +11,6 @@ namespace monohids::stats {
 
 namespace {
 
-/// Largest value the histogram sweep counts; traffic-count features stay
-/// far below it, and anything bigger is sorted instead.
-constexpr double kCountingMax = 65535.0;
-
-/// True when `v` is a small non-negative integer the histogram can count
-/// (rejects fractions, negatives, out-of-range values and -0.0).
-inline bool is_small_count(double v, std::uint32_t& out) noexcept {
-  if (!(v >= 0.0) || v > kCountingMax) return false;
-  const auto u = static_cast<std::uint32_t>(v);
-  if (static_cast<double>(u) != v || std::signbit(v)) return false;
-  out = u;
-  return true;
-}
-
 constexpr std::size_t kMaxSamples = std::numeric_limits<std::uint32_t>::max();
 
 /// A merge whose histogram (largest value + 1 slots) would hold this many
@@ -40,6 +26,13 @@ constexpr std::size_t kMergeSlotsPerRun = 8;
 std::vector<std::uint32_t>& histogram_scratch() {
   thread_local std::vector<std::uint32_t> hist;
   return hist;
+}
+
+/// The per-thread buffer small_counts writes the constructor's samples
+/// into (2.7 KB for a 672-bin host-week).
+std::vector<std::uint32_t>& counts_scratch() {
+  thread_local std::vector<std::uint32_t> counts;
+  return counts;
 }
 
 /// The runs of a histogram of small counts: one run per non-zero slot, in
@@ -75,7 +68,7 @@ bool count_runs(std::span<const EmpiricalDistribution> parts, std::vector<std::u
     std::uint32_t previous = 0;
     for (std::size_t k = 0; k < values.size(); ++k) {
       std::uint32_t value = 0;
-      if (!is_small_count(values[k], value)) return false;
+      if (!kernels::detail::is_small_count(values[k], value)) return false;
       hist[value] += cum[k] - previous;
       previous = cum[k];
     }
@@ -123,37 +116,34 @@ void sort_runs(std::span<const EmpiricalDistribution> parts, std::size_t run_cou
 
 }  // namespace
 
-EmpiricalDistribution::EmpiricalDistribution(std::vector<double> samples) {
+EmpiricalDistribution::EmpiricalDistribution(std::span<const double> samples) {
   if (samples.empty()) return;
   MONOHIDS_EXPECT(samples.size() <= kMaxSamples, "too many samples for one distribution");
-  // Below 64 samples sorting beats clearing a histogram.
-  bool counts = samples.size() >= 64;
-  std::uint32_t max_value = 0;
-  for (double v : samples) {
-    MONOHIDS_EXPECT(std::isfinite(v), "empirical samples must be finite");
-    std::uint32_t u = 0;
-    if (counts && is_small_count(v, u)) {
-      max_value = std::max(max_value, u);
-    } else {
-      counts = false;
-    }
-  }
   auto runs = std::make_shared<Runs>();
-  if (counts) {
+  // Below 64 samples sorting beats clearing a histogram.
+  std::uint32_t max_value = kernels::kNotSmallCounts;
+  std::vector<std::uint32_t>& counts = counts_scratch();
+  if (samples.size() >= 64) {
+    counts.resize(samples.size());
+    max_value = kernels::active().small_counts(samples.data(), counts.data(), samples.size());
+  }
+  if (max_value != kernels::kNotSmallCounts) {
     std::vector<std::uint32_t>& hist = histogram_scratch();
     hist.assign(std::size_t{max_value} + 1, 0);
-    for (double v : samples) ++hist[static_cast<std::uint32_t>(v)];
+    for (std::uint32_t u : counts) ++hist[u];
     runs_of_histogram(hist, runs->values, runs->cum);
   } else {
-    std::sort(samples.begin(), samples.end());
+    for (double v : samples) MONOHIDS_EXPECT(std::isfinite(v), "empirical samples must be finite");
+    std::vector<double> sorted(samples.begin(), samples.end());
+    std::sort(sorted.begin(), sorted.end());
     std::size_t distinct = 1;
-    for (std::size_t i = 1; i < samples.size(); ++i) distinct += samples[i] != samples[i - 1];
+    for (std::size_t i = 1; i < sorted.size(); ++i) distinct += sorted[i] != sorted[i - 1];
     runs->values.reserve(distinct);
     runs->cum.reserve(distinct);
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      if (i == 0 || samples[i] != runs->values.back()) {
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      if (i == 0 || sorted[i] != runs->values.back()) {
         // A zero run keeps +0.0 whichever zeros it holds.
-        runs->values.push_back(samples[i] == 0.0 ? 0.0 : samples[i]);
+        runs->values.push_back(sorted[i] == 0.0 ? 0.0 : sorted[i]);
         runs->cum.push_back(0);
       }
       runs->cum.back() = static_cast<std::uint32_t>(i + 1);
@@ -292,8 +282,8 @@ EmpiricalDistribution EmpiricalDistribution::merge(
     total += p.size();
     std::uint32_t lo = 0;
     std::uint32_t hi = 0;
-    counts = counts && is_small_count(p.runs_->values.front(), lo) &&
-             is_small_count(p.runs_->values.back(), hi);
+    counts = counts && kernels::detail::is_small_count(p.runs_->values.front(), lo) &&
+             kernels::detail::is_small_count(p.runs_->values.back(), hi);
     max_value = std::max(max_value, hi);
   }
   if (nonempty <= 1) return last == nullptr ? EmpiricalDistribution{} : *last;

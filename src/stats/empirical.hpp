@@ -33,11 +33,14 @@ class EmpiricalDistribution {
  public:
   EmpiricalDistribution() = default;
 
-  /// Builds from raw samples in any order. Samples must be finite and at
-  /// most 2^32 - 1 of them. Small non-negative integer samples (traffic
-  /// counts) are counted into runs by one histogram sweep; any other input
-  /// is sorted and run-length encoded. Both give the same runs.
-  explicit EmpiricalDistribution(std::vector<double> samples);
+  /// Builds from raw samples in any order, read in place (a feature
+  /// matrix's week slice needs no copy). Samples must be finite and at
+  /// most 2^32 - 1 of them. When there are 64 or more and every one is a
+  /// small non-negative integer (traffic counts), the dispatched
+  /// kernels::Ops::small_counts check converts them to integers and one
+  /// histogram sweep counts them into runs; any other input is copied,
+  /// sorted and run-length encoded. Both give the same runs.
+  explicit EmpiricalDistribution(std::span<const double> samples);
 
   [[nodiscard]] bool empty() const noexcept { return runs_ == nullptr; }
   [[nodiscard]] std::size_t size() const noexcept {

@@ -1,12 +1,14 @@
-// AVX2 synthesis back-end. This translation unit is compiled with -mavx2
-// (see src/stats/CMakeLists.txt); its functions are only ever reached
-// through the dispatch table after a runtime cpuid check, so the binary
-// stays safe on pre-AVX2 hardware.
+// AVX2 back-end. This translation unit is compiled with -mavx2 (see
+// src/stats/CMakeLists.txt); its functions are only ever reached through
+// the dispatch table after a runtime cpuid check, so the binary stays safe
+// on pre-AVX2 hardware.
 //
-// Exactness: philox_fill is pure lane-independent integer arithmetic, and
+// Exactness: philox_fill is pure lane-independent integer arithmetic,
 // poisson_counts repeats the scalar reference's floating-point steps lane
-// by lane in the same order (exact fused ops only where written), so both
-// are bit-identical to the scalar back-end by construction.
+// by lane in the same order (exact fused ops only where written), and
+// small_counts' round-trip test accepts exactly the doubles the scalar
+// test does, so all three are bit-identical to the scalar back-end by
+// construction.
 #include "stats/kernels.hpp"
 #include "stats/sampling.hpp"
 #include "util/rng.hpp"
@@ -15,6 +17,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstdint>
 
 namespace monohids::stats::kernels {
@@ -255,12 +258,42 @@ std::uint64_t poisson_counts_avx2(const double* means, const std::uint32_t* word
   return total;
 }
 
+/// Four samples per step: clamp to [0, kSmallCountMax], truncate to int32
+/// and convert back. A lane is a small count exactly when the round trip
+/// gives back the sample (unordered-not-equal flags fractions, values out
+/// of range, infinities and NaN, which maxpd clamps to its second operand,
+/// 0) and its sign bit is clear (-0.0 round-trips equal). The flags and
+/// the samples' own sign bits are ORed into one register whose sign bits
+/// are tested once at the end. The n % 4 tail runs the portable entry.
+std::uint32_t small_counts_avx2(const double* xs, std::uint32_t* out, std::size_t n) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d top = _mm256_set1_pd(kSmallCountMax);
+  __m256d bad = _mm256_setzero_pd();
+  __m128i largest = _mm_setzero_si128();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d x = _mm256_loadu_pd(xs + i);
+    const __m128i u = _mm256_cvttpd_epi32(_mm256_min_pd(_mm256_max_pd(x, zero), top));
+    const __m256d differs = _mm256_cmp_pd(_mm256_cvtepi32_pd(u), x, _CMP_NEQ_UQ);
+    bad = _mm256_or_pd(bad, _mm256_or_pd(differs, x));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), u);
+    largest = _mm_max_epu32(largest, u);
+  }
+  if (_mm256_movemask_pd(bad) != 0) return kNotSmallCounts;
+  largest = _mm_max_epu32(largest, _mm_shuffle_epi32(largest, _MM_SHUFFLE(1, 0, 3, 2)));
+  largest = _mm_max_epu32(largest, _mm_shuffle_epi32(largest, _MM_SHUFFLE(2, 3, 0, 1)));
+  const auto max_value = static_cast<std::uint32_t>(_mm_cvtsi128_si32(largest));
+  if (i == n) return max_value;
+  const std::uint32_t tail = detail::small_counts_portable(xs + i, out + i, n - i);
+  return tail == kNotSmallCounts ? tail : std::max(max_value, tail);
+}
+
 }  // namespace
 
 namespace detail {
 
 const Ops* avx2_ops() noexcept {
-  static const Ops ops = {"avx2", philox_fill_avx2, poisson_counts_avx2};
+  static const Ops ops = {"avx2", philox_fill_avx2, poisson_counts_avx2, small_counts_avx2};
   return &ops;
 }
 

@@ -1,5 +1,6 @@
-// Portable scalar synthesis back-end: the reference the AVX2 back-end must
-// match word for word and count for count.
+// Portable scalar back-end: the reference the AVX2 back-end must match
+// word for word, count for count and verdict for verdict.
+#include <algorithm>
 #include <cstdint>
 
 #include "stats/kernels.hpp"
@@ -45,8 +46,18 @@ std::uint64_t poisson_counts_portable(const double* means, const std::uint32_t* 
   return total;
 }
 
+std::uint32_t small_counts_portable(const double* xs, std::uint32_t* out, std::size_t n) {
+  std::uint32_t max_value = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!is_small_count(xs[i], out[i])) return kNotSmallCounts;
+    max_value = std::max(max_value, out[i]);
+  }
+  return max_value;
+}
+
 const Ops* scalar_ops() noexcept {
-  static const Ops ops = {"scalar", philox_fill_scalar, poisson_counts_portable};
+  static const Ops ops = {"scalar", philox_fill_scalar, poisson_counts_portable,
+                          small_counts_portable};
   return &ops;
 }
 

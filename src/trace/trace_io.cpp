@@ -6,7 +6,9 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -16,6 +18,13 @@ namespace monohids::trace {
 namespace {
 
 constexpr std::array<char, 8> kMagic = {'M', 'H', 'T', 'R', 'A', 'C', 'E', '\0'};
+
+/// The packet CSV's columns, in writer order.
+constexpr std::array<std::string_view, 8> kPacketCsvColumns = {
+    "timestamp_us", "src", "dst", "sport", "dport", "proto", "flags", "payload"};
+
+/// The feature CSV's first column; features::name_of names the others.
+constexpr std::string_view kBinStartColumn = "bin_start_us";
 
 void put_u32(std::ostream& out, std::uint32_t v) {
   std::array<char, 4> buf;
@@ -134,7 +143,7 @@ std::uint64_t stream_packet_trace(std::istream& in, features::PacketSink& sink,
 
 void write_packet_csv(std::ostream& out, const std::vector<net::PacketRecord>& packets) {
   util::CsvWriter csv(out);
-  csv.write_row({"timestamp_us", "src", "dst", "sport", "dport", "proto", "flags", "payload"});
+  csv.write_row(std::vector<std::string>(kPacketCsvColumns.begin(), kPacketCsvColumns.end()));
   for (const net::PacketRecord& p : packets) {
     csv.write_row({util::CsvWriter::format(p.timestamp), p.tuple.src_ip.to_string(),
                    p.tuple.dst_ip.to_string(), std::to_string(p.tuple.src_port),
@@ -172,8 +181,19 @@ std::uint64_t parse_u64_field(const std::string& text, const char* what,
   return value;
 }
 
-bool is_packet_csv_header(const std::vector<std::string>& row) {
-  return row.size() == 8 && row[0] == "timestamp_us";
+/// A CSV header must name the columns `expected` in order: readers take
+/// columns by position, so a renamed or reordered one would be read as
+/// another field. Throws InputError naming the first wrong column.
+void check_csv_header(const std::vector<std::string>& row,
+                      std::span<const std::string_view> expected, const char* what) {
+  MONOHIDS_ENSURE(row.size() == expected.size(),
+                  std::string(what) + " header has the wrong column count");
+  for (std::size_t c = 0; c < row.size(); ++c) {
+    MONOHIDS_ENSURE(row[c] == expected[c], std::string(what) + " header column " +
+                                               std::to_string(c) + " is \"" + row[c] +
+                                               "\", expected \"" + std::string(expected[c]) +
+                                               '"');
+  }
 }
 
 /// stod with the full diagnostic contract: garbage, trailing junk and empty
@@ -228,12 +248,14 @@ template <typename OnPacket>
 void parse_packet_csv(std::istream& in, OnPacket&& on_packet) {
   std::string line;
   MONOHIDS_ENSURE(static_cast<bool>(std::getline(in, line)), "packet CSV is empty");
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  MONOHIDS_ENSURE(is_packet_csv_header(util::csv_parse_line(line)),
-                  "packet CSV header does not match the expected format");
+  MONOHIDS_ENSURE(!in.eof(), "packet CSV ends inside its header: " + line);
+  // csv_parse_line drops one line-ending CR; any other is data.
+  check_csv_header(util::csv_parse_line(line), kPacketCsvColumns, "packet CSV");
   while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;  // trailing newline / blank line
+    if (line.empty() || line == "\r") continue;  // trailing newline / blank line
+    // The writer ends every row in a newline; a last row without one was
+    // cut short, and its last cell may have lost digits.
+    MONOHIDS_ENSURE(!in.eof(), "packet CSV ends inside a row: " + line);
     on_packet(parse_packet_row(util::csv_parse_line(line)));
   }
   // getline must have stopped at end-of-file; stopping on a stream error
@@ -258,7 +280,7 @@ std::uint64_t stream_packet_csv(std::istream& in, features::PacketSink& sink,
 
 void write_feature_csv(std::ostream& out, const features::FeatureMatrix& matrix) {
   util::CsvWriter csv(out);
-  std::vector<std::string> header{"bin_start_us"};
+  std::vector<std::string> header{std::string(kBinStartColumn)};
   for (features::FeatureKind f : features::kAllFeatures) {
     header.emplace_back(features::name_of(f));
   }
@@ -287,8 +309,11 @@ features::FeatureMatrix read_feature_csv(std::istream& in, util::BinGrid grid) {
   // As for the packet CSV: a stream error mid-file must not read as the end.
   MONOHIDS_ENSURE(in.eof(), "I/O error while reading feature CSV");
   MONOHIDS_ENSURE(rows.size() >= 2, "feature CSV has no data rows");
-  MONOHIDS_ENSURE(rows[0].size() == 1 + features::kFeatureCount,
-                  "feature CSV has the wrong column count");
+  std::array<std::string_view, 1 + features::kFeatureCount> columns{kBinStartColumn};
+  for (std::size_t c = 0; c < features::kFeatureCount; ++c) {
+    columns[c + 1] = features::name_of(features::kAllFeatures[c]);
+  }
+  check_csv_header(rows[0], columns, "feature CSV");
 
   const std::size_t bins = rows.size() - 1;
   const util::Duration horizon = bins * grid.width();

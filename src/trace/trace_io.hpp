@@ -36,13 +36,15 @@ std::uint64_t stream_packet_trace(std::istream& in, features::PacketSink& sink,
 /// (timestamp_us,src,dst,sport,dport,proto,flags,payload).
 void write_packet_csv(std::ostream& out, const std::vector<net::PacketRecord>& packets);
 
-/// Reads the packet-CSV format back (header required on the first line,
-/// fields as written by write_packet_csv; protocol accepts
-/// "tcp"/"udp"/"icmp"; multi-line quoted fields are not supported — the
-/// packet CSV shape never produces them). This is the import path for
-/// external traces — convert a pcap with tshark/tcpdump to this CSV shape
-/// and the whole pipeline (flows, features, policies) runs on real traffic.
-/// Throws InputError on malformed rows and on a stream error mid-file.
+/// Reads the packet-CSV format back (the first line must be the writer's
+/// header, its eight names in order; fields as written by
+/// write_packet_csv; protocol accepts "tcp"/"udp"/"icmp"; every line,
+/// the last included, ends in a newline, with one optional CR before it;
+/// multi-line quoted fields are not supported — the packet CSV shape never
+/// produces them). This is the import path for external traces — convert
+/// a pcap with tshark/tcpdump to this CSV shape and the whole pipeline
+/// (flows, features, policies) runs on real traffic. Throws InputError on
+/// a wrong header, malformed or cut rows and a stream error mid-file.
 [[nodiscard]] std::vector<net::PacketRecord> read_packet_csv(std::istream& in);
 
 /// Streaming form of read_packet_csv: parses row by row into `sink` in
@@ -54,7 +56,8 @@ std::uint64_t stream_packet_csv(std::istream& in, features::PacketSink& sink,
 /// Writes a feature matrix as CSV: bin_start_us then one column per feature.
 void write_feature_csv(std::ostream& out, const features::FeatureMatrix& matrix);
 
-/// Reads a feature-matrix CSV produced by write_feature_csv. Each row's
+/// Reads a feature-matrix CSV produced by write_feature_csv. The header
+/// must name bin_start_us and the features in writer order, each row's
 /// bin_start_us must be the start of its bin on `grid` (rows in bin order,
 /// none missing), every value a finite non-negative decimal, and the last
 /// row newline-terminated; anything else throws InputError.

@@ -58,6 +58,9 @@ std::vector<std::string> csv_parse_line(std::string_view line) {
           current.push_back('"');
           ++i;
         } else {
+          // A closing quote ends its field: "1"7 is not the cell 17.
+          MONOHIDS_ENSURE(i + 1 == line.size() || line[i + 1] == ',',
+                          "text after the closing quote of a CSV field");
           in_quotes = false;
         }
       } else {

@@ -35,6 +35,8 @@ class CsvWriter {
 
 /// Parses one CSV line into fields (RFC 4180 quoting). Multi-line quoted
 /// fields are not supported — the experiment outputs never produce them.
+/// A quote inside an unquoted field, text after a closing quote and an
+/// unterminated quote throw InputError.
 /// One trailing carriage return (CRLF line ending) is dropped; a '\r'
 /// anywhere else is kept as data.
 [[nodiscard]] std::vector<std::string> csv_parse_line(std::string_view line);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -38,7 +39,7 @@ TEST(AttackModel, InvalidSweepsAreErrors) {
 }
 
 TEST(AttackModel, MeanFnAveragesMissProbabilities) {
-  const EmpiricalDistribution g({0.0, 0.0, 0.0, 0.0});  // silent host
+  const EmpiricalDistribution g(std::vector<double>{0.0, 0.0, 0.0, 0.0});  // silent host
   AttackModel model;
   model.sizes = {5.0, 15.0};
   // threshold 10: size-5 attack always missed (0+5 <= 10), size-15 always
@@ -47,21 +48,21 @@ TEST(AttackModel, MeanFnAveragesMissProbabilities) {
 }
 
 TEST(AttackModel, MeanFnZeroWhenEverythingDetected) {
-  const EmpiricalDistribution g({100.0});
+  const EmpiricalDistribution g(std::vector<double>{100.0});
   AttackModel model;
   model.sizes = {1.0};
   EXPECT_DOUBLE_EQ(model.mean_fn(g, 50.0), 0.0);  // 100+1 > 50 always
 }
 
 TEST(AttackModel, MeanFnOneWhenThresholdUnreachable) {
-  const EmpiricalDistribution g({1.0, 2.0});
+  const EmpiricalDistribution g(std::vector<double>{1.0, 2.0});
   AttackModel model;
   model.sizes = {1.0, 2.0};
   EXPECT_DOUBLE_EQ(model.mean_fn(g, 1000.0), 1.0);
 }
 
 TEST(AttackModel, MeanFnMonotoneInThreshold) {
-  const EmpiricalDistribution g({1, 5, 10, 20, 50});
+  const EmpiricalDistribution g(std::vector<double>{1, 5, 10, 20, 50});
   const auto model = linear_attack_sweep(60.0, 20);
   double prev = -1.0;
   for (double t : {0.0, 10.0, 30.0, 80.0, 200.0}) {
@@ -72,7 +73,7 @@ TEST(AttackModel, MeanFnMonotoneInThreshold) {
 }
 
 TEST(AttackModel, EmptyModelIsAnError) {
-  const EmpiricalDistribution g({1.0});
+  const EmpiricalDistribution g(std::vector<double>{1.0});
   const AttackModel empty;
   EXPECT_THROW((void)empty.mean_fn(g, 1.0), PreconditionError);
 }

@@ -168,14 +168,19 @@ TEST(AttackModelDense, FractionalRunKeepsTheWalk) {
 TEST(AttackModelDense, SignedZerosAndSingleRuns) {
   const AttackModel attack = linear_attack_sweep(8.0, 16);
   const std::vector<double> th = {-1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 7.0, 8.0, 9.0, 16.0, 100.0};
-  expect_oracle(attack, EmpiricalDistribution({-0.0, 0.0, -0.0, 2.0, 2.0, 5.0}), th, "signed zeros");
-  expect_oracle(attack, EmpiricalDistribution({-0.0, -0.0}), th, "only -0.0");
-  expect_oracle(attack, EmpiricalDistribution({0.0}), th, "single zero");
-  expect_oracle(attack, EmpiricalDistribution({7.0, 7.0, 7.0}), th, "single run 7");
-  expect_oracle(attack, EmpiricalDistribution({65535.0}), th, "single run 65535");
+  expect_oracle(attack, EmpiricalDistribution(std::vector<double>{-0.0, 0.0, -0.0, 2.0, 2.0, 5.0}),
+                th, "signed zeros");
+  expect_oracle(attack, EmpiricalDistribution(std::vector<double>{-0.0, -0.0}), th, "only -0.0");
+  expect_oracle(attack, EmpiricalDistribution(std::vector<double>{0.0}), th, "single zero");
+  expect_oracle(attack, EmpiricalDistribution(std::vector<double>{7.0, 7.0, 7.0}),
+                th, "single run 7");
+  expect_oracle(attack, EmpiricalDistribution(std::vector<double>{65535.0}),
+                th, "single run 65535");
   // A negative or fractional value anywhere keeps the walk.
-  expect_oracle(attack, EmpiricalDistribution({-2.0, 0.0, 1.0, 3.0}), th, "negative run");
-  expect_oracle(attack, EmpiricalDistribution({0.25, 1.0, 3.0}), th, "fractional first run");
+  expect_oracle(attack, EmpiricalDistribution(std::vector<double>{-2.0, 0.0, 1.0, 3.0}),
+                th, "negative run");
+  expect_oracle(attack, EmpiricalDistribution(std::vector<double>{0.25, 1.0, 3.0}),
+                th, "fractional first run");
 }
 
 TEST(AttackModelDense, QueriesBelowMinAndPastMax) {
@@ -214,7 +219,7 @@ TEST(AttackModelDense, SparsityCutoffBothSides) {
   // runs and max + 1) allow 384 slots, i.e. a largest value of 383.
   const AttackModel sweep = linear_attack_sweep(400.0, 64);
   for (const double top : {382.0, 383.0, 384.0, 385.0, 60000.0}) {
-    const EmpiricalDistribution g({0.0, 0.0, top});
+    const EmpiricalDistribution g(std::vector<double>{0.0, 0.0, top});
     std::vector<double> th = candidate_thresholds(g);
     expect_oracle(sweep, g, th, "batch top " + std::to_string(top));
     th = {0.0, top / 2.0, top - 1.0, top, top + 0.5, top + 400.0};

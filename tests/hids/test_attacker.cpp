@@ -18,7 +18,7 @@ EmpiricalDistribution uniform(double lo, double hi, int n = 5000, std::uint64_t 
 }
 
 TEST(NaiveAttacker, DetectionProbabilityIsExceedanceOfShiftedTraffic) {
-  const EmpiricalDistribution g({0, 10, 20, 30});
+  const EmpiricalDistribution g(std::vector<double>{0, 10, 20, 30});
   // threshold 25, attack 10: detected when g + 10 > 25 <=> g > 15 -> {20,30}
   EXPECT_DOUBLE_EQ(naive_detection_probability(g, 25.0, 10.0), 0.5);
 }

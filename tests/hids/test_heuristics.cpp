@@ -45,13 +45,13 @@ TEST(Percentile, InvalidProbabilityIsAnError) {
 }
 
 TEST(MeanSigma, MatchesFormula) {
-  const EmpiricalDistribution g({2, 4, 4, 4, 5, 5, 7, 9});  // mean 5, sigma 2
+  const EmpiricalDistribution g(std::vector<double>{2, 4, 4, 4, 5, 5, 7, 9});  // mean 5, sigma 2
   const MeanSigmaHeuristic h(3.0);
   EXPECT_DOUBLE_EQ(h.compute(g, nullptr), 11.0);
 }
 
 TEST(MeanSigma, ZeroSigmaGivesMean) {
-  const EmpiricalDistribution g({1, 2, 3});
+  const EmpiricalDistribution g(std::vector<double>{1, 2, 3});
   const MeanSigmaHeuristic h(0.0);
   EXPECT_DOUBLE_EQ(h.compute(g, nullptr), 2.0);
 }
@@ -103,7 +103,7 @@ TEST(FMeasure, BalancesPrecisionAndRecall) {
 }
 
 TEST(Candidates, CoverUniqueValuesPlusSentinel) {
-  const EmpiricalDistribution g({1, 1, 2, 3, 3, 3});
+  const EmpiricalDistribution g(std::vector<double>{1, 1, 2, 3, 3, 3});
   const auto candidates = candidate_thresholds(g);
   ASSERT_EQ(candidates.size(), 4u);  // 1, 2, 3, max+1
   EXPECT_DOUBLE_EQ(candidates[0], 1.0);
@@ -111,7 +111,7 @@ TEST(Candidates, CoverUniqueValuesPlusSentinel) {
 }
 
 TEST(Candidates, SentinelThresholdNeverAlarms) {
-  const EmpiricalDistribution g({5, 6, 7});
+  const EmpiricalDistribution g(std::vector<double>{5, 6, 7});
   const auto candidates = candidate_thresholds(g);
   EXPECT_DOUBLE_EQ(g.exceedance(candidates.back()), 0.0);
 }

@@ -3,7 +3,8 @@
 // must match the oracles in tests/oracle (the sorted-sample distribution,
 // one std::upper_bound per query, one compare per bin) on the same inputs,
 // and every available synthesis back-end, called through its table, must
-// reproduce the scalar reference. Ranks and counts are integers and every
+// reproduce the scalar reference (the synthesis kernels and the
+// constructor's small-count check). Ranks and counts are integers and every
 // floating-point answer is compared by bit pattern, so any divergence is a
 // bug, not numerical noise. 520 seeded cases sweep arena shapes (uniform,
 // heavy-tailed, few-distinct-values/massive ties, small counts, extreme
@@ -18,6 +19,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -488,6 +490,89 @@ TEST(KernelDifferential, PoissonCountsPairDeadQuadsWithLongWalks) {
           ASSERT_EQ(sum, ref_sum) << "pattern " << pattern << " n=" << n;
         }
       }
+    }
+  }
+}
+
+/// The answer small_counts must give on `xs`, computed without the kernel:
+/// the largest value when every value is one of the integers the test put
+/// there, kNotSmallCounts when `any_bad`.
+std::uint32_t expected_small_counts(const std::vector<double>& xs, bool any_bad) {
+  if (any_bad) return kernels::kNotSmallCounts;
+  std::uint32_t largest = 0;
+  for (double v : xs) largest = std::max(largest, static_cast<std::uint32_t>(v));
+  return largest;
+}
+
+/// Runs small_counts on `xs` through every available table and checks each
+/// against `expected`, and the accepted outputs against the samples.
+void expect_small_counts(const std::vector<double>& xs, std::uint32_t expected,
+                         const std::string& label) {
+  std::vector<Backend> tables = {Backend::Scalar};
+  for (Backend b : simd_backends()) tables.push_back(b);
+  for (Backend b : tables) {
+    std::vector<std::uint32_t> out(xs.size(), 0xdeadbeefu);
+    const std::uint32_t got = kernels::ops_for(b)->small_counts(xs.data(), out.data(), xs.size());
+    ASSERT_EQ(got, expected) << label << " on " << kernels::backend_name(b);
+    if (got == kernels::kNotSmallCounts) continue;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      ASSERT_EQ(out[i], static_cast<std::uint32_t>(xs[i]))
+          << label << " lane " << i << " on " << kernels::backend_name(b);
+    }
+  }
+}
+
+TEST(KernelDifferential, SmallCountsMatchScalarAtEveryLength) {
+  // Every length from 0 to 700 (so every n % 4 tail behind every number
+  // of whole vectors), read at an aligned and at an odd offset, over
+  // counts whose largest value ranges from 0 to 65535.
+  const std::array<std::uint32_t, 6> caps = {0, 1, 9, 250, 4096, 65535};
+  std::vector<double> storage(702);
+  for (std::size_t n = 0; n <= 700; ++n) {
+    util::Xoshiro256 rng(0x5c0a7 + n);
+    const std::uint32_t cap = caps[n % caps.size()];
+    const std::size_t offset = n % 2;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Mostly zeros and small values, as traffic counts are, and the cap
+      // itself now and then.
+      const std::uint64_t r = rng() % 8;
+      storage[offset + i] = r == 0   ? static_cast<double>(cap)
+                            : r < 4 ? 0.0
+                                    : static_cast<double>(rng() % (std::uint64_t{cap} + 1));
+    }
+    const std::vector<double> xs(storage.begin() + static_cast<std::ptrdiff_t>(offset),
+                                 storage.begin() + static_cast<std::ptrdiff_t>(offset + n));
+    expect_small_counts(xs, expected_small_counts(xs, false), "n=" + std::to_string(n));
+  }
+}
+
+TEST(KernelDifferential, SmallCountsRejectAnyBadValueInAnyLane) {
+  // One rejected value at the first lane, a middle lane, the last lane of
+  // the last whole vector and the tail, for lengths with every n % 4; the
+  // largest count 65535 is accepted in the same places.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denormal = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> bad = {0.5, -0.0, -1.0, 65535.5, 65536.0, nan,
+                                   -nan, inf, -inf, denormal, 1e300,  -0.5};
+  for (std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 63, 64, 65, 66, 67, 671, 672, 673}) {
+    util::Xoshiro256 rng(0xbad0 + n);
+    std::vector<double> base(n);
+    for (double& v : base) v = static_cast<double>(rng() % 40);
+    const std::size_t whole = n / 4 * 4;
+    std::vector<std::size_t> lanes = {0, n / 2};
+    if (whole != 0) lanes.push_back(whole - 1);
+    if (whole != n) lanes.push_back(n - 1);
+    for (std::size_t lane : lanes) {
+      const std::string at = "n=" + std::to_string(n) + " lane " + std::to_string(lane);
+      for (std::size_t k = 0; k < bad.size(); ++k) {
+        std::vector<double> xs = base;
+        xs[lane] = bad[k];
+        expect_small_counts(xs, kernels::kNotSmallCounts, at + " bad value #" + std::to_string(k));
+      }
+      std::vector<double> xs = base;
+      xs[lane] = 65535.0;
+      expect_small_counts(xs, 65535u, at + " value 65535");
     }
   }
 }

@@ -1,14 +1,14 @@
 // Hostile-input suite for read_feature_csv. Valid texts come from
 // write_feature_csv over seeded matrices (counts, fractions, values near
 // 2^53 and past 10^15, on 5- and 15-minute grids); each is then mutated:
-// field counts, digits, signs, blanks, nan/inf and other non-decimal text,
-// values past 2^53 and past the double range, CR/LF endings and blank
-// lines, truncation anywhere (a cut last row above all), and dropped,
-// repeated or swapped rows. The oracle is an independent row parser
-// written here. For every mutant the reader and the oracle must agree:
-// read_feature_csv throws InputError exactly when the oracle rejects the
-// text, and otherwise returns exactly the oracle's bins, bit for bit. No
-// other exception may escape.
+// field counts, header names (swapped or changed), digits, signs, blanks,
+// nan/inf and other non-decimal text, values past 2^53 and past the double
+// range, CR/LF endings and blank lines, truncation anywhere (a cut last row
+// above all), and dropped, repeated or swapped rows. The oracle is an
+// independent row parser written here. For every mutant the reader and the
+// oracle must agree: read_feature_csv throws InputError exactly when the
+// oracle rejects the text, and otherwise returns exactly the oracle's bins,
+// bit for bit. No other exception may escape.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -96,6 +96,11 @@ std::optional<Bins> oracle_read(const std::string& text, util::BinGrid grid) {
     }
   }
   if (rows.size() < 2 || rows[0].size() != kColumns) return std::nullopt;
+  // The header names the columns as the writer does, in its order.
+  if (rows[0][0] != "bin_start_us") return std::nullopt;
+  for (std::size_t c = 0; c < features::kFeatureCount; ++c) {
+    if (rows[0][c + 1] != features::name_of(features::kAllFeatures[c])) return std::nullopt;
+  }
   Bins bins;
   for (std::size_t r = 1; r < rows.size(); ++r) {
     const auto& row = rows[r];
@@ -230,6 +235,7 @@ TEST(FeatureCsvMutation, ReaderAgreesWithAnIndependentRowParser) {
     const std::size_t bins = 20 + rng() % 60;
     const std::string base = base_text(rng, grid, bins);
     MutationRun run(grid);
+    util::Xoshiro256 header_rng(0x4eade7 + static_cast<std::uint64_t>(base_index));
     ASSERT_TRUE(run.check(base, "unmutated"));
     const std::vector<std::string> lines = [&] {
       auto l = split(base, '\n');
@@ -316,6 +322,26 @@ TEST(FeatureCsvMutation, ReaderAgreesWithAnIndependentRowParser) {
         EXPECT_FALSE(run.check(base.substr(0, in_last), "cut last row"));
         run.check(base.substr(0, rng() % base.size()), "truncated");
       }
+      {  // Header: two names swapped, one name changed by a character, or a
+         // name quoted (which CSV reads as the name itself). Drawn from
+         // their own stream, so the other mutants stay as they were.
+        std::vector<std::string> mutated = lines;
+        auto names = split(lines[0], ',');
+        const std::size_t a = header_rng() % kColumns;
+        const std::size_t b = (a + 1 + header_rng() % (kColumns - 1)) % kColumns;
+        const std::uint64_t kind = header_rng() % 3;
+        if (kind == 0) {
+          std::swap(names[a], names[b]);
+        } else if (kind == 1) {
+          names[a][header_rng() % names[a].size()] ^= 0x20;
+        } else {
+          names[a] = '"' + names[a] + '"';
+        }
+        std::string header;
+        for (std::size_t i = 0; i < names.size(); ++i) header += (i ? "," : "") + names[i];
+        mutated[0] = header;
+        EXPECT_EQ(run.check(join(mutated), "header"), kind == 2);
+      }
       {  // Rows dropped, repeated or swapped.
         std::vector<std::string> mutated = lines;
         const std::size_t r = any_row();
@@ -342,7 +368,12 @@ TEST(FeatureCsvMutation, ReaderAgreesWithAnIndependentRowParser) {
 
 TEST(FeatureCsvMutation, MisreadsNowRejectedNameTheProblem) {
   const util::BinGrid grid = util::BinGrid::minutes(15);
-  const std::string header = "bin_start_us,a,b,c,d,e,f\n";
+  std::string header = "bin_start_us";
+  for (features::FeatureKind f : features::kAllFeatures) {
+    header += ',';
+    header += features::name_of(f);
+  }
+  header += "\n";
   const auto reject = [&](const std::string& text, const std::string& diagnostic) {
     std::istringstream in(text);
     try {

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "features/feature.hpp"
 #include "trace/pcap.hpp"
 #include "trace/trace_io.hpp"
 #include "util/error.hpp"
@@ -246,11 +247,22 @@ TEST(TraceIoErrors, PacketCsvMidFileFaultThrowsFromBothReaders) {
   }
 }
 
+/// The header write_feature_csv writes: bin_start_us, then the feature
+/// names in writer order.
+std::string feature_csv_header() {
+  std::string header = "bin_start_us";
+  for (features::FeatureKind f : features::kAllFeatures) {
+    header += ',';
+    header += features::name_of(f);
+  }
+  return header + "\n";
+}
+
 TEST(TraceIoErrors, FeatureCsvMidFileFaultThrowsInputError) {
   // The same fault under the feature CSV reader: the streambuf's own
   // exception must not escape, and the rows before it must not read as a
   // complete (shorter) matrix.
-  std::string good = "bin_start_us,a,b,c,d,e,f\n";
+  std::string good = feature_csv_header();
   for (int bin = 0; bin < 8; ++bin) {
     good += std::to_string(bin * 900'000'000LL) + ",1,2,3,4,5,6\n";
   }
@@ -274,12 +286,49 @@ TEST(TraceIoErrors, FeatureCsvStructuralProblemsAreRejected) {
   const util::BinGrid grid = util::BinGrid::minutes(15);
   for (const std::string& text :
        {std::string(""), std::string("bin_start_us,a\n"),
-        std::string("bin_start_us,a,b,c,d,e,f\n"),  // header only, no data
-        std::string("bin_start_us,a,b,c,d,e,f\n0,1,2,3\n")}) {
+        feature_csv_header(),  // header only, no data
+        feature_csv_header() + "0,1,2,3\n"}) {
     SCOPED_TRACE("text: " + text);
     std::istringstream in(text);
     EXPECT_THROW((void)read_feature_csv(in, grid), InputError);
   }
+}
+
+TEST(TraceIoErrors, FeatureCsvHeaderNamesTheFirstWrongColumn) {
+  // Columns are read by position: a header whose DNS and TCP columns
+  // trade places, or whose names differ from the writer's, would file each
+  // column under another feature, so it is rejected naming the column.
+  const util::BinGrid grid = util::BinGrid::minutes(15);
+  const std::string rows = "0,1,2,3,4,5,6\n";
+  const auto expect_rejected = [&](const std::string& header, const std::string& diagnostic) {
+    SCOPED_TRACE("header: " + header);
+    std::istringstream in(header + rows);
+    try {
+      (void)read_feature_csv(in, grid);
+      ADD_FAILURE() << "read_feature_csv accepted the header";
+    } catch (const InputError& e) {
+      EXPECT_NE(std::string(e.what()).find(diagnostic), std::string::npos)
+          << "actual: " << e.what();
+    }
+  };
+  const std::string dns(features::name_of(features::FeatureKind::DnsConnections));
+  const std::string tcp(features::name_of(features::FeatureKind::TcpConnections));
+  ASSERT_EQ(features::kAllFeatures[0], features::FeatureKind::DnsConnections);
+  ASSERT_EQ(features::kAllFeatures[1], features::FeatureKind::TcpConnections);
+  std::string swapped = "bin_start_us," + tcp + "," + dns;
+  for (std::size_t c = 2; c < features::kFeatureCount; ++c) {
+    swapped += ',';
+    swapped += features::name_of(features::kAllFeatures[c]);
+  }
+  swapped += "\n";
+  expect_rejected(swapped, "header column 1 is \"" + tcp + "\", expected \"" + dns + '"');
+  std::string renamed = feature_csv_header();
+  renamed.replace(renamed.find("bin_start_us"), 12, "bin_start");
+  expect_rejected(renamed, "header column 0");
+  expect_rejected("bin_start_us,a,b,c,d,e,f\n", "header column 1 is \"a\"");
+  // The writer's own header reads.
+  std::istringstream in(feature_csv_header() + rows);
+  EXPECT_EQ(read_feature_csv(in, grid).of(features::FeatureKind::UdpConnections).at(0), 6.0);
 }
 
 TEST(TraceIoErrors, FeatureCsvMalformedValuesNameTheCell) {
@@ -288,7 +337,7 @@ TEST(TraceIoErrors, FeatureCsvMalformedValuesNameTheCell) {
   for (const std::string& cell : {std::string("abc"), std::string("1.5junk"), std::string(""),
                                   std::string("1\r5")}) {
     SCOPED_TRACE("cell: \"" + cell + "\"");
-    std::istringstream in("bin_start_us,a,b,c,d,e,f\n0,1,2," + cell + ",4,5,6\n");
+    std::istringstream in(feature_csv_header() + "0,1,2," + cell + ",4,5,6\n");
     try {
       (void)read_feature_csv(in, grid);
       FAIL() << "read_feature_csv accepted malformed cell";

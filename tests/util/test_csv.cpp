@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -99,6 +101,13 @@ TEST(CsvParse, UnterminatedQuoteIsAnError) {
 
 TEST(CsvParse, MidFieldQuoteIsAnError) {
   EXPECT_THROW(csv_parse_line("ab\"c\""), InputError);
+}
+
+TEST(CsvParse, TextAfterClosingQuoteIsAnError) {
+  // "1"7 used to read as the cell 17.
+  EXPECT_THROW(csv_parse_line("\"1\"7,2"), InputError);
+  EXPECT_THROW(csv_parse_line("a,\"b\" "), InputError);
+  EXPECT_EQ(csv_parse_line("\"1\",\"\"\r"), (std::vector<std::string>{"1", ""}));
 }
 
 TEST(CsvRoundTrip, EscapeThenParse) {
