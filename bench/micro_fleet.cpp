@@ -1,12 +1,12 @@
 // Microbenchmark + budget gate for fleet mode (sim::FleetScenario).
 //
-// Builds the sharded, sketch-backed fleet pipeline at --users hosts, runs
-// the paper's three policies (homogeneous / knee-partial / full diversity)
-// end to end on the compact state, and reports wall time per phase, the
-// compact store and pooled-sketch footprints, and process peak RSS. This is
-// the headline "million-host" binary: the exact pipeline needs
-// users × weeks × 672 × 8 B of resident arenas, fleet mode needs
-// users × weeks × grid_points × 4 B plus one shard of full matrices.
+// Builds the wave-by-wave fleet pipeline at --users hosts, runs the paper's
+// three policies (homogeneous / knee-partial / full diversity) end to end
+// on the compact rows, and reports wall time per phase, the compact store
+// footprint and process peak RSS. This is the headline "million-host"
+// binary: the exact pipeline needs users × weeks × 672 × 8 B of resident
+// arenas, fleet mode needs users × weeks × grid_points × 4 B plus one wave
+// of full matrices.
 //
 // Gates (each off unless its flag is set):
 //   --max-rss-mib N       fail when peak RSS exceeds N MiB
@@ -41,10 +41,8 @@ struct PolicyRow {
 
 int main(int argc, char** argv) {
   auto flags = bench::standard_flags(
-      "Fleet mode: sharded, sketch-backed scenario pipeline at 100k-1M hosts");
-  flags.add_int("shard-size", 4096, "users generated and reduced per resident shard");
+      "Fleet mode: wave-by-wave compact-row scenario pipeline at 100k-1M hosts");
   flags.add_int("grid-points", 24, "per-(user,feature,week) quantile grid points");
-  flags.add_double("eps", 1.0 / 48.0, "per-user GK sketch rank error");
   flags.add_int("attack-steps", 32, "attack model sweep steps");
   flags.add_bool("verify-exact", false,
                  "also run the exact pipeline and gate the utility error");
@@ -63,25 +61,19 @@ int main(int argc, char** argv) {
   config.set_weeks(static_cast<std::uint32_t>(flags.get_int("weeks")));
   config.base.generator.grid =
       util::BinGrid::minutes(static_cast<std::uint64_t>(flags.get_int("bin-minutes")));
-  config.shard_size = static_cast<std::uint32_t>(flags.get_int("shard-size"));
   config.grid_points = static_cast<std::uint32_t>(flags.get_int("grid-points"));
-  config.sketch_epsilon = flags.get_double("eps");
   MONOHIDS_EXPECT(config.base.generator.weeks >= 2,
                   "fleet bench needs >= 2 weeks (train week 0, test week 1)");
   if (flags.get_bool("verbose")) util::set_log_level(util::LogLevel::Info);
 
-  timings.config("shard_size", flags.get_int("shard-size"));
   timings.config("grid_points", flags.get_int("grid-points"));
-  timings.config("eps", util::fixed(config.sketch_epsilon, 5));
   timings.config("utility_error_bound", util::fixed(config.utility_error_bound(), 5));
 
   bench::banner("micro_fleet",
                 "a million-host fleet builds and evaluates in bounded memory; "
-                "sketch utilities stay within the documented error bound");
+                "compact-row utilities stay within the documented error bound");
   std::cout << "# users=" << flags.get_int("users")
-            << " shard-size=" << flags.get_int("shard-size")
             << " grid-points=" << flags.get_int("grid-points")
-            << " eps=" << util::fixed(config.sketch_epsilon, 5)
             << " weeks=" << flags.get_int("weeks") << '\n';
 
   const auto fleet =
@@ -132,19 +124,13 @@ int main(int argc, char** argv) {
   }
 
   const double store_mib = static_cast<double>(fleet.store_bytes()) / (1024.0 * 1024.0);
-  const double pooled_mib =
-      static_cast<double>(fleet.pooled_sketch_bytes()) / (1024.0 * 1024.0);
   const double rss_mib = static_cast<double>(util::peak_rss_kib()) / 1024.0;
   timings.config("store_mib", util::fixed(store_mib, 2));
-  timings.config("pooled_sketch_mib", util::fixed(pooled_mib, 3));
 
   util::TextTable table({"measurement", "value"});
   table.set_alignment({util::Align::Left, util::Align::Right});
   table.add_row({"hosts", std::to_string(fleet.user_count())});
-  table.add_row({"shards", std::to_string((fleet.user_count() + config.shard_size - 1) /
-                                          config.shard_size)});
   table.add_row({"compact store (MiB)", util::fixed(store_mib, 2)});
-  table.add_row({"pooled sketches (MiB)", util::fixed(pooled_mib, 3)});
   table.add_row({"peak RSS (MiB)", util::fixed(rss_mib, 1)});
   table.add_row({"utility error bound", util::fixed(config.utility_error_bound(), 4)});
   for (const PolicyRow& row : rows) {

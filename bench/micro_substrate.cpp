@@ -1,6 +1,6 @@
 // Substrate microbenchmarks (google-benchmark): throughput of the pieces a
 // production deployment would care about — the flow table, the feature
-// pipeline, quantile estimation (exact vs streaming), threshold assignment
+// pipeline, exact quantile estimation, threshold assignment
 // and the trace generators.
 #include <benchmark/benchmark.h>
 
@@ -8,7 +8,6 @@
 #include "hids/detector.hpp"
 #include "hids/evaluator.hpp"
 #include "sim/scenario.hpp"
-#include "stats/gk_sketch.hpp"
 #include "stats/quantile.hpp"
 #include "trace/generator.hpp"
 #include "trace/population.hpp"
@@ -75,20 +74,6 @@ void BM_ExactQuantile(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
 }
 BENCHMARK(BM_ExactQuantile)->Arg(672)->Arg(672 * 5)->Arg(100000);
-
-void BM_GkSketch(benchmark::State& state) {
-  util::Xoshiro256 rng(7);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<double> samples;
-  for (std::size_t i = 0; i < n; ++i) samples.push_back(rng.uniform01() * 1e6);
-  for (auto _ : state) {
-    stats::GkSketch sketch(0.01);
-    for (double v : samples) sketch.add(v);
-    benchmark::DoNotOptimize(sketch.quantile(0.99));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
-}
-BENCHMARK(BM_GkSketch)->Arg(672 * 5)->Arg(100000);
 
 void BM_BinLevelGeneration(benchmark::State& state) {
   trace::PopulationConfig pop;

@@ -5,10 +5,11 @@
 // ascending distinct values and a count per value. Traffic-count bins
 // repeat heavily (a synthetic host-week of 672 15-minute bins holds 26-64
 // distinct values per feature on average, at most 581; 2,016 5-minute bins
-// at most 992), so the runs take less memory than a buffer of the bins or
-// a GK sketch, and the threshold is exact: bit-identical to
+// at most 992), so the runs take less memory than a buffer of the bins,
+// and the threshold is exact: bit-identical to
 // stats::EmpiricalDistribution(bins).quantile(percentile).
-// bench/ablation_streaming reports the memory next to a GK sketch's.
+// bench/ablation_streaming reports the memory and threshold error next to
+// the fleet's 24-point row (sim::grid_row).
 #pragma once
 
 #include <array>

@@ -3,94 +3,97 @@
 // The exact pipeline keeps every user's full week distributions resident —
 // fine at the paper's 350 users, hopeless at enterprise fleet scale
 // (1M users × 5 weeks × 672 bins × 8 B ≈ 27 GB). Fleet mode streams the
-// population through memory one shard at a time and keeps only a compact
-// eps-approximate summary per (user, feature, week):
+// population through memory one wave of users at a time and keeps only a
+// compact m-point row per (user, feature, week):
 //
-//   shard generation (waves of users bounded by a matrix budget, rendered
-//     as flattened (user, week-tile) items through util::parallel_for)
-//     → per-user GkSketch of each week's bin counts (stats::GkSketch::
-//       from_distribution on the week slice's runs)
-//     → an m-point quantile-grid row (GkSketch::quantile_batch, one
-//       stats::kernels merge-scan), stored as float32
-//     → pooled per-(feature, week) sketches folded in user-index order
-//       (GkSketch::merge — the fold order, not the shard layout, defines
-//       the result, so any shard count produces the same pooled summary).
+//   wave generation (users per wave bounded by a matrix byte budget,
+//     rendered as flattened (user, week-tile) items through
+//     util::parallel_for)
+//     → each user-week's exact EmpiricalDistribution (built in place from
+//       the week slice)
+//     → its nearest-rank quantiles at k / (m − 1), stored as float32
+//       (grid_row).
 //
 // Everything downstream — assign_thresholds, the heuristics, attacker
 // curves, evaluate_policy — runs unmodified: FleetAnalysisCache implements
 // hids::DistributionCache by expanding one (feature, week) of the compact
 // store into per-user EmpiricalDistributions on demand, keeping at most a
 // couple of weeks resident (each expansion holds at most users × m runs).
+// A pooled (homogeneous) distribution is EmpiricalDistribution::merge over
+// that expansion, as in the exact pipeline.
 //
-// Error model (documented bound, asserted by tests and the CI gate): a grid
-// row read as an empirical distribution answers rank/CDF queries within
-//   eps_total = sketch_epsilon + 1 / (grid_points - 1)
-// of the exact per-user distribution (sketch rank error plus grid
-// discretization), so a utility U = 1 − [w·FN + (1−w)·FP] built from these
-// rates is within 2·eps_total of the exact pipeline's.
+// Error model (a proof for counts below 2^24, which float32 holds exactly;
+// asserted by tests and the CI gate). Let F be the exact CDF of a
+// user-week and q_k = quantile(k / (m − 1)) its row, k = 0..m−1. If no q_k
+// is <= x, x lies below the minimum and both CDFs read 0. Otherwise let j
+// be the largest k with q_k <= x. Nearest rank gives F(q_j) >= j / (m − 1),
+// and q_{j+1} > x gives F(x) < (j + 1) / (m − 1) (for j = m − 1, F(x) = 1),
+// so F(x) ∈ [j/(m−1), (j+1)/(m−1)). The row is ascending, so exactly j + 1
+// of its m entries are <= x and the row's CDF is (j + 1) / m. Both ends of
+// the interval lie within 1/(m − 1) of (j + 1) / m, the upper one strictly:
+//   |row CDF(x) − F(x)| < rank_error_bound() = 1 / (m − 1).
+// FP and FN rates are CDF reads, and U = 1 − [w·FN + (1−w)·FP] mixes them
+// convexly; the heuristic picks its threshold on the row's CDF, a second
+// read within the same bound, so the documented utility bound is
+// utility_error_bound() = 2 / (m − 1) (0.087 at m = 24).
 //
-// Determinism: rows and pooled sketches are bit-identical for every shard
-// size and thread count — each user's row depends only on (config, user id)
-// and lands in its own slot; the pooled fold is sequential in user order.
-// The same holds across SIMD kernel back-ends (the counter-mode draw keys
-// make every bin's words independent of how the render work is split).
+// Determinism: rows are bit-identical for every thread count — each user's
+// row depends only on (config, user id) and lands in its own slot. The
+// same holds across SIMD kernel back-ends (the counter-mode draw keys make
+// every bin's words independent of how the render work is split).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "hids/evaluator.hpp"
 #include "sim/scenario.hpp"
-#include "stats/gk_sketch.hpp"
+#include "stats/empirical.hpp"
 
 namespace monohids::sim {
 
 struct FleetConfig {
   /// Population + generator parameters (same meaning as ScenarioConfig;
   /// fidelity is ignored — fleet mode always renders bin-level features).
-  /// Every (user, bin) cell owns an independent Philox stream, so shards
+  /// Every (user, bin) cell owns an independent Philox stream, so waves
   /// parallelize over flattened (user, week-tile) work items instead of
-  /// whole users, and the result is invariant to shard size and thread
-  /// count.
+  /// whole users, and the result is invariant to the thread count.
   ScenarioConfig base;
-
-  /// Users generated and reduced per resident shard. Execution knob: rows
-  /// and pooled sketches are bit-identical for every value; peak RSS and
-  /// parallelism scale with it.
-  std::uint32_t shard_size = 4096;
-
-  /// Rank error of the per-user week sketches (fraction of a week's bins).
-  double sketch_epsilon = 1.0 / 48.0;
 
   /// Points in the per-(user, feature, week) quantile grid: row k holds
   /// quantile(k / (grid_points - 1)), endpoints included, stored float32.
   std::uint32_t grid_points = 24;
 
-  /// Worker threads per shard (0 = auto via MONOHIDS_THREADS).
+  /// Worker threads per wave (0 = auto via MONOHIDS_THREADS).
   unsigned threads = 0;
 
   void set_seed(std::uint64_t seed) { base.set_seed(seed); }
   void set_users(std::uint32_t n) { base.set_users(n); }
   void set_weeks(std::uint32_t w) { base.set_weeks(w); }
 
-  /// The documented rank-error bound of a grid row vs the exact per-user
-  /// distribution: sketch rank error plus grid discretization.
+  /// The rank-error bound of a grid row against the exact per-user
+  /// distribution (strict; see the error model above).
   [[nodiscard]] double rank_error_bound() const noexcept {
-    return sketch_epsilon + 1.0 / static_cast<double>(grid_points - 1);
+    return 1.0 / static_cast<double>(grid_points - 1);
   }
-  /// The derived utility error bound: FP and FN are each rank-error-bounded
-  /// rates, and U = 1 − [w·FN + (1−w)·FP] mixes them convexly.
+  /// The documented utility error bound: twice the rank-error bound.
   [[nodiscard]] double utility_error_bound() const noexcept {
     return 2.0 * rank_error_bound();
   }
 };
 
+/// One fleet row: row[k] = float(week.quantile(k / (m − 1))) for
+/// m = row.size() >= 2, the exact nearest-rank quantiles of a non-empty
+/// week distribution on the grid, endpoints included.
+void grid_row(const stats::EmpiricalDistribution& week, std::span<float> row);
+
 class FleetAnalysisCache;
 
-/// The compact fleet dataset: per-user quantile-grid rows and pooled
-/// per-(feature, week) sketches. Build with build_fleet_scenario().
+/// The compact fleet dataset: per-user quantile-grid rows. Build with
+/// build_fleet_scenario().
 class FleetScenario {
  public:
   [[nodiscard]] const FleetConfig& config() const noexcept { return config_; }
@@ -116,16 +119,8 @@ class FleetScenario {
   [[nodiscard]] std::span<const float> rows(features::FeatureKind feature,
                                             std::uint32_t week) const;
 
-  /// Pooled sketch over every user's week bins (folded in user-index
-  /// order): the fleet console's population-wide distribution of `feature`
-  /// in `week`, e.g. for pooled homogeneous thresholds at full rank
-  /// resolution instead of through the m-point rows.
-  [[nodiscard]] const stats::GkSketch& pooled(features::FeatureKind feature,
-                                              std::uint32_t week) const;
-
-  /// Compact store footprint (rows only) and pooled sketch footprint.
+  /// Compact store footprint.
   [[nodiscard]] std::size_t store_bytes() const noexcept;
-  [[nodiscard]] std::size_t pooled_sketch_bytes() const noexcept;
 
   /// Lazily-created analysis cache over this fleet (thread-safe after the
   /// first reference; take that from a single thread, like
@@ -143,15 +138,13 @@ class FleetScenario {
   /// Indexed [feature * weeks + week]; each entry users × grid_points
   /// floats, user-major.
   std::vector<std::vector<float>> store_;
-  std::vector<stats::GkSketch> pooled_;
   mutable std::shared_ptr<FleetAnalysisCache> analysis_cache_;
 };
 
-/// Generates, sketches and reduces the whole population shard by shard —
-/// one shard of full feature matrices resident at a time. Deterministic for
-/// every shard size and thread count. Publishes per-shard obs metrics
-/// (fleet.shard_latency_ms, fleet.users_total, fleet.sketch_bytes_total,
-/// fleet.peak_rss_kib).
+/// Generates and reduces the whole population wave by wave — one wave of
+/// full feature matrices resident at a time. Deterministic for every thread
+/// count. Publishes per-wave obs metrics (fleet.wave_latency_ms,
+/// fleet.waves_total, fleet.users_total, fleet.peak_rss_kib).
 [[nodiscard]] FleetScenario build_fleet_scenario(const FleetConfig& config);
 
 /// hids::DistributionCache over a FleetScenario: week() expands one

@@ -6,8 +6,8 @@
 // week. rank_sorted answers a whole ascending query batch with one
 // merge-scan over an ascending value span — O(n + T) for a threshold sweep
 // instead of O(T log n) binary searches. It backs
-// EmpiricalDistribution::rank_batch and GkSketch::quantile_batch, and it
-// is one plain portable function.
+// EmpiricalDistribution::rank_batch, and it is one plain portable
+// function.
 //
 // Dispatch: three bulk kernels keep a function-pointer table with a
 // portable scalar entry and an AVX2 entry. Two are the v2 scenario

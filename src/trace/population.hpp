@@ -63,7 +63,7 @@ struct PopulationConfig {
 /// exposed for tests and ablations.
 [[nodiscard]] std::array<double, kAppCount> base_session_rates() noexcept;
 
-/// Random-access population generation for sharded fleet builds.
+/// Random-access population generation for wave-by-wave fleet builds.
 ///
 /// Profile sampling is pure per user (its RNG stream is derived from the
 /// user id alone), but extreme-host promotion is a *global* post-pass: it

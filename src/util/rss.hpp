@@ -2,7 +2,7 @@
 //
 // The fleet mode's whole point is a bounded peak RSS, so the number must be
 // observable from inside the process: benches emit it in their JSON, the
-// fleet build publishes it as an obs gauge after every shard, and CI gates
+// fleet build publishes it as an obs gauge after every wave, and CI gates
 // on it. Readings come from /proc/self/status on Linux with a getrusage
 // fallback elsewhere; platforms with neither report 0 (callers treat 0 as
 // "unknown", never as "no memory").

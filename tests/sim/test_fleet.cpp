@@ -1,15 +1,15 @@
 // Fleet-mode contract tests.
 //
-// The three load-bearing claims:
-//   1. Determinism — rows, pooled sketches, thresholds, utilities and
-//      console alarm counts are bit-identical for every shard size and
-//      thread count (the fold order, not the shard layout, defines them).
-//   2. Accuracy — utilities from the compact eps-approximate state stay
-//      within the documented utility_error_bound() of the exact pipeline
-//      at the paper's 350 users, and per-user FP/CDF queries stay within
-//      rank_error_bound().
-//   3. Fidelity — the paper's policy ranking (full > partial > homogeneous
-//      mean utility) survives the approximation.
+// The four load-bearing claims:
+//   1. Exactness of the rows — each row is the float-cast nearest-rank
+//      grid of the exact week distribution build_scenario produces.
+//   2. Determinism — rows, thresholds, utilities and console alarm counts
+//      are bit-identical for every thread count.
+//   3. Accuracy — per-user FP/CDF queries stay strictly within
+//      rank_error_bound() = 1/(m − 1), and utilities within the documented
+//      utility_error_bound() of the exact pipeline at the paper's 350 users.
+//   4. Fidelity — the paper's policy ranking (full > partial > homogeneous
+//      mean utility) survives the compact rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,19 +28,17 @@ namespace {
 
 using features::FeatureKind;
 
-FleetConfig small_fleet(std::uint32_t users, std::uint32_t shard_size,
-                        unsigned threads = 0) {
+FleetConfig small_fleet(std::uint32_t users, unsigned threads = 0) {
   FleetConfig config;
   config.set_users(users);
   config.set_seed(42);
   config.set_weeks(2);
-  config.shard_size = shard_size;
   config.threads = threads;
   return config;
 }
 
 TEST(Fleet, RowsAreAscendingAndSized) {
-  const FleetScenario fleet = build_fleet_scenario(small_fleet(40, 16));
+  const FleetScenario fleet = build_fleet_scenario(small_fleet(40));
   EXPECT_EQ(fleet.user_count(), 40u);
   EXPECT_EQ(fleet.week_count(), 2u);
   EXPECT_EQ(fleet.bins_per_week(), 672u);  // 15-minute bins
@@ -52,94 +50,103 @@ TEST(Fleet, RowsAreAscendingAndSized) {
         const auto row = fleet.row(f, w, u);
         EXPECT_TRUE(std::is_sorted(row.begin(), row.end()));
       }
-      EXPECT_EQ(fleet.pooled(f, w).count(), std::uint64_t{40} * 672);
     }
   }
-  EXPECT_GT(fleet.store_bytes(), 0u);
-  EXPECT_GT(fleet.pooled_sketch_bytes(), 0u);
+  EXPECT_EQ(fleet.store_bytes(), std::size_t{40} * 24 * sizeof(float) *
+                                     features::kFeatureCount * fleet.week_count());
 }
 
-TEST(Fleet, ShardAndThreadCountDoNotChangeAnything) {
-  // The regression demanded by the issue: shards ∈ {1, 4, 16} (as shard
-  // sizes covering 1..N shards) × serial vs parallel workers. Rows and
-  // pooled sketches must be bit-identical; thresholds, utilities and
-  // console alarm counts follow from them deterministically.
-  constexpr std::uint32_t kUsers = 64;
-  const FleetScenario reference = build_fleet_scenario(small_fleet(kUsers, kUsers, 1));
-
-  const std::uint32_t shard_sizes[] = {kUsers, kUsers / 4, kUsers / 16};
-  const unsigned thread_counts[] = {1, 3};
-  for (const std::uint32_t shard_size : shard_sizes) {
-    for (const unsigned threads : thread_counts) {
-      const FleetScenario fleet =
-          build_fleet_scenario(small_fleet(kUsers, shard_size, threads));
-      for (FeatureKind f : features::kAllFeatures) {
-        for (std::uint32_t w = 0; w < fleet.week_count(); ++w) {
-          const auto expect = reference.rows(f, w);
-          const auto got = fleet.rows(f, w);
-          ASSERT_EQ(got.size(), expect.size());
-          for (std::size_t i = 0; i < got.size(); ++i) {
-            ASSERT_EQ(got[i], expect[i])
-                << "feature " << features::index_of(f) << " week " << w
-                << " slot " << i << " shard_size=" << shard_size
-                << " threads=" << threads;
-          }
-          ASSERT_EQ(fleet.pooled(f, w).count(), reference.pooled(f, w).count());
-          for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-            ASSERT_EQ(fleet.pooled(f, w).quantile(q),
-                      reference.pooled(f, w).quantile(q))
-                << "pooled quantile diverged at q=" << q
-                << " shard_size=" << shard_size << " threads=" << threads;
-          }
+TEST(Fleet, RowsAreExactQuantilesOfTheWeek) {
+  // Every row equals, bit for bit, the float-cast nearest-rank grid of the
+  // exact pipeline's week slice under the same config.
+  const FleetConfig config = small_fleet(48);
+  const Scenario exact = build_scenario(config.base);
+  const FleetScenario fleet = build_fleet_scenario(config);
+  const std::uint32_t m = fleet.grid_points();
+  for (FeatureKind f : features::kAllFeatures) {
+    for (std::uint32_t w = 0; w < fleet.week_count(); ++w) {
+      for (std::uint32_t u = 0; u < fleet.user_count(); ++u) {
+        const stats::EmpiricalDistribution week(exact.matrices[u].of(f).week_slice(w));
+        const auto row = fleet.row(f, w, u);
+        ASSERT_EQ(row.size(), m);
+        for (std::uint32_t k = 0; k < m; ++k) {
+          const float expect = static_cast<float>(
+              week.quantile(static_cast<double>(k) / static_cast<double>(m - 1)));
+          ASSERT_EQ(row[k], expect) << "feature " << features::index_of(f) << " week "
+                                    << w << " user " << u << " point " << k;
         }
       }
+    }
+  }
+}
 
-      // End-to-end: thresholds → utilities → console alarms, all equal.
-      const auto attack =
-          fleet.analysis().attack_model(FeatureKind::TcpConnections, 0, 16);
-      const auto ref_attack =
-          reference.analysis().attack_model(FeatureKind::TcpConnections, 0, 16);
-      const hids::KneePartialGrouper grouper;
-      const hids::UtilityHeuristic heuristic(0.5);
-      const auto outcome = evaluate_fleet_policy(
-          fleet, FeatureKind::TcpConnections, {0, 1}, grouper, heuristic, *attack);
-      const auto expected = evaluate_fleet_policy(reference,
-                                                  FeatureKind::TcpConnections,
-                                                  {0, 1}, grouper, heuristic,
-                                                  *ref_attack);
-      ASSERT_EQ(outcome.users.size(), expected.users.size());
-      for (std::size_t u = 0; u < outcome.users.size(); ++u) {
-        ASSERT_EQ(outcome.users[u].threshold, expected.users[u].threshold);
-        ASSERT_EQ(outcome.users[u].fp_rate, expected.users[u].fp_rate);
-        ASSERT_EQ(outcome.users[u].fn_rate, expected.users[u].fn_rate);
-        ASSERT_EQ(outcome.users[u].weekly_false_alarms,
-                  expected.users[u].weekly_false_alarms);
+TEST(Fleet, ThreadCountDoesNotChangeAnything) {
+  // Rows must be bit-identical over 1, 2 and 4 worker threads; thresholds,
+  // utilities and console alarm counts follow from them deterministically.
+  constexpr std::uint32_t kUsers = 64;
+  const FleetScenario reference = build_fleet_scenario(small_fleet(kUsers, 1));
+
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const FleetScenario fleet = build_fleet_scenario(small_fleet(kUsers, threads));
+    for (FeatureKind f : features::kAllFeatures) {
+      for (std::uint32_t w = 0; w < fleet.week_count(); ++w) {
+        const auto expect = reference.rows(f, w);
+        const auto got = fleet.rows(f, w);
+        ASSERT_EQ(got.size(), expect.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i], expect[i]) << "feature " << features::index_of(f) << " week "
+                                       << w << " slot " << i << " threads=" << threads;
+        }
       }
+    }
+
+    // End-to-end: thresholds → utilities → console alarms, all equal.
+    const auto attack = fleet.analysis().attack_model(FeatureKind::TcpConnections, 0, 16);
+    const auto ref_attack =
+        reference.analysis().attack_model(FeatureKind::TcpConnections, 0, 16);
+    const hids::KneePartialGrouper grouper;
+    const hids::UtilityHeuristic heuristic(0.5);
+    const auto outcome = evaluate_fleet_policy(fleet, FeatureKind::TcpConnections, {0, 1},
+                                               grouper, heuristic, *attack, threads);
+    const auto expected = evaluate_fleet_policy(reference, FeatureKind::TcpConnections,
+                                                {0, 1}, grouper, heuristic, *ref_attack);
+    ASSERT_EQ(outcome.users.size(), expected.users.size());
+    for (std::size_t u = 0; u < outcome.users.size(); ++u) {
+      ASSERT_EQ(outcome.users[u].threshold, expected.users[u].threshold);
+      ASSERT_EQ(outcome.users[u].fp_rate, expected.users[u].fp_rate);
+      ASSERT_EQ(outcome.users[u].fn_rate, expected.users[u].fn_rate);
+      ASSERT_EQ(outcome.users[u].weekly_false_alarms, expected.users[u].weekly_false_alarms);
     }
   }
 }
 
 TEST(Fleet, CompactRowsStayWithinTheRankErrorBound) {
-  // Per-user FP check: the compact view's exceedance at the exact pipeline's
-  // threshold must stay within rank_error_bound() of the exact exceedance.
+  // Per-user CDF check: at every distinct value of the exact week (and one
+  // below its minimum), the compact row's CDF stays strictly within
+  // rank_error_bound() = 1/(m − 1) of the exact CDF, at several grid sizes.
   // The exact side runs on the fleet's own base config so both pipelines
-  // see the same matrices and the bound is the sketch+grid approximation
-  // alone.
-  FleetConfig config = small_fleet(80, 32);
-  const Scenario exact = build_scenario(config.base);
-  const FleetScenario fleet = build_fleet_scenario(config);
-  const double bound = config.rank_error_bound();
-
+  // see the same matrices and the bound is the grid discretization alone.
+  const Scenario exact = build_scenario(small_fleet(80).base);
   const auto feature = FeatureKind::TcpConnections;
   const auto exact_week = exact.analysis().week(feature, 1);
-  const auto fleet_week = fleet.analysis().week(feature, 1);
-  ASSERT_EQ(exact_week->size(), fleet_week->size());
-  for (std::size_t u = 0; u < exact_week->size(); ++u) {
-    const double t = (*exact_week)[u].quantile(0.99);
-    const double exact_fp = (*exact_week)[u].exceedance(t);
-    const double fleet_fp = (*fleet_week)[u].exceedance(t);
-    EXPECT_LE(std::abs(fleet_fp - exact_fp), bound)
-        << "user " << u << ": exact fp " << exact_fp << " vs fleet " << fleet_fp;
+  for (const std::uint32_t m : {2u, 8u, 24u, 48u}) {
+    FleetConfig config = small_fleet(80);
+    config.grid_points = m;
+    const FleetScenario fleet = build_fleet_scenario(config);
+    const double bound = config.rank_error_bound();
+    EXPECT_EQ(bound, 1.0 / static_cast<double>(m - 1));
+
+    const auto fleet_week = fleet.analysis().week(feature, 1);
+    ASSERT_EQ(exact_week->size(), fleet_week->size());
+    for (std::size_t u = 0; u < exact_week->size(); ++u) {
+      const auto& truth = (*exact_week)[u];
+      const auto& compact = (*fleet_week)[u];
+      EXPECT_EQ(compact.cdf(truth.min() - 1.0), 0.0);
+      for (const double x : truth.values()) {
+        EXPECT_LT(std::abs(compact.cdf(x) - truth.cdf(x)), bound)
+            << "m=" << m << " user " << u << " x=" << x;
+      }
+    }
   }
 }
 
@@ -148,7 +155,7 @@ TEST(Fleet, UtilitiesMatchTheExactPipelineWithinTheStatedBound) {
   // (grouper, heuristic, attack) policy through the exact pipeline and the
   // fleet pipeline; mean utility must agree within utility_error_bound().
   constexpr std::uint32_t kUsers = 350;
-  FleetConfig config = small_fleet(kUsers, 128);
+  FleetConfig config = small_fleet(kUsers);
   const Scenario exact = build_scenario(config.base);
   const FleetScenario fleet = build_fleet_scenario(config);
 
@@ -178,7 +185,7 @@ TEST(Fleet, UtilitiesMatchTheExactPipelineWithinTheStatedBound) {
 TEST(Fleet, PolicyRankingSurvivesTheApproximation) {
   // Figure 3's ordering: full diversity > partial diversity > homogeneous
   // mean utility, evaluated entirely on the compact state.
-  FleetConfig config = small_fleet(350, 128);
+  FleetConfig config = small_fleet(350);
   const FleetScenario fleet = build_fleet_scenario(config);
 
   const auto feature = FeatureKind::TcpConnections;
@@ -203,7 +210,7 @@ TEST(Fleet, PolicyRankingSurvivesTheApproximation) {
 }
 
 TEST(Fleet, ConsoleAlarmsAreScaledToRealWeeks) {
-  const FleetScenario fleet = build_fleet_scenario(small_fleet(40, 40));
+  const FleetScenario fleet = build_fleet_scenario(small_fleet(40));
   const auto feature = FeatureKind::TcpConnections;
   const auto attack = fleet.analysis().attack_model(feature, 0, 8);
   const hids::PercentileHeuristic heuristic(0.95);
@@ -218,14 +225,18 @@ TEST(Fleet, ConsoleAlarmsAreScaledToRealWeeks) {
 }
 
 TEST(Fleet, RejectsDegenerateConfigs) {
-  FleetConfig config = small_fleet(10, 0);
-  EXPECT_THROW((void)build_fleet_scenario(config), PreconditionError);
-  config = small_fleet(10, 4);
-  config.grid_points = 1;
-  EXPECT_THROW((void)build_fleet_scenario(config), PreconditionError);
-  config = small_fleet(10, 4);
-  config.sketch_epsilon = 0.7;
-  EXPECT_THROW((void)build_fleet_scenario(config), PreconditionError);
+  for (const std::uint32_t m : {0u, 1u}) {
+    FleetConfig config = small_fleet(10);
+    config.grid_points = m;
+    EXPECT_THROW((void)build_fleet_scenario(config), PreconditionError) << "m=" << m;
+  }
+  FleetConfig config = small_fleet(10);
+  config.base.generator.grid = util::BinGrid::minutes(11);  // does not divide a week
+  EXPECT_THROW((void)build_fleet_scenario(config), InputError);
+
+  const std::vector<double> samples = {1.0, 2.0, 3.0};
+  std::vector<float> row(1);
+  EXPECT_THROW(grid_row(stats::EmpiricalDistribution(samples), row), PreconditionError);
 }
 
 }  // namespace
