@@ -3,12 +3,15 @@
 # extensions.
 #
 # Runs each of the 23 fig*/table*/ablation*/ext*/roc* binaries at its
-# default arguments with MONOHIDS_THREADS=2, once on the dispatched SIMD
-# back-end and once under MONOHIDS_SIMD=scalar, and diffs its stdout
-# against bench/golden/<binary>.txt. Every output is deterministic across
-# thread counts, back-ends and build types, so any difference is a change
-# of a paper number: the script prints the diff and exits non-zero, as it
-# does when a binary itself fails.
+# default arguments in three legs: with MONOHIDS_THREADS=2 on the
+# dispatched SIMD back-end, with MONOHIDS_THREADS=2 under
+# MONOHIDS_SIMD=scalar, and with MONOHIDS_THREADS=4 on the dispatched
+# back-end; each stdout is diffed against bench/golden/<binary>.txt. Every
+# output is deterministic across thread counts, back-ends and build types,
+# so any difference is a change of a paper number (or a scheduling change
+# that leaks into one, which the 4-thread leg is there to catch): the
+# script prints the diff and exits non-zero, as it does when a binary
+# itself fails.
 #
 # A change that moves an output on purpose regenerates the golden files in
 # the same commit (run each binary as below and write its stdout to
@@ -36,7 +39,10 @@ OUT="$(mktemp -d)"
 trap 'rm -rf "${OUT}"' EXIT
 
 failed=0
-for simd in native scalar; do
+# Each leg is "<simd>:<threads>"; simd "native" leaves MONOHIDS_SIMD unset.
+for leg in native:2 scalar:2 native:4; do
+  simd="${leg%%:*}"
+  threads="${leg##*:}"
   for name in "${BINARIES[@]}"; do
     bin="${BUILD_DIR}/bench/${name}"
     golden="${GOLDEN_DIR}/${name}.txt"
@@ -50,19 +56,19 @@ for simd in native scalar; do
       failed=1
       continue
     fi
-    actual="${OUT}/${name}.${simd}.txt"
+    actual="${OUT}/${name}.${simd}.${threads}.txt"
     status=0
     if [ "${simd}" = scalar ]; then
-      MONOHIDS_THREADS=2 MONOHIDS_SIMD=scalar "${bin}" > "${actual}" || status=$?
+      MONOHIDS_THREADS="${threads}" MONOHIDS_SIMD=scalar "${bin}" > "${actual}" || status=$?
     else
-      MONOHIDS_THREADS=2 "${bin}" > "${actual}" || status=$?
+      MONOHIDS_THREADS="${threads}" "${bin}" > "${actual}" || status=$?
     fi
     if [ "${status}" -ne 0 ]; then
-      echo "FAIL: ${name} (${simd}) exited with status ${status}" >&2
+      echo "FAIL: ${name} (${simd}, ${threads} threads) exited with status ${status}" >&2
       failed=1
     fi
     if ! diff -u "${golden}" "${actual}"; then
-      echo "FAIL: ${name} (${simd}) differs from ${golden}" >&2
+      echo "FAIL: ${name} (${simd}, ${threads} threads) differs from ${golden}" >&2
       failed=1
     fi
   done
@@ -71,4 +77,4 @@ done
 if [ "${failed}" -ne 0 ]; then
   exit 1
 fi
-echo "OK: all ${#BINARIES[@]} paper outputs match bench/golden, native and scalar"
+echo "OK: all ${#BINARIES[@]} paper outputs match bench/golden: native and scalar at 2 threads, native at 4"

@@ -16,17 +16,29 @@ namespace {
 /// registry's answer to "which policy is drowning the console"). Policy
 /// names are few and registration is idempotent, so the by-name lookup per
 /// evaluation is cheap relative to the sweep it accounts for.
-void publish_policy_outcome(const PolicyOutcome& outcome) {
+void publish_policy_alarms(const std::string& policy_name, std::uint64_t total) {
   if constexpr (!obs::kEnabled) return;
   auto& registry = obs::MetricsRegistry::global();
   static obs::Counter evaluations = registry.counter("evaluator.policy_evaluations_total");
   static obs::Counter alarms = registry.counter("evaluator.false_alarms_total");
-  obs::Counter per_policy =
-      registry.counter("evaluator.false_alarms.policy." + outcome.policy_name);
+  obs::Counter per_policy = registry.counter("evaluator.false_alarms.policy." + policy_name);
   evaluations.inc();
-  const std::uint64_t total = outcome.total_false_alarms();
   alarms.add(total);
   per_policy.add(total);
+}
+
+/// User `u`'s operating point on its test week under `assignment`.
+UserOutcome operating_point(const stats::EmpiricalDistribution& test,
+                            const ThresholdAssignment& assignment, std::size_t u,
+                            const AttackModel& attack) {
+  UserOutcome r;
+  r.threshold = assignment.threshold_of_user[u];
+  r.group = assignment.groups.group_of_user[u];
+  r.fp_rate = test.exceedance(r.threshold);
+  r.fn_rate = attack.mean_fn(test, r.threshold);
+  r.weekly_false_alarms = static_cast<std::uint64_t>(
+      std::llround(r.fp_rate * static_cast<double>(test.size())));
+  return r;
 }
 
 }  // namespace
@@ -92,16 +104,10 @@ PolicyOutcome evaluate_policy(std::span<const stats::EmpiricalDistribution> trai
   util::parallel_for(
       train.size(),
       [&](std::size_t u) {
-        UserOutcome& r = outcome.users[u];
-        r.threshold = assignment.threshold_of_user[u];
-        r.group = assignment.groups.group_of_user[u];
-        r.fp_rate = test[u].exceedance(r.threshold);
-        r.fn_rate = attack.mean_fn(test[u], r.threshold);
-        r.weekly_false_alarms = static_cast<std::uint64_t>(
-            std::llround(r.fp_rate * static_cast<double>(test[u].size())));
+        outcome.users[u] = operating_point(test[u], assignment, u, attack);
       },
       threads);
-  publish_policy_outcome(outcome);
+  publish_policy_alarms(outcome.policy_name, outcome.total_false_alarms());
   return outcome;
 }
 
@@ -111,51 +117,76 @@ PolicyOutcome evaluate_rounds(std::span<const features::FeatureMatrix> users,
                               const ThresholdHeuristic& heuristic, const AttackModel& attack,
                               unsigned threads, DistributionCache* cache) {
   MONOHIDS_EXPECT(!rounds.empty(), "need at least one evaluation round");
-  PolicyOutcome merged;
-  std::vector<double> fp(users.size(), 0.0), fn(users.size(), 0.0), alarms(users.size(), 0.0);
-
-  for (const EvaluationRound& round : rounds) {
-    // Shared pointers keep cache-owned distribution sets alive across the
-    // round even if the cache is concurrently queried elsewhere.
-    std::shared_ptr<const DistributionCache::DistributionSet> train_held, test_held;
-    std::vector<stats::EmpiricalDistribution> train_built, test_built;
-    std::shared_ptr<const ThresholdAssignment> assignment_held;
-
-    std::span<const stats::EmpiricalDistribution> train, test;
+  // Every round's inputs are fetched (or built) before the sweep, so the
+  // cache is never entered from inside the pool; the shared pointers keep
+  // cache-owned sets alive through it.
+  struct RoundInputs {
+    std::shared_ptr<const DistributionCache::DistributionSet> train, test;
+    std::shared_ptr<const ThresholdAssignment> assignment;
+  };
+  std::vector<RoundInputs> inputs(rounds.size());
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    const EvaluationRound& round = rounds[r];
+    RoundInputs& in = inputs[r];
     if (cache != nullptr) {
-      train_held = cache->week(feature, round.train_week, threads);
-      test_held = cache->week(feature, round.test_week, threads);
-      MONOHIDS_EXPECT(train_held->size() == users.size(),
-                      "cache covers a different population");
-      train = *train_held;
-      test = *test_held;
-      assignment_held =
+      in.train = cache->week(feature, round.train_week, threads);
+      in.test = cache->week(feature, round.test_week, threads);
+      MONOHIDS_EXPECT(in.train->size() == users.size(), "cache covers a different population");
+      in.assignment =
           cache->thresholds(feature, round.train_week, grouper, heuristic, &attack, threads);
     } else {
-      train_built = week_distributions(users, feature, round.train_week, threads);
-      test_built = week_distributions(users, feature, round.test_week, threads);
-      train = train_built;
-      test = test_built;
+      in.train = std::make_shared<const DistributionCache::DistributionSet>(
+          week_distributions(users, feature, round.train_week, threads));
+      in.test = std::make_shared<const DistributionCache::DistributionSet>(
+          week_distributions(users, feature, round.test_week, threads));
+      in.assignment = std::make_shared<const ThresholdAssignment>(
+          assign_thresholds(*in.train, grouper, heuristic, &attack, threads));
     }
-    PolicyOutcome one =
-        assignment_held != nullptr
-            ? evaluate_policy(train, test, *assignment_held, grouper.name(),
-                              heuristic.name(), attack, threads)
-            : evaluate_policy(train, test, grouper, heuristic, attack, threads);
-    for (std::size_t u = 0; u < users.size(); ++u) {
-      fp[u] += one.users[u].fp_rate;
-      fn[u] += one.users[u].fn_rate;
-      alarms[u] += static_cast<double>(one.users[u].weekly_false_alarms);
-    }
-    merged = std::move(one);  // keep last round's thresholds/groups/names
+    MONOHIDS_EXPECT(in.train->size() == in.test->size(), "train/test population mismatch");
+    MONOHIDS_EXPECT(in.assignment->threshold_of_user.size() == in.train->size(),
+                    "assignment covers a different population");
   }
 
-  const auto n = static_cast<double>(rounds.size());
-  for (std::size_t u = 0; u < users.size(); ++u) {
-    merged.users[u].fp_rate = fp[u] / n;
-    merged.users[u].fn_rate = fn[u] / n;
-    merged.users[u].weekly_false_alarms =
-        static_cast<std::uint64_t>(std::llround(alarms[u] / n));
+  PolicyOutcome merged;
+  merged.policy_name = grouper.name();
+  merged.heuristic_name = heuristic.name();
+  merged.users.resize(users.size());
+  const std::size_t round_count = rounds.size();
+  // Each round's alarm counts, user-major, for the per-round metrics.
+  std::vector<std::uint64_t> alarms_of;
+  if constexpr (obs::kEnabled) alarms_of.resize(users.size() * round_count);
+  // One sweep over users runs every round: each user's rounds accumulate in
+  // round order, as separate per-round sweeps summed them (fp = 0 + r0 + r1
+  // ..., alarm counts summed as doubles), and the threshold and group are
+  // the last round's.
+  util::parallel_for(
+      users.size(),
+      [&](std::size_t u) {
+        double fp = 0.0, fn = 0.0, alarms = 0.0;
+        UserOutcome last;
+        for (std::size_t r = 0; r < round_count; ++r) {
+          last = operating_point((*inputs[r].test)[u], *inputs[r].assignment, u, attack);
+          fp += last.fp_rate;
+          fn += last.fn_rate;
+          alarms += static_cast<double>(last.weekly_false_alarms);
+          if constexpr (obs::kEnabled) {
+            alarms_of[u * round_count + r] = last.weekly_false_alarms;
+          }
+        }
+        const auto n = static_cast<double>(round_count);
+        last.fp_rate = fp / n;
+        last.fn_rate = fn / n;
+        last.weekly_false_alarms = static_cast<std::uint64_t>(std::llround(alarms / n));
+        merged.users[u] = last;
+      },
+      threads);
+
+  if constexpr (obs::kEnabled) {
+    for (std::size_t r = 0; r < round_count; ++r) {
+      std::uint64_t total = 0;
+      for (std::size_t u = 0; u < users.size(); ++u) total += alarms_of[u * round_count + r];
+      publish_policy_alarms(merged.policy_name, total);
+    }
   }
   return merged;
 }

@@ -105,7 +105,12 @@ struct EvaluationRound {
 /// per-week means rounded to the nearest integer). When `cache` is non-null
 /// it must cover the same `users` population; week distributions and
 /// threshold assignments are then fetched through it (memoized) instead of
-/// rebuilt per round — the result is bit-identical either way.
+/// rebuilt per round — the result is bit-identical either way. Every
+/// round's inputs are fetched first, on the calling thread; then one
+/// parallel sweep over users runs all rounds for each user, accumulating
+/// in round order, so the result equals per-round evaluate_policy calls
+/// averaged in the same order. The evaluation and false-alarm counters
+/// still advance once per round, with that round's totals.
 [[nodiscard]] PolicyOutcome evaluate_rounds(
     std::span<const features::FeatureMatrix> users, features::FeatureKind feature,
     std::span<const EvaluationRound> rounds, const Grouper& grouper,

@@ -36,16 +36,15 @@ std::vector<std::uint32_t>& counts_scratch() {
 }
 
 /// The runs of a histogram of small counts: one run per non-zero slot, in
-/// slot order. The last slot holds the largest value, so it is non-zero,
-/// and the caller has checked that the counts sum below 2^32. Every slot
-/// is written at the next free run and the cursor advances only past a
-/// non-zero one, so the sweep has no data-dependent branch (sparse pooled
-/// histograms would mispredict on most slots); since the last slot is
-/// non-zero, no write lands past the runs.
-void runs_of_histogram(std::span<const std::uint32_t> hist, std::vector<double>& values,
-                       std::vector<std::uint32_t>& cum) {
-  const auto distinct = static_cast<std::size_t>(
-      hist.size() - static_cast<std::size_t>(std::count(hist.begin(), hist.end(), 0u)));
+/// slot order; `distinct` is the number of non-zero slots, which the
+/// caller counted while filling. The last slot holds the largest value, so
+/// it is non-zero, and the caller has checked that the counts sum below
+/// 2^32. Every slot is written at the next free run and the cursor
+/// advances only past a non-zero one, so the sweep has no data-dependent
+/// branch (sparse pooled histograms would mispredict on most slots); since
+/// the last slot is non-zero, no write lands past the runs.
+void runs_of_histogram(std::span<const std::uint32_t> hist, std::size_t distinct,
+                       std::vector<double>& values, std::vector<std::uint32_t>& cum) {
   values.resize(distinct);
   cum.resize(distinct);
   std::size_t next = 0;
@@ -59,9 +58,12 @@ void runs_of_histogram(std::span<const std::uint32_t> hist, std::vector<double>&
 }
 
 /// Adds every part's run counts (cum[k] - cum[k-1]) into `hist`, which
-/// has a slot for each part's largest value. Returns false, with `hist`
-/// half filled, at the first value that is not a small count.
-bool count_runs(std::span<const EmpiricalDistribution> parts, std::vector<std::uint32_t>& hist) {
+/// has a slot for each part's largest value, and counts into `distinct`
+/// the slots that turn non-zero (every run count is at least 1). Returns
+/// false, with `hist` half filled, at the first value that is not a small
+/// count.
+bool count_runs(std::span<const EmpiricalDistribution> parts, std::vector<std::uint32_t>& hist,
+                std::size_t& distinct) {
   for (const auto& p : parts) {
     const auto values = p.values();
     const auto cum = p.cumulative_counts();
@@ -69,6 +71,7 @@ bool count_runs(std::span<const EmpiricalDistribution> parts, std::vector<std::u
     for (std::size_t k = 0; k < values.size(); ++k) {
       std::uint32_t value = 0;
       if (!kernels::detail::is_small_count(values[k], value)) return false;
+      distinct += hist[value] == 0 ? 1 : 0;
       hist[value] += cum[k] - previous;
       previous = cum[k];
     }
@@ -130,8 +133,9 @@ EmpiricalDistribution::EmpiricalDistribution(std::span<const double> samples) {
   if (max_value != kernels::kNotSmallCounts) {
     std::vector<std::uint32_t>& hist = histogram_scratch();
     hist.assign(std::size_t{max_value} + 1, 0);
-    for (std::uint32_t u : counts) ++hist[u];
-    runs_of_histogram(hist, runs->values, runs->cum);
+    std::size_t distinct = 0;
+    for (std::uint32_t u : counts) distinct += hist[u]++ == 0 ? 1 : 0;
+    runs_of_histogram(hist, distinct, runs->values, runs->cum);
   } else {
     for (double v : samples) MONOHIDS_EXPECT(std::isfinite(v), "empirical samples must be finite");
     std::vector<double> sorted(samples.begin(), samples.end());
@@ -294,8 +298,9 @@ EmpiricalDistribution EmpiricalDistribution::merge(
   if (counts && std::size_t{max_value} < kMergeSlotsPerRun * run_count) {
     std::vector<std::uint32_t>& hist = histogram_scratch();
     hist.assign(std::size_t{max_value} + 1, 0);
-    counted = count_runs(parts, hist);
-    if (counted) runs_of_histogram(hist, runs->values, runs->cum);
+    std::size_t distinct = 0;
+    counted = count_runs(parts, hist, distinct);
+    if (counted) runs_of_histogram(hist, distinct, runs->values, runs->cum);
   }
   if (!counted) sort_runs(parts, run_count, runs->values, runs->cum);
   EmpiricalDistribution merged;

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <string>
@@ -43,10 +45,13 @@ PoolMetrics& pool_metrics() {
 /// Sweep-level counters, registered on the first parallel_for regardless of
 /// which path it takes — on single-core hosts the pool itself may never be
 /// built, and the serial fallback should still be visible on a dashboard.
+/// `claims` counts the index ranges handed out (a serial loop is one), so
+/// indices / claims is the mean range a shard ran per atomic claim.
 struct SweepMetrics {
   obs::Counter sweeps;
   obs::Counter serial;
   obs::Counter indices;
+  obs::Counter claims;
 };
 
 SweepMetrics& sweep_metrics() {
@@ -54,6 +59,7 @@ SweepMetrics& sweep_metrics() {
       obs::MetricsRegistry::global().counter("threadpool.parallel_for_total"),
       obs::MetricsRegistry::global().counter("threadpool.parallel_for_serial_total"),
       obs::MetricsRegistry::global().counter("threadpool.parallel_for_indices_total"),
+      obs::MetricsRegistry::global().counter("threadpool.parallel_for_claims_total"),
   };
   return m;
 }
@@ -158,7 +164,10 @@ void parallel_for(std::size_t count, const std::function<void(std::size_t)>& bod
   // Serial path: also taken for nested calls so pool workers never block on
   // tasks that only other (possibly busy) workers could run.
   if (requested <= 1 || count == 1 || ThreadPool::on_worker_thread()) {
-    if constexpr (obs::kEnabled) sweep_metrics().serial.inc();
+    if constexpr (obs::kEnabled) {
+      sweep_metrics().serial.inc();
+      sweep_metrics().claims.inc();
+    }
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }
@@ -172,27 +181,43 @@ void parallel_for(std::size_t count, const std::function<void(std::size_t)>& bod
   };
   SweepState state;
 
-  const auto shard = [&state, &body, count] {
+  // The calling thread is one shard; the rest run on the shared pool.
+  const std::size_t shards = count < requested ? count : requested;
+  // Guided claims: a shard takes 1/(2 * shards) of what is left in one
+  // atomic add, so the shared counter moves a few dozen times per sweep
+  // instead of once per index, and neighbouring output slots are written
+  // by one thread. Claims shrink as the sweep drains, which keeps the
+  // tail balanced. The load can be stale, so a claim may reach past
+  // `count` (or start there, once the sweep is done or failed); the range
+  // is clipped to `count`. Each shard overshoots at most once, so the
+  // counter stays below 2 * count.
+  const auto shard = [&state, &body, count, shards] {
+    std::uint64_t claims = 0;
     for (;;) {
-      const std::size_t i = state.next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
+      const std::size_t seen = state.next.load(std::memory_order_relaxed);
+      if (seen >= count) break;
+      const std::size_t take = std::max<std::size_t>(1, (count - seen) / (2 * shards));
+      const std::size_t begin = state.next.fetch_add(take, std::memory_order_relaxed);
+      if (begin >= count) break;
+      ++claims;
+      const std::size_t end = std::min(begin + take, count);
       try {
-        body(i);
+        for (std::size_t i = begin; i < end; ++i) body(i);
       } catch (...) {
         {
           const std::lock_guard<std::mutex> lock(state.mutex);
           if (!state.first_error) state.first_error = std::current_exception();
         }
-        // Park the index counter past the end so every shard stops early.
+        // Abandon the rest of this range and park the counter past the end
+        // so no shard claims another; ranges already claimed run out.
         state.next.store(count, std::memory_order_relaxed);
         break;
       }
     }
+    if constexpr (obs::kEnabled) sweep_metrics().claims.add(claims);
   };
 
-  // The calling thread is one shard; the rest run on the shared pool.
-  const std::size_t max_useful = count < requested ? count : requested;
-  const auto helpers = static_cast<unsigned>(max_useful - 1);
+  const auto helpers = static_cast<unsigned>(shards - 1);
   state.active = helpers;
   for (unsigned h = 0; h < helpers; ++h) {
     ThreadPool::shared().submit([&state, shard] {

@@ -74,13 +74,19 @@ class ThreadPool {
 };
 
 /// Runs body(i) for every i in [0, count), sharded over `threads` workers
-/// (0 = default_thread_count()). Indices are handed out dynamically, so
-/// uneven per-index cost load-balances; bodies for distinct indices run
-/// concurrently and must not share mutable state except through disjoint
-/// output slots. threads <= 1 (or nested invocation from a pool worker)
-/// runs the plain serial loop on the calling thread. The first exception
-/// thrown by any body is rethrown on the calling thread after all shards
-/// stop (remaining indices are abandoned).
+/// (0 = default_thread_count()). Shards claim guided index ranges: each
+/// claim takes 1/(2 × shards) of the indices still unclaimed (at least
+/// one) in one atomic add, so the shared counter moves a few dozen times
+/// per sweep rather than once per index, neighbouring output slots are
+/// written by one thread, and the shrinking tail claims still balance
+/// uneven per-index cost. Bodies still run once per index; bodies for
+/// distinct indices run concurrently and must not share mutable state
+/// except through disjoint output slots. threads <= 1 (or nested
+/// invocation from a pool worker) runs the plain serial loop on the
+/// calling thread. The first exception thrown by any body is rethrown on
+/// the calling thread after all shards stop: the rest of the throwing
+/// shard's range and every unclaimed index are abandoned, and ranges
+/// other shards already hold run out.
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
                   unsigned threads = 0);
 

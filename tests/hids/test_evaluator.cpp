@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
+#include "sim/analysis_cache.hpp"
 #include "trace/generator.hpp"
 #include "trace/population.hpp"
 #include "util/error.hpp"
@@ -136,6 +140,106 @@ TEST(Evaluator, RoundsAverageOutcomes) {
     EXPECT_LE(u.fp_rate, 1.0);
     EXPECT_GE(u.fn_rate, 0.0);
     EXPECT_LE(u.fn_rate, 1.0);
+  }
+}
+
+/// evaluate_rounds as separate per-round evaluate_policy calls, averaged
+/// the way the rounds were merged before they ran in one sweep.
+PolicyOutcome per_round_policies(std::span<const features::FeatureMatrix> users,
+                                 FeatureKind feature, std::span<const EvaluationRound> rounds,
+                                 const Grouper& grouper, const ThresholdHeuristic& heuristic,
+                                 const AttackModel& attack, unsigned threads,
+                                 DistributionCache* cache) {
+  PolicyOutcome merged;
+  std::vector<double> fp(users.size(), 0.0), fn(users.size(), 0.0), alarms(users.size(), 0.0);
+  for (const EvaluationRound& round : rounds) {
+    PolicyOutcome one;
+    if (cache != nullptr) {
+      const auto train = cache->week(feature, round.train_week, threads);
+      const auto test = cache->week(feature, round.test_week, threads);
+      const auto assignment =
+          cache->thresholds(feature, round.train_week, grouper, heuristic, &attack, threads);
+      one = evaluate_policy(*train, *test, *assignment, grouper.name(), heuristic.name(),
+                            attack, threads);
+    } else {
+      const auto train = week_distributions(users, feature, round.train_week, threads);
+      const auto test = week_distributions(users, feature, round.test_week, threads);
+      one = evaluate_policy(train, test, grouper, heuristic, attack, threads);
+    }
+    for (std::size_t u = 0; u < users.size(); ++u) {
+      fp[u] += one.users[u].fp_rate;
+      fn[u] += one.users[u].fn_rate;
+      alarms[u] += static_cast<double>(one.users[u].weekly_false_alarms);
+    }
+    merged = std::move(one);
+  }
+  const auto n = static_cast<double>(rounds.size());
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    merged.users[u].fp_rate = fp[u] / n;
+    merged.users[u].fn_rate = fn[u] / n;
+    merged.users[u].weekly_false_alarms =
+        static_cast<std::uint64_t>(std::llround(alarms[u] / n));
+  }
+  return merged;
+}
+
+TEST(Evaluator, RoundsInOneRegionEqualPerRoundPolicies) {
+  trace::PopulationConfig pop;
+  pop.user_count = 40;
+  pop.weeks = 4;
+  trace::GeneratorConfig gen_config;
+  gen_config.weeks = 4;
+  const trace::TraceGenerator gen(gen_config);
+  std::vector<features::FeatureMatrix> matrices;
+  for (const auto& u : trace::generate_population(pop)) {
+    matrices.push_back(gen.generate_features(u));
+  }
+  const auto attack = linear_attack_sweep(100.0, 8);
+  const PercentileHeuristic p99(0.99);
+  const UtilityHeuristic utility(0.4);
+  const FullDiversityGrouper full;
+  const EqualFrequencyGrouper partial(4);
+  const std::vector<std::vector<EvaluationRound>> round_sets{
+      {{0, 1}}, {{0, 1}, {2, 3}}, {{0, 1}, {1, 2}, {2, 3}}};
+  const std::vector<std::pair<const Grouper*, const ThresholdHeuristic*>> policies{
+      {&full, &p99}, {&partial, &utility}};
+
+  const auto same_bits = [](const auto& a, const auto& b) {
+    return std::memcmp(&a, &b, sizeof(a)) == 0;
+  };
+  for (const auto& rounds : round_sets) {
+    for (const auto& [grouper, heuristic] : policies) {
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        for (const bool cached : {false, true}) {
+          sim::AnalysisCache one_region_cache(matrices);
+          sim::AnalysisCache per_round_cache(matrices);
+          const auto expected = per_round_policies(
+              matrices, FeatureKind::TcpConnections, rounds, *grouper, *heuristic, attack,
+              threads, cached ? &per_round_cache : nullptr);
+          const auto actual = evaluate_rounds(matrices, FeatureKind::TcpConnections, rounds,
+                                              *grouper, *heuristic, attack, threads,
+                                              cached ? &one_region_cache : nullptr);
+          const auto label = [&] {
+            return grouper->name() + " / " + heuristic->name() + ", " +
+                   std::to_string(rounds.size()) + " rounds, " + std::to_string(threads) +
+                   " threads" + (cached ? ", cached" : "");
+          };
+          EXPECT_EQ(actual.policy_name, expected.policy_name) << label();
+          EXPECT_EQ(actual.heuristic_name, expected.heuristic_name) << label();
+          ASSERT_EQ(actual.users.size(), expected.users.size()) << label();
+          for (std::size_t u = 0; u < actual.users.size(); ++u) {
+            const UserOutcome& a = actual.users[u];
+            const UserOutcome& e = expected.users[u];
+            ASSERT_TRUE(same_bits(a.fp_rate, e.fp_rate)) << label() << ", user " << u;
+            ASSERT_TRUE(same_bits(a.fn_rate, e.fn_rate)) << label() << ", user " << u;
+            ASSERT_TRUE(same_bits(a.weekly_false_alarms, e.weekly_false_alarms))
+                << label() << ", user " << u;
+            ASSERT_TRUE(same_bits(a.threshold, e.threshold)) << label() << ", user " << u;
+            ASSERT_TRUE(same_bits(a.group, e.group)) << label() << ", user " << u;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
+
 #include <atomic>
 #include <memory>
 #include <numeric>
@@ -88,6 +90,84 @@ TEST(ParallelFor, FirstExceptionPropagatesToCaller) {
           4),
       std::runtime_error);
   // The shared pool must stay usable after an exception.
+  std::atomic<int> counter{0};
+  parallel_for(100, [&](std::size_t) { counter.fetch_add(1); }, 4);
+  EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(ParallelFor, RangeClaimsVisitEveryIndexOnce) {
+  // Guided claims shrink to single indices at the tail; every count, down
+  // to fewer indices than shards, must still be covered exactly once.
+  for (const std::size_t count : {1u, 2u, 3u, 5u, 64u, 350u, 1000u, 4097u}) {
+    for (const unsigned threads : {2u, 3u, 4u}) {
+      std::vector<std::atomic<int>> visits(count);
+      const auto claims_before =
+          obs::MetricsRegistry::global().snapshot().counter_value(
+              "threadpool.parallel_for_claims_total");
+      parallel_for(
+          count, [&](std::size_t i) { visits[i].fetch_add(1, std::memory_order_relaxed); },
+          threads);
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(visits[i].load(), 1) << "index " << i << " of " << count << ", " << threads
+                                       << " threads";
+      }
+      if constexpr (obs::kEnabled) {
+        const auto claims = obs::MetricsRegistry::global().snapshot().counter_value(
+                                "threadpool.parallel_for_claims_total") -
+                            claims_before;
+        EXPECT_GE(claims, 1u);
+        EXPECT_LE(claims, count);
+        // A few dozen claims cover the sweep, not one per index (40 claims
+        // for 350 indices on 4 shards when every claim sees the latest count).
+        if (count >= 350) {
+          EXPECT_LE(claims * 4, count) << count << " indices, " << threads << " threads";
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelFor, ExceptionAbandonsTheRestOfAClaimedRange) {
+  // The first claim is always [0, count / (2 * shards)): a throw at index 0
+  // abandons the rest of that range, so none of it runs, and no index runs
+  // twice. When every index throws, each shard stops at its first index.
+  constexpr std::size_t kCount = 1000;
+  for (const unsigned threads : {2u, 3u, 4u}) {
+    const std::size_t first_range = kCount / (2 * threads);
+    std::vector<std::atomic<int>> visits(kCount);
+    EXPECT_THROW(parallel_for(
+                     kCount,
+                     [&](std::size_t i) {
+                       visits[i].fetch_add(1, std::memory_order_relaxed);
+                       if (i == 0) throw std::runtime_error("first");
+                     },
+                     threads),
+                 std::runtime_error);
+    EXPECT_EQ(visits[0].load(), 1);
+    for (std::size_t i = 1; i < first_range; ++i) {
+      ASSERT_EQ(visits[i].load(), 0) << "index " << i << ", " << threads << " threads";
+    }
+    for (std::size_t i = first_range; i < kCount; ++i) {
+      ASSERT_LE(visits[i].load(), 1) << "index " << i << ", " << threads << " threads";
+    }
+
+    std::atomic<int> thrown{0};
+    std::vector<std::atomic<int>> every(kCount);
+    EXPECT_THROW(parallel_for(
+                     kCount,
+                     [&](std::size_t i) {
+                       every[i].fetch_add(1, std::memory_order_relaxed);
+                       thrown.fetch_add(1, std::memory_order_relaxed);
+                       throw std::runtime_error("every");
+                     },
+                     threads),
+                 std::runtime_error);
+    EXPECT_EQ(every[0].load(), 1);
+    EXPECT_GE(thrown.load(), 1);
+    EXPECT_LE(thrown.load(), static_cast<int>(threads));
+    for (std::size_t i = 0; i < kCount; ++i) ASSERT_LE(every[i].load(), 1) << "index " << i;
+  }
+  // The shared pool stays usable.
   std::atomic<int> counter{0};
   parallel_for(100, [&](std::size_t) { counter.fetch_add(1); }, 4);
   EXPECT_EQ(counter.load(), 100);
