@@ -147,17 +147,6 @@ void AttackModel::mean_fn_batch(const stats::EmpiricalDistribution& g,
   for (std::size_t j = 0; j < T; ++j) out[j] /= count;
 }
 
-AttackModel linear_attack_sweep(double max_size, std::uint32_t steps) {
-  MONOHIDS_EXPECT(max_size > 0.0, "sweep needs a positive maximum");
-  MONOHIDS_EXPECT(steps >= 2, "sweep needs at least two steps");
-  AttackModel model;
-  model.sizes.reserve(steps);
-  for (std::uint32_t i = 1; i <= steps; ++i) {
-    model.sizes.push_back(max_size * static_cast<double>(i) / static_cast<double>(steps));
-  }
-  return model;
-}
-
 AttackModel log_attack_sweep(double min_size, double max_size, std::uint32_t steps) {
   MONOHIDS_EXPECT(min_size > 0.0 && max_size > min_size, "need 0 < min < max");
   MONOHIDS_EXPECT(steps >= 2, "sweep needs at least two steps");

@@ -41,9 +41,6 @@ struct AttackModel {
                      std::span<const double> thresholds, std::span<double> out) const;
 };
 
-/// Builds a linear sweep of `steps` sizes over (0, max_size].
-[[nodiscard]] AttackModel linear_attack_sweep(double max_size, std::uint32_t steps);
-
 /// Builds a logarithmic sweep of `steps` sizes over [min_size, max_size]
 /// (stealthy attacks get proportionally more grid points, mirroring the
 /// paper's interest in the 1-100 connections/window range).

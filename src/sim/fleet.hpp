@@ -37,6 +37,14 @@
 // read within the same bound, so the documented utility bound is
 // utility_error_bound() = 2 / (m − 1) (0.087 at m = 24).
 //
+// The bound is on CDF reads and utility, not on percentile thresholds. A
+// row read as an m-sample distribution answers every nearest-rank
+// percentile above (m − 1)/m with its top point, the user-week's maximum,
+// so at m = 24 every fleet 99th-percentile threshold is the weekly maximum:
+// ablation_streaming's grid-24 row measures a 75% median threshold error
+// and 0.189% realized FP against the exact 0.717%. Fleet-mode percentile
+// policies therefore alarm less than the exact pipeline.
+//
 // Determinism: rows are bit-identical for every thread count — each user's
 // row depends only on (config, user id) and lands in its own slot. The
 // same holds across SIMD kernel back-ends (the counter-mode draw keys make

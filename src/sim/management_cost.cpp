@@ -8,25 +8,26 @@ std::string_view name_of(ReportingMode mode) noexcept {
   switch (mode) {
     case ReportingMode::None: return "local-only";
     case ReportingMode::FullDistribution: return "full-distribution";
-    case ReportingMode::QuantileSummary: return "quantile-summary";
+    case ReportingMode::Runs: return "runs";
   }
   return "unknown";
 }
 
 std::vector<ManagementCost> management_costs(const ManagementCostConfig& config,
-                                             ReportingMode centralized_mode) {
+                                             ReportingMode centralized_mode,
+                                             std::uint64_t runs_bytes_per_week) {
   MONOHIDS_EXPECT(config.users > 0 && config.features > 0 && config.bins_per_week > 0,
                   "management-cost config must be non-degenerate");
   MONOHIDS_EXPECT(centralized_mode != ReportingMode::None,
                   "centralized policies must ship something");
+  MONOHIDS_EXPECT((centralized_mode == ReportingMode::Runs) == (runs_bytes_per_week > 0),
+                  "measured runs bytes go with the runs mode, and only with it");
 
-  const std::uint64_t per_host_per_feature =
-      centralized_mode == ReportingMode::FullDistribution
-          ? static_cast<std::uint64_t>(config.bins_per_week) * sizeof(double)
-          : static_cast<std::uint64_t>(config.summary_points) * sizeof(double) +
-                sizeof(std::uint64_t);
-  const std::uint64_t uplink = static_cast<std::uint64_t>(config.users) * config.features *
-                               per_host_per_feature;
+  const std::uint64_t uplink =
+      centralized_mode == ReportingMode::Runs
+          ? runs_bytes_per_week
+          : static_cast<std::uint64_t>(config.users) * config.features * config.bins_per_week *
+                sizeof(double);
   const std::uint64_t threshold_bytes =
       static_cast<std::uint64_t>(config.features) * sizeof(double);
 

@@ -4,9 +4,10 @@
 // against detection quality: the reporting traffic of centralized threshold
 // computation ("all the data is pulled to the central console") and the
 // number of distinct configurations operators must audit for compliance.
-// This model quantifies both per policy, with and without compact
-// quantile-summary shipping, backing the paper's §6 discussion with
-// numbers.
+// This model quantifies both per policy, for hosts that ship every bin and
+// for hosts that ship their distributions' exact runs
+// (EmpiricalDistribution::encode_runs), backing the paper's §6 discussion
+// with numbers.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +20,9 @@ namespace monohids::sim {
 
 /// How hosts report their distributions to the console.
 enum class ReportingMode : std::uint8_t {
-  None,            ///< thresholds computed locally (full diversity)
-  FullDistribution,  ///< ship every bin count (the paper's description)
-  QuantileSummary,   ///< ship a fixed-size quantile grid
+  None,              ///< thresholds computed locally (full diversity)
+  FullDistribution,  ///< ship every bin as a double (the paper's description)
+  Runs,              ///< ship each distribution's runs (EmpiricalDistribution::encode_runs)
 };
 
 struct ManagementCost {
@@ -36,15 +37,18 @@ struct ManagementCostConfig {
   std::uint32_t users = 350;
   std::uint32_t bins_per_week = 672;
   std::uint32_t features = 6;
-  std::size_t summary_points = 128;
   std::uint32_t partial_groups = 8;
 };
 
-/// Costs for the paper's three policies under the given reporting mode
-/// (None is forced for full diversity; the mode applies to the centralized
-/// policies).
+/// Costs for the paper's three policies when the centralized ones report
+/// in `centralized_mode` (full diversity is always local-only). The
+/// FullDistribution uplink is modeled: every host ships every bin of every
+/// feature as a double. The Runs uplink is measured: `runs_bytes_per_week`
+/// is what encode_runs produced for one week of every host's features, and
+/// is positive exactly when the mode is Runs.
 [[nodiscard]] std::vector<ManagementCost> management_costs(const ManagementCostConfig& config,
-                                                           ReportingMode centralized_mode);
+                                                           ReportingMode centralized_mode,
+                                                           std::uint64_t runs_bytes_per_week);
 
 [[nodiscard]] std::string_view name_of(ReportingMode mode) noexcept;
 

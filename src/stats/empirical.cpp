@@ -13,6 +13,9 @@ namespace {
 
 constexpr std::size_t kMaxSamples = std::numeric_limits<std::uint32_t>::max();
 
+/// The largest value the runs wire format holds.
+constexpr std::uint64_t kMaxRunValue = std::numeric_limits<std::uint32_t>::max();
+
 /// A merge whose histogram (largest value + 1 slots) would hold this many
 /// slots per input run or more sorts its runs instead, like the
 /// constructor's 64-sample rule: clearing, counting and sweeping a slot
@@ -117,6 +120,32 @@ void sort_runs(std::span<const EmpiricalDistribution> parts, std::size_t run_cou
   }
 }
 
+/// Appends `v` as a canonical (shortest) LEB128 varint.
+void put_varint(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(v | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+/// Reads the canonical LEB128 varint at `pos`, at most 2^32 - 1, and
+/// advances `pos` past it. A varint that ends in a zero byte after its
+/// first is overlong; the fifth byte may carry only the top four bits.
+std::uint32_t get_varint(std::span<const std::uint8_t> bytes, std::size_t& pos) {
+  std::uint32_t v = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    MONOHIDS_ENSURE(pos < bytes.size(), "runs: truncated varint");
+    const std::uint8_t b = bytes[pos++];
+    MONOHIDS_ENSURE(shift < 28 || b <= 0x0F, "runs: varint above 2^32 - 1");
+    v |= static_cast<std::uint32_t>(b & 0x7F) << shift;
+    if ((b & 0x80) == 0) {
+      MONOHIDS_ENSURE(b != 0 || shift == 0, "runs: overlong varint");
+      return v;
+    }
+  }
+}
+
 }  // namespace
 
 EmpiricalDistribution::EmpiricalDistribution(std::span<const double> samples) {
@@ -216,19 +245,6 @@ double EmpiricalDistribution::quantile(double q) const {
   return sample_at(std::min(rank, n) - 1);
 }
 
-double EmpiricalDistribution::quantile_interpolated(double q) const {
-  MONOHIDS_EXPECT(!empty(), "quantile of an empty sample");
-  MONOHIDS_EXPECT(q >= 0.0 && q <= 1.0, "quantile probability must be in [0,1]");
-  const std::size_t n = size();
-  if (n == 1) return runs_->values.front();
-  const double h = q * static_cast<double>(n - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(h));
-  const auto hi = std::min(lo + 1, n - 1);
-  const double frac = h - static_cast<double>(lo);
-  const double at_lo = sample_at(lo);
-  return at_lo + frac * (sample_at(hi) - at_lo);
-}
-
 double EmpiricalDistribution::cdf(double x) const {
   MONOHIDS_EXPECT(!empty(), "cdf of empty distribution");
   return static_cast<double>(rank(x)) / static_cast<double>(size());
@@ -306,6 +322,55 @@ EmpiricalDistribution EmpiricalDistribution::merge(
   EmpiricalDistribution merged;
   merged.runs_ = std::move(runs);
   return merged;
+}
+
+void EmpiricalDistribution::encode_runs(std::vector<std::uint8_t>& out) const {
+  const auto values = this->values();
+  const auto cum = cumulative_counts();
+  for (double v : values) {
+    MONOHIDS_EXPECT(v >= 0.0 && v <= static_cast<double>(kMaxRunValue) && std::floor(v) == v,
+                    "the runs format holds whole values in [0, 2^32 - 1]");
+  }
+  put_varint(out, static_cast<std::uint32_t>(values.size()));
+  std::uint32_t previous_value = 0;
+  std::uint32_t previous_cum = 0;
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    const auto value = static_cast<std::uint32_t>(values[k]);
+    put_varint(out, value - previous_value);
+    put_varint(out, cum[k] - previous_cum);
+    previous_value = value;
+    previous_cum = cum[k];
+  }
+}
+
+EmpiricalDistribution EmpiricalDistribution::decode_runs(std::span<const std::uint8_t> bytes) {
+  std::size_t pos = 0;
+  const std::uint32_t run_count = get_varint(bytes, pos);
+  // Every run takes at least two bytes, a gap and a count.
+  MONOHIDS_ENSURE(run_count <= (bytes.size() - pos) / 2, "runs: run count exceeds the bytes");
+  EmpiricalDistribution dist;
+  if (run_count != 0) {
+    auto runs = std::make_shared<Runs>();
+    runs->values.reserve(run_count);
+    runs->cum.reserve(run_count);
+    std::uint64_t value = 0;
+    std::uint64_t total = 0;
+    for (std::uint32_t k = 0; k < run_count; ++k) {
+      const std::uint32_t gap = get_varint(bytes, pos);
+      const std::uint32_t count = get_varint(bytes, pos);
+      MONOHIDS_ENSURE(gap != 0 || k == 0, "runs: zero gap between runs");
+      MONOHIDS_ENSURE(count != 0, "runs: zero count");
+      value += gap;
+      total += count;
+      MONOHIDS_ENSURE(value <= kMaxRunValue, "runs: value past 2^32 - 1");
+      MONOHIDS_ENSURE(total <= kMaxSamples, "runs: total past 2^32 - 1");
+      runs->values.push_back(static_cast<double>(value));
+      runs->cum.push_back(static_cast<std::uint32_t>(total));
+    }
+    dist.runs_ = std::move(runs);
+  }
+  MONOHIDS_ENSURE(pos == bytes.size(), "runs: trailing bytes");
+  return dist;
 }
 
 }  // namespace monohids::stats

@@ -70,9 +70,6 @@ class EmpiricalDistribution {
   /// Nearest-rank quantile (see quantile.hpp). Distribution must be non-empty.
   [[nodiscard]] double quantile(double q) const;
 
-  /// Linear-interpolation quantile.
-  [[nodiscard]] double quantile_interpolated(double q) const;
-
   /// P(X <= x): fraction of samples <= x.
   [[nodiscard]] double cdf(double x) const;
 
@@ -107,6 +104,22 @@ class EmpiricalDistribution {
   /// pointer copy.
   [[nodiscard]] static EmpiricalDistribution merge(
       std::span<const EmpiricalDistribution> parts);
+
+  /// The runs wire format, the form in which a host ships its distribution
+  /// to the central console: canonical LEB128 varints of the run count,
+  /// then per run the gap from the previous run's value (the first gap is
+  /// from 0) and the run's sample count. Appends to `out`. Every value must
+  /// be a whole number in [0, 2^32 - 1] (PreconditionError otherwise); an
+  /// empty distribution is the single byte 0.
+  void encode_runs(std::vector<std::uint8_t>& out) const;
+
+  /// Reads encode_runs' bytes, which come from hosts and are untrusted.
+  /// Throws InputError on a truncated varint, an overlong one or one above
+  /// 2^32 - 1, a run count above the remaining bytes / 2 (checked before
+  /// anything is allocated), a zero gap after the first run, a zero count,
+  /// a value or total past 2^32 - 1, or trailing bytes. So every byte
+  /// string it accepts re-encodes to itself.
+  [[nodiscard]] static EmpiricalDistribution decode_runs(std::span<const std::uint8_t> bytes);
 
  private:
   struct Runs {

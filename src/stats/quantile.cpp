@@ -42,9 +42,4 @@ double quantile_nearest_rank(std::span<const double> samples, double q) {
   return quantile_nearest_rank_sorted(v, q);
 }
 
-double quantile_interpolated(std::span<const double> samples, double q) {
-  const auto v = sorted_copy(samples);
-  return quantile_interpolated_sorted(v, q);
-}
-
 }  // namespace monohids::stats

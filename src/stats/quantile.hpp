@@ -23,7 +23,4 @@ namespace monohids::stats {
 /// Convenience: copies, sorts, and applies nearest-rank.
 [[nodiscard]] double quantile_nearest_rank(std::span<const double> samples, double q);
 
-/// Convenience: copies, sorts, and applies interpolation.
-[[nodiscard]] double quantile_interpolated(std::span<const double> samples, double q);
-
 }  // namespace monohids::stats

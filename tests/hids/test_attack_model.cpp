@@ -5,12 +5,14 @@
 #include <algorithm>
 #include <vector>
 
+#include "support/attack_sweep.hpp"
 #include "util/error.hpp"
 
 namespace monohids::hids {
 namespace {
 
 using stats::EmpiricalDistribution;
+using test_support::linear_attack_sweep;
 
 TEST(AttackModel, LinearSweepCoversRange) {
   const auto model = linear_attack_sweep(100.0, 10);

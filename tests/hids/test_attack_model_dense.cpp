@@ -22,12 +22,14 @@
 #include "hids/heuristics.hpp"
 #include "oracle/per_call.hpp"
 #include "stats/empirical.hpp"
+#include "support/attack_sweep.hpp"
 #include "util/rng.hpp"
 
 namespace monohids::hids {
 namespace {
 
 using stats::EmpiricalDistribution;
+using test_support::linear_attack_sweep;
 
 std::vector<std::uint64_t> bits(const std::vector<double>& xs) {
   std::vector<std::uint64_t> out;

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "sim/analysis_cache.hpp"
+#include "support/attack_sweep.hpp"
 #include "trace/generator.hpp"
 #include "trace/population.hpp"
 #include "util/error.hpp"
@@ -15,6 +16,7 @@ namespace {
 
 using features::FeatureKind;
 using stats::EmpiricalDistribution;
+using test_support::linear_attack_sweep;
 
 std::vector<EmpiricalDistribution> population_at(std::vector<double> levels) {
   std::vector<EmpiricalDistribution> users;

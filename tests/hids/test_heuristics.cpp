@@ -9,6 +9,7 @@
 #include "oracle/per_call.hpp"
 #include "oracle/sorted_distribution.hpp"
 #include "stats/classification.hpp"
+#include "support/attack_sweep.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -16,6 +17,7 @@ namespace monohids::hids {
 namespace {
 
 using stats::EmpiricalDistribution;
+using test_support::linear_attack_sweep;
 
 EmpiricalDistribution uniform_0_100(int n = 10000) {
   util::Xoshiro256 rng(71);

@@ -20,12 +20,14 @@
 #include "oracle/per_call.hpp"
 #include "oracle/sorted_distribution.hpp"
 #include "stats/empirical.hpp"
+#include "support/attack_sweep.hpp"
 #include "util/rng.hpp"
 
 namespace monohids::hids {
 namespace {
 
 using stats::EmpiricalDistribution;
+using test_support::linear_attack_sweep;
 
 /// Count-like traffic samples (small integers, heavy ties) — the regime the
 /// histogram build triggers on, same as real bin counts.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/attack_sweep.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -9,6 +10,7 @@ namespace monohids::hids {
 namespace {
 
 using stats::EmpiricalDistribution;
+using test_support::linear_attack_sweep;
 
 EmpiricalDistribution uniform(double lo, double hi, int n = 4000) {
   util::Xoshiro256 rng(31);

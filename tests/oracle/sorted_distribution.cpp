@@ -69,10 +69,6 @@ double SortedDistribution::quantile(double q) const {
   return stats::quantile_nearest_rank_sorted(sorted_, q);
 }
 
-double SortedDistribution::quantile_interpolated(double q) const {
-  return stats::quantile_interpolated_sorted(sorted_, q);
-}
-
 double SortedDistribution::max_hidden_shift(double t, double target_mass) const {
   return std::max(0.0, t - quantile(target_mass));
 }

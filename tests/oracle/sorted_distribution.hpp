@@ -41,7 +41,6 @@ class SortedDistribution {
   [[nodiscard]] double exceedance(double x) const;
   [[nodiscard]] double shifted_cdf(double shift, double t) const;
   [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] double quantile_interpolated(double q) const;
   [[nodiscard]] double max_hidden_shift(double t, double target_mass) const;
   /// AttackModel::mean_fn: one shifted_cdf per attack size, in size order.
   [[nodiscard]] double mean_fn(const hids::AttackModel& attack, double t) const;

@@ -15,6 +15,7 @@
 #include "sim/analysis_cache.hpp"
 #include "sim/experiments.hpp"
 #include "sim/scenario.hpp"
+#include "support/attack_sweep.hpp"
 
 namespace monohids::sim {
 namespace {
@@ -242,7 +243,7 @@ TEST(AnalysisCache, CurveMemoMatchesUncachedAndTheOracle) {
   // A 3-size linear sweep (mean_fn's per-size branch) and the 64-size log
   // sweep every experiment uses.
   const std::vector<hids::AttackModel> sweeps = {
-      hids::linear_attack_sweep(hids::max_observed_value(train), 3),
+      test_support::linear_attack_sweep(hids::max_observed_value(train), 3),
       *cache.attack_model(kFeature, 0)};
   ASSERT_EQ(sweeps[1].sizes.size(), 64u);
 

@@ -158,7 +158,6 @@ TEST(Empirical, MergeKeepsSamplesSortedWithDuplicates) {
   const auto flat = dist({5, 1, 5, 3, 5, 1});
   for (double q : {0.25, 0.5, 0.9, 0.99}) {
     EXPECT_DOUBLE_EQ(merged.quantile(q), flat.quantile(q));
-    EXPECT_DOUBLE_EQ(merged.quantile_interpolated(q), flat.quantile_interpolated(q));
   }
   EXPECT_DOUBLE_EQ(merged.cdf(3.0), flat.cdf(3.0));
 }
@@ -176,7 +175,6 @@ TEST(Empirical, QuantileMatchesNearestRankDefinition) {
   const auto d = dist({1, 2, 3, 4, 5});
   EXPECT_DOUBLE_EQ(d.quantile(0.5), 3.0);
   EXPECT_DOUBLE_EQ(d.quantile(0.99), 5.0);
-  EXPECT_DOUBLE_EQ(d.quantile_interpolated(0.5), 3.0);
 }
 
 TEST(Empirical, CopySharesSortedArena) {

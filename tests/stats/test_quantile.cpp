@@ -57,7 +57,6 @@ TEST(Quantile, OutOfRangeProbabilityIsAnError) {
 TEST(Quantile, UnsortedConvenienceSorts) {
   const std::vector<double> v{5, 1, 4, 2, 3};
   EXPECT_DOUBLE_EQ(quantile_nearest_rank(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(quantile_interpolated(v, 0.5), 3.0);
 }
 
 // Property: the nearest-rank quantile q has at least ceil(q*n) samples <= it.
