@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   flags.add_int("weeks", 3, "trace length in weeks (week 0 is warm-up)");
   flags.add_int("storm-week", -1, "inject a Storm zombie for this week (-1 = clean)");
   flags.add_int("batch", 4096, "ingest batch size in packets");
-  flags.add_double("percentile", 0.99, "training percentile for the thresholds");
+  flags.add_double("percentile", 0.99, "training percentile for the thresholds (both modes)");
   flags.add_bool("rolling", false, "sliding-window thresholds instead of weekly rollover");
   flags.add_string("pcap", "", "consume this pcap capture instead of a synthetic trace");
   flags.add_string("metrics", "", "write a Prometheus textfile here at exit");
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\nuser " << user.user_id << " @ " << user.address.to_string() << "  mode="
             << (config.mode == hids::ThresholdMode::Rolling ? "rolling" : "weekly-rollover")
-            << "  p" << util::fixed(config.percentile * 100.0, 0) << '\n';
+            << "  p" << config.percentile * 100.0 << '\n';  // 0.999 prints p99.9
   std::cout << "ingested " << result.stats.packets_ingested << " packets in "
             << result.stats.batches_enqueued << " batches ("
             << result.stats.packets_out_of_order << " out-of-order skipped, "

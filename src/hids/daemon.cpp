@@ -26,7 +26,7 @@ std::uint32_t console_weeks(util::Duration horizon) {
 Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)),
       session_(config_.monitored, config_.pipeline),
-      week_learner_(config_.percentile),
+      weekly_(config_.percentile),
       batcher_(config_.user_id, config_.alert_batch_interval,
                [this](const AlertBatch& batch) { console_.ingest(batch); }),
       console_(config_.user_id + 1, console_weeks(config_.pipeline.horizon)) {
@@ -42,7 +42,7 @@ Daemon::Daemon(DaemonConfig config)
   if (config_.mode == ThresholdMode::Rolling) {
     rolling_.reserve(features::kFeatureCount);
     for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
-      rolling_.emplace_back(config_.rolling);
+      rolling_.emplace_back(config_.percentile, config_.rolling);
     }
   }
 
@@ -241,30 +241,23 @@ void Daemon::scan_bins(const features::FeatureMatrix& matrix, std::uint64_t limi
 
   for (std::uint64_t bin = scanned_bins_; bin < limit; ++bin) {
     const std::uint32_t week = static_cast<std::uint32_t>(bin / bins_per_week_);
-    if (week > learner_week_) {
+    if (week > scan_week_) {
       // First bin of a new week: thresholds for `week` derive from the week
       // just finished, before this bin is alarm-checked — the incremental
       // form of the batch train-on-week-k / test-on-week-k+1 split.
-      roll_week(learner_week_);
-      learner_week_ = week;
+      roll_week(matrix, scan_week_);
+      scan_week_ = week;
     }
 
     for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
       const double value = series[i][bin];
-      double threshold_in_force;
-      if (config_.mode == ThresholdMode::WeeklyRollover) {
-        threshold_in_force = active_thresholds_[i];
-        if (value > threshold_in_force) {
-          emit_alert(features::kAllFeatures[i], bin, value, threshold_in_force);
-        }
-        week_learner_.observe(features::kAllFeatures[i], value);
-      } else {
-        threshold_in_force = rolling_[i].threshold();
-        if (value > threshold_in_force) {
-          emit_alert(features::kAllFeatures[i], bin, value, threshold_in_force);
-        }
-        rolling_[i].observe(value);
+      const double threshold_in_force = config_.mode == ThresholdMode::WeeklyRollover
+                                            ? active_thresholds_[i]
+                                            : rolling_[i].threshold();
+      if (value > threshold_in_force) {
+        emit_alert(features::kAllFeatures[i], bin, value, threshold_in_force);
       }
+      if (config_.mode == ThresholdMode::Rolling) rolling_[i].observe(value);
     }
     if (config_.mode == ThresholdMode::Rolling) {
       std::lock_guard<std::mutex> lock(state_mu_);
@@ -284,22 +277,18 @@ void Daemon::scan_bins(const features::FeatureMatrix& matrix, std::uint64_t limi
   }
 }
 
-void Daemon::roll_week(std::uint32_t completed_week) {
+void Daemon::roll_week(const features::FeatureMatrix& matrix, std::uint32_t completed_week) {
   ThresholdUpdate update;
   update.week = completed_week + 1;
-  if (config_.mode == ThresholdMode::WeeklyRollover) {
-    for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
-      const features::FeatureKind f = features::kAllFeatures[i];
-      update.thresholds[i] =
-          week_learner_.observations(f) > 0 ? week_learner_.threshold(f) : kInf;
-    }
-    // Fresh learner for the week now starting: the batch policy trains on
-    // exactly one week, so the incremental learner must too.
-    week_learner_ = OnlineThresholdLearner(config_.percentile);
-  } else {
-    for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
+  for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
+    if (config_.mode == ThresholdMode::Rolling) {
       update.thresholds[i] = rolling_[i].threshold();
+      continue;
     }
+    // The batch policy trains on exactly one week. Its slice is sealed, so
+    // it is bit-identical to the same slice of the finish() matrix.
+    const auto week = matrix.of(features::kAllFeatures[i]).week_slice(completed_week);
+    update.thresholds[i] = weekly_.compute(stats::EmpiricalDistribution(week), nullptr);
   }
 
   m_rollovers_.inc();
@@ -345,7 +334,7 @@ DaemonResult Daemon::finish() {
 
   // Flush the flow table exactly like the batch pipeline, then scan every
   // bin the live watermark had not reached — including trailing all-zero
-  // bins, so weekly learners see full week slices and rollover accounting
+  // bins, so every week boundary rolls over and rollover accounting
   // matches the batch train/test split bin for bin.
   features::PipelineResult pipeline = session_.finish();
   const std::uint64_t total_bins =

@@ -6,12 +6,14 @@
 // incrementally (pcap import, live capture shim, or a replayed synthetic
 // trace), drives features::IngestSession batches through the
 // net::FlowTable, alarm-checks every *completed* feature bin against the
-// thresholds in force, feeds the same bins into a threshold learner
-// (hids::OnlineThresholdLearner, which keeps the week as exact (value,
-// count) runs, or hids::RollingThresholdLearner), re-derives thresholds at
-// week rollover exactly the way the batch policy pipeline trains week k
-// and tests week k+1, and ships alerts through an AlertBatcher into a
-// CentralConsole. Process telemetry goes to the obs registry (daemon.*
+// thresholds in force, and ships alerts through an AlertBatcher into a
+// CentralConsole. Thresholds are learned with the batch code: at each week
+// rollover the daemon trains on the sealed week it already holds, the
+// feature matrix's week slice, with PercentileHeuristic on its
+// stats::EmpiricalDistribution (exactly the way the batch policy pipeline
+// trains week k and tests week k+1); in Rolling mode a
+// hids::RollingThresholdLearner per feature takes the same quantile over a
+// sliding window. Process telemetry goes to the obs registry (daemon.*
 // metrics); obs::write_global_prometheus is the scrape surface.
 //
 // Concurrency model: one capture side (any thread) and one worker thread.
@@ -45,7 +47,7 @@
 #include "features/pipeline.hpp"
 #include "hids/alerts.hpp"
 #include "hids/console.hpp"
-#include "hids/online_learner.hpp"
+#include "hids/heuristics.hpp"
 #include "hids/rolling_learner.hpp"
 #include "obs/metrics.hpp"
 #include "trace/pcap.hpp"
@@ -71,9 +73,10 @@ struct DaemonConfig {
   features::PipelineConfig pipeline;
 
   ThresholdMode mode = ThresholdMode::WeeklyRollover;
-  /// Training percentile for WeeklyRollover (the IT-survey 99th).
+  /// Training percentile in both modes (the IT-survey 99th); must lie in
+  /// (0,1), PreconditionError otherwise.
   double percentile = 0.99;
-  /// Rolling-mode learner parameters (window, percentile, alarm guard).
+  /// Rolling-mode learner parameters (window, warm-up, alarm guard).
   RollingLearnerConfig rolling;
 
   /// Bounded ingest queue depth, in batches. offer() drops (and counts)
@@ -178,10 +181,12 @@ class Daemon final : public features::PacketSink {
   /// Ingests one batch on the consumer side: order-filter, flow table,
   /// extractor, then scans newly completed bins.
   void ingest(std::span<const net::PacketRecord> batch);
-  /// Alarm-checks and learns bins [scanned_bins_, limit) of `matrix`.
+  /// Alarm-checks bins [scanned_bins_, limit) of `matrix` (Rolling mode
+  /// also learns them) and rolls the week at each week boundary.
   void scan_bins(const features::FeatureMatrix& matrix, std::uint64_t limit);
-  /// WeeklyRollover: derive next week's thresholds from the finished week.
-  void roll_week(std::uint32_t completed_week);
+  /// Records next week's thresholds; WeeklyRollover derives them from
+  /// `matrix`'s slice of the finished week, every bin of which is sealed.
+  void roll_week(const features::FeatureMatrix& matrix, std::uint32_t completed_week);
   void emit_alert(features::FeatureKind feature, std::uint64_t bin, double observed,
                   double threshold_in_force);
 
@@ -191,7 +196,7 @@ class Daemon final : public features::PacketSink {
 
   // ---- consumer-side state (worker thread, or caller when inline) ----
   features::IngestSession session_;
-  OnlineThresholdLearner week_learner_;           // WeeklyRollover
+  PercentileHeuristic weekly_;  // WeeklyRollover; checks the percentile in both modes
   std::vector<RollingThresholdLearner> rolling_;  // Rolling (one per feature)
   AlertBatcher batcher_;
   /// Order filter watermark: the last accepted timestamp (0 before any, which
@@ -199,7 +204,7 @@ class Daemon final : public features::PacketSink {
   util::Timestamp last_ts_ = 0;
   std::vector<net::PacketRecord> filtered_;  ///< reused order-filter scratch
   std::uint64_t scanned_bins_ = 0;
-  std::uint32_t learner_week_ = 0;  ///< week the weekly learner is observing
+  std::uint32_t scan_week_ = 0;  ///< week of the bins being scanned
 
   // ---- shared state (guarded by state_mu_) ----
   mutable std::mutex state_mu_;

@@ -10,14 +10,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <span>
+#include <limits>
+#include <vector>
 
 namespace monohids::hids {
 
 struct RollingLearnerConfig {
   std::size_t window_bins = 672;   ///< one week of 15-minute bins
-  double percentile = 0.99;
   /// Exclude alarming bins from the learning window (poisoning guard).
   bool exclude_alarms = true;
   /// Minimum observations before the threshold is considered trained;
@@ -28,15 +27,18 @@ struct RollingLearnerConfig {
 
 class RollingThresholdLearner {
  public:
-  explicit RollingThresholdLearner(RollingLearnerConfig config = {});
+  /// Learns the `percentile` threshold of the window (in (0,1), as for
+  /// PercentileHeuristic).
+  explicit RollingThresholdLearner(double percentile, RollingLearnerConfig config = {});
 
-  /// Feeds one finished bin; returns true if that bin alarmed against the
-  /// threshold in force *before* the update (detection happens with the old
-  /// threshold, then learning).
+  /// Feeds one finished bin (finite); returns true if that bin alarmed
+  /// against the threshold in force *before* the update (detection happens
+  /// with the old threshold, then learning).
   bool observe(double bin_count);
 
-  /// Current threshold (the window's percentile); +infinity during warm-up.
-  [[nodiscard]] double threshold() const;
+  /// Current threshold: EmpiricalDistribution(window).quantile(percentile),
+  /// refreshed whenever a bin enters the window; +infinity during warm-up.
+  [[nodiscard]] double threshold() const noexcept { return threshold_; }
 
   [[nodiscard]] std::size_t window_size() const noexcept { return window_.size(); }
   [[nodiscard]] std::uint64_t alarms() const noexcept { return alarms_; }
@@ -44,8 +46,13 @@ class RollingThresholdLearner {
   [[nodiscard]] const RollingLearnerConfig& config() const noexcept { return config_; }
 
  private:
+  double percentile_;
   RollingLearnerConfig config_;
-  std::deque<double> window_;
+  /// The learned bins of the window, as a ring: once full, window_[next_]
+  /// is the oldest. A quantile needs the multiset, not the order.
+  std::vector<double> window_;
+  std::size_t next_ = 0;
+  double threshold_ = std::numeric_limits<double>::infinity();
   std::uint64_t alarms_ = 0;
   std::uint64_t observed_ = 0;
 };

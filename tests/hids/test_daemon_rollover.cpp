@@ -2,12 +2,13 @@
 // after N simulated weeks must match the batch-derived thresholds on the
 // same training window — nearest-rank quantiles over whole week slices for
 // WeeklyRollover, the sliding-window quantile for Rolling mode. Also pins
-// the warm-up contract (week 0 never alarms) and the strict value>threshold
-// alarm predicate.
+// the warm-up contract (week 0 never alarms), the strict value>threshold
+// alarm predicate and the percentile check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "stats/quantile.hpp"
 #include "trace/generator.hpp"
 #include "trace/population.hpp"
+#include "util/error.hpp"
 
 namespace monohids::hids {
 namespace {
@@ -60,23 +62,40 @@ DaemonResult run(const DaemonConfig& config) {
 }
 
 TEST(DaemonRollover, EveryWeeklyThresholdMatchesTheBatchQuantile) {
-  const DaemonConfig config = fixture_config();
-  const DaemonResult result = run(config);
-  const auto batch =
-      features::extract_features(config.monitored, fixture_packets(), config.pipeline);
+  // The daemon trains on week_slice of its sealed live matrix, so the
+  // scan's week boundaries (bin / bins_per_week) must be week_slice's on
+  // every grid. 5-minute bins divide a week (2,016 bins). 13-minute bins
+  // do not: a week is 775 bins with 5 minutes left over, so the four-week
+  // horizon's 3,102 bins end in a partial fifth week and roll over once
+  // more.
+  for (const std::uint64_t minutes : {15, 5, 13}) {
+    DaemonConfig config = fixture_config();
+    config.pipeline.grid = util::BinGrid::minutes(minutes);
+    const DaemonResult result = run(config);
+    const auto batch =
+        features::extract_features(config.monitored, fixture_packets(), config.pipeline);
+    const std::uint64_t bins_per_week = util::kMicrosPerWeek / config.pipeline.grid.width();
+    const std::uint64_t total_bins =
+        batch.matrix.of(features::FeatureKind::TcpConnections).values().size();
+    const auto weeks =
+        static_cast<std::uint32_t>((total_bins + bins_per_week - 1) / bins_per_week);
+    ASSERT_EQ(weeks, minutes == 13 ? kWeeks + 1 : kWeeks) << minutes << "-minute bins";
 
-  ASSERT_EQ(result.rollovers.size(), kWeeks - 1);
-  for (std::uint32_t w = 1; w < kWeeks; ++w) {
-    const ThresholdUpdate& update = result.rollovers[w - 1];
-    EXPECT_EQ(update.week, w);
-    for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
-      const auto slice = batch.matrix.of(features::kAllFeatures[i]).week_slice(w - 1);
-      EXPECT_EQ(update.thresholds[i],
-                stats::quantile_nearest_rank(slice, config.percentile))
-          << "week " << w << " " << features::name_of(features::kAllFeatures[i]);
+    ASSERT_EQ(result.rollovers.size(), weeks - 1) << minutes << "-minute bins";
+    for (std::uint32_t w = 1; w < weeks; ++w) {
+      const ThresholdUpdate& update = result.rollovers[w - 1];
+      EXPECT_EQ(update.week, w);
+      for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
+        const auto slice = batch.matrix.of(features::kAllFeatures[i]).week_slice(w - 1);
+        ASSERT_EQ(slice.size(), bins_per_week);
+        EXPECT_EQ(update.thresholds[i],
+                  stats::quantile_nearest_rank(slice, config.percentile))
+            << minutes << "-minute bins, week " << w << " "
+            << features::name_of(features::kAllFeatures[i]);
+      }
     }
+    EXPECT_EQ(result.stats.rollovers, weeks - 1);
   }
-  EXPECT_EQ(result.stats.rollovers, kWeeks - 1);
 }
 
 TEST(DaemonRollover, WarmupWeekNeverAlarms) {
@@ -106,30 +125,46 @@ TEST(DaemonRollover, LiveThresholdSurfaceTracksTheLatestRollover) {
 }
 
 TEST(DaemonRollover, RollingThresholdAfterNWeeksMatchesTheBatchWindow) {
-  DaemonConfig config = fixture_config();
-  config.mode = ThresholdMode::Rolling;
-  config.rolling.exclude_alarms = false;  // pure sliding window: independent math
-  Daemon daemon(config);
-  daemon.on_batch(fixture_packets());
-  (void)daemon.finish();  // scans every trailing bin through the learner
-  const auto batch =
-      features::extract_features(config.monitored, fixture_packets(), config.pipeline);
+  // DaemonConfig::percentile drives Rolling mode too: 0.95 must give the
+  // window's 95th percentile, not the default's 99th.
+  for (const double percentile : {0.99, 0.95}) {
+    DaemonConfig config = fixture_config();
+    config.mode = ThresholdMode::Rolling;
+    config.percentile = percentile;
+    config.rolling.exclude_alarms = false;  // pure sliding window: independent math
+    Daemon daemon(config);
+    daemon.on_batch(fixture_packets());
+    (void)daemon.finish();  // scans every trailing bin through the learner
+    const auto batch =
+        features::extract_features(config.monitored, fixture_packets(), config.pipeline);
 
-  // After N weeks the live threshold surface must equal the nearest-rank
-  // quantile of the last window_bins bins of the batch series — the
-  // batch-derived value on the identical window.
-  const auto total_bins =
-      batch.matrix.of(features::FeatureKind::TcpConnections).values().size();
-  ASSERT_GE(total_bins, config.rolling.window_bins);
-  for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
-    const auto series = batch.matrix.of(features::kAllFeatures[i]).values();
-    const std::vector<double> window(
-        series.end() - static_cast<std::ptrdiff_t>(config.rolling.window_bins),
-        series.end());
-    const double expected =
-        stats::quantile_nearest_rank(window, config.rolling.percentile);
-    EXPECT_EQ(daemon.threshold(features::kAllFeatures[i]), expected)
-        << features::name_of(features::kAllFeatures[i]);
+    // After N weeks the live threshold surface must equal the nearest-rank
+    // quantile of the last window_bins bins of the batch series — the
+    // batch-derived value on the identical window.
+    const auto total_bins =
+        batch.matrix.of(features::FeatureKind::TcpConnections).values().size();
+    ASSERT_GE(total_bins, config.rolling.window_bins);
+    for (std::size_t i = 0; i < features::kFeatureCount; ++i) {
+      const auto series = batch.matrix.of(features::kAllFeatures[i]).values();
+      const std::vector<double> window(
+          series.end() - static_cast<std::ptrdiff_t>(config.rolling.window_bins),
+          series.end());
+      const double expected = stats::quantile_nearest_rank(window, config.percentile);
+      EXPECT_EQ(daemon.threshold(features::kAllFeatures[i]), expected)
+          << "p" << percentile << " " << features::name_of(features::kAllFeatures[i]);
+    }
+  }
+}
+
+TEST(DaemonRollover, PercentileOutsideTheOpenUnitIntervalIsRejectedInBothModes) {
+  for (const ThresholdMode mode : {ThresholdMode::WeeklyRollover, ThresholdMode::Rolling}) {
+    for (const double bad : {0.0, 1.0, std::numeric_limits<double>::quiet_NaN()}) {
+      DaemonConfig config = fixture_config();
+      config.mode = mode;
+      config.percentile = bad;
+      EXPECT_THROW(Daemon{config}, PreconditionError)
+          << "percentile " << bad << " in mode " << static_cast<int>(mode);
+    }
   }
 }
 
